@@ -9,7 +9,6 @@ conferences to obtain a stationary regressor.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -17,15 +16,15 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from . import output
 from .errors import (
     ConfigError,
     DataError,
-    DegenerateEyeError,
     DomainError,
     InsufficientDataError,
     MalformedRecordError,
 )
-from .geometry import EarSample, FaceLandmarkFrame, frame_ear
+from .geometry import EarSample
 
 FLOOR_POLICIES = ("error", "epsilon_floor")
 SPEAKER_TAGS = ("chair", "reporter")
@@ -247,20 +246,6 @@ def benchmark_variables(
     )
 
 
-def build_ear_samples(
-    frames: Iterable[FaceLandmarkFrame],
-) -> tuple[list[EarSample], int]:
-    """Per-frame EAR samples, dropping (and counting) degenerate frames."""
-    samples: list[EarSample] = []
-    dropped = 0
-    for frame in frames:
-        try:
-            samples.append(frame_ear(frame))
-        except DegenerateEyeError:
-            dropped += 1
-    return samples, dropped
-
-
 def estimate_fps(samples: Sequence[EarSample]) -> float:
     """Nominal frame rate as the reciprocal of the median sample spacing."""
     if len(samples) < 2:
@@ -304,58 +289,33 @@ def summarize_conference(
 
 # ---------------------------------------------------------------------------
 # CSV formats: EAR series ("timestamp_s,ear") and speaker segments
-# ("start_s,end_s,speaker").  Lines starting with '#' are metadata comments.
+# ("start_s,end_s,speaker"), in the format of output.write_csv/read_csv.
 # ---------------------------------------------------------------------------
+
+EAR_COLUMNS = ("timestamp_s", "ear")
+SEGMENT_COLUMNS = ("start_s", "end_s", "speaker")
 
 
 def write_ear_csv(samples: Iterable[EarSample], fh, meta_line: str | None = None) -> int:
-    if meta_line is not None:
-        fh.write(f"# {meta_line}\n")
-    fh.write("timestamp_s,ear\n")
-    count = 0
-    for sample in samples:
-        fh.write(f"{float(sample.timestamp)!r},{float(sample.value)!r}\n")
-        count += 1
-    return count
+    return output.write_csv(fh, EAR_COLUMNS, samples, meta_line)
 
 
 def read_ear_csv(path: str | Path) -> list[EarSample]:
-    samples: list[EarSample] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        reader = csv.reader(line for line in fh if not line.startswith("#"))
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header[:2]] != ["timestamp_s", "ear"]:
-            raise MalformedRecordError(f"{path}: expected 'timestamp_s,ear' header")
-        for row in reader:
-            if not row:
-                continue
-            try:
-                samples.append(EarSample(float(row[0]), float(row[1])))
-            except (IndexError, ValueError) as exc:
-                raise MalformedRecordError(f"{path}: bad EAR row {row!r}") from exc
-    return samples
+    return output.read_csv(
+        path, EAR_COLUMNS, lambda row: EarSample(float(row[0]), float(row[1])), "EAR"
+    )
 
 
 def read_segments_csv(path: str | Path, conference_id: str) -> SpeakerSegments:
-    rows: list[tuple[float, float, str]] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        reader = csv.reader(line for line in fh if not line.startswith("#"))
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header[:3]] != ["start_s", "end_s", "speaker"]:
-            raise MalformedRecordError(f"{path}: expected 'start_s,end_s,speaker' header")
-        for row in reader:
-            if not row:
-                continue
-            try:
-                rows.append((float(row[0]), float(row[1]), row[2].strip()))
-            except (IndexError, ValueError) as exc:
-                raise MalformedRecordError(f"{path}: bad segment row {row!r}") from exc
+    rows = output.read_csv(
+        path,
+        SEGMENT_COLUMNS,
+        lambda row: (float(row[0]), float(row[1]), row[2].strip()),
+        "segment",
+    )
     return SpeakerSegments(conference_id, tuple(rows))
 
 
 def write_segments_csv(segments: SpeakerSegments, fh, meta_line: str | None = None) -> None:
-    if meta_line is not None:
-        fh.write(f"# {meta_line}\n")
-    fh.write("start_s,end_s,speaker\n")
-    for start, end, tag in segments.segments:
-        fh.write(f"{float(start)!r},{float(end)!r},{tag}\n")
+    rows = ((float(start), float(end), tag) for start, end, tag in segments.segments)
+    output.write_csv(fh, SEGMENT_COLUMNS, rows, meta_line)

@@ -92,7 +92,8 @@ def main(argv: list[str] | None = None) -> int:
             return 0
         cfg = load_run_config(args.config, _overrides(args))
         stages = cfg.stages if args.command == "run" else (args.command,)
-        run_stages(cfg, out_dir, stages, jobs=args.jobs)
+        for table in run_stages(cfg, out_dir, stages, jobs=args.jobs):
+            print(table)
         return 0
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -9,9 +9,10 @@ unknown on a tie or an insufficient total).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -33,22 +34,38 @@ class GalleryEntry:
             raise MalformedRecordError(
                 f"gallery embedding for {self.label!r} must have {EMBEDDING_DIM} entries"
             )
+        if not np.all(np.isfinite(self.embedding)):
+            raise MalformedRecordError(
+                f"gallery embedding for {self.label!r} has a non-finite entry"
+            )
 
 
 @dataclass(frozen=True)
 class Gallery:
+    """Labeled embeddings; the arrays derived from them are built once."""
+
     entries: tuple[GalleryEntry, ...]
 
     def __post_init__(self) -> None:
         if not self.entries:
             raise ConfigError("gallery must contain at least one entry")
 
-    @property
+    @cached_property
     def labels(self) -> tuple[str, ...]:
         return tuple(e.label for e in self.entries)
 
+    @cached_property
+    def label_codes(self) -> tuple[tuple[str, ...], np.ndarray]:
+        """Distinct labels in first-seen order, and each entry's index into them."""
+        names = tuple(dict.fromkeys(self.labels))
+        return names, np.array([names.index(label) for label in self.labels])
+
+    @cached_property
     def matrix(self) -> np.ndarray:
-        return np.stack([e.embedding for e in self.entries])
+        """Entry embeddings, one read-only row per entry."""
+        matrix = np.stack([e.embedding for e in self.entries])
+        matrix.flags.writeable = False
+        return matrix
 
 
 @dataclass(frozen=True)
@@ -112,17 +129,19 @@ def embedding_distance(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.linalg.norm(a - b))
 
 
+def gallery_distances(query: np.ndarray, gallery: Gallery) -> np.ndarray:
+    """Euclidean distance from a query embedding to every gallery entry."""
+    query = np.asarray(query, dtype=float)
+    if query.shape != (EMBEDDING_DIM,):
+        raise MalformedRecordError(
+            f"embeddings must have {EMBEDDING_DIM} entries, got {query.shape}"
+        )
+    return np.linalg.norm(gallery.matrix - query, axis=1)
+
+
 def vote_vector(query: np.ndarray, gallery: Gallery, epsilon: float) -> np.ndarray:
     """Binary vector: entry m is 1 iff the m-th gallery distance is < epsilon."""
-    distances = np.array([embedding_distance(query, e.embedding) for e in gallery.entries])
-    return (distances < epsilon).astype(int)
-
-
-def _tally(votes: np.ndarray, labels: Sequence[str]) -> dict[str, int]:
-    counts: dict[str, int] = {}
-    for label, vote in zip(labels, votes):
-        counts[label] = counts.get(label, 0) + int(vote)
-    return counts
+    return (gallery_distances(query, gallery) < epsilon).astype(int)
 
 
 def classify(query: np.ndarray, gallery: Gallery, config: IdentityConfig) -> str | None:
@@ -131,15 +150,14 @@ def classify(query: np.ndarray, gallery: Gallery, config: IdentityConfig) -> str
     None is returned when the top vote total falls short of the quorum or
     when two labels tie at the top.
     """
-    votes = vote_vector(query, gallery, config.epsilon)
-    counts = _tally(votes, gallery.labels)
-    best = max(counts.values())
-    if best < config.min_votes:
+    names, codes = gallery.label_codes
+    counts = [0] * len(names)
+    for code in codes[vote_vector(query, gallery, config.epsilon) == 1].tolist():
+        counts[code] += 1
+    best = max(counts)
+    if best < config.min_votes or counts.count(best) != 1:
         return None
-    winners = [label for label, count in counts.items() if count == best]
-    if len(winners) != 1:
-        return None
-    return winners[0]
+    return names[counts.index(best)]
 
 
 def filter_speaker_frames(
@@ -156,8 +174,6 @@ def filter_speaker_frames(
     if target_label not in gallery.labels:
         raise ConfigError(f"gallery has no entries for target label {target_label!r}")
 
-    matrix = gallery.matrix()
-    labels = gallery.labels
     diag = FilterDiagnostics()
     kept: list[FaceLandmarkFrame] = []
 
@@ -167,13 +183,10 @@ def filter_speaker_frames(
             if config.no_embedding_policy == "assume_target":
                 kept.append(frame)
             continue
-        distances = np.linalg.norm(matrix - frame.embedding, axis=1)
-        counts = _tally((distances < config.epsilon).astype(int), labels)
-        best = max(counts.values())
-        winners = [label for label, count in counts.items() if count == best]
-        if best < config.min_votes or len(winners) != 1:
+        label = classify(frame.embedding, gallery, config)
+        if label is None:
             diag.unknown += 1
-        elif winners[0] == target_label:
+        elif label == target_label:
             diag.kept += 1
             kept.append(frame)
         else:
@@ -197,13 +210,15 @@ def load_gallery(path: str | Path) -> Gallery:
         raise MalformedRecordError(f"gallery file {path}: invalid JSON") from exc
     if isinstance(raw, dict):
         raw = raw.get("entries", [])
+    if not isinstance(raw, list):
+        raise MalformedRecordError(f"gallery file {path}: expected a list of entries")
     entries = []
     for item in raw:
         try:
             entries.append(
                 GalleryEntry(item["label"], np.asarray(item["embedding"], dtype=float))
             )
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError, MalformedRecordError) as exc:
             raise MalformedRecordError(f"gallery file {path}: bad entry: {exc}") from exc
     if not entries:
         raise ConfigError(f"gallery file {path} contains no entries")

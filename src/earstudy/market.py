@@ -9,16 +9,17 @@ whose endpoints both fall inside the (open, close] window being measured.
 
 from __future__ import annotations
 
-import csv
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from datetime import datetime, timedelta
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, NamedTuple
 
 import numpy as np
 
+from . import output
 from .errors import ConfigError, CoverageError, MalformedRecordError
 
 PRE_WINDOW = timedelta(minutes=120)
@@ -141,10 +142,13 @@ def window_returns(series: PriceSeries, t_from: datetime, t_to: datetime) -> np.
     return np.diff(np.log(prices))
 
 
+def _rms(returns: np.ndarray) -> float:
+    return float(np.sqrt(np.mean(returns**2)))
+
+
 def realized_vol(series: PriceSeries, t_from: datetime, t_to: datetime) -> float:
     """Root mean square of the window's 1-minute log returns."""
-    returns = window_returns(series, t_from, t_to)
-    return float(np.sqrt(np.mean(returns**2)))
+    return _rms(window_returns(series, t_from, t_to))
 
 
 def event_window_stats(
@@ -158,8 +162,8 @@ def event_window_stats(
         return_after = window_log_return(series, timeline.conference_end, timeline.trading_close)
     except CoverageError as exc:
         raise CoverageError(f"conference {conference_id!r}: {exc}") from exc
-    vol_before = float(np.sqrt(np.mean(returns_before**2)))
-    vol_after = float(np.sqrt(np.mean(returns_after**2)))
+    vol_before = _rms(returns_before)
+    vol_after = _rms(returns_after)
     return EventWindowStats(
         conference_id=conference_id,
         return_during=return_during,
@@ -190,29 +194,23 @@ def parse_instant(text: str) -> datetime:
     return value
 
 
+PRICE_COLUMNS = ("timestamp", "price")
+
+
 def read_price_csv(path: str | Path) -> PriceSeries:
-    bars: list[PriceBar] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        reader = csv.reader(line for line in fh if not line.startswith("#"))
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header[:2]] != ["timestamp", "price"]:
-            raise MalformedRecordError(f"{path}: expected 'timestamp,price' header")
-        for row in reader:
-            if not row:
-                continue
-            try:
-                bars.append(PriceBar(parse_instant(row[0]), float(row[1])))
-            except (IndexError, ValueError) as exc:
-                raise MalformedRecordError(f"{path}: bad price row {row!r}") from exc
+    bars = output.read_csv(
+        path,
+        PRICE_COLUMNS,
+        lambda row: PriceBar(parse_instant(row[0]), float(row[1])),
+        "price",
+    )
     return PriceSeries(tuple(bars))
 
 
 def write_price_csv(bars: Iterable[PriceBar], fh, meta_line: str | None = None) -> int:
-    if meta_line is not None:
-        fh.write(f"# {meta_line}\n")
-    fh.write("timestamp,price\n")
-    count = 0
-    for bar in bars:
-        fh.write(f"{bar.timestamp.isoformat()},{float(bar.price)!r}\n")
-        count += 1
-    return count
+    # map and zip keep the per-bar loop out of Python bytecode; a fixture
+    # has hundreds of bars per conference.
+    bars = tuple(bars)
+    timestamps = map(datetime.isoformat, map(itemgetter(0), bars))
+    prices = map(float, map(itemgetter(1), bars))
+    return output.write_csv(fh, PRICE_COLUMNS, zip(timestamps, prices), meta_line)

@@ -1,21 +1,29 @@
-"""Provenance-stamped output files.
+"""Provenance-stamped output files and the package's one CSV format.
 
 Every file the pipeline writes embeds a hash of the semantic run
 configuration plus the tool version, and a write refuses to replace a file
 carrying a different hash so runs with different configs never silently
 overwrite each other.  The output directory itself is excluded from the
 hash so identical runs into different directories stay byte-identical.
+
+Every CSV the package reads or writes has optional ``#`` metadata comment
+lines, a header row, then one row per record.
 """
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 import re
+from itertools import chain
 from pathlib import Path
+from typing import Callable, Iterable, Sequence, TypeVar
 
 from . import __version__
-from .errors import ConfigError
+from .errors import ConfigError, MalformedRecordError
+
+_T = TypeVar("_T")
 
 _HASH_RE = re.compile(r'config_hash["=:\s]+([0-9a-f]{12})')
 
@@ -67,3 +75,64 @@ def write_json(path: Path, payload: dict, digest: str) -> None:
     ordered = {"meta": meta_dict(digest)}
     ordered.update(payload)
     write_text(path, json.dumps(ordered, indent=2, default=str) + "\n", digest)
+
+
+def _cell(value) -> str:
+    if value is None:
+        return ""
+    return repr(float(value)) if isinstance(value, float) else str(value)
+
+
+# Cell types whose "%s" text is already what _cell gives (str of a float is
+# its repr), so their rows can be formatted in one C-level step.
+_PLAIN_CELLS = frozenset({str, int, float})
+
+
+def write_csv(
+    fh, columns: Sequence[str], rows: Iterable[tuple], meta_line: str | None = None
+) -> int:
+    """Write an optional ``# meta_line`` comment, the header, then the rows.
+
+    Each row is a tuple with one cell per column.  Floats are written as
+    ``repr(float(v))`` (the shortest text that reads back to the same
+    value), None as an empty cell, anything else with ``str``.  No header
+    is written when ``columns`` is empty.  Returns the number of rows.
+    """
+    if meta_line is not None:
+        fh.write(f"# {meta_line}\n")
+    if columns:
+        fh.write(",".join(columns) + "\n")
+    rows = list(rows)
+    if not _PLAIN_CELLS.issuperset(map(type, chain.from_iterable(rows))):
+        rows = [tuple(map(_cell, row)) for row in rows]
+    line = ",".join(["%s"] * len(columns)) + "\n"
+    fh.write("".join(map(line.__mod__, rows)))
+    return len(rows)
+
+
+def read_csv(
+    path: str | Path,
+    columns: Sequence[str],
+    parse_row: Callable[[list[str]], _T],
+    what: str,
+) -> list[_T]:
+    """Rows of a CSV file, each converted by ``parse_row``.
+
+    ``#`` lines and blank rows are skipped.  The header must begin with
+    ``columns``.  A row that ``parse_row`` rejects with IndexError or
+    ValueError raises MalformedRecordError naming ``what`` and the row.
+    """
+    parsed: list[_T] = []
+    with open(path, "r", encoding="utf-8") as fh:
+        reader = csv.reader(line for line in fh if not line.startswith("#"))
+        header = next(reader, None)
+        if header is None or [h.strip() for h in header[:len(columns)]] != list(columns):
+            raise MalformedRecordError(f"{path}: expected '{','.join(columns)}' header")
+        for row in reader:
+            if not row:
+                continue
+            try:
+                parsed.append(parse_row(row))
+            except (IndexError, ValueError) as exc:
+                raise MalformedRecordError(f"{path}: bad {what} row {row!r}") from exc
+    return parsed

@@ -11,11 +11,11 @@ from __future__ import annotations
 import io
 import json
 import logging
-import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from datetime import date as dt_date
 from datetime import datetime, time
+from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -23,7 +23,7 @@ import numpy as np
 
 from . import attention as att
 from . import geometry, identity, market, output, regression, synth
-from .errors import ConfigError, CoverageError, DataError, InsufficientDataError
+from .errors import ConfigError, DataError, InsufficientDataError
 
 log = logging.getLogger(__name__)
 
@@ -78,17 +78,8 @@ class RunConfig:
             "registry": str(self.registry),
             "gallery": str(self.gallery),
             "target_label": self.target_label,
-            "identity": {
-                "epsilon": self.identity.epsilon,
-                "min_votes": self.identity.min_votes,
-                "no_embedding_policy": self.identity.no_embedding_policy,
-            },
-            "attention": {
-                "threshold": self.attention.threshold,
-                "gap_factor": self.attention.gap_factor,
-                "floor_policy": self.attention.floor_policy,
-                "floor_value": self.attention.floor_value,
-            },
+            "identity": asdict(self.identity),
+            "attention": asdict(self.attention),
             "market": {"trading_close": self.market.trading_close.isoformat()},
             "stages": list(self.stages),
             "eye_indices": [list(self.eye_left), list(self.eye_right)],
@@ -108,6 +99,8 @@ def load_run_config(path: str | Path, overrides: dict | None = None) -> RunConfi
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path}: invalid JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config {path}: expected a JSON object")
 
     overrides = overrides or {}
     base = path.parent
@@ -117,34 +110,33 @@ def load_run_config(path: str | Path, overrides: dict | None = None) -> RunConfi
             raise ConfigError(f"config {path}: missing required key {key!r}")
         return (base / raw[key]).resolve()
 
-    ident_raw = dict(raw.get("identity", {}))
-    if overrides.get("epsilon") is not None:
-        ident_raw["epsilon"] = overrides["epsilon"]
-    if overrides.get("min_votes") is not None:
-        ident_raw["min_votes"] = overrides["min_votes"]
-    if overrides.get("no_embedding_policy") is not None:
-        ident_raw["no_embedding_policy"] = overrides["no_embedding_policy"]
-    if "epsilon" not in ident_raw:
-        raise ConfigError(f"config {path}: identity.epsilon is required")
-    ident = identity.IdentityConfig(
-        epsilon=float(ident_raw["epsilon"]),
-        min_votes=int(ident_raw.get("min_votes", 1)),
-        no_embedding_policy=ident_raw.get("no_embedding_policy", "drop"),
-    )
-
-    att_raw = dict(raw.get("attention", {}))
-    attention_cfg = att.AttentionConfig(
-        threshold=float(att_raw.get("threshold", 0.2)),
-        gap_factor=float(att_raw.get("gap_factor", 3.0)),
-        floor_policy=att_raw.get("floor_policy", "error"),
-        floor_value=float(att_raw.get("floor_value", 1e-9)),
-    )
+    try:
+        ident_raw = dict(raw.get("identity", {}))
+        for key in (f.name for f in fields(identity.IdentityConfig)):
+            if overrides.get(key) is not None:
+                ident_raw[key] = overrides[key]
+        if "epsilon" not in ident_raw:
+            raise ConfigError(f"config {path}: identity.epsilon is required")
+        ident = identity.IdentityConfig(
+            epsilon=float(ident_raw["epsilon"]),
+            min_votes=int(ident_raw.get("min_votes", 1)),
+            no_embedding_policy=ident_raw.get("no_embedding_policy", "drop"),
+        )
+        att_raw = dict(raw.get("attention", {}))
+        attention_cfg = att.AttentionConfig(
+            threshold=float(att_raw.get("threshold", 0.2)),
+            gap_factor=float(att_raw.get("gap_factor", 3.0)),
+            floor_policy=att_raw.get("floor_policy", "error"),
+            floor_value=float(att_raw.get("floor_value", 1e-9)),
+        )
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"config {path}: invalid identity or attention value: {exc}") from exc
 
     market_raw = dict(raw.get("market", {}))
     close_text = overrides.get("trading_close") or market_raw.get("trading_close", "16:00")
     try:
         close_time = time.fromisoformat(close_text)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid trading close {close_text!r}: {exc}") from exc
 
     target = overrides.get("target_label") or raw.get("target_label")
@@ -157,6 +149,11 @@ def load_run_config(path: str | Path, overrides: dict | None = None) -> RunConfi
             raise ConfigError(f"config {path}: unknown stage {stage!r}")
 
     eye = raw.get("eye_indices")
+    if eye and not _valid_eye_groups(eye):
+        raise ConfigError(
+            f"config {path}: eye_indices must be two lists of 6 distinct landmark "
+            f"indices in 0..{geometry.LANDMARK_COUNT - 1}, got {eye!r}"
+        )
     eye_left = tuple(eye[0]) if eye else geometry.LEFT_EYE_INDICES
     eye_right = tuple(eye[1]) if eye else geometry.RIGHT_EYE_INDICES
 
@@ -173,6 +170,16 @@ def load_run_config(path: str | Path, overrides: dict | None = None) -> RunConfi
     )
 
 
+def _valid_eye_groups(eye) -> bool:
+    return isinstance(eye, list) and len(eye) == 2 and all(
+        isinstance(group, list)
+        and len(group) == 6
+        and len(set(group)) == 6
+        and all(type(i) is int and 0 <= i < geometry.LANDMARK_COUNT for i in group)
+        for group in eye
+    )
+
+
 def load_registry(path: str | Path) -> list[ConferenceRecord]:
     path = Path(path)
     try:
@@ -182,11 +189,14 @@ def load_registry(path: str | Path) -> list[ConferenceRecord]:
         raise ConfigError(f"cannot read registry {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise DataError(f"registry {path}: invalid JSON: {exc}") from exc
+    conferences = raw.get("conferences", []) if isinstance(raw, dict) else None
+    if not isinstance(conferences, list):
+        raise DataError(f"registry {path}: expected an object with a 'conferences' list")
 
     base = path.parent
     records: list[ConferenceRecord] = []
     seen: set[str] = set()
-    for item in raw.get("conferences", []):
+    for number, item in enumerate(conferences, start=1):
         try:
             record = ConferenceRecord(
                 conference_id=item["conference_id"],
@@ -205,6 +215,8 @@ def load_registry(path: str | Path) -> list[ConferenceRecord]:
             )
         except KeyError as exc:
             raise DataError(f"registry {path}: conference entry missing {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise DataError(f"registry {path}: conference entry {number}: {exc}") from exc
         if record.conference_id in seen:
             raise DataError(f"registry {path}: duplicate id {record.conference_id!r}")
         if record.qa_start >= record.conference_end:
@@ -298,6 +310,25 @@ def stage_ear(cfg: RunConfig, out_dir: Path, jobs: int = 1) -> dict:
     return diagnostics
 
 
+ATTENTION_COLUMNS = (
+    "conference_id", "date", "attention_integral", "log_attention",
+    "delta_log_attention", "reading_time_s", "end_s", "observed_s",
+    "n_samples", "n_gaps", "log_n_questions", "log_qa_duration",
+    "log_chair_speech", "delta_log_n_questions", "delta_log_qa_duration",
+    "delta_log_chair_speech",
+)
+DELTA_SOURCES = {
+    "delta_log_attention": "log_attention",
+    "delta_log_n_questions": "log_n_questions",
+    "delta_log_qa_duration": "log_qa_duration",
+    "delta_log_chair_speech": "log_chair_speech",
+}
+WINDOW_COLUMNS = (
+    "conference_id", "date", "return_during", "return_after", "vol_before",
+    "vol_after", "vol_change", "n_returns_before", "n_returns_after",
+)
+
+
 def stage_attention(cfg: RunConfig, out_dir: Path, jobs: int = 1) -> dict:
     records = load_registry(cfg.registry)
     digest = cfg.digest()
@@ -312,15 +343,11 @@ def stage_attention(cfg: RunConfig, out_dir: Path, jobs: int = 1) -> dict:
                 f"missing EAR series for {record.conference_id!r}: run the ear stage first"
             )
         try:
-            samples = att.read_ear_csv(ear_path)
-            series = att.series_from_samples(record.conference_id, samples)
-            integral, reading_time = att.integrate_attention(series, cfg.attention)
-            log_value = att.log_attention_level(
-                integral, cfg.attention, record.conference_id
-            )
+            series = att.series_from_samples(record.conference_id, att.read_ear_csv(ear_path))
+            summary = att.summarize_conference(series, cfg.attention)
             if (
                 cfg.attention.floor_policy == "epsilon_floor"
-                and integral < cfg.attention.floor_value
+                and summary.attention_integral < cfg.attention.floor_value
             ):
                 floored.append(record.conference_id)
             transcript = record.transcript.read_text(encoding="utf-8")
@@ -333,56 +360,24 @@ def stage_attention(cfg: RunConfig, out_dir: Path, jobs: int = 1) -> dict:
             log.warning("conference %s excluded from attention table: %s",
                         record.conference_id, exc)
             continue
-        rows.append(
-            {
-                "conference_id": record.conference_id,
-                "date": record.date.isoformat(),
-                "attention_integral": integral,
-                "log_attention": log_value,
-                "reading_time_s": reading_time,
-                "end_s": series.end_s,
-                "observed_s": series.observed_s,
-                "n_samples": len(series.samples),
-                "n_gaps": len(series.gap_spans(cfg.attention.gap_factor)),
-                "log_n_questions": benchmark.n_questions_log,
-                "log_qa_duration": benchmark.duration_qa_log,
-                "log_chair_speech": benchmark.duration_chair_speech_log,
-            }
-        )
+        rows.append({
+            **asdict(summary),
+            "date": record.date.isoformat(),
+            "log_n_questions": benchmark.n_questions_log,
+            "log_qa_duration": benchmark.duration_qa_log,
+            "log_chair_speech": benchmark.duration_chair_speech_log,
+        })
 
     # First differences across surviving conferences in date order; the
     # first survivor has no delta.
-    delta_sources = {
-        "delta_log_attention": "log_attention",
-        "delta_log_n_questions": "log_n_questions",
-        "delta_log_qa_duration": "log_qa_duration",
-        "delta_log_chair_speech": "log_chair_speech",
-    }
-    for i, row in enumerate(rows):
-        for delta_col, source in delta_sources.items():
-            row[delta_col] = rows[i][source] - rows[i - 1][source] if i > 0 else None
+    for delta_col, source in DELTA_SOURCES.items():
+        deltas = att.delta_series([r[source] for r in rows]).tolist() if len(rows) > 1 else []
+        for row, delta in zip(rows, [None, *deltas]):
+            row[delta_col] = delta
 
-    columns = [
-        "conference_id", "date", "attention_integral", "log_attention",
-        "delta_log_attention", "reading_time_s", "end_s", "observed_s",
-        "n_samples", "n_gaps", "log_n_questions", "log_qa_duration",
-        "log_chair_speech", "delta_log_n_questions", "delta_log_qa_duration",
-        "delta_log_chair_speech",
-    ]
     buf = io.StringIO()
-    buf.write(f"# {output.meta_line(digest)}\n")
-    buf.write(",".join(columns) + "\n")
-    for row in rows:
-        cells = []
-        for col in columns:
-            value = row[col]
-            if value is None:
-                cells.append("")
-            elif isinstance(value, float):
-                cells.append(repr(float(value)))
-            else:
-                cells.append(str(value))
-        buf.write(",".join(cells) + "\n")
+    output.write_csv(buf, ATTENTION_COLUMNS, map(itemgetter(*ATTENTION_COLUMNS), rows),
+                     output.meta_line(digest))
     output.write_text(out_dir / "attention.csv", buf.getvalue(), digest)
 
     diagnostics = {"exclusions": exclusions, "floored": floored, "n_rows": len(rows)}
@@ -390,26 +385,24 @@ def stage_attention(cfg: RunConfig, out_dir: Path, jobs: int = 1) -> dict:
     return diagnostics
 
 
+def _attention_row(cells: list[str]) -> dict:
+    row: dict = {}
+    for key, value in zip(ATTENTION_COLUMNS, cells, strict=True):
+        if key in ("conference_id", "date"):
+            row[key] = value
+        elif key in ("n_samples", "n_gaps"):
+            row[key] = int(value)
+        else:
+            row[key] = float(value) if value else None
+    return row
+
+
 def read_attention_csv(path: Path) -> list[dict]:
-    import csv as _csv
-
-    with open(path, "r", encoding="utf-8") as fh:
-        reader = _csv.DictReader(line for line in fh if not line.startswith("#"))
-        rows = []
-        for raw in reader:
-            row: dict = {}
-            for key, value in raw.items():
-                if key in ("conference_id", "date"):
-                    row[key] = value
-                elif key in ("n_samples", "n_gaps"):
-                    row[key] = int(value)
-                else:
-                    row[key] = float(value) if value not in ("", None) else None
-            rows.append(row)
-    return rows
+    return output.read_csv(path, ATTENTION_COLUMNS, _attention_row, "attention")
 
 
-def stage_eventstudy(cfg: RunConfig, out_dir: Path, jobs: int = 1) -> dict:
+def stage_eventstudy(cfg: RunConfig, out_dir: Path, jobs: int = 1) -> list[str]:
+    """Window statistics and the regression tables; returns the table texts."""
     records = {r.conference_id: r for r in load_registry(cfg.registry)}
     digest = cfg.digest()
     attention_path = out_dir / "attention.csv"
@@ -444,34 +437,15 @@ def stage_eventstudy(cfg: RunConfig, out_dir: Path, jobs: int = 1) -> dict:
             log.warning("conference %s excluded from event study: %s",
                         row["conference_id"], exc)
             continue
-        merged = dict(row)
-        merged.update(
-            {
-                "return_during": stats.return_during,
-                "return_after": stats.return_after,
-                "vol_before": stats.vol_before,
-                "vol_after": stats.vol_after,
-                "vol_change": stats.vol_change,
-                "vol_change_x100": stats.vol_change * 100.0,
-                "n_returns_before": stats.n_returns_before,
-                "n_returns_after": stats.n_returns_after,
-            }
-        )
-        window_rows.append(merged)
+        window_rows.append({
+            **row,
+            **asdict(stats),
+            "vol_change_x100": stats.vol_change * 100.0,
+        })
 
-    window_columns = [
-        "conference_id", "date", "return_during", "return_after", "vol_before",
-        "vol_after", "vol_change", "n_returns_before", "n_returns_after",
-    ]
     buf = io.StringIO()
-    buf.write(f"# {output.meta_line(digest)}\n")
-    buf.write(",".join(window_columns) + "\n")
-    for row in window_rows:
-        cells = [
-            repr(float(row[col])) if isinstance(row[col], float) else str(row[col])
-            for col in window_columns
-        ]
-        buf.write(",".join(cells) + "\n")
+    output.write_csv(buf, WINDOW_COLUMNS, map(itemgetter(*WINDOW_COLUMNS), window_rows),
+                     output.meta_line(digest))
     output.write_text(out_dir / "windows.csv", buf.getvalue(), digest)
 
     usable = [r for r in window_rows if r["delta_log_attention"] is not None]
@@ -481,7 +455,7 @@ def stage_eventstudy(cfg: RunConfig, out_dir: Path, jobs: int = 1) -> dict:
             "need at least 3"
         )
 
-    tables: dict[str, list[dict]] = {}
+    texts: list[str] = []
     for dependent in DEPENDENT_COLUMNS:
         results = []
         for covariate in COVARIATE_COLUMNS:
@@ -497,9 +471,8 @@ def stage_eventstudy(cfg: RunConfig, out_dir: Path, jobs: int = 1) -> dict:
             )
             results.append(regression.ols_univariate(data))
         text = regression.render_table(results, dependent, COVARIATE_COLUMNS)
-        print(text)
+        texts.append(text)
         rows_out = regression.table_rows(results, dependent, COVARIATE_COLUMNS)
-        tables[dependent] = rows_out
 
         output.write_text(
             out_dir / "tables" / f"{dependent}.txt",
@@ -520,7 +493,7 @@ def stage_eventstudy(cfg: RunConfig, out_dir: Path, jobs: int = 1) -> dict:
         "standard_errors": "classical homoskedastic",
     }
     output.write_json(out_dir / "diagnostics" / "eventstudy.json", diagnostics, digest)
-    return diagnostics
+    return texts
 
 
 STAGE_FUNCTIONS = {
@@ -531,13 +504,24 @@ STAGE_FUNCTIONS = {
 }
 
 
-def run_stages(cfg: RunConfig, out_dir: Path, stages: Sequence[str], jobs: int = 1) -> None:
+def run_stages(
+    cfg: RunConfig, out_dir: Path, stages: Sequence[str], jobs: int = 1
+) -> list[str]:
+    """Run the selected stages in pipeline order.
+
+    Returns the rendered regression tables when the eventstudy stage ran,
+    else an empty list; nothing is printed.
+    """
     digest = cfg.digest()
     output.write_json(out_dir / "run_config.json", {"config": cfg.digest_payload()}, digest)
+    tables: list[str] = []
     for stage in STAGES:
         if stage in stages:
             log.info("running stage %s", stage)
-            STAGE_FUNCTIONS[stage](cfg, out_dir, jobs)
+            result = STAGE_FUNCTIONS[stage](cfg, out_dir, jobs)
+            if stage == "eventstudy":
+                tables = result
+    return tables
 
 
 # ---------------------------------------------------------------------------
@@ -558,14 +542,7 @@ def build_fixture(
     digest = output.config_digest(
         {
             "scenarios": [synth.scenario_to_dict(s) for s in scenarios],
-            "gallery": {
-                "labels": list(gallery_spec.labels),
-                "cluster_radius": gallery_spec.cluster_radius,
-                "separation": gallery_spec.separation,
-                "entries_per_label": gallery_spec.entries_per_label,
-                "queries_per_label": gallery_spec.queries_per_label,
-                "seed": gallery_spec.seed,
-            },
+            "gallery": asdict(gallery_spec),
         }
     )
 

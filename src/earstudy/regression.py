@@ -15,6 +15,7 @@ from typing import Sequence
 import numpy as np
 from scipy.special import betainc
 
+from . import output
 from .errors import DegenerateRegressorError, InsufficientDataError, MalformedRecordError
 
 
@@ -214,18 +215,8 @@ def table_rows(
 
 
 def write_table_csv(rows: Sequence[dict], fh, meta_line: str | None = None) -> None:
-    if meta_line is not None:
-        fh.write(f"# {meta_line}\n")
-    if not rows:
-        return
-    fields = list(rows[0].keys())
-    fh.write(",".join(fields) + "\n")
-    for row in rows:
-        cells = []
-        for field in fields:
-            value = row[field]
-            cells.append(repr(float(value)) if isinstance(value, float) else str(value))
-        fh.write(",".join(cells) + "\n")
+    fields = list(rows[0]) if rows else []
+    output.write_csv(fh, fields, (tuple(row[f] for f in fields) for row in rows), meta_line)
 
 
 def write_table_json(

@@ -1,4 +1,5 @@
 import json
+import shutil
 import subprocess
 import sys
 from dataclasses import replace
@@ -254,3 +255,38 @@ def test_jobs_parallel_matches_serial(small_fixture, tmp_path):
     run_stages(cfg, tmp_path / "serial", ("identify", "ear"), jobs=1)
     run_stages(cfg, tmp_path / "parallel", ("identify", "ear"), jobs=4)
     assert tree_bytes(tmp_path / "serial") == tree_bytes(tmp_path / "parallel")
+
+
+@pytest.mark.parametrize(
+    "name, keys, value, code",
+    [
+        ("registry.json", ("conferences", 0, "date"), "2020-13-45", 2),
+        ("registry.json", ("conferences",), 5, 2),
+        ("gallery.json", ("entries",), 5, 2),
+        ("gallery.json", ("entries", 0, "embedding", 0), "abc", 2),
+        ("gallery.json", ("entries", 0, "embedding", 0), float("nan"), 2),
+        ("config.json", ("identity", "epsilon"), "x", 1),
+        ("config.json", ("eye_indices",), [[36, 37, 38, 39, 40, 99], list(range(42, 48))], 1),
+        ("config.json", ("eye_indices",), [[36, 39], [42, 45]], 1),
+        ("config.json", ("market", "trading_close"), 5, 1),
+    ],
+    ids=["registry-date", "registry-conferences", "gallery-entries", "gallery-text",
+         "gallery-nan", "epsilon-text", "eye-index-99", "eye-two-points", "trading-close"],
+)
+def test_malformed_input_is_one_line_error(
+    small_fixture, tmp_path, capsys, name, keys, value, code
+):
+    fixture = shutil.copytree(small_fixture, tmp_path / "fixture")
+    config_path = write_run_config(fixture / "config.json", fixture)
+    path = fixture / name
+    raw = json.loads(path.read_text())
+    target = raw
+    for key in keys[:-1]:
+        target = target[key]
+    target[keys[-1]] = value
+    path.write_text(json.dumps(raw))
+
+    assert main(["run", "--config", str(config_path), "--out", str(tmp_path / "out")]) == code
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1, err
+    assert "Traceback" not in err
