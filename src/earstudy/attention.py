@@ -296,7 +296,10 @@ EAR_COLUMNS = ("timestamp_s", "ear")
 SEGMENT_COLUMNS = ("start_s", "end_s", "speaker")
 
 
-def write_ear_csv(samples: Iterable[EarSample], fh, meta_line: str | None = None) -> int:
+def write_ear_csv(
+    samples: Iterable[tuple[float, float]], fh, meta_line: str | None = None
+) -> int:
+    """Write (timestamp_s, ear) rows, such as EarSamples; returns the row count."""
     return output.write_csv(fh, EAR_COLUMNS, samples, meta_line)
 
 

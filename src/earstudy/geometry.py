@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import closing
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 from typing import IO, Iterable, Iterator, NamedTuple, Sequence
 
@@ -117,6 +119,30 @@ def frame_ear(
     return EarSample(frame.timestamp, value)
 
 
+def batch_ear(
+    points: np.ndarray,
+    left_indices: Sequence[int] = LEFT_EYE_INDICES,
+    right_indices: Sequence[int] = RIGHT_EYE_INDICES,
+) -> tuple[np.ndarray, np.ndarray]:
+    """frame_ear of every frame of an (N, 68, 2) array, and the usable mask.
+
+    A frame is unusable (False in the mask) where frame_ear raises
+    DegenerateEyeError; its value is then meaningless.  The other values
+    equal frame_ear(...).value exactly: the same operations run in the same
+    order, and the distances use math.hypot, because np.hypot (the C
+    library's) differs from it in the last bit on some inputs.
+    """
+    eyes = points[:, [list(left_indices), list(right_indices)]]  # (N, 2, 6, 2)
+    # Per eye the pairs p1-p4 (corners), p2-p6 and p3-p5 (lids).
+    diff = eyes[:, :, [0, 1, 2]] - eyes[:, :, [3, 5, 4]]
+    dx, dy = diff[..., 0].ravel().tolist(), diff[..., 1].ravel().tolist()
+    span = np.fromiter(map(math.hypot, dx, dy), float, len(dx)).reshape(diff.shape[:-1])
+    horizontal = span[..., 0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        eye = (span[..., 1] + span[..., 2]) / (2.0 * horizontal)
+    return (eye[:, 0] + eye[:, 1]) / 2.0, (horizontal != 0.0).all(axis=1)
+
+
 # ---------------------------------------------------------------------------
 # JSONL landmark streams
 #
@@ -146,36 +172,56 @@ def frame_from_record(record: dict, line_no: int | None = None) -> FaceLandmarkF
         frame_index = int(record["frame_index"])
         timestamp = float(record["timestamp_s"])
         raw_points = record["points"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise MalformedRecordError(f"{where}missing or invalid frame field: {exc}") from exc
+    if not isinstance(conference_id, str):
+        raise MalformedRecordError(f"{where}frame {frame_index}: conference_id is not a string")
+    if not math.isfinite(timestamp):
+        raise MalformedRecordError(f"{where}frame {frame_index}: non-finite timestamp")
 
     points = []
-    for pair in raw_points:
-        if len(pair) != 2:
-            raise MalformedRecordError(f"{where}frame {frame_index}: point is not an [x, y] pair")
-        x, y = float(pair[0]), float(pair[1])
-        if not (math.isfinite(x) and math.isfinite(y)):
-            raise MalformedRecordError(f"{where}frame {frame_index}: non-finite landmark")
-        points.append(Point2(x, y))
+    try:
+        for pair in raw_points:
+            if len(pair) != 2:
+                raise MalformedRecordError(
+                    f"{where}frame {frame_index}: point is not an [x, y] pair"
+                )
+            x, y = float(pair[0]), float(pair[1])
+            if not (math.isfinite(x) and math.isfinite(y)):
+                raise MalformedRecordError(f"{where}frame {frame_index}: non-finite landmark")
+            points.append(Point2(x, y))
+    except (TypeError, ValueError) as exc:
+        raise MalformedRecordError(f"{where}frame {frame_index}: invalid landmark: {exc}") from exc
 
     embedding = None
     if record.get("embedding") is not None:
-        embedding = np.asarray(record["embedding"], dtype=float)
+        try:
+            embedding = np.asarray(record["embedding"], dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise MalformedRecordError(
+                f"{where}frame {frame_index}: invalid embedding: {exc}"
+            ) from exc
         if not np.all(np.isfinite(embedding)):
             raise MalformedRecordError(f"{where}frame {frame_index}: non-finite embedding")
 
-    return FaceLandmarkFrame(
-        conference_id=conference_id,
-        frame_index=frame_index,
-        timestamp=timestamp,
-        points=tuple(points),
-        embedding=embedding,
-    )
+    try:
+        return FaceLandmarkFrame(
+            conference_id=conference_id,
+            frame_index=frame_index,
+            timestamp=timestamp,
+            points=tuple(points),
+            embedding=embedding,
+        )
+    except MalformedRecordError as exc:
+        raise MalformedRecordError(f"{where}{exc}") from exc
 
 
-def read_landmark_stream(path: str | Path) -> Iterator[FaceLandmarkFrame]:
-    """Stream frames from a JSONL file, enforcing per-conference time order."""
-    last_ts: dict[str, float] = {}
+def _numbered_records(path: str | Path) -> Iterator[tuple[int, str, object]]:
+    """(line number, stripped line, decoded JSON) of each frame record line.
+
+    Blank lines and {"_meta": ...} records are skipped; a line that is not
+    JSON raises MalformedRecordError.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
@@ -185,17 +231,170 @@ def read_landmark_stream(path: str | Path) -> Iterator[FaceLandmarkFrame]:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise MalformedRecordError(f"{path}: line {line_no}: invalid JSON") from exc
-            if "_meta" in record:
+            if isinstance(record, dict) and "_meta" in record:
                 continue
+            yield line_no, line, record
+
+
+def _checked_frames(
+    path: str | Path, numbered: Iterable[tuple[int, str, object]]
+) -> Iterator[tuple[str, FaceLandmarkFrame]]:
+    """(line, frame) of each numbered record, in order, with the scalar checks."""
+    last_ts: dict[str, float] = {}
+    for line_no, line, record in numbered:
+        try:
             frame = frame_from_record(record, line_no)
-            prev = last_ts.get(frame.conference_id)
-            if prev is not None and frame.timestamp < prev:
-                raise MalformedRecordError(
-                    f"{path}: line {line_no}: timestamps decrease within "
-                    f"conference {frame.conference_id!r}"
+        except MalformedRecordError as exc:
+            raise MalformedRecordError(f"{path}: {exc}") from exc
+        prev = last_ts.get(frame.conference_id)
+        if prev is not None and frame.timestamp < prev:
+            raise MalformedRecordError(
+                f"{path}: line {line_no}: timestamps decrease within "
+                f"conference {frame.conference_id!r}"
+            )
+        last_ts[frame.conference_id] = frame.timestamp
+        yield line, frame
+
+
+def read_landmark_stream(path: str | Path) -> Iterator[FaceLandmarkFrame]:
+    """Stream frames from a JSONL file, enforcing per-conference time order."""
+    for _line, frame in _checked_frames(path, _numbered_records(path)):
+        yield frame
+
+
+@dataclass(frozen=True)
+class LandmarkBatch:
+    """A whole landmark stream as columns; row i is the i-th frame record."""
+
+    lines: list[str]  # each record's line as read, stripped
+    timestamps: np.ndarray  # (N,)
+    points: np.ndarray  # (N, 68, 2)
+    embeddings: np.ndarray  # (N, 128), zero rows where has_embedding is False
+    has_embedding: np.ndarray  # (N,) bool
+
+    def __len__(self) -> int:
+        return len(self.lines)
+
+
+# Lines decoded per step of read_landmark_batch.  Only one step's decoded
+# JSON is alive at a time.  Decoded records are large (about 14 KiB for a
+# frame with an embedding), and a run's peak RSS grows with the step: on the
+# 45-conference planted study it was 67.7 MB at 32 lines, 74.4 MB at 256
+# and 81.7 MB for whole files, against 69.4 MB for the scalar reader.
+# Smaller steps cost no measurable time.
+_BATCH_LINES = 32
+
+
+def read_landmark_batch(path: str | Path) -> LandmarkBatch:
+    """Read a JSONL landmark stream into arrays, one json.loads per line.
+
+    The stream is held to every check read_landmark_stream makes.  They run
+    vectorised; if any fails, the stream is read again through
+    read_landmark_stream's scalar checks, which raise its message for the
+    first bad line.
+    """
+    parts: list[LandmarkBatch] = []
+    last_ts: dict[str, float] = {}
+    try:
+        with closing(_numbered_records(path)) as numbered:
+            while True:
+                step = list(islice(numbered, _BATCH_LINES))
+                part = _checked_batch(
+                    [line for _, line, _ in step], [record for *_, record in step], last_ts
                 )
-            last_ts[frame.conference_id] = frame.timestamp
-            yield frame
+                if part is None:
+                    break
+                parts.append(part)
+                if len(step) < _BATCH_LINES:
+                    break
+    except MalformedRecordError:  # a line that is not JSON
+        part = None
+    if part is None:
+        # The scalar checks raise for the first bad line, which may come
+        # before a line that is not JSON.
+        return _scalar_batch(path)
+    columns = ("timestamps", "points", "embeddings", "has_embedding")
+    return LandmarkBatch(
+        [line for part in parts for line in part.lines],
+        *(np.concatenate([getattr(part, name) for part in parts]) for name in columns),
+    )
+
+
+def _scalar_batch(path: str | Path) -> LandmarkBatch:
+    """The batch read through read_landmark_stream's checks.
+
+    They raise for the first bad line.  If they pass, the vectorised checks
+    were only stricter about value types (a frame_index of "3", say), and the
+    batch is built from the checked frames.
+    """
+    checked = list(_checked_frames(path, _numbered_records(path)))
+    batch = _checked_batch(
+        [line for line, _ in checked], [frame_to_record(frame) for _, frame in checked], {}
+    )
+    assert batch is not None, "checked frames pass the vectorised checks"
+    return batch
+
+
+def _checked_batch(
+    lines: list[str], records: list, last_ts: dict[str, float]
+) -> LandmarkBatch | None:
+    """The batch of the decoded records, or None if any record fails a check.
+
+    last_ts holds each conference's latest timestamp before these records,
+    and is updated with theirs.
+    """
+    try:
+        ids = [r["conference_id"] for r in records]
+        indices = [r["frame_index"] for r in records]
+        timestamps = np.array([r["timestamp_s"] for r in records])
+        points = np.array([r["points"] for r in records])
+        raw_embeddings = [r.get("embedding") for r in records]
+        has_embedding = np.array([e is not None for e in raw_embeddings], dtype=bool)
+        embedded = np.array([e for e in raw_embeddings if e is not None])
+    except (KeyError, TypeError, ValueError, AttributeError):
+        return None
+    arrays = ((timestamps, ()), (points, (LANDMARK_COUNT, 2)), (embedded, (EMBEDDING_DIM,)))
+    if not (
+        all(len(a) == 0 or (a.dtype.kind in "iuf" and a.shape[1:] == shape)
+            for a, shape in arrays)
+        and all(type(c) is str for c in ids)
+        and all(type(i) is int for i in indices)
+        and np.isfinite(points).all()
+        and np.isfinite(embedded).all()
+        and np.isfinite(timestamps).all()
+        and (timestamps >= 0).all()
+        and _time_ordered(ids, timestamps.tolist(), last_ts)
+    ):
+        return None
+    n = len(records)
+    embeddings = np.zeros((n, EMBEDDING_DIM))
+    embeddings[has_embedding] = embedded.reshape(-1, EMBEDDING_DIM)
+    return LandmarkBatch(
+        lines,
+        timestamps.astype(float),
+        points.astype(float).reshape(n, LANDMARK_COUNT, 2),
+        embeddings,
+        has_embedding,
+    )
+
+
+def _time_ordered(ids: list[str], timestamps: list[float], last_ts: dict[str, float]) -> bool:
+    for conference_id, timestamp in zip(ids, timestamps):
+        if timestamp < last_ts.get(conference_id, timestamp):
+            return False
+        last_ts[conference_id] = timestamp
+    return True
+
+
+def _write_meta(fh: IO[str], meta: dict | None) -> None:
+    if meta is not None:
+        fh.write(json.dumps({"_meta": meta}, separators=(",", ":")) + "\n")
+
+
+def write_landmark_lines(lines: Iterable[str], fh: IO[str], meta: dict | None = None) -> None:
+    """Write record lines as read (LandmarkBatch.lines), after an optional meta record."""
+    _write_meta(fh, meta)
+    fh.writelines(f"{line}\n" for line in lines)
 
 
 def write_landmark_stream(
@@ -209,8 +408,7 @@ def write_landmark_stream(
     (fixed key order, compact separators) so identical frames always produce
     identical bytes.
     """
-    if meta is not None:
-        fh.write(json.dumps({"_meta": meta}, separators=(",", ":")) + "\n")
+    _write_meta(fh, meta)
     count = 0
     for frame in frames:
         fh.write(json.dumps(frame_to_record(frame), separators=(",", ":")) + "\n")

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
 from pathlib import Path
 from typing import Iterable
 
@@ -160,6 +161,61 @@ def classify(query: np.ndarray, gallery: Gallery, config: IdentityConfig) -> str
     return names[counts.index(best)]
 
 
+def classify_batch(
+    embeddings: np.ndarray, gallery: Gallery, config: IdentityConfig
+) -> list[str | None]:
+    """classify for each row of an (N, 128) array of embeddings.
+
+    Each gallery row's distances to all queries come from the same
+    np.linalg.norm reduction that classify uses, so every vote is the same.
+    """
+    embeddings = np.asarray(embeddings, dtype=float)
+    if embeddings.ndim != 2 or embeddings.shape[1] != EMBEDDING_DIM:
+        raise MalformedRecordError(
+            f"embeddings must be rows of {EMBEDDING_DIM} entries, got {embeddings.shape}"
+        )
+    names, codes = gallery.label_codes
+    counts = np.zeros((len(embeddings), len(names)), dtype=int)
+    for row, code in zip(gallery.matrix, codes.tolist()):
+        counts[:, code] += np.linalg.norm(embeddings - row, axis=1) < config.epsilon
+    best = counts.max(axis=1)
+    decided = (best >= config.min_votes) & ((counts == best[:, None]).sum(axis=1) == 1)
+    winners = np.where(decided, counts.argmax(axis=1), -1)
+    return [names[w] if w >= 0 else None for w in winners.tolist()]
+
+
+def route_frames(
+    labels: Iterable[str | None],
+    has_embedding: Iterable[bool],
+    target_label: str,
+    config: IdentityConfig,
+) -> tuple[list[bool], FilterDiagnostics]:
+    """Which frames the identity filter keeps, and the tally of the routing.
+
+    labels[i] is frame i's classified label (None when unknown); it is
+    ignored for a frame without an embedding, which is kept only under
+    config.no_embedding_policy "assume_target".
+    """
+    diag = FilterDiagnostics()
+    assume_target = config.no_embedding_policy == "assume_target"
+    keep: list[bool] = []
+    for label, has in zip(labels, has_embedding, strict=True):
+        if not has:
+            diag.no_embedding += 1
+            keep.append(assume_target)
+        elif label is None:
+            diag.unknown += 1
+            keep.append(False)
+        elif label == target_label:
+            diag.kept += 1
+            keep.append(True)
+        else:
+            diag.rejected += 1
+            keep.append(False)
+    diag.written = sum(keep)
+    return keep, diag
+
+
 def filter_speaker_frames(
     frames: Iterable[FaceLandmarkFrame],
     gallery: Gallery,
@@ -173,26 +229,15 @@ def filter_speaker_frames(
     """
     if target_label not in gallery.labels:
         raise ConfigError(f"gallery has no entries for target label {target_label!r}")
-
-    diag = FilterDiagnostics()
-    kept: list[FaceLandmarkFrame] = []
-
-    for frame in frames:
-        if frame.embedding is None:
-            diag.no_embedding += 1
-            if config.no_embedding_policy == "assume_target":
-                kept.append(frame)
-            continue
-        label = classify(frame.embedding, gallery, config)
-        if label is None:
-            diag.unknown += 1
-        elif label == target_label:
-            diag.kept += 1
-            kept.append(frame)
-        else:
-            diag.rejected += 1
-    diag.written = len(kept)
-    return kept, diag
+    frames = list(frames)
+    labels = [
+        None if f.embedding is None else classify(f.embedding, gallery, config)
+        for f in frames
+    ]
+    keep, diag = route_frames(
+        labels, [f.embedding is not None for f in frames], target_label, config
+    )
+    return list(compress(frames, keep)), diag
 
 
 # ---------------------------------------------------------------------------

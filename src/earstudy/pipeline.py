@@ -15,6 +15,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 from datetime import date as dt_date
 from datetime import datetime, time
+from itertools import compress
 from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Sequence
@@ -117,9 +118,14 @@ def load_run_config(path: str | Path, overrides: dict | None = None) -> RunConfi
                 ident_raw[key] = overrides[key]
         if "epsilon" not in ident_raw:
             raise ConfigError(f"config {path}: identity.epsilon is required")
+        min_votes = ident_raw.get("min_votes", 1)
+        if isinstance(min_votes, float) and not min_votes.is_integer():
+            raise ConfigError(
+                f"config {path}: identity.min_votes must be a whole number, got {min_votes!r}"
+            )
         ident = identity.IdentityConfig(
             epsilon=float(ident_raw["epsilon"]),
-            min_votes=int(ident_raw.get("min_votes", 1)),
+            min_votes=int(min_votes),
             no_embedding_policy=ident_raw.get("no_embedding_policy", "drop"),
         )
         att_raw = dict(raw.get("attention", {}))
@@ -255,12 +261,14 @@ def stage_identify(cfg: RunConfig, out_dir: Path, jobs: int = 1) -> dict:
     def work(record: ConferenceRecord) -> tuple[str, dict]:
         if not record.landmarks.exists():
             raise ConfigError(f"landmark file not found: {record.landmarks}")
-        frames = geometry.read_landmark_stream(record.landmarks)
-        kept, diag = identity.filter_speaker_frames(
-            frames, gallery, cfg.target_label, cfg.identity
+        batch = geometry.read_landmark_batch(record.landmarks)
+        labels = identity.classify_batch(batch.embeddings, gallery, cfg.identity)
+        keep, diag = identity.route_frames(
+            labels, batch.has_embedding.tolist(), cfg.target_label, cfg.identity
         )
         buf = io.StringIO()
-        geometry.write_landmark_stream(kept, buf, meta=output.meta_dict(digest))
+        geometry.write_landmark_lines(compress(batch.lines, keep), buf,
+                                      meta=output.meta_dict(digest))
         output.write_text(out_dir / "filtered" / f"{record.conference_id}.jsonl",
                           buf.getvalue(), digest)
         info = diag.as_dict()
@@ -287,18 +295,14 @@ def stage_ear(cfg: RunConfig, out_dir: Path, jobs: int = 1) -> dict:
                 f"missing filtered landmarks for {record.conference_id!r}: "
                 "run the identify stage first"
             )
-        samples = []
-        dropped = 0
-        for frame in geometry.read_landmark_stream(filtered):
-            try:
-                samples.append(geometry.frame_ear(frame, cfg.eye_left, cfg.eye_right))
-            except DataError:
-                dropped += 1
+        batch = geometry.read_landmark_batch(filtered)
+        values, usable = geometry.batch_ear(batch.points, cfg.eye_left, cfg.eye_right)
+        samples = zip(batch.timestamps[usable].tolist(), values[usable].tolist())
         buf = io.StringIO()
         count = att.write_ear_csv(samples, buf, meta_line=output.meta_line(digest))
         output.write_text(out_dir / "ear" / f"{record.conference_id}.csv",
                           buf.getvalue(), digest)
-        info = {"n_samples": count, "dropped_degenerate": dropped}
+        info = {"n_samples": count, "dropped_degenerate": len(batch) - count}
         if count == 0:
             info["warning"] = "empty filtered stream"
             log.warning("conference %s: empty EAR series", record.conference_id)

@@ -16,10 +16,13 @@ from earstudy import (
     eye_ear,
     frame_ear,
 )
+from earstudy import geometry
 from earstudy.geometry import (
     LEFT_EYE_INDICES,
     RIGHT_EYE_INDICES,
+    batch_ear,
     frame_from_record,
+    read_landmark_batch,
     read_landmark_stream,
     write_landmark_stream,
 )
@@ -245,11 +248,20 @@ def test_stream_round_trip(tmp_path):
         assert np.array_equal(got.embedding, orig.embedding)
 
 
+def assert_readers_reject(path):
+    """Both readers refuse the stream, with the same message."""
+    messages = []
+    for read in (lambda p: list(read_landmark_stream(p)), read_landmark_batch):
+        with pytest.raises(MalformedRecordError) as info:
+            read(path)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+
+
 def test_stream_rejects_wrong_point_count(tmp_path):
     path = tmp_path / "bad.jsonl"
     write_jsonl(path, [frame_record(0, 0.0, n_points=67)])
-    with pytest.raises(MalformedRecordError):
-        list(read_landmark_stream(path))
+    assert_readers_reject(path)
 
 
 def test_stream_rejects_nonfinite(tmp_path):
@@ -257,24 +269,168 @@ def test_stream_rejects_nonfinite(tmp_path):
     record["points"][10] = [float("nan"), 0.0]
     path = tmp_path / "bad.jsonl"
     write_jsonl(path, [record])
-    with pytest.raises(MalformedRecordError):
-        list(read_landmark_stream(path))
+    assert_readers_reject(path)
 
 
 def test_stream_rejects_decreasing_timestamps(tmp_path):
     path = tmp_path / "bad.jsonl"
     write_jsonl(path, [frame_record(0, 2.0), frame_record(1, 1.0)])
-    with pytest.raises(MalformedRecordError):
-        list(read_landmark_stream(path))
+    assert_readers_reject(path)
 
 
-def test_stream_rejects_bad_embedding_length():
+def test_stream_rejects_bad_embedding_length(tmp_path):
     with pytest.raises(MalformedRecordError):
         frame_from_record(frame_record(0, 0.0, embedding=[0.0] * 64))
+    path = tmp_path / "bad.jsonl"
+    write_jsonl(path, [frame_record(0, 0.0, embedding=[0.0] * 64)])
+    assert_readers_reject(path)
 
 
 def test_stream_rejects_invalid_json(tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_text("{not json}\n")
-    with pytest.raises(MalformedRecordError):
-        list(read_landmark_stream(path))
+    assert_readers_reject(path)
+
+
+GOOD = json.dumps(frame_record(0, 1.0, embedding=[0.5] * 128))
+
+
+@pytest.mark.parametrize(
+    "bad_line",
+    [
+        "5",
+        '"x_metay"',
+        json.dumps({**frame_record(1, 2.0), "points": [None] * 68}),
+        json.dumps({**frame_record(1, 2.0), "points": 5}),
+        json.dumps({**frame_record(1, 2.0), "points": [[1.0, None]] * 68}),
+        json.dumps({**frame_record(1, 2.0), "conference_id": ["c"]}),
+        json.dumps({**frame_record(1, 2.0), "timestamp_s": float("inf")}),
+        json.dumps({**frame_record(1, 2.0), "timestamp_s": -1.0}),
+        json.dumps({**frame_record(1, 2.0), "frame_index": float("inf")}),
+        json.dumps(frame_record(1, 2.0, embedding=["abc"] * 128)),
+        json.dumps(frame_record(1, 2.0, embedding=[[0.0, 1.0]] * 64)),
+        json.dumps(frame_record(1, 2.0, embedding=[0.0] * 127 + [float("nan")])),
+        json.dumps([frame_record(1, 2.0)]),
+        GOOD + GOOD,
+    ],
+    ids=["number", "string", "null-points", "scalar-points", "null-coordinate",
+         "list-id", "inf-time", "negative-time", "inf-index", "text-embedding",
+         "nested-embedding", "nan-embedding", "list-record", "two-records"],
+)
+def test_readers_reject_bad_record(tmp_path, bad_line):
+    path = tmp_path / "bad.jsonl"
+    path.write_text(f"{GOOD}\n{bad_line}\n")
+    assert_readers_reject(path)
+
+
+def test_first_bad_line_is_reported_first(tmp_path):
+    """An earlier bad record wins over a later line that is not JSON."""
+    path = tmp_path / "bad.jsonl"
+    path.write_text(
+        json.dumps(frame_record(0, 0.0, n_points=67)) + "\n{not json}\n"
+    )
+    assert_readers_reject(path)
+    with pytest.raises(MalformedRecordError, match="line 1: frame 0: expected 68"):
+        read_landmark_batch(path)
+
+
+@pytest.mark.parametrize("bad", ["order", "points"])
+def test_batch_checks_span_read_steps(tmp_path, bad):
+    """A stream of several read steps is checked across step boundaries."""
+    boundary = 2 * geometry._BATCH_LINES  # first record of the third step
+    n = 3 * boundary + 5
+    records = [frame_record(k, float(k)) for k in range(n)]
+    if bad == "order":
+        records[boundary]["timestamp_s"] = boundary - 1.5
+    else:
+        records[boundary + 7]["points"] = records[boundary + 7]["points"][:-1]
+    path = tmp_path / "long.jsonl"
+    write_jsonl(path, records)
+    assert_readers_reject(path)
+    records = [frame_record(k, float(k)) for k in range(n)]
+    write_jsonl(path, records)
+    batch = read_landmark_batch(path)
+    assert batch.timestamps.tolist() == [float(k) for k in range(n)]
+    assert batch.lines == [json.dumps(r) for r in records]
+
+
+def test_batch_matches_stream(tmp_path):
+    records = [
+        {"_meta": {"config_hash": "abc"}},
+        frame_record(0, 0.0, embedding=[0.25] * 128),
+        frame_record(1, 0, conference_id="d"),
+        frame_record(2, 0.5),
+        # accepted by the scalar checks though not plain numbers
+        {**frame_record("3", 1.5), "points": [[str(i), True] for i in range(68)]},
+    ]
+    path = tmp_path / "stream.jsonl"
+    write_jsonl(path, records)
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write("\n   \n")
+    frames = list(read_landmark_stream(path))
+    batch = read_landmark_batch(path)
+    assert len(batch) == len(frames) == 4
+    assert batch.lines == [json.dumps(r) for r in records[1:]]
+    assert batch.timestamps.tolist() == [f.timestamp for f in frames]
+    assert batch.points.tolist() == [[list(p) for p in f.points] for f in frames]
+    assert batch.has_embedding.tolist() == [True, False, False, False]
+    assert batch.embeddings[0].tolist() == [0.25] * 128
+    assert not batch.embeddings[1:].any()
+
+
+def test_batch_of_empty_stream(tmp_path):
+    path = tmp_path / "empty.jsonl"
+    path.write_text('{"_meta":{"config_hash":"abc"}}\n')
+    batch = read_landmark_batch(path)
+    assert len(batch) == 0
+    assert batch.points.shape == (0, 68, 2)
+    assert batch.embeddings.shape == (0, 128)
+    values, usable = batch_ear(batch.points)
+    assert values.shape == usable.shape == (0,)
+
+
+# --- batch EAR ------------------------------------------------------------
+
+
+def test_batch_ear_equals_frame_ear_on_fixture(small_fixture):
+    paths = sorted((small_fixture / "landmarks").glob("*.jsonl"))
+    assert paths
+    for path in paths:
+        frames = list(read_landmark_stream(path))
+        values, usable = batch_ear(read_landmark_batch(path).points)
+        assert usable.all()
+        assert values.tolist() == [frame_ear(f).value for f in frames]
+
+
+def test_batch_ear_uses_given_eye_indices():
+    eye_a, eye_b = HAND_CASES[2][0], HAND_CASES[3][0]
+    points = np.array([[list(p) for p in frame_with_eyes(eye_a, eye_b).points]])
+    swapped, _ = batch_ear(points, RIGHT_EYE_INDICES, LEFT_EYE_INDICES)
+    assert swapped.tolist() == [
+        frame_ear(frame_with_eyes(eye_a, eye_b), RIGHT_EYE_INDICES, LEFT_EYE_INDICES).value
+    ]
+
+
+@st.composite
+def face_points(draw):
+    """68 random points; each eye's corners coincide with probability 1/4."""
+    pts = [[draw(coords), draw(coords)] for _ in range(68)]
+    for indices in (LEFT_EYE_INDICES, RIGHT_EYE_INDICES):
+        if draw(st.integers(0, 3)) == 0:
+            pts[indices[3]] = list(pts[indices[0]])
+    return pts
+
+
+@given(st.lists(face_points(), min_size=1, max_size=8))
+@settings(max_examples=100, deadline=None)
+def test_batch_ear_matches_frame_ear(frames_points):
+    values, usable = batch_ear(np.array(frames_points, dtype=float))
+    for pts, value, ok in zip(frames_points, values.tolist(), usable.tolist()):
+        frame = make_frame([Point2(x, y) for x, y in pts])
+        try:
+            expected = frame_ear(frame).value
+        except DegenerateEyeError:
+            assert not ok
+        else:
+            assert ok
+            assert value == expected

@@ -17,7 +17,7 @@ from earstudy import (
     vote_vector,
 )
 from earstudy.geometry import FaceLandmarkFrame, Point2
-from earstudy.identity import dump_gallery, load_gallery
+from earstudy.identity import classify_batch, dump_gallery, load_gallery, route_frames
 
 from oracles import brute_force_classify, python_norm
 
@@ -234,6 +234,66 @@ def test_classify_matches_brute_force_on_random_pairs():
         assert classify(query, gallery, config) == brute_force_classify(
             query, entries, epsilon, min_votes
         )
+
+
+def test_classify_batch_matches_classify_and_brute_force():
+    rng = np.random.default_rng(41)
+    labels = ["chair", "deputy", "reporter", "visitor"]
+    for _ in range(200):
+        m = int(rng.integers(1, 40))
+        entries = [
+            (labels[int(rng.integers(0, len(labels)))], rng.normal(size=128))
+            for _ in range(m)
+        ]
+        # Ties: the same vectors again under other labels.
+        for label, vector in entries[: int(rng.integers(0, 4))]:
+            entries.append((labels[(labels.index(label) + 1) % len(labels)], vector))
+        n = int(rng.integers(0, 12))
+        near = [entries[int(rng.integers(0, len(entries)))][1] for _ in range(n)]
+        queries = np.array(
+            [v + rng.normal(scale=float(rng.uniform(0.0, 2.0)), size=128) for v in near]
+            + [entries[0][1]]
+        )
+        epsilon = float(rng.uniform(0.0, 25.0))
+        min_votes = int(rng.integers(1, 5))
+        gallery = Gallery(tuple(GalleryEntry(l, e) for l, e in entries))
+        config = IdentityConfig(epsilon=epsilon, min_votes=min_votes)
+
+        got = classify_batch(queries, gallery, config)
+        assert got == [classify(q, gallery, config) for q in queries]
+        assert got == [brute_force_classify(q, entries, epsilon, min_votes) for q in queries]
+
+
+def test_classify_batch_tie_and_quorum():
+    gallery = Gallery(
+        (entry_at_distance("a", 0.1), entry_at_distance("b", 0.2),
+         entry_at_distance("b", 0.3), entry_at_distance("c", 5.0))
+    )
+    queries = np.array([vec(), vec(0.2), vec(5.0)])
+    assert classify_batch(queries, gallery, IdentityConfig(epsilon=0.15)) == ["a", "b", "c"]
+    assert classify_batch(queries, gallery, IdentityConfig(epsilon=0.25)) == [None, "b", "c"]
+    assert classify_batch(
+        queries, gallery, IdentityConfig(epsilon=0.25, min_votes=2)
+    ) == [None, "b", None]
+    assert classify_batch(np.zeros((0, 128)), gallery, IdentityConfig(epsilon=1.0)) == []
+
+
+def test_classify_batch_rejects_bad_shape():
+    gallery = Gallery((entry_at_distance("a", 0.0),))
+    with pytest.raises(MalformedRecordError):
+        classify_batch(np.zeros((3, 64)), gallery, IdentityConfig(epsilon=1.0))
+
+
+@pytest.mark.parametrize("policy", ["drop", "assume_target"])
+def test_route_frames_tallies(policy):
+    labels = ["chair", None, "reporter", "chair", "ignored", None]
+    has = [True, True, True, True, False, False]
+    config = IdentityConfig(0.5, no_embedding_policy=policy)
+    keep, diag = route_frames(labels, has, "chair", config)
+    assume = policy == "assume_target"
+    assert keep == [True, False, False, True, assume, assume]
+    assert diag.as_dict() == {"kept": 2, "rejected": 1, "unknown": 1, "no_embedding": 2,
+                              "written": 4 if assume else 2, "total": 6}
 
 
 def test_gallery_file_round_trip(tmp_path):

@@ -1,3 +1,4 @@
+import io
 import json
 import shutil
 import subprocess
@@ -9,6 +10,9 @@ import pytest
 
 from earstudy import ConfigError, DataError, InsufficientDataError
 from earstudy.cli import main
+from earstudy.geometry import read_landmark_stream, write_landmark_stream
+from earstudy.identity import filter_speaker_frames, load_gallery
+from earstudy.output import meta_dict
 from earstudy.pipeline import (
     build_fixture,
     load_registry,
@@ -219,6 +223,67 @@ def test_every_output_file_embeds_provenance(completed_run):
         assert embedded_digest(path) == digest, path
 
 
+@pytest.mark.parametrize("value", [2, 2.0])
+def test_whole_min_votes_loads(small_fixture, tmp_path, value):
+    config_path = write_run_config(
+        tmp_path / "config.json", small_fixture,
+        identity={"epsilon": 0.5, "min_votes": value, "no_embedding_policy": "drop"},
+    )
+    assert load_run_config(config_path).identity.min_votes == 2
+
+
+def test_filtered_stream_is_meta_plus_kept_input_lines(completed_run):
+    _, cfg, out = completed_run
+    gallery = load_gallery(cfg.gallery)
+    meta = json.dumps({"_meta": meta_dict(cfg.digest())}, separators=(",", ":"))
+    for record in load_registry(cfg.registry):
+        kept, _ = filter_speaker_frames(read_landmark_stream(record.landmarks), gallery,
+                                        cfg.target_label, cfg.identity)
+        kept_indices = {f.frame_index for f in kept}
+        lines = [line.strip() for line in record.landmarks.read_text().splitlines()]
+        kept_lines = [
+            line for line in lines[1:] if json.loads(line)["frame_index"] in kept_indices
+        ]
+        expected = "".join(f"{line}\n" for line in [meta, *kept_lines])
+        got = (out / "filtered" / f"{record.conference_id}.jsonl").read_bytes()
+        assert got == expected.encode("utf-8"), record.conference_id
+
+
+@pytest.mark.parametrize("policy", ["drop", "assume_target"])
+def test_identify_routing_matches_filter_speaker_frames(small_fixture, tmp_path, policy):
+    fixture = shutil.copytree(small_fixture, tmp_path / "fixture")
+    # Every fifth frame of three conferences loses its embedding.
+    for number in (1, 2, 5):
+        path = fixture / "landmarks" / f"conf-{number:03d}.jsonl"
+        lines = path.read_text().splitlines()
+        for k in range(1, len(lines), 5):
+            record = json.loads(lines[k])
+            del record["embedding"]
+            lines[k] = json.dumps(record, separators=(",", ":"))
+        path.write_text("".join(f"{line}\n" for line in lines))
+    config_path = write_run_config(
+        tmp_path / "config.json", fixture,
+        identity={"epsilon": 0.5, "min_votes": 1, "no_embedding_policy": policy},
+    )
+    cfg = load_run_config(config_path)
+    run_stages(cfg, tmp_path / "out", ("identify",))
+
+    diag = json.loads((tmp_path / "out" / "diagnostics" / "identify.json").read_text())
+    gallery = load_gallery(cfg.gallery)
+    for record in load_registry(cfg.registry):
+        kept, expected = filter_speaker_frames(
+            read_landmark_stream(record.landmarks), gallery, cfg.target_label, cfg.identity
+        )
+        got = dict(diag["conferences"][record.conference_id])
+        got.pop("warning", None)
+        assert got == expected.as_dict(), record.conference_id
+        buf = io.StringIO()
+        write_landmark_stream(kept, buf, meta=meta_dict(cfg.digest()))
+        filtered = tmp_path / "out" / "filtered" / f"{record.conference_id}.jsonl"
+        assert filtered.read_text() == buf.getvalue(), record.conference_id
+    assert sum(c["no_embedding"] for c in diag["conferences"].values()) > 0
+
+
 def test_eye_index_layout_override(small_fixture, tmp_path):
     config_path = tmp_path / "config.json"
     write_run_config(config_path, small_fixture,
@@ -269,9 +334,11 @@ def test_jobs_parallel_matches_serial(small_fixture, tmp_path):
         ("config.json", ("eye_indices",), [[36, 37, 38, 39, 40, 99], list(range(42, 48))], 1),
         ("config.json", ("eye_indices",), [[36, 39], [42, 45]], 1),
         ("config.json", ("market", "trading_close"), 5, 1),
+        ("config.json", ("identity", "min_votes"), 2.7, 1),
     ],
     ids=["registry-date", "registry-conferences", "gallery-entries", "gallery-text",
-         "gallery-nan", "epsilon-text", "eye-index-99", "eye-two-points", "trading-close"],
+         "gallery-nan", "epsilon-text", "eye-index-99", "eye-two-points", "trading-close",
+         "min-votes-fraction"],
 )
 def test_malformed_input_is_one_line_error(
     small_fixture, tmp_path, capsys, name, keys, value, code
