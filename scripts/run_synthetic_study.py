@@ -4,8 +4,7 @@
 Generates a suite of conferences whose Q&A drift carries a linear effect of
 the attention regressor (with the walk's own volatility as noise, and a
 co-planted post-conference volatility drop), then runs
-identify -> ear -> attention -> eventstudy and prints the regression
-tables.
+identify -> attention -> eventstudy and prints the regression tables.
 
 Usage:
     python scripts/run_synthetic_study.py --workdir /tmp/study \
@@ -30,7 +29,6 @@ def main() -> int:
     parser.add_argument("--slope", type=float, default=0.005,
                         help="planted return effect per unit of the regressor")
     parser.add_argument("--target-r2", type=float, default=0.3)
-    parser.add_argument("--jobs", type=int, default=1)
     args = parser.parse_args()
 
     workdir = Path(args.workdir)
@@ -76,8 +74,7 @@ def main() -> int:
     )
 
     code = earstudy_main(
-        ["run", "--config", str(run_config), "--out", str(workdir / "out"),
-         "--jobs", str(args.jobs)]
+        ["run", "--config", str(run_config), "--out", str(workdir / "out")]
     )
     if code != 0:
         return code

@@ -1,9 +1,10 @@
 """Command-line entry point.
 
 Subcommands: synth (build a fixture directory from a scenario file),
-identify / ear / attention / eventstudy (single pipeline stages), and run
-(all configured stages).  Exit codes: 0 success, 1 configuration error,
-2 data error.
+identify / attention / eventstudy (single pipeline stages), and run (all
+configured stages).  Exit codes: 0 success, 1 configuration error, 2 data
+error.  Logging goes to stderr at WARNING level: progress is not logged,
+exclusions and errors are.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ from .pipeline import STAGES, load_run_config, run_stages, run_synth
 def _add_common(parser: argparse.ArgumentParser, seed: bool = False) -> None:
     parser.add_argument("--config", required=True, help="path to the JSON config file")
     parser.add_argument("--out", required=True, help="output directory")
-    parser.add_argument("--jobs", type=int, default=1, help="parallel workers per stage")
+    parser.add_argument("--jobs", type=int, default=1,
+                        help="accepted and ignored; stages run serially")
     if seed:
         parser.add_argument("--seed", type=int, default=None,
                             help="override the scenario seed")
@@ -80,7 +82,7 @@ def _overrides(args: argparse.Namespace) -> dict:
 
 def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(
-        level=logging.INFO, format="%(levelname)s %(name)s: %(message)s",
+        level=logging.WARNING, format="%(levelname)s %(name)s: %(message)s",
         stream=sys.stderr,
     )
     args = build_parser().parse_args(argv)

@@ -216,8 +216,8 @@ def frame_from_record(record: dict, line_no: int | None = None) -> FaceLandmarkF
         raise MalformedRecordError(f"{where}{exc}") from exc
 
 
-def _numbered_records(path: str | Path) -> Iterator[tuple[int, str, object]]:
-    """(line number, stripped line, decoded JSON) of each frame record line.
+def _numbered_records(path: str | Path) -> Iterator[tuple[int, object]]:
+    """(line number, decoded JSON) of each frame record line.
 
     Blank lines and {"_meta": ...} records are skipped; a line that is not
     JSON raises MalformedRecordError.
@@ -233,15 +233,13 @@ def _numbered_records(path: str | Path) -> Iterator[tuple[int, str, object]]:
                 raise MalformedRecordError(f"{path}: line {line_no}: invalid JSON") from exc
             if isinstance(record, dict) and "_meta" in record:
                 continue
-            yield line_no, line, record
+            yield line_no, record
 
 
-def _checked_frames(
-    path: str | Path, numbered: Iterable[tuple[int, str, object]]
-) -> Iterator[tuple[str, FaceLandmarkFrame]]:
-    """(line, frame) of each numbered record, in order, with the scalar checks."""
+def read_landmark_stream(path: str | Path) -> Iterator[FaceLandmarkFrame]:
+    """Stream frames from a JSONL file, enforcing per-conference time order."""
     last_ts: dict[str, float] = {}
-    for line_no, line, record in numbered:
+    for line_no, record in _numbered_records(path):
         try:
             frame = frame_from_record(record, line_no)
         except MalformedRecordError as exc:
@@ -253,12 +251,6 @@ def _checked_frames(
                 f"conference {frame.conference_id!r}"
             )
         last_ts[frame.conference_id] = frame.timestamp
-        yield line, frame
-
-
-def read_landmark_stream(path: str | Path) -> Iterator[FaceLandmarkFrame]:
-    """Stream frames from a JSONL file, enforcing per-conference time order."""
-    for _line, frame in _checked_frames(path, _numbered_records(path)):
         yield frame
 
 
@@ -266,14 +258,13 @@ def read_landmark_stream(path: str | Path) -> Iterator[FaceLandmarkFrame]:
 class LandmarkBatch:
     """A whole landmark stream as columns; row i is the i-th frame record."""
 
-    lines: list[str]  # each record's line as read, stripped
     timestamps: np.ndarray  # (N,)
     points: np.ndarray  # (N, 68, 2)
     embeddings: np.ndarray  # (N, 128), zero rows where has_embedding is False
     has_embedding: np.ndarray  # (N,) bool
 
     def __len__(self) -> int:
-        return len(self.lines)
+        return len(self.timestamps)
 
 
 # Lines decoded per step of read_landmark_batch.  Only one step's decoded
@@ -299,9 +290,7 @@ def read_landmark_batch(path: str | Path) -> LandmarkBatch:
         with closing(_numbered_records(path)) as numbered:
             while True:
                 step = list(islice(numbered, _BATCH_LINES))
-                part = _checked_batch(
-                    [line for _, line, _ in step], [record for *_, record in step], last_ts
-                )
+                part = _checked_batch([record for _, record in step], last_ts)
                 if part is None:
                     break
                 parts.append(part)
@@ -315,8 +304,7 @@ def read_landmark_batch(path: str | Path) -> LandmarkBatch:
         return _scalar_batch(path)
     columns = ("timestamps", "points", "embeddings", "has_embedding")
     return LandmarkBatch(
-        [line for part in parts for line in part.lines],
-        *(np.concatenate([getattr(part, name) for part in parts]) for name in columns),
+        *(np.concatenate([getattr(part, name) for part in parts]) for name in columns)
     )
 
 
@@ -327,17 +315,13 @@ def _scalar_batch(path: str | Path) -> LandmarkBatch:
     were only stricter about value types (a frame_index of "3", say), and the
     batch is built from the checked frames.
     """
-    checked = list(_checked_frames(path, _numbered_records(path)))
-    batch = _checked_batch(
-        [line for line, _ in checked], [frame_to_record(frame) for _, frame in checked], {}
-    )
+    frames = read_landmark_stream(path)
+    batch = _checked_batch([frame_to_record(frame) for frame in frames], {})
     assert batch is not None, "checked frames pass the vectorised checks"
     return batch
 
 
-def _checked_batch(
-    lines: list[str], records: list, last_ts: dict[str, float]
-) -> LandmarkBatch | None:
+def _checked_batch(records: list, last_ts: dict[str, float]) -> LandmarkBatch | None:
     """The batch of the decoded records, or None if any record fails a check.
 
     last_ts holds each conference's latest timestamp before these records,
@@ -370,7 +354,6 @@ def _checked_batch(
     embeddings = np.zeros((n, EMBEDDING_DIM))
     embeddings[has_embedding] = embedded.reshape(-1, EMBEDDING_DIM)
     return LandmarkBatch(
-        lines,
         timestamps.astype(float),
         points.astype(float).reshape(n, LANDMARK_COUNT, 2),
         embeddings,
@@ -386,17 +369,6 @@ def _time_ordered(ids: list[str], timestamps: list[float], last_ts: dict[str, fl
     return True
 
 
-def _write_meta(fh: IO[str], meta: dict | None) -> None:
-    if meta is not None:
-        fh.write(json.dumps({"_meta": meta}, separators=(",", ":")) + "\n")
-
-
-def write_landmark_lines(lines: Iterable[str], fh: IO[str], meta: dict | None = None) -> None:
-    """Write record lines as read (LandmarkBatch.lines), after an optional meta record."""
-    _write_meta(fh, meta)
-    fh.writelines(f"{line}\n" for line in lines)
-
-
 def write_landmark_stream(
     frames: Iterable[FaceLandmarkFrame],
     fh: IO[str],
@@ -408,7 +380,8 @@ def write_landmark_stream(
     (fixed key order, compact separators) so identical frames always produce
     identical bytes.
     """
-    _write_meta(fh, meta)
+    if meta is not None:
+        fh.write(json.dumps({"_meta": meta}, separators=(",", ":")) + "\n")
     count = 0
     for frame in frames:
         fh.write(json.dumps(frame_to_record(frame), separators=(",", ":")) + "\n")

@@ -1,24 +1,24 @@
-"""Staged pipeline: identify -> ear -> attention -> eventstudy.
+"""Staged pipeline: identify -> attention -> eventstudy.
 
-Each stage reads the previous stage's on-disk outputs and writes its own
-per-conference files plus diagnostics, so expensive upstream stages are
-never recomputed when downstream parameters change.  Conferences that fail
-a stage are excluded with a logged reason rather than aborting the run.
+identify turns each landmark stream into the target speaker's EAR series;
+each later stage reads the previous stage's on-disk outputs and writes its
+own files plus diagnostics, so expensive upstream stages are never
+recomputed when downstream parameters change.  Conferences that fail a
+stage are excluded with a logged reason rather than aborting the run.
 """
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 from datetime import date as dt_date
 from datetime import datetime, time
-from itertools import compress
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from .errors import ConfigError, DataError, InsufficientDataError
 
 log = logging.getLogger(__name__)
 
-STAGES = ("identify", "ear", "attention", "eventstudy")
+STAGES = ("identify", "attention", "eventstudy")
 
 DEPENDENT_COLUMNS = ("return_during", "return_after", "vol_change_x100")
 COVARIATE_COLUMNS = (
@@ -75,9 +75,14 @@ class RunConfig:
     eye_right: tuple[int, ...] = geometry.RIGHT_EYE_INDICES
 
     def digest_payload(self) -> dict:
+        """The hashed configuration.
+
+        The registry and gallery enter by the sha256 of their bytes, not by
+        path, so the same inputs in another directory give the same hash.
+        """
         return {
-            "registry": str(self.registry),
-            "gallery": str(self.gallery),
+            "registry_sha256": _file_sha256(self.registry, "registry"),
+            "gallery_sha256": _file_sha256(self.gallery, "gallery file"),
             "target_label": self.target_label,
             "identity": asdict(self.identity),
             "attention": asdict(self.attention),
@@ -88,6 +93,13 @@ class RunConfig:
 
     def digest(self) -> str:
         return output.config_digest(self.digest_payload())
+
+
+def _file_sha256(path: Path, what: str) -> str:
+    try:
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
 
 
 def load_run_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
@@ -237,19 +249,13 @@ def load_registry(path: str | Path) -> list[ConferenceRecord]:
     return records
 
 
-def _map_jobs(work: Callable, items: Sequence, jobs: int) -> list:
-    if jobs <= 1 or len(items) <= 1:
-        return [work(item) for item in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(work, items))
-
-
 # ---------------------------------------------------------------------------
 # Stages
 # ---------------------------------------------------------------------------
 
 
-def stage_identify(cfg: RunConfig, out_dir: Path, jobs: int = 1) -> dict:
+def stage_identify(cfg: RunConfig, out_dir: Path) -> dict:
+    """Each landmark stream's target-speaker frames as an EAR series, ear/<id>.csv."""
     records = load_registry(cfg.registry)
     gallery = identity.load_gallery(cfg.gallery)
     if cfg.target_label not in gallery.labels:
@@ -257,8 +263,8 @@ def stage_identify(cfg: RunConfig, out_dir: Path, jobs: int = 1) -> dict:
             f"gallery {cfg.gallery} has no entries for target label {cfg.target_label!r}"
         )
     digest = cfg.digest()
-
-    def work(record: ConferenceRecord) -> tuple[str, dict]:
+    conferences: dict[str, dict] = {}
+    for record in records:
         if not record.landmarks.exists():
             raise ConfigError(f"landmark file not found: {record.landmarks}")
         batch = geometry.read_landmark_batch(record.landmarks)
@@ -266,51 +272,26 @@ def stage_identify(cfg: RunConfig, out_dir: Path, jobs: int = 1) -> dict:
         keep, diag = identity.route_frames(
             labels, batch.has_embedding.tolist(), cfg.target_label, cfg.identity
         )
-        buf = io.StringIO()
-        geometry.write_landmark_lines(compress(batch.lines, keep), buf,
-                                      meta=output.meta_dict(digest))
-        output.write_text(out_dir / "filtered" / f"{record.conference_id}.jsonl",
-                          buf.getvalue(), digest)
-        info = diag.as_dict()
-        if diag.written == 0:
-            info["warning"] = "no frames classified as target"
-            log.warning("conference %s: no frames kept by identity filter",
-                        record.conference_id)
-        return record.conference_id, info
-
-    results = _map_jobs(work, records, jobs)
-    diagnostics = {"conferences": dict(results)}
-    output.write_json(out_dir / "diagnostics" / "identify.json", diagnostics, digest)
-    return diagnostics
-
-
-def stage_ear(cfg: RunConfig, out_dir: Path, jobs: int = 1) -> dict:
-    records = load_registry(cfg.registry)
-    digest = cfg.digest()
-
-    def work(record: ConferenceRecord) -> tuple[str, dict]:
-        filtered = out_dir / "filtered" / f"{record.conference_id}.jsonl"
-        if not filtered.exists():
-            raise ConfigError(
-                f"missing filtered landmarks for {record.conference_id!r}: "
-                "run the identify stage first"
-            )
-        batch = geometry.read_landmark_batch(filtered)
-        values, usable = geometry.batch_ear(batch.points, cfg.eye_left, cfg.eye_right)
-        samples = zip(batch.timestamps[usable].tolist(), values[usable].tolist())
+        keep = np.array(keep, dtype=bool)
+        values, usable = geometry.batch_ear(batch.points[keep], cfg.eye_left, cfg.eye_right)
+        samples = zip(batch.timestamps[keep][usable].tolist(), values[usable].tolist())
         buf = io.StringIO()
         count = att.write_ear_csv(samples, buf, meta_line=output.meta_line(digest))
         output.write_text(out_dir / "ear" / f"{record.conference_id}.csv",
                           buf.getvalue(), digest)
-        info = {"n_samples": count, "dropped_degenerate": len(batch) - count}
-        if count == 0:
-            info["warning"] = "empty filtered stream"
-            log.warning("conference %s: empty EAR series", record.conference_id)
-        return record.conference_id, info
+        info = {**diag.as_dict(), "n_samples": count, "dropped_degenerate": diag.written - count}
+        if diag.written == 0:
+            info["warning"] = "no frames classified as target"
+            log.warning("conference %s: no frames kept by identity filter",
+                        record.conference_id)
+        elif count == 0:
+            info["warning"] = "no usable EAR frame"
+            log.warning("conference %s: every kept frame has a degenerate eye",
+                        record.conference_id)
+        conferences[record.conference_id] = info
 
-    results = _map_jobs(work, records, jobs)
-    diagnostics = {"conferences": dict(results)}
-    output.write_json(out_dir / "diagnostics" / "ear.json", diagnostics, digest)
+    diagnostics = {"conferences": conferences}
+    output.write_json(out_dir / "diagnostics" / "identify.json", diagnostics, digest)
     return diagnostics
 
 
@@ -333,7 +314,7 @@ WINDOW_COLUMNS = (
 )
 
 
-def stage_attention(cfg: RunConfig, out_dir: Path, jobs: int = 1) -> dict:
+def stage_attention(cfg: RunConfig, out_dir: Path) -> dict:
     records = load_registry(cfg.registry)
     digest = cfg.digest()
     rows: list[dict] = []
@@ -344,7 +325,8 @@ def stage_attention(cfg: RunConfig, out_dir: Path, jobs: int = 1) -> dict:
         ear_path = out_dir / "ear" / f"{record.conference_id}.csv"
         if not ear_path.exists():
             raise ConfigError(
-                f"missing EAR series for {record.conference_id!r}: run the ear stage first"
+                f"missing EAR series for {record.conference_id!r}: "
+                "run the identify stage first"
             )
         try:
             series = att.series_from_samples(record.conference_id, att.read_ear_csv(ear_path))
@@ -405,7 +387,7 @@ def read_attention_csv(path: Path) -> list[dict]:
     return output.read_csv(path, ATTENTION_COLUMNS, _attention_row, "attention")
 
 
-def stage_eventstudy(cfg: RunConfig, out_dir: Path, jobs: int = 1) -> list[str]:
+def stage_eventstudy(cfg: RunConfig, out_dir: Path) -> list[str]:
     """Window statistics and the regression tables; returns the table texts."""
     records = {r.conference_id: r for r in load_registry(cfg.registry)}
     digest = cfg.digest()
@@ -502,7 +484,6 @@ def stage_eventstudy(cfg: RunConfig, out_dir: Path, jobs: int = 1) -> list[str]:
 
 STAGE_FUNCTIONS = {
     "identify": stage_identify,
-    "ear": stage_ear,
     "attention": stage_attention,
     "eventstudy": stage_eventstudy,
 }
@@ -511,10 +492,13 @@ STAGE_FUNCTIONS = {
 def run_stages(
     cfg: RunConfig, out_dir: Path, stages: Sequence[str], jobs: int = 1
 ) -> list[str]:
-    """Run the selected stages in pipeline order.
+    """Run the selected stages in pipeline order, one after another.
 
-    Returns the rendered regression tables when the eventstudy stage ran,
-    else an empty list; nothing is printed.
+    Names not in STAGES are ignored.  jobs is accepted for compatibility
+    and ignored: decoding landmark JSON holds the GIL, so worker threads
+    made the identify stage slower, not faster.  Returns the rendered
+    regression tables when the eventstudy stage ran, else an empty list;
+    nothing is printed.
     """
     digest = cfg.digest()
     output.write_json(out_dir / "run_config.json", {"config": cfg.digest_payload()}, digest)
@@ -522,7 +506,7 @@ def run_stages(
     for stage in STAGES:
         if stage in stages:
             log.info("running stage %s", stage)
-            result = STAGE_FUNCTIONS[stage](cfg, out_dir, jobs)
+            result = STAGE_FUNCTIONS[stage](cfg, out_dir)
             if stage == "eventstudy":
                 tables = result
     return tables

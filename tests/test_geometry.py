@@ -351,7 +351,6 @@ def test_batch_checks_span_read_steps(tmp_path, bad):
     write_jsonl(path, records)
     batch = read_landmark_batch(path)
     assert batch.timestamps.tolist() == [float(k) for k in range(n)]
-    assert batch.lines == [json.dumps(r) for r in records]
 
 
 def test_batch_matches_stream(tmp_path):
@@ -370,7 +369,6 @@ def test_batch_matches_stream(tmp_path):
     frames = list(read_landmark_stream(path))
     batch = read_landmark_batch(path)
     assert len(batch) == len(frames) == 4
-    assert batch.lines == [json.dumps(r) for r in records[1:]]
     assert batch.timestamps.tolist() == [f.timestamp for f in frames]
     assert batch.points.tolist() == [[list(p) for p in f.points] for f in frames]
     assert batch.has_embedding.tolist() == [True, False, False, False]

@@ -9,10 +9,12 @@ from pathlib import Path
 import pytest
 
 from earstudy import ConfigError, DataError, InsufficientDataError
+from earstudy.attention import write_ear_csv
 from earstudy.cli import main
-from earstudy.geometry import read_landmark_stream, write_landmark_stream
+from earstudy.errors import DegenerateEyeError
+from earstudy.geometry import frame_ear, read_landmark_stream
 from earstudy.identity import filter_speaker_frames, load_gallery
-from earstudy.output import meta_dict
+from earstudy.output import meta_line
 from earstudy.pipeline import (
     build_fixture,
     load_registry,
@@ -31,6 +33,21 @@ def tree_bytes(root: Path) -> dict:
         for p in sorted(root.rglob("*"))
         if p.is_file()
     }
+
+
+def scalar_identify(cfg, record) -> tuple[bytes, dict]:
+    """ear/<id>.csv and the routing tally as the scalar reader, filter and EAR give them."""
+    kept, diag = filter_speaker_frames(read_landmark_stream(record.landmarks),
+                                       load_gallery(cfg.gallery), cfg.target_label, cfg.identity)
+    samples = []
+    for frame in kept:
+        try:
+            samples.append(frame_ear(frame, cfg.eye_left, cfg.eye_right))
+        except DegenerateEyeError:
+            pass
+    buf = io.StringIO()
+    write_ear_csv(samples, buf, meta_line=meta_line(cfg.digest()))
+    return buf.getvalue().encode("utf-8"), diag.as_dict()
 
 
 @pytest.fixture(scope="module")
@@ -52,9 +69,9 @@ def test_stage_outputs_exist(completed_run):
         for ext in ("txt", "csv", "json"):
             assert (out / "tables" / f"{name}.{ext}").exists()
     assert (out / "diagnostics" / "identify.json").exists()
-    assert (out / "diagnostics" / "ear.json").exists()
-    filtered = sorted((out / "filtered").glob("*.jsonl"))
-    assert len(filtered) == 8
+    assert len(list((out / "ear").glob("*.csv"))) == 8
+    assert not (out / "filtered").exists()
+    assert not (out / "diagnostics" / "ear.json").exists()
 
 
 def test_attention_table_order_and_blank_first_delta(completed_run):
@@ -125,7 +142,7 @@ def test_stage_requires_upstream_outputs(small_fixture, tmp_path):
     write_run_config(config_path, small_fixture)
     cfg = load_run_config(config_path)
     with pytest.raises(ConfigError, match="identify"):
-        run_stages(cfg, tmp_path / "fresh", ("ear",))
+        run_stages(cfg, tmp_path / "fresh", ("attention",))
     with pytest.raises(ConfigError, match="attention"):
         run_stages(cfg, tmp_path / "fresh2", ("eventstudy",))
 
@@ -200,6 +217,32 @@ def test_cli_synth_subprocess(tmp_path):
     assert (tmp_path / "fx" / "ground_truth.json").exists()
 
 
+def test_cli_data_error_is_one_stderr_line(small_fixture, tmp_path):
+    fixture = shutil.copytree(small_fixture, tmp_path / "fixture")
+    raw = json.loads((fixture / "registry.json").read_text())
+    raw["conferences"][0]["date"] = "2020-13-45"
+    (fixture / "registry.json").write_text(json.dumps(raw))
+    config_path = write_run_config(fixture / "config.json", fixture)
+    result = subprocess.run(
+        [sys.executable, "-m", "earstudy", "run",
+         "--config", str(config_path), "--out", str(tmp_path / "out")],
+        capture_output=True, text=True,
+    )
+    assert result.returncode == 2
+    assert result.stderr.startswith("data error: ")
+    assert len(result.stderr.splitlines()) == 1, result.stderr
+
+
+def test_run_does_not_depend_on_fixture_directory(small_fixture, tmp_path):
+    trees = []
+    for name in ("a", "b"):
+        fixture = shutil.copytree(small_fixture, tmp_path / name / "fixture")
+        cfg = load_run_config(write_run_config(tmp_path / name / "config.json", fixture))
+        run_stages(cfg, tmp_path / name / "out", cfg.stages)
+        trees.append(tree_bytes(tmp_path / name / "out"))
+    assert trees[0] == trees[1]
+
+
 def test_cli_synth_seed_override(tmp_path):
     scenario_path = tmp_path / "scenario.json"
     scenario_path.write_text(json.dumps({"study": {"seed": 5, "n_conferences": 3}}))
@@ -232,21 +275,11 @@ def test_whole_min_votes_loads(small_fixture, tmp_path, value):
     assert load_run_config(config_path).identity.min_votes == 2
 
 
-def test_filtered_stream_is_meta_plus_kept_input_lines(completed_run):
+def test_ear_series_matches_scalar_oracle(completed_run):
     _, cfg, out = completed_run
-    gallery = load_gallery(cfg.gallery)
-    meta = json.dumps({"_meta": meta_dict(cfg.digest())}, separators=(",", ":"))
     for record in load_registry(cfg.registry):
-        kept, _ = filter_speaker_frames(read_landmark_stream(record.landmarks), gallery,
-                                        cfg.target_label, cfg.identity)
-        kept_indices = {f.frame_index for f in kept}
-        lines = [line.strip() for line in record.landmarks.read_text().splitlines()]
-        kept_lines = [
-            line for line in lines[1:] if json.loads(line)["frame_index"] in kept_indices
-        ]
-        expected = "".join(f"{line}\n" for line in [meta, *kept_lines])
-        got = (out / "filtered" / f"{record.conference_id}.jsonl").read_bytes()
-        assert got == expected.encode("utf-8"), record.conference_id
+        got = (out / "ear" / f"{record.conference_id}.csv").read_bytes()
+        assert got == scalar_identify(cfg, record)[0], record.conference_id
 
 
 @pytest.mark.parametrize("policy", ["drop", "assume_target"])
@@ -269,18 +302,12 @@ def test_identify_routing_matches_filter_speaker_frames(small_fixture, tmp_path,
     run_stages(cfg, tmp_path / "out", ("identify",))
 
     diag = json.loads((tmp_path / "out" / "diagnostics" / "identify.json").read_text())
-    gallery = load_gallery(cfg.gallery)
     for record in load_registry(cfg.registry):
-        kept, expected = filter_speaker_frames(
-            read_landmark_stream(record.landmarks), gallery, cfg.target_label, cfg.identity
-        )
-        got = dict(diag["conferences"][record.conference_id])
-        got.pop("warning", None)
-        assert got == expected.as_dict(), record.conference_id
-        buf = io.StringIO()
-        write_landmark_stream(kept, buf, meta=meta_dict(cfg.digest()))
-        filtered = tmp_path / "out" / "filtered" / f"{record.conference_id}.jsonl"
-        assert filtered.read_text() == buf.getvalue(), record.conference_id
+        ear, expected = scalar_identify(cfg, record)
+        got = diag["conferences"][record.conference_id]
+        assert {key: got[key] for key in expected} == expected, record.conference_id
+        got_ear = (tmp_path / "out" / "ear" / f"{record.conference_id}.csv").read_bytes()
+        assert got_ear == ear, record.conference_id
     assert sum(c["no_embedding"] for c in diag["conferences"].values()) > 0
 
 
