@@ -12,11 +12,12 @@ import json
 import math
 from contextlib import closing
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
 from pathlib import Path
-from typing import IO, Iterable, Iterator, NamedTuple, Sequence
+from typing import IO, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
+import orjson
 
 from .errors import DegenerateEyeError, MalformedRecordError
 
@@ -216,30 +217,39 @@ def frame_from_record(record: dict, line_no: int | None = None) -> FaceLandmarkF
         raise MalformedRecordError(f"{where}{exc}") from exc
 
 
-def _numbered_records(path: str | Path) -> Iterator[tuple[int, object]]:
-    """(line number, decoded JSON) of each frame record line.
+def _numbered_records(
+    path: str | Path, loads: Callable[[bytes], object]
+) -> Iterator[tuple[int, object]]:
+    """(line number, loads(line)) of each frame record line.
 
-    Blank lines and {"_meta": ...} records are skipped; a line that is not
-    JSON raises MalformedRecordError.
+    Blank lines and {"_meta": ...} records are skipped; a line that loads
+    rejects with ValueError raises MalformedRecordError.
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
+                record = loads(line)
+            except UnicodeDecodeError as exc:
+                raise MalformedRecordError(f"{path}: line {line_no}: not valid UTF-8") from exc
+            except ValueError as exc:
                 raise MalformedRecordError(f"{path}: line {line_no}: invalid JSON") from exc
             if isinstance(record, dict) and "_meta" in record:
                 continue
             yield line_no, record
 
 
+def _stdlib_loads(line: bytes) -> object:
+    """read_landmark_stream's decoding, the reference for the batch reader's."""
+    return json.loads(line.decode("utf-8"))
+
+
 def read_landmark_stream(path: str | Path) -> Iterator[FaceLandmarkFrame]:
     """Stream frames from a JSONL file, enforcing per-conference time order."""
     last_ts: dict[str, float] = {}
-    for line_no, record in _numbered_records(path):
+    for line_no, record in _numbered_records(path, _stdlib_loads):
         try:
             frame = frame_from_record(record, line_no)
         except MalformedRecordError as exc:
@@ -277,17 +287,19 @@ _BATCH_LINES = 32
 
 
 def read_landmark_batch(path: str | Path) -> LandmarkBatch:
-    """Read a JSONL landmark stream into arrays, one json.loads per line.
+    """Read a JSONL landmark stream into arrays, one orjson.loads per line.
 
     The stream is held to every check read_landmark_stream makes.  They run
-    vectorised; if any fails, the stream is read again through
-    read_landmark_stream's scalar checks, which raise its message for the
-    first bad line.
+    vectorised; if any fails, or orjson rejects a line, the stream is read
+    again through read_landmark_stream's stdlib decoding and scalar checks,
+    which raise its message for the first bad line.  Where the decoders
+    differ (orjson rejects 1E400 and reads integers of 2**64 and up as
+    floats), that reread or the vectorised type checks decide.
     """
     parts: list[LandmarkBatch] = []
     last_ts: dict[str, float] = {}
     try:
-        with closing(_numbered_records(path)) as numbered:
+        with closing(_numbered_records(path, orjson.loads)) as numbered:
             while True:
                 step = list(islice(numbered, _BATCH_LINES))
                 part = _checked_batch([record for _, record in step], last_ts)
@@ -296,7 +308,7 @@ def read_landmark_batch(path: str | Path) -> LandmarkBatch:
                 parts.append(part)
                 if len(step) < _BATCH_LINES:
                     break
-    except MalformedRecordError:  # a line that is not JSON
+    except MalformedRecordError:  # a line that orjson does not decode
         part = None
     if part is None:
         # The scalar checks raise for the first bad line, which may come
@@ -331,15 +343,20 @@ def _checked_batch(records: list, last_ts: dict[str, float]) -> LandmarkBatch | 
         ids = [r["conference_id"] for r in records]
         indices = [r["frame_index"] for r in records]
         timestamps = np.array([r["timestamp_s"] for r in records])
-        points = np.array([r["points"] for r in records])
+        raw_points = [r["points"] for r in records]
+        pairs = all({2}.issuperset(map(len, p)) for p in raw_points)
+        # One flat row of coordinates per frame converts faster than the
+        # nested pairs; the pair lengths are checked above.
+        points = np.array([list(chain.from_iterable(p)) for p in raw_points])
         raw_embeddings = [r.get("embedding") for r in records]
         has_embedding = np.array([e is not None for e in raw_embeddings], dtype=bool)
         embedded = np.array([e for e in raw_embeddings if e is not None])
     except (KeyError, TypeError, ValueError, AttributeError):
         return None
-    arrays = ((timestamps, ()), (points, (LANDMARK_COUNT, 2)), (embedded, (EMBEDDING_DIM,)))
+    arrays = ((timestamps, ()), (points, (2 * LANDMARK_COUNT,)), (embedded, (EMBEDDING_DIM,)))
     if not (
-        all(len(a) == 0 or (a.dtype.kind in "iuf" and a.shape[1:] == shape)
+        pairs
+        and all(len(a) == 0 or (a.dtype.kind in "iuf" and a.shape[1:] == shape)
             for a, shape in arrays)
         and all(type(c) is str for c in ids)
         and all(type(i) is int for i in indices)

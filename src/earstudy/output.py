@@ -77,6 +77,14 @@ def write_json(path: Path, payload: dict, digest: str) -> None:
     write_text(path, json.dumps(ordered, indent=2, default=str) + "\n", digest)
 
 
+def read_text(path: Path) -> str:
+    """The UTF-8 text of an input file; other bytes raise MalformedRecordError."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise MalformedRecordError(f"{path}: not valid UTF-8") from exc
+
+
 def _cell(value) -> str:
     if value is None:
         return ""
@@ -120,19 +128,23 @@ def read_csv(
 
     ``#`` lines and blank rows are skipped.  The header must begin with
     ``columns``.  A row that ``parse_row`` rejects with IndexError or
-    ValueError raises MalformedRecordError naming ``what`` and the row.
+    ValueError raises MalformedRecordError naming ``what`` and the row, as
+    does a file that is not UTF-8.
     """
     parsed: list[_T] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        reader = csv.reader(line for line in fh if not line.startswith("#"))
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header[:len(columns)]] != list(columns):
-            raise MalformedRecordError(f"{path}: expected '{','.join(columns)}' header")
-        for row in reader:
-            if not row:
-                continue
-            try:
-                parsed.append(parse_row(row))
-            except (IndexError, ValueError) as exc:
-                raise MalformedRecordError(f"{path}: bad {what} row {row!r}") from exc
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            reader = csv.reader(line for line in fh if not line.startswith("#"))
+            header = next(reader, None)
+            if header is None or [h.strip() for h in header[:len(columns)]] != list(columns):
+                raise MalformedRecordError(f"{path}: expected '{','.join(columns)}' header")
+            for row in reader:
+                if not row:
+                    continue
+                try:
+                    parsed.append(parse_row(row))
+                except (IndexError, ValueError) as exc:
+                    raise MalformedRecordError(f"{path}: bad {what} row {row!r}") from exc
+    except UnicodeDecodeError as exc:
+        raise MalformedRecordError(f"{path}: not valid UTF-8") from exc
     return parsed

@@ -264,6 +264,7 @@ def stage_identify(cfg: RunConfig, out_dir: Path) -> dict:
         )
     digest = cfg.digest()
     conferences: dict[str, dict] = {}
+    warnings: list[tuple[str, str]] = []
     for record in records:
         if not record.landmarks.exists():
             raise ConfigError(f"landmark file not found: {record.landmarks}")
@@ -282,13 +283,15 @@ def stage_identify(cfg: RunConfig, out_dir: Path) -> dict:
         info = {**diag.as_dict(), "n_samples": count, "dropped_degenerate": diag.written - count}
         if diag.written == 0:
             info["warning"] = "no frames classified as target"
-            log.warning("conference %s: no frames kept by identity filter",
-                        record.conference_id)
+            warnings.append((record.conference_id, "no frames kept by identity filter"))
         elif count == 0:
             info["warning"] = "no usable EAR frame"
-            log.warning("conference %s: every kept frame has a degenerate eye",
-                        record.conference_id)
+            warnings.append((record.conference_id, "every kept frame has a degenerate eye"))
         conferences[record.conference_id] = info
+    # Logged only after every file has been read, so that a data error in a
+    # later file stays the failing run's one line on stderr.
+    for conference_id, warning in warnings:
+        log.warning("conference %s: %s", conference_id, warning)
 
     diagnostics = {"conferences": conferences}
     output.write_json(out_dir / "diagnostics" / "identify.json", diagnostics, digest)
@@ -336,7 +339,7 @@ def stage_attention(cfg: RunConfig, out_dir: Path) -> dict:
                 and summary.attention_integral < cfg.attention.floor_value
             ):
                 floored.append(record.conference_id)
-            transcript = record.transcript.read_text(encoding="utf-8")
+            transcript = output.read_text(record.transcript)
             segments = att.read_segments_csv(record.segments, record.conference_id)
             benchmark = att.benchmark_variables(
                 transcript, segments, 0.0, record.qa_duration_s()
@@ -398,7 +401,10 @@ def stage_eventstudy(cfg: RunConfig, out_dir: Path) -> list[str]:
 
     window_rows: list[dict] = []
     exclusions: list[dict] = []
-    series_cache: dict[Path, market.PriceSeries] = {}
+    # Only the last price file read is held: conferences that share a file
+    # in date order read it once.
+    prices_path: Path | None = None
+    prices: market.PriceSeries | None = None
     for row in rows:
         record = records.get(row["conference_id"])
         if record is None:
@@ -413,11 +419,10 @@ def stage_eventstudy(cfg: RunConfig, out_dir: Path) -> list[str]:
             )
         try:
             timeline = market.build_timeline(record.qa_start, record.conference_end, close)
-            if record.prices not in series_cache:
-                series_cache[record.prices] = market.read_price_csv(record.prices)
-            stats = market.event_window_stats(
-                series_cache[record.prices], timeline, record.conference_id
-            )
+            if record.prices != prices_path:
+                prices = market.read_price_csv(record.prices)
+                prices_path = record.prices
+            stats = market.event_window_stats(prices, timeline, record.conference_id)
         except (DataError, ConfigError, OSError) as exc:
             exclusions.append({"conference_id": row["conference_id"], "reason": str(exc)})
             log.warning("conference %s excluded from event study: %s",
@@ -494,12 +499,15 @@ def run_stages(
 ) -> list[str]:
     """Run the selected stages in pipeline order, one after another.
 
-    Names not in STAGES are ignored.  jobs is accepted for compatibility
-    and ignored: decoding landmark JSON holds the GIL, so worker threads
-    made the identify stage slower, not faster.  Returns the rendered
-    regression tables when the eventstudy stage ran, else an empty list;
-    nothing is printed.
+    A name not in STAGES raises ConfigError.  jobs is accepted for
+    compatibility and ignored: decoding landmark JSON holds the GIL, so
+    worker threads made the identify stage slower, not faster.  Returns the
+    rendered regression tables when the eventstudy stage ran, else an empty
+    list; nothing is printed.
     """
+    for stage in stages:
+        if stage not in STAGES:
+            raise ConfigError(f"unknown stage {stage!r}; stages are {', '.join(STAGES)}")
     digest = cfg.digest()
     output.write_json(out_dir / "run_config.json", {"config": cfg.digest_payload()}, digest)
     tables: list[str] = []

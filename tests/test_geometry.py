@@ -1,5 +1,8 @@
 import json
 import math
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -312,10 +315,15 @@ GOOD = json.dumps(frame_record(0, 1.0, embedding=[0.5] * 128))
         json.dumps(frame_record(1, 2.0, embedding=[0.0] * 127 + [float("nan")])),
         json.dumps([frame_record(1, 2.0)]),
         GOOD + GOOD,
+        # json reads 1E400 as inf, orjson rejects it
+        json.dumps(frame_record(1, 2.0)).replace("[5.0, 6.0]", "[1E400, 6.0]"),
+        # 136 coordinates, but not in pairs
+        json.dumps({**frame_record(1, 2.0), "points": [[0.0, 1.0, 2.0], [3.0]] * 34}),
     ],
     ids=["number", "string", "null-points", "scalar-points", "null-coordinate",
          "list-id", "inf-time", "negative-time", "inf-index", "text-embedding",
-         "nested-embedding", "nan-embedding", "list-record", "two-records"],
+         "nested-embedding", "nan-embedding", "list-record", "two-records",
+         "overflow-coordinate", "uneven-pairs"],
 )
 def test_readers_reject_bad_record(tmp_path, bad_line):
     path = tmp_path / "bad.jsonl"
@@ -353,6 +361,19 @@ def test_batch_checks_span_read_steps(tmp_path, bad):
     assert batch.timestamps.tolist() == [float(k) for k in range(n)]
 
 
+def assert_batch_equals_stream(path):
+    """read_landmark_batch gives the arrays of read_landmark_stream's frames."""
+    frames = list(read_landmark_stream(path))
+    batch = read_landmark_batch(path)
+    assert batch.timestamps.tolist() == [f.timestamp for f in frames]
+    assert batch.points.tolist() == [[list(p) for p in f.points] for f in frames]
+    assert batch.has_embedding.tolist() == [f.embedding is not None for f in frames]
+    assert batch.embeddings[batch.has_embedding].tolist() == [
+        f.embedding.tolist() for f in frames if f.embedding is not None
+    ]
+    return batch
+
+
 def test_batch_matches_stream(tmp_path):
     records = [
         {"_meta": {"config_hash": "abc"}},
@@ -374,6 +395,47 @@ def test_batch_matches_stream(tmp_path):
     assert batch.has_embedding.tolist() == [True, False, False, False]
     assert batch.embeddings[0].tolist() == [0.25] * 128
     assert not batch.embeddings[1:].any()
+    # Integers of 2**64 and up: json reads ints, orjson floats.
+    big = {**frame_record(1, 0.5), "points": [[2**64 + 12345, 1]] * 68}
+    for record in (frame_record(2**64, 0.5), big):
+        write_jsonl(path, [frame_record(0, 0.0), record])
+        assert len(assert_batch_equals_stream(path)) == 2
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+number_formats = st.sampled_from([repr, "%.17e".__mod__])
+
+
+@st.composite
+def frame_lines(draw, frame_index, timestamp):
+    """One record line, its numbers written with repr or %.17e."""
+    fmt = draw(number_formats)
+    coords = draw(st.lists(finite, min_size=136, max_size=136))
+    points = ",".join(f"[{fmt(x)},{fmt(y)}]" for x, y in zip(coords[::2], coords[1::2]))
+    line = (f'{{"conference_id":"c","frame_index":{frame_index},'
+            f'"timestamp_s":{fmt(timestamp)},"points":[{points}]')
+    if draw(st.booleans()):
+        embedding = draw(st.lists(finite, min_size=128, max_size=128))
+        line += ',"embedding":[' + ",".join(map(fmt, embedding)) + "]"
+    return line + "}"
+
+
+@st.composite
+def landmark_texts(draw):
+    timestamps = sorted(draw(st.lists(st.floats(min_value=0.0, allow_infinity=False),
+                                      min_size=1, max_size=3)))
+    return "".join(draw(frame_lines(k, t)) + "\n" for k, t in enumerate(timestamps))
+
+
+@given(landmark_texts())
+@settings(max_examples=50, deadline=None)
+def test_batch_decoding_matches_stream_on_finite_doubles(text):
+    """orjson in the batch path reads every finite double as json does."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "stream.jsonl"
+        path.write_text(text)
+        with mock.patch.object(geometry, "_scalar_batch", side_effect=AssertionError):
+            assert_batch_equals_stream(path)
 
 
 def test_batch_of_empty_stream(tmp_path):

@@ -12,10 +12,11 @@ from earstudy import ConfigError, DataError, InsufficientDataError
 from earstudy.attention import write_ear_csv
 from earstudy.cli import main
 from earstudy.errors import DegenerateEyeError
-from earstudy.geometry import frame_ear, read_landmark_stream
+from earstudy.geometry import frame_ear, read_landmark_batch, read_landmark_stream
 from earstudy.identity import filter_speaker_frames, load_gallery
 from earstudy.output import meta_line
 from earstudy.pipeline import (
+    STAGES,
     build_fixture,
     load_registry,
     load_run_config,
@@ -344,9 +345,66 @@ def test_jobs_parallel_matches_serial(small_fixture, tmp_path):
     config_path = tmp_path / "config.json"
     write_run_config(config_path, small_fixture)
     cfg = load_run_config(config_path)
-    run_stages(cfg, tmp_path / "serial", ("identify", "ear"), jobs=1)
-    run_stages(cfg, tmp_path / "parallel", ("identify", "ear"), jobs=4)
+    run_stages(cfg, tmp_path / "serial", STAGES, jobs=1)
+    run_stages(cfg, tmp_path / "parallel", STAGES, jobs=4)
     assert tree_bytes(tmp_path / "serial") == tree_bytes(tmp_path / "parallel")
+
+
+def test_run_stages_rejects_unknown_stage(small_fixture, tmp_path):
+    cfg = load_run_config(write_run_config(tmp_path / "config.json", small_fixture))
+    with pytest.raises(ConfigError, match="unknown stage 'ear'"):
+        run_stages(cfg, tmp_path / "out", ("identify", "ear"))
+    assert not (tmp_path / "out").exists()
+
+
+def run_cli(config_path: Path, out: Path) -> subprocess.CompletedProcess:
+    """earstudy run in a child process, so stderr is what a user sees."""
+    return subprocess.run(
+        [sys.executable, "-m", "earstudy", "run", "--config", str(config_path),
+         "--out", str(out)],
+        capture_output=True, text=True,
+    )
+
+
+def test_data_error_after_identify_warning_is_one_stderr_line(small_fixture, tmp_path):
+    """conf-005 keeps no frames; its warning must not precede conf-006's error."""
+    fixture = shutil.copytree(small_fixture, tmp_path / "fixture")
+    path = fixture / "landmarks" / "conf-006.jsonl"
+    lines = path.read_text().splitlines()
+    record = json.loads(lines[2])
+    record["points"][0] = None
+    lines[2] = json.dumps(record)
+    path.write_text("".join(f"{line}\n" for line in lines))
+    result = run_cli(write_run_config(fixture / "config.json", fixture), tmp_path / "out")
+    assert result.returncode == 2
+    assert result.stderr.startswith(f"data error: {path}: line 3: ")
+    assert len(result.stderr.splitlines()) == 1, result.stderr
+
+
+@pytest.mark.parametrize("kind", ["landmarks", "transcripts", "segments", "prices"])
+def test_invalid_utf8_is_a_data_error(small_fixture, tmp_path, kind):
+    fixture = shutil.copytree(small_fixture, tmp_path / "fixture")
+    path = next((fixture / kind).glob("conf-001.*"))
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines[2] = b"\xff" + lines[2]
+    path.write_bytes(b"".join(lines))
+    result = run_cli(write_run_config(fixture / "config.json", fixture), tmp_path / "out")
+    assert "Traceback" not in result.stderr
+    if kind == "landmarks":
+        message = f"{path}: line 3: not valid UTF-8"
+        assert result.returncode == 2
+        assert result.stderr == f"data error: {message}\n"
+        for read in (lambda p: list(read_landmark_stream(p)), read_landmark_batch):
+            with pytest.raises(DataError) as info:
+                read(path)
+            assert str(info.value) == message
+        return
+    assert result.returncode == 0, result.stderr
+    stage = "eventstudy" if kind == "prices" else "attention"
+    diag = json.loads((tmp_path / "out" / "diagnostics" / f"{stage}.json").read_text())
+    assert {"conference_id": "conf-001", "reason": f"{path}: not valid UTF-8"} in (
+        diag["exclusions"]
+    )
 
 
 @pytest.mark.parametrize(
