@@ -19,7 +19,6 @@ from .errors import (
     ConfigError,
     CoverageError,
     DataError,
-    DegenerateEyeError,
     DegenerateRegressorError,
     DomainError,
     EarStudyError,
@@ -29,22 +28,20 @@ from .errors import (
 )
 from .geometry import (
     EarSample,
-    EyeLandmarks,
     FaceLandmarkFrame,
+    LandmarkBatch,
     Point2,
-    extract_eyes,
-    eye_ear,
-    frame_ear,
+    batch_ear,
+    read_landmark_batch,
 )
 from .identity import (
     FilterDiagnostics,
     Gallery,
     GalleryEntry,
     IdentityConfig,
-    classify,
-    embedding_distance,
-    filter_speaker_frames,
-    vote_vector,
+    classify_batch,
+    route_frames,
+    vote_counts,
 )
 from .market import (
     ConferenceTimeline,

@@ -22,7 +22,8 @@ def _add_common(parser: argparse.ArgumentParser, seed: bool = False) -> None:
     parser.add_argument("--config", required=True, help="path to the JSON config file")
     parser.add_argument("--out", required=True, help="output directory")
     parser.add_argument("--jobs", type=int, default=1,
-                        help="accepted and ignored; stages run serially")
+                        help="accepted and ignored, so that existing scripts "
+                             "passing it keep working; stages run serially")
     if seed:
         parser.add_argument("--seed", type=int, default=None,
                             help="override the scenario seed")
@@ -94,7 +95,7 @@ def main(argv: list[str] | None = None) -> int:
             return 0
         cfg = load_run_config(args.config, _overrides(args))
         stages = cfg.stages if args.command == "run" else (args.command,)
-        for table in run_stages(cfg, out_dir, stages, jobs=args.jobs):
+        for table in run_stages(cfg, out_dir, stages):
             print(table)
         return 0
     except ConfigError as exc:

@@ -26,10 +26,6 @@ class MalformedRecordError(DataError):
     """A structurally invalid record (wrong arity, bad field, bad order)."""
 
 
-class DegenerateEyeError(DataError):
-    """Eye landmarks with zero horizontal span; the frame is unusable."""
-
-
 class CoverageError(DataError):
     """A requested time window is not covered by the available data."""
 

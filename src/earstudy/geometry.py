@@ -14,12 +14,12 @@ from contextlib import closing
 from dataclasses import dataclass
 from itertools import chain, islice
 from pathlib import Path
-from typing import IO, Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import IO, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 import orjson
 
-from .errors import DegenerateEyeError, MalformedRecordError
+from .errors import MalformedRecordError
 
 # Eye groups in the standard 68-point landmark layout (zero-based),
 # ordered outer corner, upper lid x2, inner corner, lower lid x2.
@@ -40,19 +40,6 @@ class EarSample(NamedTuple):
 
     timestamp: float
     value: float
-
-
-@dataclass(frozen=True)
-class EyeLandmarks:
-    """The six contour points of one eye, corner-lid-lid-corner-lid-lid."""
-
-    points: tuple[Point2, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.points) != 6:
-            raise MalformedRecordError(
-                f"eye requires exactly 6 landmarks, got {len(self.points)}"
-            )
 
 
 @dataclass(frozen=True)
@@ -82,56 +69,18 @@ class FaceLandmarkFrame:
             )
 
 
-def extract_eyes(
-    frame: FaceLandmarkFrame,
-    left_indices: Sequence[int] = LEFT_EYE_INDICES,
-    right_indices: Sequence[int] = RIGHT_EYE_INDICES,
-) -> tuple[EyeLandmarks, EyeLandmarks]:
-    """Pick the two 6-point eye groups out of a 68-point frame."""
-    pts = frame.points
-    left = EyeLandmarks(tuple(pts[i] for i in left_indices))
-    right = EyeLandmarks(tuple(pts[i] for i in right_indices))
-    return left, right
-
-
-def eye_ear(eye: EyeLandmarks) -> float:
-    """EAR of one eye: (|l2-l6| + |l3-l5|) / (2 |l1-l4|)."""
-    p1, p2, p3, p4, p5, p6 = eye.points
-    horizontal = math.hypot(p1.x - p4.x, p1.y - p4.y)
-    if horizontal == 0.0:
-        raise DegenerateEyeError("zero horizontal eye span (corner landmarks coincide)")
-    vertical = math.hypot(p2.x - p6.x, p2.y - p6.y) + math.hypot(p3.x - p5.x, p3.y - p5.y)
-    return vertical / (2.0 * horizontal)
-
-
-def frame_ear(
-    frame: FaceLandmarkFrame,
-    left_indices: Sequence[int] = LEFT_EYE_INDICES,
-    right_indices: Sequence[int] = RIGHT_EYE_INDICES,
-) -> EarSample:
-    """Average EAR of both eyes at the frame's timestamp.
-
-    Raises DegenerateEyeError if either eye has zero horizontal span; such
-    frames are dropped (and tallied) by the series builder rather than
-    imputed.
-    """
-    left, right = extract_eyes(frame, left_indices, right_indices)
-    value = (eye_ear(left) + eye_ear(right)) / 2.0
-    return EarSample(frame.timestamp, value)
-
-
 def batch_ear(
     points: np.ndarray,
     left_indices: Sequence[int] = LEFT_EYE_INDICES,
     right_indices: Sequence[int] = RIGHT_EYE_INDICES,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """frame_ear of every frame of an (N, 68, 2) array, and the usable mask.
+    """The EAR of every frame of an (N, 68, 2) array, and the usable mask.
 
-    A frame is unusable (False in the mask) where frame_ear raises
-    DegenerateEyeError; its value is then meaningless.  The other values
-    equal frame_ear(...).value exactly: the same operations run in the same
-    order, and the distances use math.hypot, because np.hypot (the C
-    library's) differs from it in the last bit on some inputs.
+    A frame's EAR is the mean of its two eyes' EAR,
+    (|p2-p6| + |p3-p5|) / (2 |p1-p4|).  A frame is unusable (False in the
+    mask) where an eye's corners coincide; its value is then meaningless.
+    The distances use math.hypot, because np.hypot (the C library's)
+    differs from it in the last bit on some inputs.
     """
     eyes = points[:, [list(left_indices), list(right_indices)]]  # (N, 2, 6, 2)
     # Per eye the pairs p1-p4 (corners), p2-p6 and p3-p5 (lids).
@@ -166,64 +115,18 @@ def frame_to_record(frame: FaceLandmarkFrame) -> dict:
     return record
 
 
-def frame_from_record(record: dict, line_no: int | None = None) -> FaceLandmarkFrame:
-    where = f"line {line_no}: " if line_no is not None else ""
-    try:
-        conference_id = record["conference_id"]
-        frame_index = int(record["frame_index"])
-        timestamp = float(record["timestamp_s"])
-        raw_points = record["points"]
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise MalformedRecordError(f"{where}missing or invalid frame field: {exc}") from exc
-    if not isinstance(conference_id, str):
-        raise MalformedRecordError(f"{where}frame {frame_index}: conference_id is not a string")
-    if not math.isfinite(timestamp):
-        raise MalformedRecordError(f"{where}frame {frame_index}: non-finite timestamp")
+class _Undecoded(NamedTuple):
+    """A line that is not UTF-8 JSON, kept in line order with the records."""
 
-    points = []
-    try:
-        for pair in raw_points:
-            if len(pair) != 2:
-                raise MalformedRecordError(
-                    f"{where}frame {frame_index}: point is not an [x, y] pair"
-                )
-            x, y = float(pair[0]), float(pair[1])
-            if not (math.isfinite(x) and math.isfinite(y)):
-                raise MalformedRecordError(f"{where}frame {frame_index}: non-finite landmark")
-            points.append(Point2(x, y))
-    except (TypeError, ValueError) as exc:
-        raise MalformedRecordError(f"{where}frame {frame_index}: invalid landmark: {exc}") from exc
-
-    embedding = None
-    if record.get("embedding") is not None:
-        try:
-            embedding = np.asarray(record["embedding"], dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise MalformedRecordError(
-                f"{where}frame {frame_index}: invalid embedding: {exc}"
-            ) from exc
-        if not np.all(np.isfinite(embedding)):
-            raise MalformedRecordError(f"{where}frame {frame_index}: non-finite embedding")
-
-    try:
-        return FaceLandmarkFrame(
-            conference_id=conference_id,
-            frame_index=frame_index,
-            timestamp=timestamp,
-            points=tuple(points),
-            embedding=embedding,
-        )
-    except MalformedRecordError as exc:
-        raise MalformedRecordError(f"{where}{exc}") from exc
+    reason: str
 
 
-def _numbered_records(
-    path: str | Path, loads: Callable[[bytes], object]
-) -> Iterator[tuple[int, object]]:
-    """(line number, loads(line)) of each frame record line.
+def _numbered_records(path: str | Path) -> Iterator[tuple[int, object]]:
+    """(line number, decoded record) of each frame record line.
 
-    Blank lines and {"_meta": ...} records are skipped; a line that loads
-    rejects with ValueError raises MalformedRecordError.
+    Blank lines and {"_meta": ...} records are skipped.  A line that orjson
+    rejects is yielded as an _Undecoded, so that a bad record before it is
+    still found first.
     """
     with open(path, "rb") as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -231,37 +134,17 @@ def _numbered_records(
             if not line:
                 continue
             try:
-                record = loads(line)
-            except UnicodeDecodeError as exc:
-                raise MalformedRecordError(f"{path}: line {line_no}: not valid UTF-8") from exc
-            except ValueError as exc:
-                raise MalformedRecordError(f"{path}: line {line_no}: invalid JSON") from exc
+                record = orjson.loads(line)
+            except orjson.JSONDecodeError:
+                try:
+                    line.decode("utf-8")
+                except UnicodeDecodeError:
+                    record = _Undecoded("not valid UTF-8")
+                else:
+                    record = _Undecoded("invalid JSON")
             if isinstance(record, dict) and "_meta" in record:
                 continue
             yield line_no, record
-
-
-def _stdlib_loads(line: bytes) -> object:
-    """read_landmark_stream's decoding, the reference for the batch reader's."""
-    return json.loads(line.decode("utf-8"))
-
-
-def read_landmark_stream(path: str | Path) -> Iterator[FaceLandmarkFrame]:
-    """Stream frames from a JSONL file, enforcing per-conference time order."""
-    last_ts: dict[str, float] = {}
-    for line_no, record in _numbered_records(path, _stdlib_loads):
-        try:
-            frame = frame_from_record(record, line_no)
-        except MalformedRecordError as exc:
-            raise MalformedRecordError(f"{path}: {exc}") from exc
-        prev = last_ts.get(frame.conference_id)
-        if prev is not None and frame.timestamp < prev:
-            raise MalformedRecordError(
-                f"{path}: line {line_no}: timestamps decrease within "
-                f"conference {frame.conference_id!r}"
-            )
-        last_ts[frame.conference_id] = frame.timestamp
-        yield frame
 
 
 @dataclass(frozen=True)
@@ -281,7 +164,7 @@ class LandmarkBatch:
 # JSON is alive at a time.  Decoded records are large (about 14 KiB for a
 # frame with an embedding), and a run's peak RSS grows with the step: on the
 # 45-conference planted study it was 67.7 MB at 32 lines, 74.4 MB at 256
-# and 81.7 MB for whole files, against 69.4 MB for the scalar reader.
+# and 81.7 MB for whole files, against 69.4 MB for a frame-by-frame reader.
 # Smaller steps cost no measurable time.
 _BATCH_LINES = 32
 
@@ -289,84 +172,85 @@ _BATCH_LINES = 32
 def read_landmark_batch(path: str | Path) -> LandmarkBatch:
     """Read a JSONL landmark stream into arrays, one orjson.loads per line.
 
-    The stream is held to every check read_landmark_stream makes.  They run
-    vectorised; if any fails, or orjson rejects a line, the stream is read
-    again through read_landmark_stream's stdlib decoding and scalar checks,
-    which raise its message for the first bad line.  Where the decoders
-    differ (orjson rejects 1E400 and reads integers of 2**64 and up as
-    floats), that reread or the vectorised type checks decide.
+    The records are checked vectorised, one step of lines at a time.  When a
+    step fails, its records are checked one by one, and the first bad one
+    raises MalformedRecordError "{path}: line {n}: {reason}".
     """
     parts: list[LandmarkBatch] = []
     last_ts: dict[str, float] = {}
-    try:
-        with closing(_numbered_records(path, orjson.loads)) as numbered:
-            while True:
-                step = list(islice(numbered, _BATCH_LINES))
-                part = _checked_batch([record for _, record in step], last_ts)
-                if part is None:
-                    break
-                parts.append(part)
-                if len(step) < _BATCH_LINES:
-                    break
-    except MalformedRecordError:  # a line that orjson does not decode
-        part = None
-    if part is None:
-        # The scalar checks raise for the first bad line, which may come
-        # before a line that is not JSON.
-        return _scalar_batch(path)
+    with closing(_numbered_records(path)) as numbered:
+        while True:
+            step = list(islice(numbered, _BATCH_LINES))
+            parts.append(_checked_step(path, step, last_ts))
+            if len(step) < _BATCH_LINES:
+                break
     columns = ("timestamps", "points", "embeddings", "has_embedding")
     return LandmarkBatch(
         *(np.concatenate([getattr(part, name) for part in parts]) for name in columns)
     )
 
 
-def _scalar_batch(path: str | Path) -> LandmarkBatch:
-    """The batch read through read_landmark_stream's checks.
+def _checked_step(
+    path: str | Path, step: list[tuple[int, object]], last_ts: dict[str, float]
+) -> LandmarkBatch:
+    """The batch of one step's (line number, record) pairs.
 
-    They raise for the first bad line.  If they pass, the vectorised checks
-    were only stricter about value types (a frame_index of "3", say), and the
-    batch is built from the checked frames.
+    A step the vectorised checks reject is checked again one record at a
+    time, which names the first bad line.
     """
-    frames = read_landmark_stream(path)
-    batch = _checked_batch([frame_to_record(frame) for frame in frames], {})
-    assert batch is not None, "checked frames pass the vectorised checks"
-    return batch
+    batch = _checked_batch([record for _, record in step], last_ts)
+    if isinstance(batch, LandmarkBatch):
+        return batch
+    for line_no, record in step:
+        reason = _checked_batch([record], last_ts)
+        if isinstance(reason, str):
+            raise MalformedRecordError(f"{path}: line {line_no}: {reason}")
+    raise AssertionError("records that pass one at a time pass together")
 
 
-def _checked_batch(records: list, last_ts: dict[str, float]) -> LandmarkBatch | None:
-    """The batch of the decoded records, or None if any record fails a check.
+def _checked_batch(records: list, last_ts: dict[str, float]) -> LandmarkBatch | str:
+    """The batch of the decoded records, or the reason they break the format.
 
-    last_ts holds each conference's latest timestamp before these records,
-    and is updated with theirs.
+    Given one record, the reason is that record's own.  last_ts holds each
+    conference's latest timestamp before these records, and is updated with
+    theirs when they pass.
     """
+    for record in records:
+        if type(record) is not dict:
+            return record.reason if type(record) is _Undecoded else "not a JSON object"
     try:
         ids = [r["conference_id"] for r in records]
         indices = [r["frame_index"] for r in records]
-        timestamps = np.array([r["timestamp_s"] for r in records])
+        raw_times = [r["timestamp_s"] for r in records]
         raw_points = [r["points"] for r in records]
+    except KeyError as exc:
+        return f"missing field {exc}"
+    raw_embeddings = [r.get("embedding") for r in records]
+    if not all(type(c) is str for c in ids):
+        return "conference_id is not a string"
+    # orjson reads an integer below -2**63 or from 2**64 up as a float.
+    if not all(type(i) is int for i in indices):
+        return "frame_index is not an integer"
+    timestamps = _finite_array(raw_times, ())
+    if timestamps is None or not (timestamps >= 0).all():
+        return "timestamp_s is not a finite number >= 0"
+    try:
         pairs = all({2}.issuperset(map(len, p)) for p in raw_points)
         # One flat row of coordinates per frame converts faster than the
         # nested pairs; the pair lengths are checked above.
-        points = np.array([list(chain.from_iterable(p)) for p in raw_points])
-        raw_embeddings = [r.get("embedding") for r in records]
-        has_embedding = np.array([e is not None for e in raw_embeddings], dtype=bool)
-        embedded = np.array([e for e in raw_embeddings if e is not None])
-    except (KeyError, TypeError, ValueError, AttributeError):
-        return None
-    arrays = ((timestamps, ()), (points, (2 * LANDMARK_COUNT,)), (embedded, (EMBEDDING_DIM,)))
-    if not (
-        pairs
-        and all(len(a) == 0 or (a.dtype.kind in "iuf" and a.shape[1:] == shape)
-            for a, shape in arrays)
-        and all(type(c) is str for c in ids)
-        and all(type(i) is int for i in indices)
-        and np.isfinite(points).all()
-        and np.isfinite(embedded).all()
-        and np.isfinite(timestamps).all()
-        and (timestamps >= 0).all()
-        and _time_ordered(ids, timestamps.tolist(), last_ts)
-    ):
-        return None
+        flat = [list(chain.from_iterable(p)) for p in raw_points] if pairs else None
+    except TypeError:
+        flat = None
+    points = None if flat is None else _finite_array(flat, (2 * LANDMARK_COUNT,))
+    if points is None:
+        return f"expected {LANDMARK_COUNT} [x, y] pairs of finite numbers in points"
+    has_embedding = np.array([e is not None for e in raw_embeddings], dtype=bool)
+    embedded = _finite_array([e for e in raw_embeddings if e is not None], (EMBEDDING_DIM,))
+    if embedded is None:
+        return f"expected {EMBEDDING_DIM} finite numbers in embedding"
+    conference_id = _time_ordered(ids, timestamps.tolist(), last_ts)
+    if conference_id is not None:
+        return f"timestamps decrease within conference {conference_id!r}"
     n = len(records)
     embeddings = np.zeros((n, EMBEDDING_DIM))
     embeddings[has_embedding] = embedded.reshape(-1, EMBEDDING_DIM)
@@ -378,12 +262,30 @@ def _checked_batch(records: list, last_ts: dict[str, float]) -> LandmarkBatch | 
     )
 
 
-def _time_ordered(ids: list[str], timestamps: list[float], last_ts: dict[str, float]) -> bool:
+def _finite_array(values: list, row_shape: tuple[int, ...]) -> np.ndarray | None:
+    """values as an array of finite numbers in rows of row_shape, else None."""
+    try:
+        array = np.array(values)
+    except (TypeError, ValueError):
+        return None
+    if len(array) == 0:
+        return array
+    if array.dtype.kind not in "iuf" or array.shape[1:] != row_shape:
+        return None
+    return array if np.isfinite(array).all() else None
+
+
+def _time_ordered(
+    ids: list[str], timestamps: list[float], last_ts: dict[str, float]
+) -> str | None:
+    """The first conference whose timestamps decrease, else None after updating last_ts."""
+    latest = dict(last_ts)
     for conference_id, timestamp in zip(ids, timestamps):
-        if timestamp < last_ts.get(conference_id, timestamp):
-            return False
-        last_ts[conference_id] = timestamp
-    return True
+        if timestamp < latest.get(conference_id, timestamp):
+            return conference_id
+        latest[conference_id] = timestamp
+    last_ts.update(latest)
+    return None
 
 
 def write_landmark_stream(

@@ -11,14 +11,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress
 from pathlib import Path
 from typing import Iterable
 
 import numpy as np
 
 from .errors import ConfigError, MalformedRecordError
-from .geometry import EMBEDDING_DIM, FaceLandmarkFrame
+from .geometry import EMBEDDING_DIM
 
 NO_EMBEDDING_POLICIES = ("drop", "assume_target")
 
@@ -119,55 +118,11 @@ class FilterDiagnostics:
         }
 
 
-def embedding_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Euclidean distance between two 128-dim embeddings."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != (EMBEDDING_DIM,) or b.shape != (EMBEDDING_DIM,):
-        raise MalformedRecordError(
-            f"embeddings must have {EMBEDDING_DIM} entries, got {a.shape} and {b.shape}"
-        )
-    return float(np.linalg.norm(a - b))
+def vote_counts(embeddings: np.ndarray, gallery: Gallery, epsilon: float) -> np.ndarray:
+    """Votes per row of an (N, 128) array and per distinct label, as (N, L) ints.
 
-
-def gallery_distances(query: np.ndarray, gallery: Gallery) -> np.ndarray:
-    """Euclidean distance from a query embedding to every gallery entry."""
-    query = np.asarray(query, dtype=float)
-    if query.shape != (EMBEDDING_DIM,):
-        raise MalformedRecordError(
-            f"embeddings must have {EMBEDDING_DIM} entries, got {query.shape}"
-        )
-    return np.linalg.norm(gallery.matrix - query, axis=1)
-
-
-def vote_vector(query: np.ndarray, gallery: Gallery, epsilon: float) -> np.ndarray:
-    """Binary vector: entry m is 1 iff the m-th gallery distance is < epsilon."""
-    return (gallery_distances(query, gallery) < epsilon).astype(int)
-
-
-def classify(query: np.ndarray, gallery: Gallery, config: IdentityConfig) -> str | None:
-    """Plurality label of the in-tolerance votes, or None when unknown.
-
-    None is returned when the top vote total falls short of the quorum or
-    when two labels tie at the top.
-    """
-    names, codes = gallery.label_codes
-    counts = [0] * len(names)
-    for code in codes[vote_vector(query, gallery, config.epsilon) == 1].tolist():
-        counts[code] += 1
-    best = max(counts)
-    if best < config.min_votes or counts.count(best) != 1:
-        return None
-    return names[counts.index(best)]
-
-
-def classify_batch(
-    embeddings: np.ndarray, gallery: Gallery, config: IdentityConfig
-) -> list[str | None]:
-    """classify for each row of an (N, 128) array of embeddings.
-
-    Each gallery row's distances to all queries come from the same
-    np.linalg.norm reduction that classify uses, so every vote is the same.
+    Labels are in gallery.label_codes order.  A gallery entry votes for a
+    row when their Euclidean distance is strictly less than epsilon.
     """
     embeddings = np.asarray(embeddings, dtype=float)
     if embeddings.ndim != 2 or embeddings.shape[1] != EMBEDDING_DIM:
@@ -177,7 +132,20 @@ def classify_batch(
     names, codes = gallery.label_codes
     counts = np.zeros((len(embeddings), len(names)), dtype=int)
     for row, code in zip(gallery.matrix, codes.tolist()):
-        counts[:, code] += np.linalg.norm(embeddings - row, axis=1) < config.epsilon
+        counts[:, code] += np.linalg.norm(embeddings - row, axis=1) < epsilon
+    return counts
+
+
+def classify_batch(
+    embeddings: np.ndarray, gallery: Gallery, config: IdentityConfig
+) -> list[str | None]:
+    """The plurality label of each row of an (N, 128) array, or None when unknown.
+
+    A row is unknown when its top vote total falls short of the quorum or
+    two labels tie at the top.
+    """
+    counts = vote_counts(embeddings, gallery, config.epsilon)
+    names, _ = gallery.label_codes
     best = counts.max(axis=1)
     decided = (best >= config.min_votes) & ((counts == best[:, None]).sum(axis=1) == 1)
     winners = np.where(decided, counts.argmax(axis=1), -1)
@@ -216,30 +184,6 @@ def route_frames(
     return keep, diag
 
 
-def filter_speaker_frames(
-    frames: Iterable[FaceLandmarkFrame],
-    gallery: Gallery,
-    target_label: str,
-    config: IdentityConfig,
-) -> tuple[list[FaceLandmarkFrame], FilterDiagnostics]:
-    """Keep only the frames classified as the target speaker, in order.
-
-    Frames without an embedding follow config.no_embedding_policy: "drop"
-    discards them, "assume_target" keeps them (for pre-filtered exports).
-    """
-    if target_label not in gallery.labels:
-        raise ConfigError(f"gallery has no entries for target label {target_label!r}")
-    frames = list(frames)
-    labels = [
-        None if f.embedding is None else classify(f.embedding, gallery, config)
-        for f in frames
-    ]
-    keep, diag = route_frames(
-        labels, [f.embedding is not None for f in frames], target_label, config
-    )
-    return list(compress(frames, keep)), diag
-
-
 # ---------------------------------------------------------------------------
 # Gallery file: JSON array of {"label": ..., "embedding": [128 numbers]}
 # ---------------------------------------------------------------------------
@@ -251,7 +195,7 @@ def load_gallery(path: str | Path) -> Gallery:
             raw = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read gallery file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise MalformedRecordError(f"gallery file {path}: invalid JSON") from exc
     if isinstance(raw, dict):
         raw = raw.get("entries", [])

@@ -110,7 +110,7 @@ def load_run_config(path: str | Path, overrides: dict | None = None) -> RunConfi
             raw = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"config {path}: invalid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"config {path}: expected a JSON object")
@@ -205,7 +205,7 @@ def load_registry(path: str | Path) -> list[ConferenceRecord]:
             raw = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read registry {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise DataError(f"registry {path}: invalid JSON: {exc}") from exc
     conferences = raw.get("conferences", []) if isinstance(raw, dict) else None
     if not isinstance(conferences, list):
@@ -494,16 +494,12 @@ STAGE_FUNCTIONS = {
 }
 
 
-def run_stages(
-    cfg: RunConfig, out_dir: Path, stages: Sequence[str], jobs: int = 1
-) -> list[str]:
+def run_stages(cfg: RunConfig, out_dir: Path, stages: Sequence[str]) -> list[str]:
     """Run the selected stages in pipeline order, one after another.
 
-    A name not in STAGES raises ConfigError.  jobs is accepted for
-    compatibility and ignored: decoding landmark JSON holds the GIL, so
-    worker threads made the identify stage slower, not faster.  Returns the
-    rendered regression tables when the eventstudy stage ran, else an empty
-    list; nothing is printed.
+    A name not in STAGES raises ConfigError.  Returns the rendered
+    regression tables when the eventstudy stage ran, else an empty list;
+    nothing is printed.
     """
     for stage in stages:
         if stage not in STAGES:

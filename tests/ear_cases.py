@@ -3,23 +3,22 @@
 Each case places the corner pair a known integer distance apart and builds
 the two lid pairs from pure-vertical offsets or Pythagorean-triple vectors,
 so the three distances entering the ratio are exact and the expected value
-is plain fraction arithmetic.
+is plain fraction arithmetic.  An eye is six (x, y) tuples, ordered corner,
+upper lid x2, corner, lower lid x2.
 """
 
 from fractions import Fraction
 
-from earstudy import EyeLandmarks, Point2
-
 
 def eye_from_distances(d26_vec, d35_vec, horizontal):
     """Eye whose lid-pair difference vectors and corner span are given."""
-    l1 = Point2(0.0, 0.0)
-    l4 = Point2(float(horizontal), 0.0)
-    l6 = Point2(5.0, -1.0)
-    l2 = Point2(5.0 + d26_vec[0], -1.0 + d26_vec[1])
-    l5 = Point2(11.0, -2.0)
-    l3 = Point2(11.0 + d35_vec[0], -2.0 + d35_vec[1])
-    return EyeLandmarks((l1, l2, l3, l4, l5, l6))
+    l1 = (0.0, 0.0)
+    l4 = (float(horizontal), 0.0)
+    l6 = (5.0, -1.0)
+    l2 = (5.0 + d26_vec[0], -1.0 + d26_vec[1])
+    l5 = (11.0, -2.0)
+    l3 = (11.0 + d35_vec[0], -2.0 + d35_vec[1])
+    return (l1, l2, l3, l4, l5, l6)
 
 
 def _case(d26_vec, d26_len, d35_vec, d35_len, horizontal):
@@ -32,29 +31,25 @@ def _case(d26_vec, d26_len, d35_vec, d35_len, horizontal):
 HAND_CASES = [
     # worked example: l1=(0,0) l2=(1,1) l3=(2,1) l4=(3,0) l5=(2,-1) l6=(1,-1)
     (
-        EyeLandmarks(
-            (
-                Point2(0.0, 0.0),
-                Point2(1.0, 1.0),
-                Point2(2.0, 1.0),
-                Point2(3.0, 0.0),
-                Point2(2.0, -1.0),
-                Point2(1.0, -1.0),
-            )
+        (
+            (0.0, 0.0),
+            (1.0, 1.0),
+            (2.0, 1.0),
+            (3.0, 0.0),
+            (2.0, -1.0),
+            (1.0, -1.0),
         ),
         float(Fraction(2 + 2, 2 * 3)),
     ),
     # closed eye: both lid pairs coincide
     (
-        EyeLandmarks(
-            (
-                Point2(0.0, 0.0),
-                Point2(1.0, 2.0),
-                Point2(2.0, 3.0),
-                Point2(4.0, 0.0),
-                Point2(2.0, 3.0),
-                Point2(1.0, 2.0),
-            )
+        (
+            (0.0, 0.0),
+            (1.0, 2.0),
+            (2.0, 3.0),
+            (4.0, 0.0),
+            (2.0, 3.0),
+            (1.0, 2.0),
         ),
         0.0,
     ),

@@ -1,16 +1,104 @@
 """Independent reference implementations used to check the package.
 
-These deliberately avoid the code paths under test: plain-python distance
-sums, a design-matrix normal-equations OLS solve, adaptive Simpson
-quadrature of the t density, and a two-pass RMS.
+These deliberately avoid the code paths under test: a stdlib-json landmark
+reader with per-field checks, the EAR over plain (x, y) tuples,
+plain-python distance sums, a design-matrix normal-equations OLS solve,
+adaptive Simpson quadrature of the t density, and a two-pass RMS.
 """
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
 import scipy.stats
+
+
+class RejectedLine(Exception):
+    """The first line of a landmark stream that breaks the format."""
+
+    def __init__(self, path, line_no: int):
+        super().__init__(f"{path}: line {line_no}")
+        self.path = path
+        self.line_no = line_no
+
+
+def _is_number(value) -> bool:
+    """A JSON number that is a finite double."""
+    try:
+        return type(value) in (int, float) and math.isfinite(value)
+    except OverflowError:  # an integer beyond the double range
+        return False
+
+
+def _frame_record_ok(record) -> bool:
+    """The README's landmark record format, field by field."""
+    if not isinstance(record, dict):
+        return False
+    index = record.get("frame_index")
+    points = record.get("points")
+    embedding = record.get("embedding")
+    return (
+        type(record.get("conference_id")) is str
+        # the integers orjson decodes as integers
+        and type(index) is int and -2**63 <= index < 2**64
+        and _is_number(record.get("timestamp_s")) and record["timestamp_s"] >= 0
+        and type(points) is list and len(points) == 68
+        and all(type(p) is list and len(p) == 2 and all(map(_is_number, p)) for p in points)
+        and (embedding is None or (type(embedding) is list and len(embedding) == 128
+                                   and all(map(_is_number, embedding))))
+    )
+
+
+def read_landmark_columns(path) -> dict:
+    """timestamp_s, points and embedding (None when absent) of each frame record.
+
+    Reads with the stdlib json module and raises RejectedLine for the first
+    line that is not UTF-8 JSON, breaks the record format or goes back in
+    time within its conference.
+    """
+    columns: dict = {"timestamp_s": [], "points": [], "embedding": []}
+    latest: dict = {}
+    with open(path, "rb") as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            if not raw.strip():
+                continue
+            try:
+                record = json.loads(raw.decode("utf-8"))
+            except ValueError:
+                raise RejectedLine(path, line_no) from None
+            if isinstance(record, dict) and "_meta" in record:
+                continue
+            if not _frame_record_ok(record):
+                raise RejectedLine(path, line_no)
+            conference, time = record["conference_id"], record["timestamp_s"]
+            if time < latest.get(conference, time):
+                raise RejectedLine(path, line_no)
+            latest[conference] = time
+            columns["timestamp_s"].append(float(time))
+            columns["points"].append([(float(x), float(y)) for x, y in record["points"]])
+            embedding = record.get("embedding")
+            columns["embedding"].append(
+                None if embedding is None else [float(v) for v in embedding]
+            )
+    return columns
+
+
+def eye_aspect_ratio(eye) -> float:
+    """EAR of six (x, y) points, corner-lid-lid-corner-lid-lid.
+
+    Raises ZeroDivisionError when the corners coincide.
+    """
+    (x1, y1), (x2, y2), (x3, y3), (x4, y4), (x5, y5), (x6, y6) = eye
+    vertical = math.hypot(x2 - x6, y2 - y6) + math.hypot(x3 - x5, y3 - y5)
+    return vertical / (2.0 * math.hypot(x1 - x4, y1 - y4))
+
+
+def frame_aspect_ratio(points, left, right) -> float:
+    """Mean EAR of the two eyes at the given landmark indices of a frame."""
+    left_ear = eye_aspect_ratio([points[i] for i in left])
+    return (left_ear + eye_aspect_ratio([points[i] for i in right])) / 2.0
 
 
 def python_norm(a, b) -> float:

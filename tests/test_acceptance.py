@@ -17,22 +17,21 @@ import pytest
 
 from earstudy import (
     AttentionConfig,
-    EyeLandmarks,
+    EarSample,
     Gallery,
     GalleryEntry,
     IdentityConfig,
-    Point2,
     RegressionInput,
-    classify,
-    eye_ear,
-    frame_ear,
+    batch_ear,
+    classify_batch,
     integrate_attention,
     ols_univariate,
     two_sided_p_value,
-    vote_vector,
+    vote_counts,
 )
 from earstudy.attention import series_from_samples
 from earstudy.cli import main
+from earstudy.geometry import LEFT_EYE_INDICES, RIGHT_EYE_INDICES
 from earstudy.synth import (
     ReadingEpisode,
     ScenarioSpec,
@@ -42,8 +41,13 @@ from earstudy.synth import (
 
 from conftest import write_run_config
 from ear_cases import HAND_CASES
-from oracles import brute_force_classify, ols_normal_equations, t_two_sided_p_quadrature
-from test_geometry import frame_with_eyes
+from oracles import (
+    brute_force_classify,
+    frame_aspect_ratio,
+    ols_normal_equations,
+    t_two_sided_p_quadrature,
+)
+from test_geometry import face_with_eyes, frame_ears
 
 
 def report(number: int, name: str) -> None:
@@ -59,10 +63,17 @@ def test_c01_ear_oracle_suite():
     expectations = [expected for _, expected in HAND_CASES]
     assert any(e == 2.0 / 3.0 for e in expectations)
     assert any(e == 0.0 for e in expectations)
-    for eye, expected in HAND_CASES:
-        assert abs(eye_ear(eye) - expected) <= 1e-12
-        # the frame-level average of two identical eyes reproduces the value
-        assert abs(frame_ear(frame_with_eyes(eye, eye)).value - expected) <= 1e-12
+    worked = HAND_CASES[0][0]
+    twins = [face_with_eyes(eye, eye) for eye, _ in HAND_CASES]
+    values, usable = frame_ears(twins)
+    assert all(usable)
+    for face, value, expected in zip(twins, values, expectations):
+        # the frame-level average of two identical eyes is the eye's value
+        assert abs(value - expected) <= 1e-12
+        assert value == frame_aspect_ratio(face, LEFT_EYE_INDICES, RIGHT_EYE_INDICES)
+    paired, _ = frame_ears([face_with_eyes(eye, worked) for eye, _ in HAND_CASES])
+    for value, expected in zip(paired, expectations):
+        assert abs(value - (expected + 2.0 / 3.0) / 2.0) <= 1e-12
     elapsed = time.perf_counter() - started
     assert elapsed < 1.0, f"EAR oracle suite took {elapsed:.3f}s"
     report(1, "EAR oracle suite")
@@ -73,12 +84,12 @@ def test_c01_ear_oracle_suite():
 
 def test_c02_similarity_invariance():
     rng = np.random.default_rng(2024)
+    originals, transformed = [], []
     for _ in range(1000):
         pts = rng.uniform(-50.0, 50.0, size=(6, 2))
         if np.hypot(*(pts[0] - pts[3])) < 1.0:
             pts[3] = pts[0] + np.array([5.0, 0.0])
-        eye = EyeLandmarks(tuple(Point2(*p) for p in pts))
-        base = eye_ear(eye)
+        originals.append(face_with_eyes(pts.tolist(), pts.tolist()))
 
         angle = rng.uniform(-np.pi, np.pi)
         scale = math.exp(rng.uniform(math.log(0.1), math.log(10.0)))
@@ -87,8 +98,12 @@ def test_c02_similarity_invariance():
             [[math.cos(angle), -math.sin(angle)], [math.sin(angle), math.cos(angle)]]
         )
         moved = pts @ rot.T * scale + shift
-        transformed = eye_ear(EyeLandmarks(tuple(Point2(*p) for p in moved)))
-        assert abs(transformed - base) <= 1e-9
+        transformed.append(face_with_eyes(moved.tolist(), moved.tolist()))
+    base, base_usable = frame_ears(originals)
+    moved_values, moved_usable = frame_ears(transformed)
+    assert all(base_usable) and all(moved_usable)
+    for before, after in zip(base, moved_values):
+        assert abs(after - before) <= 1e-9
     report(2, "similarity invariance")
 
 
@@ -110,11 +125,13 @@ def test_c03_identity_brute_force_equivalence():
         gallery = Gallery(tuple(GalleryEntry(l, e) for l, e in entries))
         config = IdentityConfig(epsilon=epsilon, min_votes=min_votes)
 
-        assert classify(query, gallery, config) == brute_force_classify(
-            query, entries, epsilon, min_votes
-        )
-        small = vote_vector(query, gallery, epsilon)
-        large = vote_vector(query, gallery, epsilon * 1.7 + 0.1)
+        assert classify_batch(query[None], gallery, config) == [
+            brute_force_classify(query, entries, epsilon, min_votes)
+        ]
+        # One label per entry, so that the counts are the entries' own votes.
+        voters = Gallery(tuple(GalleryEntry(f"e{k}", e) for k, (_, e) in enumerate(entries)))
+        small = vote_counts(query[None], voters, epsilon)
+        large = vote_counts(query[None], voters, epsilon * 1.7 + 0.1)
         assert np.all(large >= small)
     report(3, "identity brute-force equivalence")
 
@@ -142,7 +159,9 @@ def recovery_scenario(fps: float, seed: int = 99) -> ScenarioSpec:
 
 def pipeline_attention(spec: ScenarioSpec, threshold: float) -> tuple[float, float]:
     frames, _ = gen_landmark_stream(spec)
-    samples = [frame_ear(f) for f in frames]
+    values, usable = batch_ear(np.array([f.points for f in frames]))
+    assert usable.all()
+    samples = [EarSample(f.timestamp, v) for f, v in zip(frames, values.tolist())]
     series = series_from_samples(spec.conference_id, samples)
     return integrate_attention(series, AttentionConfig(threshold=threshold))
 

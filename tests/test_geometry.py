@@ -2,35 +2,24 @@ import json
 import math
 import tempfile
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from earstudy import (
-    DegenerateEyeError,
-    EyeLandmarks,
-    FaceLandmarkFrame,
-    MalformedRecordError,
-    Point2,
-    extract_eyes,
-    eye_ear,
-    frame_ear,
-)
+from earstudy import FaceLandmarkFrame, MalformedRecordError, Point2
 from earstudy import geometry
 from earstudy.geometry import (
     LEFT_EYE_INDICES,
     RIGHT_EYE_INDICES,
     batch_ear,
-    frame_from_record,
     read_landmark_batch,
-    read_landmark_stream,
     write_landmark_stream,
 )
 
 from ear_cases import HAND_CASES
+from oracles import RejectedLine, eye_aspect_ratio, frame_aspect_ratio, read_landmark_columns
 
 
 def make_frame(points, frame_index=0, conference_id="c", timestamp=0.0, embedding=None):
@@ -43,67 +32,71 @@ def make_frame(points, frame_index=0, conference_id="c", timestamp=0.0, embeddin
     )
 
 
-def frame_with_eyes(left_eye, right_eye):
-    pts = [Point2(float(i), float(-i)) for i in range(68)]
-    for idx, p in zip(LEFT_EYE_INDICES, left_eye.points):
+def face_with_eyes(left_eye, right_eye):
+    """68 (x, y) points: the two eyes at their standard indices, (i, -i) elsewhere."""
+    pts = [(float(i), float(-i)) for i in range(68)]
+    for idx, p in zip(LEFT_EYE_INDICES, left_eye):
         pts[idx] = p
-    for idx, p in zip(RIGHT_EYE_INDICES, right_eye.points):
+    for idx, p in zip(RIGHT_EYE_INDICES, right_eye):
         pts[idx] = p
-    return make_frame(pts)
+    return pts
+
+
+def frame_ears(faces, left=LEFT_EYE_INDICES, right=RIGHT_EYE_INDICES):
+    """batch_ear of a list of 68-point faces, as (values, usable) lists."""
+    values, usable = batch_ear(np.array(faces, dtype=float).reshape(-1, 68, 2), left, right)
+    return values.tolist(), usable.tolist()
+
+
+def batch_eye_ear(eye):
+    """One eye's EAR through batch_ear: the mean of two equal eyes is exact."""
+    values, usable = frame_ears([face_with_eyes(eye, eye)])
+    assert usable == [True]
+    return values[0]
 
 
 @pytest.mark.parametrize("eye,expected", HAND_CASES)
 def test_eye_ear_hand_cases(eye, expected):
-    assert eye_ear(eye) == pytest.approx(expected, abs=1e-12)
+    assert batch_eye_ear(eye) == pytest.approx(expected, abs=1e-12)
 
 
 def test_eye_ear_worked_example_is_two_thirds():
     eye, expected = HAND_CASES[0]
     assert expected == 2.0 / 3.0
-    assert eye_ear(eye) == pytest.approx(2.0 / 3.0, abs=1e-15)
+    assert batch_eye_ear(eye) == pytest.approx(2.0 / 3.0, abs=1e-15)
 
 
 def test_eye_ear_closed_eye_is_zero():
     eye, expected = HAND_CASES[1]
     assert expected == 0.0
-    assert eye_ear(eye) == 0.0
+    assert batch_eye_ear(eye) == 0.0
 
 
-def test_eye_ear_degenerate_horizontal_raises():
-    pts = (
-        Point2(1.0, 1.0),
-        Point2(2.0, 3.0),
-        Point2(3.0, 3.0),
-        Point2(1.0, 1.0),  # l4 == l1
-        Point2(3.0, -1.0),
-        Point2(2.0, -1.0),
+def test_eye_ear_degenerate_horizontal_is_unusable():
+    eye = (
+        (1.0, 1.0),
+        (2.0, 3.0),
+        (3.0, 3.0),
+        (1.0, 1.0),  # l4 == l1
+        (3.0, -1.0),
+        (2.0, -1.0),
     )
-    with pytest.raises(DegenerateEyeError):
-        eye_ear(EyeLandmarks(pts))
-
-
-def test_eye_landmarks_require_six_points():
-    with pytest.raises(MalformedRecordError):
-        EyeLandmarks((Point2(0, 0),) * 5)
+    _, usable = frame_ears([face_with_eyes(eye, eye)])
+    assert usable == [False]
 
 
 def test_extract_eyes_index_selection():
-    pts = [Point2(float(i), float(i * 2)) for i in range(68)]
-    left, right = extract_eyes(make_frame(pts))
-    assert left.points == tuple(pts[i] for i in range(36, 42))
-    assert right.points == tuple(pts[i] for i in range(42, 48))
-
-
-def test_extract_eyes_round_trip():
-    pts = [Point2(float(i), 1.0) for i in range(68)]
-    frame = make_frame(pts)
-    left, right = extract_eyes(frame)
-    rebuilt = list(frame.points)
-    for idx, p in zip(LEFT_EYE_INDICES, left.points):
-        rebuilt[idx] = p
-    for idx, p in zip(RIGHT_EYE_INDICES, right.points):
-        rebuilt[idx] = p
-    assert tuple(rebuilt) == frame.points
+    """batch_ear reads the twelve eye landmarks and no other point."""
+    face = face_with_eyes(HAND_CASES[2][0], HAND_CASES[3][0])  # EAR 7/10 and 1/2
+    eye_indices = set(LEFT_EYE_INDICES + RIGHT_EYE_INDICES)
+    others_moved = [(x + 7.0, y - 3.0) if i not in eye_indices else (x, y)
+                    for i, (x, y) in enumerate(face)]
+    values, _ = frame_ears([face, others_moved])
+    assert values[0] == values[1] == pytest.approx((0.7 + 0.5) / 2.0, abs=1e-12)
+    for index in sorted(eye_indices):
+        moved = list(face)
+        moved[index] = (face[index][0], face[index][1] + 50.0)
+        assert frame_ears([moved])[0] != [values[0]], index
 
 
 def test_malformed_frame_names_frame_index():
@@ -114,43 +107,42 @@ def test_malformed_frame_names_frame_index():
 def test_frame_ear_is_mean_of_eyes():
     left = HAND_CASES[2][0]  # EAR 7/10
     right = HAND_CASES[3][0]  # EAR 1/2
-    sample = frame_ear(frame_with_eyes(left, right))
-    assert sample.value == pytest.approx((0.7 + 0.5) / 2.0, abs=1e-12)
+    values, _ = frame_ears([face_with_eyes(left, right)])
+    assert values[0] == pytest.approx((0.7 + 0.5) / 2.0, abs=1e-12)
 
 
 def test_frame_ear_symmetric_face():
     eye = HAND_CASES[2][0]
-    sample = frame_ear(frame_with_eyes(eye, eye))
-    assert sample.value == pytest.approx(eye_ear(eye), abs=1e-15)
+    values, _ = frame_ears([face_with_eyes(eye, eye)])
+    assert values[0] == pytest.approx(eye_aspect_ratio(eye), abs=1e-15)
 
 
 def test_frame_ear_exchange_symmetry():
     a, b = HAND_CASES[4][0], HAND_CASES[5][0]
-    assert frame_ear(frame_with_eyes(a, b)).value == pytest.approx(
-        frame_ear(frame_with_eyes(b, a)).value, abs=1e-15
-    )
+    values, _ = frame_ears([face_with_eyes(a, b), face_with_eyes(b, a)])
+    assert values[0] == pytest.approx(values[1], abs=1e-15)
 
 
 def test_frame_ear_worked_example_composition():
     eye = HAND_CASES[0][0]
-    sample = frame_ear(frame_with_eyes(eye, eye))
-    assert sample.value == pytest.approx(2.0 / 3.0, abs=1e-15)
+    values, _ = frame_ears([face_with_eyes(eye, eye)])
+    assert values[0] == pytest.approx(2.0 / 3.0, abs=1e-15)
 
 
-def test_frame_ear_degenerate_eye_raises():
-    bad = EyeLandmarks(
-        (
-            Point2(0.0, 0.0),
-            Point2(1.0, 1.0),
-            Point2(2.0, 1.0),
-            Point2(0.0, 0.0),
-            Point2(2.0, -1.0),
-            Point2(1.0, -1.0),
-        )
+def test_frame_ear_degenerate_eye_is_unusable():
+    bad = (
+        (0.0, 0.0),
+        (1.0, 1.0),
+        (2.0, 1.0),
+        (0.0, 0.0),
+        (2.0, -1.0),
+        (1.0, -1.0),
     )
     good = HAND_CASES[2][0]
-    with pytest.raises(DegenerateEyeError):
-        frame_ear(frame_with_eyes(bad, good))
+    _, usable = frame_ears(
+        [face_with_eyes(bad, good), face_with_eyes(good, bad), face_with_eyes(good, good)]
+    )
+    assert usable == [False, False, True]
 
 
 coords = st.floats(min_value=-100.0, max_value=100.0, allow_nan=False)
@@ -158,11 +150,11 @@ coords = st.floats(min_value=-100.0, max_value=100.0, allow_nan=False)
 
 @st.composite
 def eyes(draw):
-    pts = [Point2(draw(coords), draw(coords)) for _ in range(6)]
-    span = math.hypot(pts[0].x - pts[3].x, pts[0].y - pts[3].y)
+    pts = [(draw(coords), draw(coords)) for _ in range(6)]
+    span = math.hypot(pts[0][0] - pts[3][0], pts[0][1] - pts[3][1])
     if span < 1.0:
-        pts[3] = Point2(pts[0].x + 5.0, pts[0].y)
-    return EyeLandmarks(tuple(pts))
+        pts[3] = (pts[0][0] + 5.0, pts[0][1])
+    return tuple(pts)
 
 
 @given(
@@ -175,38 +167,31 @@ def eyes(draw):
 @settings(max_examples=100, deadline=None)
 def test_ear_similarity_invariance(eye, angle, scale, tx, ty):
     cos_a, sin_a = math.cos(angle), math.sin(angle)
-    moved = EyeLandmarks(
-        tuple(
-            Point2(
-                scale * (cos_a * p.x - sin_a * p.y) + tx,
-                scale * (sin_a * p.x + cos_a * p.y) + ty,
-            )
-            for p in eye.points
-        )
+    moved = tuple(
+        (scale * (cos_a * x - sin_a * y) + tx, scale * (sin_a * x + cos_a * y) + ty)
+        for x, y in eye
     )
-    assert eye_ear(moved) == pytest.approx(eye_ear(eye), abs=1e-9)
+    assert batch_eye_ear(moved) == pytest.approx(batch_eye_ear(eye), abs=1e-9)
 
 
 @given(eyes())
 @settings(max_examples=100, deadline=None)
 def test_ear_nonnegative(eye):
-    assert eye_ear(eye) >= 0.0
+    assert batch_eye_ear(eye) >= 0.0
 
 
 def test_ear_zero_iff_lids_coincide():
     closed = HAND_CASES[1][0]
-    assert eye_ear(closed) == 0.0
-    barely = eye_from = EyeLandmarks(
-        (
-            Point2(0.0, 0.0),
-            Point2(1.0, 1e-9),
-            Point2(2.0, 3.0),
-            Point2(4.0, 0.0),
-            Point2(2.0, 3.0),
-            Point2(1.0, 0.0),
-        )
+    assert batch_eye_ear(closed) == 0.0
+    barely = (
+        (0.0, 0.0),
+        (1.0, 1e-9),
+        (2.0, 3.0),
+        (4.0, 0.0),
+        (2.0, 3.0),
+        (1.0, 0.0),
     )
-    assert eye_ear(barely) > 0.0
+    assert batch_eye_ear(barely) > 0.0
 
 
 # --- JSONL stream ---------------------------------------------------------
@@ -243,22 +228,29 @@ def test_stream_round_trip(tmp_path):
     path = tmp_path / "stream.jsonl"
     with open(path, "w", encoding="utf-8") as fh:
         write_landmark_stream(frames, fh, meta={"config_hash": "abc"})
-    loaded = list(read_landmark_stream(path))
-    assert len(loaded) == 3
-    for orig, got in zip(frames, loaded):
-        assert got.points == orig.points
-        assert got.timestamp == orig.timestamp
-        assert np.array_equal(got.embedding, orig.embedding)
+    batch = read_landmark_batch(path)
+    assert len(batch) == 3
+    assert batch.has_embedding.all()
+    for orig, timestamp, points, embedding in zip(
+        frames, batch.timestamps.tolist(), batch.points.tolist(), batch.embeddings
+    ):
+        assert tuple(map(tuple, points)) == orig.points
+        assert timestamp == orig.timestamp
+        assert np.array_equal(embedding, orig.embedding)
 
 
 def assert_readers_reject(path):
-    """Both readers refuse the stream, with the same message."""
-    messages = []
-    for read in (lambda p: list(read_landmark_stream(p)), read_landmark_batch):
-        with pytest.raises(MalformedRecordError) as info:
-            read(path)
-        messages.append(str(info.value))
-    assert messages[0] == messages[1]
+    """The reader refuses the stream at the oracle's first bad line.
+
+    Its message is one line that names the file and that line.
+    """
+    with pytest.raises(RejectedLine) as oracle:
+        read_landmark_columns(path)
+    with pytest.raises(MalformedRecordError) as info:
+        read_landmark_batch(path)
+    message = str(info.value)
+    assert message.startswith(f"{path}: line {oracle.value.line_no}: "), message
+    assert "\n" not in message
 
 
 def test_stream_rejects_wrong_point_count(tmp_path):
@@ -282,8 +274,6 @@ def test_stream_rejects_decreasing_timestamps(tmp_path):
 
 
 def test_stream_rejects_bad_embedding_length(tmp_path):
-    with pytest.raises(MalformedRecordError):
-        frame_from_record(frame_record(0, 0.0, embedding=[0.0] * 64))
     path = tmp_path / "bad.jsonl"
     write_jsonl(path, [frame_record(0, 0.0, embedding=[0.0] * 64)])
     assert_readers_reject(path)
@@ -319,11 +309,20 @@ GOOD = json.dumps(frame_record(0, 1.0, embedding=[0.5] * 128))
         json.dumps(frame_record(1, 2.0)).replace("[5.0, 6.0]", "[1E400, 6.0]"),
         # 136 coordinates, but not in pairs
         json.dumps({**frame_record(1, 2.0), "points": [[0.0, 1.0, 2.0], [3.0]] * 34}),
+        # Text and booleans in place of numbers, and an integer orjson
+        # reads as a float, follow the format no more than other values.
+        json.dumps(frame_record("3", 2.0)),
+        json.dumps(frame_record(True, 2.0)),
+        json.dumps(frame_record(2**64, 2.0)),
+        json.dumps(frame_record(1, "2.0")),
+        json.dumps({**frame_record(1, 2.0), "points": [[str(i), 1.0] for i in range(68)]}),
+        json.dumps(frame_record(1, 2.0, embedding=["0.5"] * 128)),
     ],
     ids=["number", "string", "null-points", "scalar-points", "null-coordinate",
          "list-id", "inf-time", "negative-time", "inf-index", "text-embedding",
          "nested-embedding", "nan-embedding", "list-record", "two-records",
-         "overflow-coordinate", "uneven-pairs"],
+         "overflow-coordinate", "uneven-pairs", "string-index", "bool-index",
+         "huge-index", "string-time", "string-coordinates", "numeric-text-embedding"],
 )
 def test_readers_reject_bad_record(tmp_path, bad_line):
     path = tmp_path / "bad.jsonl"
@@ -338,7 +337,7 @@ def test_first_bad_line_is_reported_first(tmp_path):
         json.dumps(frame_record(0, 0.0, n_points=67)) + "\n{not json}\n"
     )
     assert_readers_reject(path)
-    with pytest.raises(MalformedRecordError, match="line 1: frame 0: expected 68"):
+    with pytest.raises(MalformedRecordError, match="line 1: expected 68"):
         read_landmark_batch(path)
 
 
@@ -361,16 +360,17 @@ def test_batch_checks_span_read_steps(tmp_path, bad):
     assert batch.timestamps.tolist() == [float(k) for k in range(n)]
 
 
-def assert_batch_equals_stream(path):
-    """read_landmark_batch gives the arrays of read_landmark_stream's frames."""
-    frames = list(read_landmark_stream(path))
+def assert_batch_equals_oracle(path):
+    """read_landmark_batch gives the columns the stdlib-json oracle reads."""
+    columns = read_landmark_columns(path)
     batch = read_landmark_batch(path)
-    assert batch.timestamps.tolist() == [f.timestamp for f in frames]
-    assert batch.points.tolist() == [[list(p) for p in f.points] for f in frames]
-    assert batch.has_embedding.tolist() == [f.embedding is not None for f in frames]
+    assert batch.timestamps.tolist() == columns["timestamp_s"]
+    assert batch.points.tolist() == [[list(p) for p in pts] for pts in columns["points"]]
+    assert batch.has_embedding.tolist() == [e is not None for e in columns["embedding"]]
     assert batch.embeddings[batch.has_embedding].tolist() == [
-        f.embedding.tolist() for f in frames if f.embedding is not None
+        e for e in columns["embedding"] if e is not None
     ]
+    assert not batch.embeddings[~batch.has_embedding].any()
     return batch
 
 
@@ -380,26 +380,21 @@ def test_batch_matches_stream(tmp_path):
         frame_record(0, 0.0, embedding=[0.25] * 128),
         frame_record(1, 0, conference_id="d"),
         frame_record(2, 0.5),
-        # accepted by the scalar checks though not plain numbers
-        {**frame_record("3", 1.5), "points": [[str(i), True] for i in range(68)]},
+        {**frame_record(3, 1.5), "points": [[i, -1] for i in range(68)]},
     ]
     path = tmp_path / "stream.jsonl"
     write_jsonl(path, records)
     with open(path, "a", encoding="utf-8") as fh:
         fh.write("\n   \n")
-    frames = list(read_landmark_stream(path))
-    batch = read_landmark_batch(path)
-    assert len(batch) == len(frames) == 4
-    assert batch.timestamps.tolist() == [f.timestamp for f in frames]
-    assert batch.points.tolist() == [[list(p) for p in f.points] for f in frames]
+    batch = assert_batch_equals_oracle(path)
+    assert len(batch) == 4
     assert batch.has_embedding.tolist() == [True, False, False, False]
     assert batch.embeddings[0].tolist() == [0.25] * 128
-    assert not batch.embeddings[1:].any()
-    # Integers of 2**64 and up: json reads ints, orjson floats.
+    assert batch.points[3].tolist() == [[float(i), -1.0] for i in range(68)]
+    # Coordinates of 2**64 and up: json reads ints, orjson floats.
     big = {**frame_record(1, 0.5), "points": [[2**64 + 12345, 1]] * 68}
-    for record in (frame_record(2**64, 0.5), big):
-        write_jsonl(path, [frame_record(0, 0.0), record])
-        assert len(assert_batch_equals_stream(path)) == 2
+    write_jsonl(path, [frame_record(0, 0.0), big])
+    assert len(assert_batch_equals_oracle(path)) == 2
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -434,8 +429,7 @@ def test_batch_decoding_matches_stream_on_finite_doubles(text):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "stream.jsonl"
         path.write_text(text)
-        with mock.patch.object(geometry, "_scalar_batch", side_effect=AssertionError):
-            assert_batch_equals_stream(path)
+        assert_batch_equals_oracle(path)
 
 
 def test_batch_of_empty_stream(tmp_path):
@@ -456,40 +450,39 @@ def test_batch_ear_equals_frame_ear_on_fixture(small_fixture):
     paths = sorted((small_fixture / "landmarks").glob("*.jsonl"))
     assert paths
     for path in paths:
-        frames = list(read_landmark_stream(path))
+        columns = read_landmark_columns(path)
         values, usable = batch_ear(read_landmark_batch(path).points)
         assert usable.all()
-        assert values.tolist() == [frame_ear(f).value for f in frames]
+        assert values.tolist() == [
+            frame_aspect_ratio(points, LEFT_EYE_INDICES, RIGHT_EYE_INDICES)
+            for points in columns["points"]
+        ]
 
 
 def test_batch_ear_uses_given_eye_indices():
-    eye_a, eye_b = HAND_CASES[2][0], HAND_CASES[3][0]
-    points = np.array([[list(p) for p in frame_with_eyes(eye_a, eye_b).points]])
-    swapped, _ = batch_ear(points, RIGHT_EYE_INDICES, LEFT_EYE_INDICES)
-    assert swapped.tolist() == [
-        frame_ear(frame_with_eyes(eye_a, eye_b), RIGHT_EYE_INDICES, LEFT_EYE_INDICES).value
-    ]
+    face = face_with_eyes(HAND_CASES[2][0], HAND_CASES[3][0])
+    swapped, _ = frame_ears([face], RIGHT_EYE_INDICES, LEFT_EYE_INDICES)
+    assert swapped == [frame_aspect_ratio(face, RIGHT_EYE_INDICES, LEFT_EYE_INDICES)]
 
 
 @st.composite
 def face_points(draw):
     """68 random points; each eye's corners coincide with probability 1/4."""
-    pts = [[draw(coords), draw(coords)] for _ in range(68)]
+    pts = [(draw(coords), draw(coords)) for _ in range(68)]
     for indices in (LEFT_EYE_INDICES, RIGHT_EYE_INDICES):
         if draw(st.integers(0, 3)) == 0:
-            pts[indices[3]] = list(pts[indices[0]])
+            pts[indices[3]] = pts[indices[0]]
     return pts
 
 
 @given(st.lists(face_points(), min_size=1, max_size=8))
 @settings(max_examples=100, deadline=None)
-def test_batch_ear_matches_frame_ear(frames_points):
-    values, usable = batch_ear(np.array(frames_points, dtype=float))
-    for pts, value, ok in zip(frames_points, values.tolist(), usable.tolist()):
-        frame = make_frame([Point2(x, y) for x, y in pts])
+def test_batch_ear_matches_frame_ear(faces):
+    values, usable = frame_ears(faces)
+    for pts, value, ok in zip(faces, values, usable):
         try:
-            expected = frame_ear(frame).value
-        except DegenerateEyeError:
+            expected = frame_aspect_ratio(pts, LEFT_EYE_INDICES, RIGHT_EYE_INDICES)
+        except ZeroDivisionError:
             assert not ok
         else:
             assert ok

@@ -11,14 +11,14 @@ from earstudy import (
     GalleryEntry,
     IdentityConfig,
     MalformedRecordError,
-    classify,
-    embedding_distance,
-    filter_speaker_frames,
-    vote_vector,
+    classify_batch,
+    route_frames,
+    vote_counts,
 )
-from earstudy.geometry import FaceLandmarkFrame, Point2
-from earstudy.identity import classify_batch, dump_gallery, load_gallery, route_frames
+from earstudy.identity import dump_gallery, load_gallery
+from earstudy.pipeline import load_run_config, run_stages
 
+from conftest import write_run_config
 from oracles import brute_force_classify, python_norm
 
 
@@ -32,50 +32,56 @@ def entry_at_distance(label, distance):
     return GalleryEntry(label, vec(distance))
 
 
-def make_frame(index, embedding=None, timestamp=None):
-    return FaceLandmarkFrame(
-        conference_id="c",
-        frame_index=index,
-        timestamp=float(index) if timestamp is None else timestamp,
-        points=tuple(Point2(float(i), 0.0) for i in range(68)),
-        embedding=embedding,
-    )
+def classify_one(query, gallery, config):
+    return classify_batch(np.asarray(query)[None], gallery, config)[0]
+
+
+def in_tolerance(a, b, epsilon):
+    """Whether b votes for a at this tolerance, through classify_batch."""
+    return classify_one(a, Gallery((GalleryEntry("b", np.asarray(b)),)),
+                        IdentityConfig(epsilon=epsilon)) == "b"
 
 
 def test_distance_identity_is_zero():
-    assert embedding_distance(vec(1.0, 2.0), vec(1.0, 2.0)) == 0.0
+    assert in_tolerance(vec(1.0, 2.0), vec(1.0, 2.0), 5e-324)
+    assert not in_tolerance(vec(1.0, 2.0), vec(1.0, 2.0), 0.0)
 
 
 def test_distance_three_four_five():
-    assert embedding_distance(vec(3.0, 4.0), vec(0.0, 0.0)) == pytest.approx(5.0, abs=1e-15)
+    assert not in_tolerance(vec(3.0, 4.0), vec(0.0, 0.0), 5.0)
+    assert in_tolerance(vec(3.0, 4.0), vec(0.0, 0.0), np.nextafter(5.0, 6.0))
 
 
 def test_distance_matches_python_oracle():
     rng = np.random.default_rng(7)
     for _ in range(50):
         a, b = rng.normal(size=128), rng.normal(size=128)
-        assert embedding_distance(a, b) == pytest.approx(python_norm(a, b), abs=1e-12)
+        distance = python_norm(a, b)
+        assert in_tolerance(a, b, distance + 1e-12)
+        assert not in_tolerance(a, b, distance - 1e-12)
 
 
 def test_distance_rejects_length_mismatch():
+    gallery = Gallery((entry_at_distance("a", 0.0),))
     with pytest.raises(MalformedRecordError):
-        embedding_distance(np.zeros(127), np.zeros(128))
+        vote_counts(np.zeros((1, 127)), gallery, 1.0)
+    with pytest.raises(MalformedRecordError):
+        vote_counts(np.zeros(128), gallery, 1.0)
 
 
 def test_vote_vector_threshold():
     gallery = Gallery((entry_at_distance("a", 0.3), entry_at_distance("b", 0.7)))
-    votes = vote_vector(vec(), gallery, 0.6)
-    assert votes.tolist() == [1, 0]
+    assert vote_counts(vec()[None], gallery, 0.6).tolist() == [[1, 0]]
 
 
 def test_vote_vector_zero_epsilon_all_zero():
     gallery = Gallery((entry_at_distance("a", 0.0), entry_at_distance("b", 0.1)))
-    assert vote_vector(vec(), gallery, 0.0).tolist() == [0, 0]
+    assert vote_counts(vec()[None], gallery, 0.0).tolist() == [[0, 0]]
 
 
 def test_vote_vector_large_epsilon_all_one():
     gallery = Gallery((entry_at_distance("a", 0.3), entry_at_distance("b", 0.7)))
-    assert vote_vector(vec(), gallery, 10.0).tolist() == [1, 1]
+    assert vote_counts(vec()[None], gallery, 10.0).tolist() == [[1, 1]]
 
 
 def test_classify_plurality():
@@ -85,13 +91,14 @@ def test_classify_plurality():
         + tuple(entry_at_distance("deputy", 0.1) for _ in range(2))
         + (entry_at_distance("guest", 0.1),)
     )
-    got = classify(vec(), Gallery(entries), IdentityConfig(epsilon=0.2))
-    assert got == "chair"
+    gallery = Gallery(entries)
+    assert vote_counts(vec()[None], gallery, 0.2).tolist() == [[40, 2, 1]]
+    assert classify_one(vec(), gallery, IdentityConfig(epsilon=0.2)) == "chair"
 
 
 def test_classify_all_out_of_tolerance_is_unknown():
     gallery = Gallery((entry_at_distance("a", 1.0), entry_at_distance("b", 2.0)))
-    assert classify(vec(), gallery, IdentityConfig(epsilon=0.5)) is None
+    assert classify_one(vec(), gallery, IdentityConfig(epsilon=0.5)) is None
 
 
 def test_classify_tie_is_unknown():
@@ -103,13 +110,13 @@ def test_classify_tie_is_unknown():
             entry_at_distance("b", 0.1),
         )
     )
-    assert classify(vec(), gallery, IdentityConfig(epsilon=0.5)) is None
+    assert classify_one(vec(), gallery, IdentityConfig(epsilon=0.5)) is None
 
 
 def test_classify_quorum():
     gallery = Gallery((entry_at_distance("a", 0.1), entry_at_distance("b", 1.0)))
-    assert classify(vec(), gallery, IdentityConfig(epsilon=0.5, min_votes=2)) is None
-    assert classify(vec(), gallery, IdentityConfig(epsilon=0.5, min_votes=1)) == "a"
+    assert classify_one(vec(), gallery, IdentityConfig(epsilon=0.5, min_votes=2)) is None
+    assert classify_one(vec(), gallery, IdentityConfig(epsilon=0.5, min_votes=1)) == "a"
 
 
 def test_classify_gallery_permutation_invariant():
@@ -118,31 +125,44 @@ def test_classify_gallery_permutation_invariant():
         GalleryEntry(label, rng.normal(size=128))
         for label in ["a", "b", "c"] * 5
     ]
-    query = rng.normal(size=128)
+    queries = rng.normal(size=(20, 128))
     config = IdentityConfig(epsilon=15.0, min_votes=1)
-    base = classify(query, Gallery(tuple(entries)), config)
+    base = classify_batch(queries, Gallery(tuple(entries)), config)
+    assert set(base) - {None}
     for _ in range(5):
         rng.shuffle(entries)
-        assert classify(query, Gallery(tuple(entries)), config) == base
+        assert classify_batch(queries, Gallery(tuple(entries)), config) == base
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 @settings(max_examples=50, deadline=None)
 def test_vote_counts_monotone_in_epsilon(seed):
     rng = np.random.default_rng(seed)
+    # One label per entry, so that the counts are the entries' own votes.
     gallery = Gallery(
-        tuple(GalleryEntry(f"l{i % 3}", rng.normal(size=128)) for i in range(10))
+        tuple(GalleryEntry(f"e{i}", rng.normal(size=128)) for i in range(10))
     )
-    query = rng.normal(size=128)
+    queries = rng.normal(size=(4, 128))
     eps = float(rng.uniform(0.1, 20.0))
-    small = vote_vector(query, gallery, eps)
-    large = vote_vector(query, gallery, 2.0 * eps)
+    small = vote_counts(queries, gallery, eps)
+    large = vote_counts(queries, gallery, 2.0 * eps)
     assert np.all(large >= small)
 
 
 def test_empty_gallery_rejected():
     with pytest.raises(ConfigError):
         Gallery(())
+
+
+def filter_frames(embeddings, gallery, target_label, config):
+    """Indices of the frames the identity filter keeps, and its tally.
+
+    A None embedding is a frame without one.
+    """
+    has = [e is not None for e in embeddings]
+    rows = np.array([vec() if e is None else e for e in embeddings]).reshape(-1, 128)
+    keep, diag = route_frames(classify_batch(rows, gallery, config), has, target_label, config)
+    return [i for i, k in enumerate(keep) if k], diag
 
 
 def test_filter_keeps_target_in_order():
@@ -155,19 +175,16 @@ def test_filter_keeps_target_in_order():
             GalleryEntry("reporter", other_center),
         )
     )
-    frames = []
+    embeddings = []
     expected = []
     for i in range(10):
         is_target = i % 3 != 0
         center = target_center if is_target else other_center
-        frame = make_frame(i, embedding=center + rng.normal(scale=0.01, size=128))
-        frames.append(frame)
+        embeddings.append(center + rng.normal(scale=0.01, size=128))
         if is_target:
             expected.append(i)
-    kept, diag = filter_speaker_frames(
-        frames, gallery, "chair", IdentityConfig(epsilon=0.5)
-    )
-    assert [f.frame_index for f in kept] == expected
+    kept, diag = filter_frames(embeddings, gallery, "chair", IdentityConfig(epsilon=0.5))
+    assert kept == expected
     assert diag.kept == len(expected)
     assert diag.rejected == 10 - len(expected)
     assert diag.total == 10
@@ -175,8 +192,7 @@ def test_filter_keeps_target_in_order():
 
 def test_filter_single_entry_distance_zero_keeps_all():
     gallery = Gallery((GalleryEntry("chair", vec()),))
-    frames = [make_frame(i, embedding=vec()) for i in range(5)]
-    kept, diag = filter_speaker_frames(frames, gallery, "chair", IdentityConfig(epsilon=0.1))
+    kept, diag = filter_frames([vec()] * 5, gallery, "chair", IdentityConfig(epsilon=0.1))
     assert len(kept) == 5
     assert diag.kept == 5
 
@@ -186,37 +202,41 @@ def test_filter_is_idempotent():
     gallery = Gallery(
         (GalleryEntry("chair", vec(0.0)), GalleryEntry("reporter", vec(8.0)))
     )
-    frames = [
-        make_frame(i, embedding=vec(0.0) + rng.normal(scale=0.02, size=128))
-        for i in range(6)
-    ] + [make_frame(6, embedding=vec(8.0))]
+    embeddings = [
+        vec(0.0) + rng.normal(scale=0.02, size=128) for _ in range(6)
+    ] + [vec(8.0)]
     config = IdentityConfig(epsilon=0.5)
-    once, _ = filter_speaker_frames(frames, gallery, "chair", config)
-    twice, diag = filter_speaker_frames(once, gallery, "chair", config)
-    assert [f.frame_index for f in twice] == [f.frame_index for f in once]
+    once, _ = filter_frames(embeddings, gallery, "chair", config)
+    twice, diag = filter_frames([embeddings[i] for i in once], gallery, "chair", config)
+    assert twice == list(range(len(once)))
     assert diag.rejected == 0
 
 
 def test_filter_no_embedding_policies():
     gallery = Gallery((GalleryEntry("chair", vec()),))
-    frames = [make_frame(0, embedding=vec()), make_frame(1, embedding=None)]
-    dropped, diag = filter_speaker_frames(
-        frames, gallery, "chair", IdentityConfig(epsilon=0.5, no_embedding_policy="drop")
+    embeddings = [vec(), None]
+    dropped, diag = filter_frames(
+        embeddings, gallery, "chair", IdentityConfig(epsilon=0.5, no_embedding_policy="drop")
     )
-    assert [f.frame_index for f in dropped] == [0]
+    assert dropped == [0]
     assert diag.no_embedding == 1
-    kept, diag = filter_speaker_frames(
-        frames, gallery, "chair",
+    kept, diag = filter_frames(
+        embeddings, gallery, "chair",
         IdentityConfig(epsilon=0.5, no_embedding_policy="assume_target"),
     )
-    assert [f.frame_index for f in kept] == [0, 1]
+    assert kept == [0, 1]
     assert diag.no_embedding == 1
 
 
-def test_filter_missing_target_label_is_config_error():
-    gallery = Gallery((GalleryEntry("reporter", vec()),))
-    with pytest.raises(ConfigError):
-        filter_speaker_frames([], gallery, "chair", IdentityConfig(epsilon=0.5))
+def test_filter_missing_target_label_is_config_error(small_fixture, tmp_path):
+    gallery_path = tmp_path / "gallery.json"
+    with open(gallery_path, "w", encoding="utf-8") as fh:
+        dump_gallery(Gallery((GalleryEntry("reporter", vec()),)), fh)
+    cfg = load_run_config(
+        write_run_config(tmp_path / "config.json", small_fixture, gallery=str(gallery_path))
+    )
+    with pytest.raises(ConfigError, match="no entries for target label 'chair'"):
+        run_stages(cfg, tmp_path / "out", ("identify",))
 
 
 def test_classify_matches_brute_force_on_random_pairs():
@@ -231,7 +251,7 @@ def test_classify_matches_brute_force_on_random_pairs():
         min_votes = int(rng.integers(1, 4))
         gallery = Gallery(tuple(GalleryEntry(l, e) for l, e in entries))
         config = IdentityConfig(epsilon=epsilon, min_votes=min_votes)
-        assert classify(query, gallery, config) == brute_force_classify(
+        assert classify_one(query, gallery, config) == brute_force_classify(
             query, entries, epsilon, min_votes
         )
 
@@ -260,7 +280,8 @@ def test_classify_batch_matches_classify_and_brute_force():
         config = IdentityConfig(epsilon=epsilon, min_votes=min_votes)
 
         got = classify_batch(queries, gallery, config)
-        assert got == [classify(q, gallery, config) for q in queries]
+        # Each row is classified on its own.
+        assert got == [classify_one(q, gallery, config) for q in queries]
         assert got == [brute_force_classify(q, entries, epsilon, min_votes) for q in queries]
 
 

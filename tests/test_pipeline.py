@@ -11,12 +11,9 @@ import pytest
 from earstudy import ConfigError, DataError, InsufficientDataError
 from earstudy.attention import write_ear_csv
 from earstudy.cli import main
-from earstudy.errors import DegenerateEyeError
-from earstudy.geometry import frame_ear, read_landmark_batch, read_landmark_stream
-from earstudy.identity import filter_speaker_frames, load_gallery
+from earstudy.geometry import read_landmark_batch
 from earstudy.output import meta_line
 from earstudy.pipeline import (
-    STAGES,
     build_fixture,
     load_registry,
     load_run_config,
@@ -26,6 +23,12 @@ from earstudy.pipeline import (
 from earstudy.synth import planted_study_scenarios
 
 from conftest import write_run_config
+from oracles import (
+    RejectedLine,
+    brute_force_classify,
+    frame_aspect_ratio,
+    read_landmark_columns,
+)
 
 
 def tree_bytes(root: Path) -> dict:
@@ -37,18 +40,40 @@ def tree_bytes(root: Path) -> dict:
 
 
 def scalar_identify(cfg, record) -> tuple[bytes, dict]:
-    """ear/<id>.csv and the routing tally as the scalar reader, filter and EAR give them."""
-    kept, diag = filter_speaker_frames(read_landmark_stream(record.landmarks),
-                                       load_gallery(cfg.gallery), cfg.target_label, cfg.identity)
+    """ear/<id>.csv and the routing tally as the oracles give them.
+
+    The stdlib-json reader, the brute-force vote and the math.hypot EAR
+    stand in for the library's reader, classifier and EAR.
+    """
+    columns = read_landmark_columns(record.landmarks)
+    gallery = json.loads(cfg.gallery.read_text())["entries"]
+    entries = [(e["label"], e["embedding"]) for e in gallery]
+    ident = cfg.identity
+    tally = dict.fromkeys(("kept", "rejected", "unknown", "no_embedding", "written"), 0)
     samples = []
-    for frame in kept:
-        try:
-            samples.append(frame_ear(frame, cfg.eye_left, cfg.eye_right))
-        except DegenerateEyeError:
-            pass
+    for timestamp, points, embedding in zip(
+        columns["timestamp_s"], columns["points"], columns["embedding"]
+    ):
+        if embedding is None:
+            tally["no_embedding"] += 1
+            keep = ident.no_embedding_policy == "assume_target"
+        else:
+            label = brute_force_classify(embedding, entries, ident.epsilon, ident.min_votes)
+            outcome = ("unknown" if label is None
+                       else "kept" if label == cfg.target_label else "rejected")
+            tally[outcome] += 1
+            keep = outcome == "kept"
+        if keep:
+            tally["written"] += 1
+            try:
+                samples.append((timestamp, frame_aspect_ratio(points, cfg.eye_left,
+                                                              cfg.eye_right)))
+            except ZeroDivisionError:
+                pass
+    tally["total"] = len(columns["timestamp_s"])
     buf = io.StringIO()
     write_ear_csv(samples, buf, meta_line=meta_line(cfg.digest()))
-    return buf.getvalue().encode("utf-8"), diag.as_dict()
+    return buf.getvalue().encode("utf-8"), tally
 
 
 @pytest.fixture(scope="module")
@@ -341,15 +366,6 @@ def test_missing_transcript_becomes_exclusion(small_fixture, tmp_path):
     assert "conf-001" in excluded
 
 
-def test_jobs_parallel_matches_serial(small_fixture, tmp_path):
-    config_path = tmp_path / "config.json"
-    write_run_config(config_path, small_fixture)
-    cfg = load_run_config(config_path)
-    run_stages(cfg, tmp_path / "serial", STAGES, jobs=1)
-    run_stages(cfg, tmp_path / "parallel", STAGES, jobs=4)
-    assert tree_bytes(tmp_path / "serial") == tree_bytes(tmp_path / "parallel")
-
-
 def test_run_stages_rejects_unknown_stage(small_fixture, tmp_path):
     cfg = load_run_config(write_run_config(tmp_path / "config.json", small_fixture))
     with pytest.raises(ConfigError, match="unknown stage 'ear'"):
@@ -394,10 +410,12 @@ def test_invalid_utf8_is_a_data_error(small_fixture, tmp_path, kind):
         message = f"{path}: line 3: not valid UTF-8"
         assert result.returncode == 2
         assert result.stderr == f"data error: {message}\n"
-        for read in (lambda p: list(read_landmark_stream(p)), read_landmark_batch):
-            with pytest.raises(DataError) as info:
-                read(path)
-            assert str(info.value) == message
+        with pytest.raises(DataError) as info:
+            read_landmark_batch(path)
+        assert str(info.value) == message
+        with pytest.raises(RejectedLine) as oracle:
+            read_landmark_columns(path)
+        assert oracle.value.line_no == 3
         return
     assert result.returncode == 0, result.stderr
     stage = "eventstudy" if kind == "prices" else "attention"
@@ -405,6 +423,19 @@ def test_invalid_utf8_is_a_data_error(small_fixture, tmp_path, kind):
     assert {"conference_id": "conf-001", "reason": f"{path}: not valid UTF-8"} in (
         diag["exclusions"]
     )
+
+
+@pytest.mark.parametrize("name, code", [("registry.json", 2), ("gallery.json", 2),
+                                        ("config.json", 1)])
+def test_non_utf8_json_file_is_one_line_error(small_fixture, tmp_path, capsys, name, code):
+    fixture = shutil.copytree(small_fixture, tmp_path / "fixture")
+    config_path = write_run_config(fixture / "config.json", fixture)
+    path = fixture / name
+    path.write_bytes(path.read_bytes() + b"\xff")
+    assert main(["run", "--config", str(config_path), "--out", str(tmp_path / "out")]) == code
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1, err
+    assert f"{path}: invalid JSON" in err
 
 
 @pytest.mark.parametrize(

@@ -7,13 +7,15 @@ import pytest
 
 from earstudy import (
     AttentionConfig,
+    EarSample,
     IdentityConfig,
     ScenarioError,
-    classify,
+    batch_ear,
+    classify_batch,
     integrate_attention,
 )
 from earstudy.attention import series_from_samples
-from earstudy.geometry import frame_ear, write_landmark_stream
+from earstudy.geometry import write_landmark_stream
 from earstudy.market import PriceSeries, build_timeline, event_window_stats
 from earstudy.synth import (
     GallerySpec,
@@ -50,7 +52,9 @@ def scenario(**overrides):
 
 
 def ear_values(frames):
-    return [frame_ear(f).value for f in frames]
+    values, usable = batch_ear(np.array([f.points for f in frames]))
+    assert usable.all()
+    return values.tolist()
 
 
 def test_landmark_stream_levels_match_script_exactly():
@@ -118,10 +122,11 @@ def test_landmark_stream_identity_script_clusters():
     gallery, _ = gen_gallery(gspec.labels, gspec.cluster_radius, gspec.seed,
                              separation=gspec.separation)
     config = IdentityConfig(epsilon=0.5)
-    for f in frames:
+    labels = classify_batch(np.array([f.embedding for f in frames]), gallery, config)
+    for f, label in zip(frames, labels):
         mid = f.timestamp - 0.5 / spec.fps
         expected = "reporter" if 20.0 <= mid < 40.0 else "chair"
-        assert classify(f.embedding, gallery, config) == expected
+        assert label == expected
     assert truth.n_target_frames == sum(
         1 for f in frames if not (20.0 <= f.timestamp - 0.1 < 40.0)
     )
@@ -131,7 +136,7 @@ def test_landmark_stream_identity_script_clusters():
 def test_round_trip_through_attention_pipeline():
     spec = scenario(fps=15.0)
     frames, truth = gen_landmark_stream(spec)
-    samples = [frame_ear(f) for f in frames]
+    samples = [EarSample(f.timestamp, v) for f, v in zip(frames, ear_values(frames))]
     series = series_from_samples(spec.conference_id, samples)
     assert series.nominal_fps == pytest.approx(15.0, rel=1e-9)
     cfg = AttentionConfig(threshold=0.2)
@@ -198,22 +203,22 @@ def test_gallery_queries_classify_to_their_cluster():
     gallery, queries = gen_gallery(labels, cluster_radius=0.05, seed=11, separation=1.0)
     config = IdentityConfig(epsilon=0.5)
     assert len(queries) == 12
-    for label, query in queries:
-        assert classify(query, gallery, config) == label
+    got = classify_batch(np.array([query for _, query in queries]), gallery, config)
+    assert got == [label for label, _ in queries]
 
 
 def test_gallery_zero_epsilon_all_unknown():
     gallery, queries = gen_gallery(["a", "b"], cluster_radius=0.05, seed=2)
     config = IdentityConfig(epsilon=0.0)
-    for _, query in queries:
-        assert classify(query, gallery, config) is None
+    got = classify_batch(np.array([query for _, query in queries]), gallery, config)
+    assert got == [None] * len(queries)
 
 
 def test_single_label_gallery_classifies_in_ball_queries():
     gallery, queries = gen_gallery(["only"], cluster_radius=0.05, seed=5)
     config = IdentityConfig(epsilon=0.5)
-    for label, query in queries:
-        assert classify(query, gallery, config) == "only"
+    got = classify_batch(np.array([query for _, query in queries]), gallery, config)
+    assert got == ["only"] * len(queries)
 
 
 def default_timeline(day=15, length_min=45):
