@@ -28,11 +28,10 @@ from .errors import (
 )
 from .geometry import (
     EarSample,
-    FaceLandmarkFrame,
     LandmarkBatch,
-    Point2,
     batch_ear,
     read_landmark_batch,
+    write_landmark_stream,
 )
 from .identity import (
     FilterDiagnostics,

@@ -553,12 +553,14 @@ def build_fixture(
     registry_entries = []
     truths: dict[str, dict] = {}
     for spec in scenarios:
-        frames, landmark_truth = synth.gen_landmark_stream(spec, gallery_spec)
+        frame_indices, batch, landmark_truth = synth.gen_landmark_stream(spec, gallery_spec)
         bars, price_truth = synth.gen_price_series(spec)
         timeline = spec.resolved_timeline()
 
         buf = io.StringIO()
-        geometry.write_landmark_stream(frames, buf, meta=output.meta_dict(digest))
+        geometry.write_landmark_stream(
+            spec.conference_id, frame_indices, batch, buf, meta=output.meta_dict(digest)
+        )
         output.write_text(
             out_dir / "landmarks" / f"{spec.conference_id}.jsonl", buf.getvalue(), digest
         )
@@ -595,8 +597,8 @@ def build_fixture(
             }
         )
         truths[spec.conference_id] = {
-            "landmarks": landmark_truth.as_dict(),
-            "prices": price_truth.as_dict(),
+            "landmarks": asdict(landmark_truth),
+            "prices": asdict(price_truth),
             "n_questions": spec.n_questions,
         }
 

@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ScenarioError
-from .geometry import EMBEDDING_DIM, FaceLandmarkFrame, LEFT_EYE_INDICES, Point2, RIGHT_EYE_INDICES
+from .geometry import EMBEDDING_DIM, LEFT_EYE_INDICES, RIGHT_EYE_INDICES, LandmarkBatch
 from .identity import Gallery, GalleryEntry
 from .market import PriceBar, parse_instant
 
@@ -116,21 +116,6 @@ class LandmarkTruth:
     n_target_frames: int
     n_blink_frames: int
 
-    def as_dict(self) -> dict:
-        return {
-            "conference_id": self.conference_id,
-            "fps": self.fps,
-            "baseline_ear": self.baseline_ear,
-            "episodes": [
-                {"start_s": e.start_s, "end_s": e.end_s, "ear_level": e.ear_level}
-                for e in self.episodes
-            ],
-            "target_seconds": self.target_seconds,
-            "n_frames": self.n_frames,
-            "n_target_frames": self.n_target_frames,
-            "n_blink_frames": self.n_blink_frames,
-        }
-
 
 @dataclass(frozen=True)
 class PriceTruth:
@@ -143,17 +128,6 @@ class PriceTruth:
     n_qa_steps: int
     expected_return_during: float
     n_bars: int
-
-    def as_dict(self) -> dict:
-        return {
-            "conference_id": self.conference_id,
-            "minute_vol": self.minute_vol,
-            "vol_after_factor": self.vol_after_factor,
-            "drift_during_qa": self.drift_during_qa,
-            "n_qa_steps": self.n_qa_steps,
-            "expected_return_during": self.expected_return_during,
-            "n_bars": self.n_bars,
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -180,6 +154,11 @@ def _overlaps(a: tuple[float, float], b: tuple[float, float]) -> bool:
 
 
 def validate_scenario(spec: ScenarioSpec) -> None:
+    for name in ("fps", "conference_length_s", "baseline_ear", "blink_rate_hz"):
+        if not math.isfinite(getattr(spec, name)):
+            raise ScenarioError(f"{spec.conference_id}: {name} must be finite")
+    if spec.seed < 0:
+        raise ScenarioError(f"{spec.conference_id}: seed must be nonnegative")
     if spec.fps <= 0:
         raise ScenarioError(f"{spec.conference_id}: fps must be positive")
     if spec.conference_length_s <= 0:
@@ -311,6 +290,8 @@ def gen_gallery(
         raise ScenarioError("gallery needs at least one label")
     if cluster_radius <= 0:
         raise ScenarioError("cluster_radius must be positive")
+    if seed < 0:
+        raise ScenarioError("gallery seed must be nonnegative")
     _check_separation(list(labels), separation, cluster_radius)
 
     rng = np.random.Generator(np.random.PCG64(seed))
@@ -330,66 +311,52 @@ def gen_gallery(
 # ---------------------------------------------------------------------------
 
 
-def _face_template() -> list[Point2]:
-    """Fixed 68-point base face; the eye groups get overwritten per frame."""
-    pts: list[Point2] = []
+def _face_template() -> np.ndarray:
+    """Fixed (68, 2) base face with both eyes closed: lids on the corner line."""
+    pts: list[tuple[float, float]] = []
     for i in range(17):  # jaw arc
         angle = math.pi * (1.0 - i / 16.0)
-        pts.append(Point2(150.0 + 90.0 * math.cos(angle), 180.0 + 95.0 * math.sin(angle)))
+        pts.append((150.0 + 90.0 * math.cos(angle), 180.0 + 95.0 * math.sin(angle)))
     for i in range(10):  # brows
         side = 0 if i < 5 else 1
-        pts.append(Point2(95.0 + 80.0 * side + 12.0 * (i % 5), 120.0))
+        pts.append((95.0 + 80.0 * side + 12.0 * (i % 5), 120.0))
     for i in range(9):  # nose bridge and base
-        pts.append(Point2(150.0 + (i - 4) * 4.0, 150.0 + min(i, 4) * 8.0))
-    for i in range(12):  # eye slots, overwritten
-        pts.append(Point2(0.0, 0.0))
+        pts.append((150.0 + (i - 4) * 4.0, 150.0 + min(i, 4) * 8.0))
+    for x0, y0 in ((105.0, 160.0), (165.0, 160.0)):  # left and right eye
+        pts += [(x0 + dx, y0) for dx in (0.0, 10.0, 20.0, EYE_SPAN_PX, 20.0, 10.0)]
     for i in range(20):  # mouth ring
         angle = 2.0 * math.pi * i / 20.0
-        pts.append(Point2(150.0 + 28.0 * math.cos(angle), 235.0 + 12.0 * math.sin(angle)))
-    return pts
+        pts.append((150.0 + 28.0 * math.cos(angle), 235.0 + 12.0 * math.sin(angle)))
+    return np.array(pts)
 
 
 _TEMPLATE = _face_template()
-_LEFT_EYE_ORIGIN = (105.0, 160.0)
-_RIGHT_EYE_ORIGIN = (165.0, 160.0)
+_EYE_ROWS = list(LEFT_EYE_INDICES + RIGHT_EYE_INDICES)
+# Each eye landmark's lid offset in units of h: corners 0, upper lid +1, lower lid -1.
+_LID_SIGN = np.array([0.0, 1.0, 1.0, 0.0, -1.0, -1.0] * 2)
 
 
-def eye_points_for_level(ear_level: float, origin: tuple[float, float]) -> list[Point2]:
-    """Six eye landmarks whose EAR is exactly ear_level.
+def points_for_levels(levels: np.ndarray) -> np.ndarray:
+    """(N, 68, 2) faces; face i's eyes both have EAR exactly levels[i].
 
     Horizontal span fixed at EYE_SPAN_PX with symmetric lids at vertical
     offset h, so EAR = 4h / (2 * span) and h = ear_level * span / 2.
     """
-    x0, y0 = origin
-    h = ear_level * EYE_SPAN_PX / 2.0
-    return [
-        Point2(x0, y0),
-        Point2(x0 + 10.0, y0 + h),
-        Point2(x0 + 20.0, y0 + h),
-        Point2(x0 + EYE_SPAN_PX, y0),
-        Point2(x0 + 20.0, y0 - h),
-        Point2(x0 + 10.0, y0 - h),
-    ]
+    h = np.asarray(levels, dtype=float) * EYE_SPAN_PX / 2.0
+    points = np.repeat(_TEMPLATE[np.newaxis], len(h), axis=0)
+    points[:, _EYE_ROWS, 1] += _LID_SIGN * h[:, np.newaxis]
+    return points
 
 
-def frame_points_for_level(ear_level: float) -> tuple[Point2, ...]:
-    pts = list(_TEMPLATE)
-    for idx, point in zip(LEFT_EYE_INDICES, eye_points_for_level(ear_level, _LEFT_EYE_ORIGIN)):
-        pts[idx] = point
-    for idx, point in zip(RIGHT_EYE_INDICES, eye_points_for_level(ear_level, _RIGHT_EYE_ORIGIN)):
-        pts[idx] = point
-    return tuple(pts)
-
-
-def _round_floats(values: np.ndarray, places: int) -> np.ndarray:
-    return np.round(values, places)
+def _inside(midpoints: np.ndarray, start: float, end: float) -> np.ndarray:
+    return (start <= midpoints) & (midpoints < end)
 
 
 def gen_landmark_stream(
     spec: ScenarioSpec,
     gallery_spec: GallerySpec | None = None,
-) -> tuple[list[FaceLandmarkFrame], LandmarkTruth]:
-    """Frames whose EAR follows the scenario script exactly.
+) -> tuple[np.ndarray, LandmarkBatch, LandmarkTruth]:
+    """Frame indices and frames whose EAR follows the scenario script exactly.
 
     Frame k carries the timestamp (k+1)/fps (the end of its frame interval)
     and takes the script level prevailing at the interval midpoint; gap
@@ -397,93 +364,73 @@ def gen_landmark_stream(
     identity's cluster.  Blinks (single-frame EAR 0 dips) only occur on
     baseline target frames so episode bookkeeping stays exact.
     """
-    gspec = gallery_spec or GallerySpec(
-        labels=tuple(
-            sorted({spec.target_label} | {iv.label for iv in spec.identity_script})
-        )
-    )
+    script_labels = {spec.target_label} | {iv.label for iv in spec.identity_script}
+    gspec = gallery_spec or GallerySpec(labels=tuple(sorted(script_labels)))
     _check_separation(list(gspec.labels), gspec.separation, gspec.cluster_radius)
-    centers = {label: cluster_center(label, gspec.separation) for label in gspec.labels}
-    if spec.target_label not in centers:
+    labels = list(gspec.labels)
+    if not script_labels <= set(labels):
         raise ScenarioError(
-            f"{spec.conference_id}: target label {spec.target_label!r} not in gallery labels"
+            f"{spec.conference_id}: labels {sorted(script_labels - set(labels))} "
+            "not in gallery labels"
         )
 
-    seq = np.random.SeedSequence(spec.seed)
-    ss_embed, ss_blink = seq.spawn(2)
+    ss_embed, ss_blink = np.random.SeedSequence(spec.seed).spawn(2)
     rng_embed = np.random.Generator(np.random.PCG64(ss_embed))
     rng_blink = np.random.Generator(np.random.PCG64(ss_blink))
 
     dt = 1.0 / spec.fps
-    n_grid = round(spec.conference_length_s * spec.fps)
-    episodes = sorted(spec.reading_episodes, key=lambda e: e.start_s)
-    gaps = sorted(spec.gap_intervals)
-    script = sorted(spec.identity_script, key=lambda iv: iv.start_s)
+    timestamps = np.arange(1, round(spec.conference_length_s * spec.fps) + 1) * dt
+    midpoints = timestamps - dt / 2.0
+    observed = np.ones(len(timestamps), dtype=bool)
+    for start, end in spec.gap_intervals:
+        observed &= ~_inside(midpoints, start, end)
+    frame_indices = np.flatnonzero(observed)
+    timestamps, midpoints = timestamps[observed], midpoints[observed]
 
-    frames: list[FaceLandmarkFrame] = []
-    n_target = 0
+    label_rows = np.full(len(timestamps), labels.index(spec.target_label))
+    for iv in spec.identity_script:
+        label_rows[_inside(midpoints, iv.start_s, iv.end_s)] = labels.index(iv.label)
+    on_target = label_rows == labels.index(spec.target_label)
+    levels = np.full(len(timestamps), spec.baseline_ear)
+    blink_eligible = on_target.copy()
+    for ep in spec.reading_episodes:
+        in_episode = _inside(midpoints, ep.start_s, ep.end_s)
+        levels[in_episode] = ep.ear_level
+        blink_eligible &= ~in_episode
     n_blinks = 0
-    points_cache: dict[float, tuple[Point2, ...]] = {}
+    if spec.blink_rate_hz > 0:
+        # One uniform draw per eligible frame, in frame order.
+        draws = rng_blink.random(np.count_nonzero(blink_eligible))
+        blinks = np.flatnonzero(blink_eligible)[draws < spec.blink_rate_hz * dt]
+        levels[blinks] = 0.0
+        n_blinks = len(blinks)
 
-    for k in range(n_grid):
-        timestamp = (k + 1) * dt
-        midpoint = timestamp - dt / 2.0
-        if any(start <= midpoint < end for start, end in gaps):
-            continue
-        label = spec.target_label
-        for iv in script:
-            if iv.start_s <= midpoint < iv.end_s:
-                label = iv.label
-                break
-
-        level = spec.baseline_ear
-        in_episode = False
-        for ep in episodes:
-            if ep.start_s <= midpoint < ep.end_s:
-                level = ep.ear_level
-                in_episode = True
-                break
-        if (
-            not in_episode
-            and label == spec.target_label
-            and spec.blink_rate_hz > 0
-            and rng_blink.random() < spec.blink_rate_hz * dt
-        ):
-            level = 0.0
-            n_blinks += 1
-
-        if label == spec.target_label:
-            n_target += 1
-        if level not in points_cache:
-            points_cache[level] = frame_points_for_level(level)
-        embedding = _round_floats(
-            _cluster_draw(rng_embed, centers[label], gspec.cluster_radius), 5
-        )
-        frames.append(
-            FaceLandmarkFrame(
-                conference_id=spec.conference_id,
-                frame_index=k,
-                timestamp=timestamp,
-                points=points_cache[level],
-                embedding=embedding,
-            )
-        )
+    centers = np.array([cluster_center(label, gspec.separation) for label in labels])
+    noise = rng_embed.normal(
+        scale=gspec.cluster_radius / math.sqrt(EMBEDDING_DIM),
+        size=(len(timestamps), EMBEDDING_DIM),
+    )
+    batch = LandmarkBatch(
+        timestamps=timestamps,
+        points=points_for_levels(levels),
+        embeddings=np.round(centers[label_rows] + noise, 5),
+        has_embedding=np.ones(len(timestamps), dtype=bool),
+    )
 
     non_target = [
-        (iv.start_s, iv.end_s) for iv in script if iv.label != spec.target_label
+        (iv.start_s, iv.end_s) for iv in spec.identity_script if iv.label != spec.target_label
     ]
-    removed = _measure(non_target + list(gaps))
     truth = LandmarkTruth(
         conference_id=spec.conference_id,
         fps=spec.fps,
         baseline_ear=spec.baseline_ear,
-        episodes=tuple(episodes),
-        target_seconds=spec.conference_length_s - removed,
-        n_frames=len(frames),
-        n_target_frames=n_target,
+        episodes=tuple(sorted(spec.reading_episodes, key=lambda e: e.start_s)),
+        target_seconds=spec.conference_length_s - _measure(non_target + list(spec.gap_intervals)),
+        n_frames=len(batch),
+        n_target_frames=int(np.count_nonzero(on_target)),
         n_blink_frames=n_blinks,
     )
-    return frames, truth
+    return frame_indices, batch, truth
 
 
 def analytic_attention(truth: LandmarkTruth, threshold: float) -> tuple[float, float]:
@@ -620,6 +567,8 @@ def planted_study_scenarios(
     """
     if n_conferences < 3:
         raise ScenarioError("a planted study needs at least 3 conferences")
+    if not 0.0 < target_r2 <= 1.0:
+        raise ScenarioError("target_r2 must be in (0, 1]")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
 
     u_half_width = 1.15
@@ -817,27 +766,36 @@ def gallery_spec_from_dict(raw: dict) -> GallerySpec:
 def load_scenario_file(
     path: str | Path, seed_override: int | None = None
 ) -> tuple[list[ScenarioSpec], GallerySpec, dict | None]:
-    """Parse a scenario JSON file: single scenario, suite, or planted study."""
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
+    """Parse a scenario JSON file: single scenario, suite, or planted study.
 
-    if "study" in raw:
-        params = dict(raw["study"])
-        if seed_override is not None:
-            params["seed"] = seed_override
-        params.setdefault("seed", 0)
-        scenarios, gallery_spec, truth = planted_study_scenarios(**params)
-        return scenarios, gallery_spec, truth
+    A file that cannot be read, or that does not describe scenarios, raises
+    ScenarioError naming the file.
+    """
+    try:
+        raw = json.loads(Path(path).read_bytes().decode("utf-8"))
+    except (OSError, ValueError) as exc:  # ValueError covers bad UTF-8 and bad JSON
+        raise ScenarioError(f"cannot read scenario file {path}: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ScenarioError(f"scenario file {path}: expected a JSON object")
+    try:
+        if "study" in raw:
+            params = dict(raw["study"])
+            if seed_override is not None:
+                params["seed"] = seed_override
+            params.setdefault("seed", 0)
+            return planted_study_scenarios(**params)
 
-    if "scenarios" in raw:
-        scenarios = [scenario_from_dict(s) for s in raw["scenarios"]]
-        gallery_spec = gallery_spec_from_dict(raw.get("gallery", {}))
-    else:
-        scenarios = [scenario_from_dict(raw)]
-        labels = sorted(
-            {scenarios[0].target_label} | {iv.label for iv in scenarios[0].identity_script}
-        )
-        gallery_spec = gallery_spec_from_dict(raw.get("gallery", {"labels": labels}))
+        if "scenarios" in raw:
+            scenarios = [scenario_from_dict(s) for s in raw["scenarios"]]
+            gallery_spec = gallery_spec_from_dict(raw.get("gallery", {}))
+        else:
+            scenarios = [scenario_from_dict(raw)]
+            labels = sorted(
+                {scenarios[0].target_label} | {iv.label for iv in scenarios[0].identity_script}
+            )
+            gallery_spec = gallery_spec_from_dict(raw.get("gallery", {"labels": labels}))
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ScenarioError(f"scenario file {path}: {type(exc).__name__}: {exc}") from exc
 
     if seed_override is not None:
         scenarios = [replace(s, seed=seed_override + i) for i, s in enumerate(scenarios)]

@@ -158,10 +158,10 @@ def recovery_scenario(fps: float, seed: int = 99) -> ScenarioSpec:
 
 
 def pipeline_attention(spec: ScenarioSpec, threshold: float) -> tuple[float, float]:
-    frames, _ = gen_landmark_stream(spec)
-    values, usable = batch_ear(np.array([f.points for f in frames]))
+    _, batch, _ = gen_landmark_stream(spec)
+    values, usable = batch_ear(batch.points)
     assert usable.all()
-    samples = [EarSample(f.timestamp, v) for f, v in zip(frames, values.tolist())]
+    samples = [EarSample(t, v) for t, v in zip(batch.timestamps.tolist(), values.tolist())]
     series = series_from_samples(spec.conference_id, samples)
     return integrate_attention(series, AttentionConfig(threshold=threshold))
 
@@ -172,7 +172,7 @@ def test_c04_attention_recovery_and_riemann():
     for fps in (5.0, 15.0, 30.0):
         spec = recovery_scenario(fps)
         integral, reading = pipeline_attention(spec, threshold)
-        _, truth = gen_landmark_stream(spec)
+        _, _, truth = gen_landmark_stream(spec)
         expected_integral, expected_reading = analytic_attention(truth, threshold)
         n_episodes = len(spec.reading_episodes)
         step = 1.0 / fps

@@ -1,6 +1,8 @@
 import json
 import math
 import tempfile
+from dataclasses import replace
+from datetime import date
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from earstudy import FaceLandmarkFrame, MalformedRecordError, Point2
+from earstudy import MalformedRecordError
 from earstudy import geometry
 from earstudy.geometry import (
     LEFT_EYE_INDICES,
@@ -17,19 +19,10 @@ from earstudy.geometry import (
     read_landmark_batch,
     write_landmark_stream,
 )
+from earstudy.synth import ReadingEpisode, ScenarioSpec, ScriptInterval, gen_landmark_stream
 
 from ear_cases import HAND_CASES
 from oracles import RejectedLine, eye_aspect_ratio, frame_aspect_ratio, read_landmark_columns
-
-
-def make_frame(points, frame_index=0, conference_id="c", timestamp=0.0, embedding=None):
-    return FaceLandmarkFrame(
-        conference_id=conference_id,
-        frame_index=frame_index,
-        timestamp=timestamp,
-        points=tuple(points),
-        embedding=embedding,
-    )
 
 
 def face_with_eyes(left_eye, right_eye):
@@ -97,11 +90,6 @@ def test_extract_eyes_index_selection():
         moved = list(face)
         moved[index] = (face[index][0], face[index][1] + 50.0)
         assert frame_ears([moved])[0] != [values[0]], index
-
-
-def test_malformed_frame_names_frame_index():
-    with pytest.raises(MalformedRecordError, match="7"):
-        make_frame([Point2(0.0, 0.0)] * 67, frame_index=7)
 
 
 def test_frame_ear_is_mean_of_eyes():
@@ -215,28 +203,53 @@ def frame_record(frame_index, timestamp, conference_id="c", n_points=68, embeddi
     return record
 
 
-def test_stream_round_trip(tmp_path):
-    frames = [
-        make_frame(
-            [Point2(float(i), 0.25 * i) for i in range(68)],
-            frame_index=k,
-            timestamp=0.5 * (k + 1),
-            embedding=np.linspace(0, 1, 128),
-        )
-        for k in range(3)
-    ]
-    path = tmp_path / "stream.jsonl"
+def write_and_read(path, conference_id, frame_indices, batch):
+    """read_landmark_batch of the written batch, and the frame_index of each record."""
     with open(path, "w", encoding="utf-8") as fh:
-        write_landmark_stream(frames, fh, meta={"config_hash": "abc"})
-    batch = read_landmark_batch(path)
-    assert len(batch) == 3
-    assert batch.has_embedding.all()
-    for orig, timestamp, points, embedding in zip(
-        frames, batch.timestamps.tolist(), batch.points.tolist(), batch.embeddings
-    ):
-        assert tuple(map(tuple, points)) == orig.points
-        assert timestamp == orig.timestamp
-        assert np.array_equal(embedding, orig.embedding)
+        count = write_landmark_stream(
+            conference_id, frame_indices, batch, fh, meta={"config_hash": "abc"}
+        )
+    assert count == len(batch)
+    records = [json.loads(line) for line in path.read_text().splitlines()[1:]]
+    assert [r["conference_id"] for r in records] == [conference_id] * len(batch)
+    assert ["embedding" in r for r in records] == batch.has_embedding.tolist()
+    return read_landmark_batch(path), [r["frame_index"] for r in records]
+
+
+def assert_same_columns(batch, expected):
+    for name in ("timestamps", "points", "embeddings", "has_embedding"):
+        assert np.array_equal(getattr(batch, name), getattr(expected, name)), name
+
+
+def test_stream_round_trip(tmp_path):
+    """Generator to file to reader gives back the generator's columns exactly."""
+    spec = ScenarioSpec(
+        conference_id="conf-rt",
+        seed=3,
+        date=date(2020, 1, 15),
+        fps=5.0,
+        conference_length_s=60.0,
+        reading_episodes=(ReadingEpisode(30.0, 40.0, 0.15),),
+        blink_rate_hz=0.5,
+        gap_intervals=((20.0, 25.0),),
+        identity_script=(ScriptInterval(5.0, 12.0, "reporter"),),
+    )
+    frame_indices, generated, truth = gen_landmark_stream(spec)
+    assert truth.n_blink_frames > 0
+    assert len(generated) == truth.n_frames == 300 - 25  # the 5 s gap emits no frames
+    path = tmp_path / "stream.jsonl"
+    batch, indices = write_and_read(path, spec.conference_id, frame_indices, generated)
+    assert indices == frame_indices.tolist()
+    assert_same_columns(batch, generated)
+    # Rows without an embedding are written without one and read back as zeros.
+    has_embedding = np.arange(len(generated)) % 3 != 0
+    partial = replace(
+        generated,
+        embeddings=np.where(has_embedding[:, None], generated.embeddings, 0.0),
+        has_embedding=has_embedding,
+    )
+    batch, _ = write_and_read(path, spec.conference_id, frame_indices, partial)
+    assert_same_columns(batch, partial)
 
 
 def assert_readers_reject(path):
@@ -317,12 +330,17 @@ GOOD = json.dumps(frame_record(0, 1.0, embedding=[0.5] * 128))
         json.dumps(frame_record(1, "2.0")),
         json.dumps({**frame_record(1, 2.0), "points": [[str(i), 1.0] for i in range(68)]}),
         json.dumps(frame_record(1, 2.0, embedding=["0.5"] * 128)),
+        # numpy reads booleans next to numbers as 1.0 and 0.0.
+        json.dumps({**frame_record(1, 2.0), "points": [[True, 1.0]] + [[0.5, 1.0]] * 67}),
+        json.dumps(frame_record(1, 2.0, embedding=[False] + [0.5] * 127)),
+        json.dumps(frame_record(1, True)),
     ],
     ids=["number", "string", "null-points", "scalar-points", "null-coordinate",
          "list-id", "inf-time", "negative-time", "inf-index", "text-embedding",
          "nested-embedding", "nan-embedding", "list-record", "two-records",
          "overflow-coordinate", "uneven-pairs", "string-index", "bool-index",
-         "huge-index", "string-time", "string-coordinates", "numeric-text-embedding"],
+         "huge-index", "string-time", "string-coordinates", "numeric-text-embedding",
+         "bool-coordinate", "bool-embedding", "bool-time"],
 )
 def test_readers_reject_bad_record(tmp_path, bad_line):
     path = tmp_path / "bad.jsonl"

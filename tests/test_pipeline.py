@@ -281,6 +281,40 @@ def test_cli_synth_seed_override(tmp_path):
     assert reg_a != reg_b
 
 
+SCENARIO = {"conference_id": "c", "seed": 1, "date": "2020-01-15", "fps": 1.0,
+            "conference_length_s": 60.0}
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        b"{bad",
+        b"[1,2]",
+        json.dumps({"study": {"seed": 1, "n_conference": 3}}).encode(),
+        json.dumps({"study": {"seed": "x"}}).encode(),
+        json.dumps({"scenarios": 5}).encode(),
+        json.dumps({**SCENARIO, "gallery": {"seed": "z"}}).encode(),
+        json.dumps({"study": {"seed": 1, "n_conferences": 3}}).encode() + b"\xff",
+        None,
+        json.dumps({**SCENARIO, "seed": -1}).encode(),
+        json.dumps({**SCENARIO, "gallery": {"seed": -1}}).encode(),
+        json.dumps({**SCENARIO, "fps": float("nan")}).encode(),
+    ],
+    ids=["invalid-json", "list", "unknown-study-key", "text-study-seed", "scalar-scenarios",
+         "text-gallery-seed", "invalid-utf8", "missing-file", "negative-seed",
+         "negative-gallery-seed", "nan-fps"],
+)
+def test_bad_scenario_file_is_one_line_error(tmp_path, capsys, content):
+    path = tmp_path / "scenario.json"
+    if content is not None:
+        path.write_bytes(content)
+    assert main(["synth", "--config", str(path), "--out", str(tmp_path / "fx")]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1, err
+    assert err.startswith("configuration error: ")
+    assert "Traceback" not in err
+
+
 def test_every_output_file_embeds_provenance(completed_run):
     _, cfg, out = completed_run
     from earstudy.output import embedded_digest

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import math
 from datetime import date, datetime, timedelta, timezone
@@ -51,58 +52,92 @@ def scenario(**overrides):
     return ScenarioSpec(**defaults)
 
 
-def ear_values(frames):
-    values, usable = batch_ear(np.array([f.points for f in frames]))
+def ear_values(batch):
+    values, usable = batch_ear(batch.points)
     assert usable.all()
     return values.tolist()
 
 
 def test_landmark_stream_levels_match_script_exactly():
     spec = scenario()
-    frames, truth = gen_landmark_stream(spec)
-    values = ear_values(frames)
+    _, batch, truth = gen_landmark_stream(spec)
+    values = ear_values(batch)
     for v in values:
         assert min(abs(v - 0.30), abs(v - 0.15)) < 1e-12
     n_episode = sum(1 for v in values if abs(v - 0.15) < 1e-12)
     assert abs(n_episode / spec.fps - 30.0) <= 1.0 / spec.fps + 1e-9
-    assert truth.n_frames == len(frames)
-    assert truth.n_target_frames == len(frames)
+    assert truth.n_frames == len(batch)
+    assert truth.n_target_frames == len(batch)
 
 
 def test_landmark_stream_timestamps_on_interval_end_grid():
     spec = scenario(fps=2.0, conference_length_s=10.0, reading_episodes=())
-    frames, _ = gen_landmark_stream(spec)
-    assert [f.timestamp for f in frames] == pytest.approx(
+    frame_indices, batch, _ = gen_landmark_stream(spec)
+    assert frame_indices.tolist() == list(range(20))
+    assert batch.timestamps.tolist() == pytest.approx(
         [(k + 1) * 0.5 for k in range(20)]
     )
-    assert frames[-1].timestamp <= spec.conference_length_s + 1e-12
+    assert batch.timestamps[-1] <= spec.conference_length_s + 1e-12
 
 
 def test_landmark_stream_gaps_emit_no_frames():
     spec = scenario(gap_intervals=((200.0, 240.0),))
-    frames, truth = gen_landmark_stream(spec)
-    for f in frames:
-        mid = f.timestamp - 0.5 / spec.fps
+    frame_indices, batch, truth = gen_landmark_stream(spec)
+    for t in batch.timestamps.tolist():
+        mid = t - 0.5 / spec.fps
         assert not (200.0 <= mid < 240.0)
-    full, _ = gen_landmark_stream(scenario())
-    assert len(full) - len(frames) == int(40 * spec.fps)
+    full_indices, full, _ = gen_landmark_stream(scenario())
+    assert len(full) - len(batch) == int(40 * spec.fps)
+    # frames keep their grid index across the gap
+    assert set(full_indices.tolist()) - set(frame_indices.tolist()) == set(
+        range(int(200 * spec.fps), int(240 * spec.fps))
+    )
+
+
+def stream_text(spec):
+    frame_indices, batch, _ = gen_landmark_stream(spec)
+    buf = io.StringIO()
+    write_landmark_stream(spec.conference_id, frame_indices, batch, buf)
+    return buf.getvalue()
 
 
 def test_landmark_stream_deterministic():
     spec = scenario(blink_rate_hz=0.5)
-    a, _ = gen_landmark_stream(spec)
-    b, _ = gen_landmark_stream(spec)
-    buf_a, buf_b = io.StringIO(), io.StringIO()
-    write_landmark_stream(a, buf_a)
-    write_landmark_stream(b, buf_b)
-    assert buf_a.getvalue() == buf_b.getvalue()
+    assert stream_text(spec) == stream_text(spec)
+
+
+# sha256 of the landmark JSONL of the scenario below.  Only a deliberate
+# change of the generator or of the record encoding may change it.
+PINNED_SHA256 = "d0dc0164c4d425a6ff1a81c7bdb6eac3830f55eae83c3b687d1656bfebc0937a"
+
+
+def test_landmark_stream_bytes_are_pinned():
+    spec = scenario(
+        conference_id="conf-pin",
+        seed=7,
+        fps=2.0,
+        conference_length_s=60.0,
+        reading_episodes=(ReadingEpisode(30.0, 40.0, 0.15),),
+        blink_rate_hz=0.5,
+        gap_intervals=((20.0, 25.0),),
+        identity_script=(ScriptInterval(5.0, 12.0, "reporter"),),
+    )
+    _, _, truth = gen_landmark_stream(spec)
+    assert (truth.n_frames, truth.n_target_frames, truth.n_blink_frames) == (110, 96, 26)
+    assert hashlib.sha256(stream_text(spec).encode()).hexdigest() == PINNED_SHA256
+
+
+def test_landmark_stream_rejects_label_outside_gallery():
+    spec = scenario(identity_script=(ScriptInterval(10.0, 20.0, "reporter"),))
+    with pytest.raises(ScenarioError, match=r"\['reporter'\] not in gallery labels"):
+        gen_landmark_stream(spec, GallerySpec(labels=("chair",)))
 
 
 def test_landmark_stream_blinks_only_on_baseline_frames():
     spec = scenario(blink_rate_hz=1.0, conference_length_s=600.0,
                     reading_episodes=(ReadingEpisode(100.0, 400.0, 0.15),))
-    frames, truth = gen_landmark_stream(spec)
-    values = ear_values(frames)
+    _, batch, truth = gen_landmark_stream(spec)
+    values = ear_values(batch)
     n_zero = sum(1 for v in values if v < 1e-12)
     assert n_zero == truth.n_blink_frames
     assert n_zero > 0
@@ -118,25 +153,26 @@ def test_landmark_stream_identity_script_clusters():
         identity_script=(ScriptInterval(20.0, 40.0, "reporter"),),
     )
     gspec = GallerySpec(labels=("chair", "reporter"), seed=3)
-    frames, truth = gen_landmark_stream(spec, gspec)
+    _, batch, truth = gen_landmark_stream(spec, gspec)
     gallery, _ = gen_gallery(gspec.labels, gspec.cluster_radius, gspec.seed,
                              separation=gspec.separation)
     config = IdentityConfig(epsilon=0.5)
-    labels = classify_batch(np.array([f.embedding for f in frames]), gallery, config)
-    for f, label in zip(frames, labels):
-        mid = f.timestamp - 0.5 / spec.fps
+    labels = classify_batch(batch.embeddings, gallery, config)
+    timestamps = batch.timestamps.tolist()
+    for t, label in zip(timestamps, labels):
+        mid = t - 0.5 / spec.fps
         expected = "reporter" if 20.0 <= mid < 40.0 else "chair"
         assert label == expected
     assert truth.n_target_frames == sum(
-        1 for f in frames if not (20.0 <= f.timestamp - 0.1 < 40.0)
+        1 for t in timestamps if not (20.0 <= t - 0.1 < 40.0)
     )
     assert truth.target_seconds == pytest.approx(40.0)
 
 
 def test_round_trip_through_attention_pipeline():
     spec = scenario(fps=15.0)
-    frames, truth = gen_landmark_stream(spec)
-    samples = [EarSample(f.timestamp, v) for f, v in zip(frames, ear_values(frames))]
+    _, batch, truth = gen_landmark_stream(spec)
+    samples = [EarSample(t, v) for t, v in zip(batch.timestamps.tolist(), ear_values(batch))]
     series = series_from_samples(spec.conference_id, samples)
     assert series.nominal_fps == pytest.approx(15.0, rel=1e-9)
     cfg = AttentionConfig(threshold=0.2)
@@ -154,7 +190,7 @@ def test_analytic_attention_threshold_cases():
             ReadingEpisode(50.0, 60.0, 0.10),
         )
     )
-    _, truth = gen_landmark_stream(spec)
+    _, _, truth = gen_landmark_stream(spec)
     integral, reading = analytic_attention(truth, 0.12)
     assert integral == pytest.approx(0.10 * 10.0)
     assert reading == pytest.approx(10.0)
