@@ -10,6 +10,7 @@ EAR level maps to exact vertical lid offsets.
 from __future__ import annotations
 
 import hashlib
+import inspect
 import json
 import math
 from dataclasses import dataclass, field, replace
@@ -565,10 +566,14 @@ def planted_study_scenarios(
     target_r2.  The post-conference volatility factor falls with the same
     regressor, planting a negative volatility-change relationship.
     """
+    if seed < 0:
+        raise ScenarioError("a planted study needs a nonnegative seed")
     if n_conferences < 3:
         raise ScenarioError("a planted study needs at least 3 conferences")
     if not 0.0 < target_r2 <= 1.0:
         raise ScenarioError("target_r2 must be in (0, 1]")
+    if not episode_ear > 0.0:
+        raise ScenarioError("episode_ear must be positive")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
 
     u_half_width = 1.15
@@ -763,6 +768,33 @@ def gallery_spec_from_dict(raw: dict) -> GallerySpec:
     )
 
 
+# Parameters of planted_study_scenarios that take whole numbers; the others
+# take any number.
+_WHOLE_STUDY_PARAMS = ("seed", "n_conferences")
+
+
+def _study_params(path: str | Path, study: object, seed_override: int | None) -> dict:
+    """Keyword arguments for planted_study_scenarios from a "study" object."""
+    if not isinstance(study, dict):
+        raise ScenarioError(f"scenario file {path}: study must be a JSON object")
+    params = dict(study)
+    if seed_override is not None:
+        params["seed"] = seed_override
+    params.setdefault("seed", 0)
+    try:
+        inspect.signature(planted_study_scenarios).bind(**params)
+    except TypeError as exc:
+        raise ScenarioError(f"scenario file {path}: study: {exc}") from exc
+    for name, value in params.items():
+        whole = name in _WHOLE_STUDY_PARAMS
+        if type(value) is not int and (whole or type(value) is not float):
+            kind = "an integer" if whole else "a number"
+            raise ScenarioError(f"scenario file {path}: study: {name} must be {kind}")
+        if type(value) is float and not math.isfinite(value):
+            raise ScenarioError(f"scenario file {path}: study: {name} must be finite")
+    return params
+
+
 def load_scenario_file(
     path: str | Path, seed_override: int | None = None
 ) -> tuple[list[ScenarioSpec], GallerySpec, dict | None]:
@@ -777,14 +809,9 @@ def load_scenario_file(
         raise ScenarioError(f"cannot read scenario file {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ScenarioError(f"scenario file {path}: expected a JSON object")
+    if "study" in raw:
+        return planted_study_scenarios(**_study_params(path, raw["study"], seed_override))
     try:
-        if "study" in raw:
-            params = dict(raw["study"])
-            if seed_override is not None:
-                params["seed"] = seed_override
-            params.setdefault("seed", 0)
-            return planted_study_scenarios(**params)
-
         if "scenarios" in raw:
             scenarios = [scenario_from_dict(s) for s in raw["scenarios"]]
             gallery_spec = gallery_spec_from_dict(raw.get("gallery", {}))

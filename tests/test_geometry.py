@@ -334,13 +334,15 @@ GOOD = json.dumps(frame_record(0, 1.0, embedding=[0.5] * 128))
         json.dumps({**frame_record(1, 2.0), "points": [[True, 1.0]] + [[0.5, 1.0]] * 67}),
         json.dumps(frame_record(1, 2.0, embedding=[False] + [0.5] * 127)),
         json.dumps(frame_record(1, True)),
+        # The words true and false in the conference_id do not hide a boolean.
+        json.dumps(frame_record(1, 2.0, "true-false", embedding=[True] + [0.5] * 127)),
     ],
     ids=["number", "string", "null-points", "scalar-points", "null-coordinate",
          "list-id", "inf-time", "negative-time", "inf-index", "text-embedding",
          "nested-embedding", "nan-embedding", "list-record", "two-records",
          "overflow-coordinate", "uneven-pairs", "string-index", "bool-index",
          "huge-index", "string-time", "string-coordinates", "numeric-text-embedding",
-         "bool-coordinate", "bool-embedding", "bool-time"],
+         "bool-coordinate", "bool-embedding", "bool-time", "bool-embedding-word-id"],
 )
 def test_readers_reject_bad_record(tmp_path, bad_line):
     path = tmp_path / "bad.jsonl"
@@ -413,6 +415,17 @@ def test_batch_matches_stream(tmp_path):
     big = {**frame_record(1, 0.5), "points": [[2**64 + 12345, 1]] * 68}
     write_jsonl(path, [frame_record(0, 0.0), big])
     assert len(assert_batch_equals_oracle(path)) == 2
+
+
+def test_ids_holding_true_and_false_are_read(tmp_path):
+    """A conference_id may hold the words, escaped or not, next to numbers."""
+    path = tmp_path / "stream.jsonl"
+    write_jsonl(path, [
+        frame_record(0, 0.0, "true", embedding=[0.5] * 128),
+        frame_record(1, 0.5, "false-call"),
+        frame_record(2, 1.0, "\u00fcber-true"),
+    ])
+    assert len(assert_batch_equals_oracle(path)) == 3
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)

@@ -283,6 +283,7 @@ def test_cli_synth_seed_override(tmp_path):
 
 SCENARIO = {"conference_id": "c", "seed": 1, "date": "2020-01-15", "fps": 1.0,
             "conference_length_s": 60.0}
+STUDY = {"seed": 1, "n_conferences": 3}
 
 
 @pytest.mark.parametrize(
@@ -299,10 +300,16 @@ SCENARIO = {"conference_id": "c", "seed": 1, "date": "2020-01-15", "fps": 1.0,
         json.dumps({**SCENARIO, "seed": -1}).encode(),
         json.dumps({**SCENARIO, "gallery": {"seed": -1}}).encode(),
         json.dumps({**SCENARIO, "fps": float("nan")}).encode(),
+        json.dumps({"study": {**STUDY, "target_r2": 0}}).encode(),
+        json.dumps({"study": {**STUDY, "episode_ear": 0}}).encode(),
+        json.dumps({"study": {**STUDY, "effect_slope": float("nan")}}).encode(),
+        json.dumps({"study": {**STUDY, "seed": -1}}).encode(),
+        json.dumps({"study": [1]}).encode(),
     ],
     ids=["invalid-json", "list", "unknown-study-key", "text-study-seed", "scalar-scenarios",
          "text-gallery-seed", "invalid-utf8", "missing-file", "negative-seed",
-         "negative-gallery-seed", "nan-fps"],
+         "negative-gallery-seed", "nan-fps", "zero-target-r2", "zero-episode-ear",
+         "nan-study-slope", "negative-study-seed", "list-study"],
 )
 def test_bad_scenario_file_is_one_line_error(tmp_path, capsys, content):
     path = tmp_path / "scenario.json"
