@@ -8,7 +8,6 @@ gaze drops to a document on the desk.
 
 from __future__ import annotations
 
-import json
 import math
 from contextlib import closing
 from dataclasses import dataclass
@@ -280,12 +279,12 @@ def write_landmark_stream(
 
     The inverse of read_landmark_batch: row i becomes the record of frame
     frame_indices[i], without "embedding" where has_embedding is False.
-    Returns the number of frame records written.  Serialization is canonical
-    (fixed key order, compact separators) so identical batches always
-    produce identical bytes.
+    Returns the number of frame records written.  orjson writes each record
+    with a fixed key order, no spaces, UTF-8 text and every number as the
+    shortest text that reads back to the same double, so identical batches
+    always produce identical bytes.
     """
-    if meta is not None:
-        fh.write(json.dumps({"_meta": meta}, separators=(",", ":")) + "\n")
+    lines = [] if meta is None else [orjson.dumps({"_meta": meta})]
     rows = zip(
         np.asarray(frame_indices).tolist(),  # numpy integers do not encode
         batch.timestamps.tolist(),
@@ -303,5 +302,6 @@ def write_landmark_stream(
         }
         if has_embedding:
             record["embedding"] = embedding
-        fh.write(json.dumps(record, separators=(",", ":")) + "\n")
+        lines.append(orjson.dumps(record))
+    fh.write(b"\n".join([*lines, b""]).decode())
     return len(batch)

@@ -27,6 +27,16 @@ _T = TypeVar("_T")
 
 _HASH_RE = re.compile(r'config_hash["=:\s]+([0-9a-f]{12})')
 
+# A conference id names files (landmarks/<id>.jsonl, ear/<id>.csv, ...), so
+# it must stay one name inside its directory.
+FILE_ID_RULE = "a nonempty string other than '.' and '..', without '/', '\\' or NUL"
+
+
+def is_file_id(value: object) -> bool:
+    """Whether value keeps to FILE_ID_RULE."""
+    return (isinstance(value, str) and value not in ("", ".", "..")
+            and not any(c in value for c in "/\\\0"))
+
 
 def config_digest(payload: dict) -> str:
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"), default=str)

@@ -235,6 +235,9 @@ def load_registry(path: str | Path) -> list[ConferenceRecord]:
             raise DataError(f"registry {path}: conference entry missing {exc}") from exc
         except (TypeError, ValueError) as exc:
             raise DataError(f"registry {path}: conference entry {number}: {exc}") from exc
+        if not output.is_file_id(record.conference_id):
+            raise DataError(f"registry {path}: conference_id {record.conference_id!r} "
+                            f"must be {output.FILE_ID_RULE}")
         if record.conference_id in seen:
             raise DataError(f"registry {path}: duplicate id {record.conference_id!r}")
         if record.qa_start >= record.conference_end:
@@ -254,9 +257,8 @@ def load_registry(path: str | Path) -> list[ConferenceRecord]:
 # ---------------------------------------------------------------------------
 
 
-def stage_identify(cfg: RunConfig, out_dir: Path) -> dict:
+def stage_identify(cfg: RunConfig, out_dir: Path, records: list[ConferenceRecord]) -> dict:
     """Each landmark stream's target-speaker frames as an EAR series, ear/<id>.csv."""
-    records = load_registry(cfg.registry)
     gallery = identity.load_gallery(cfg.gallery)
     if cfg.target_label not in gallery.labels:
         raise ConfigError(
@@ -317,8 +319,7 @@ WINDOW_COLUMNS = (
 )
 
 
-def stage_attention(cfg: RunConfig, out_dir: Path) -> dict:
-    records = load_registry(cfg.registry)
+def stage_attention(cfg: RunConfig, out_dir: Path, records: list[ConferenceRecord]) -> dict:
     digest = cfg.digest()
     rows: list[dict] = []
     exclusions: list[dict] = []
@@ -390,9 +391,11 @@ def read_attention_csv(path: Path) -> list[dict]:
     return output.read_csv(path, ATTENTION_COLUMNS, _attention_row, "attention")
 
 
-def stage_eventstudy(cfg: RunConfig, out_dir: Path) -> list[str]:
+def stage_eventstudy(
+    cfg: RunConfig, out_dir: Path, records: list[ConferenceRecord]
+) -> list[str]:
     """Window statistics and the regression tables; returns the table texts."""
-    records = {r.conference_id: r for r in load_registry(cfg.registry)}
+    by_id = {r.conference_id: r for r in records}
     digest = cfg.digest()
     attention_path = out_dir / "attention.csv"
     if not attention_path.exists():
@@ -406,7 +409,7 @@ def stage_eventstudy(cfg: RunConfig, out_dir: Path) -> list[str]:
     prices_path: Path | None = None
     prices: market.PriceSeries | None = None
     for row in rows:
-        record = records.get(row["conference_id"])
+        record = by_id.get(row["conference_id"])
         if record is None:
             exclusions.append(
                 {"conference_id": row["conference_id"], "reason": "not in registry"}
@@ -497,20 +500,22 @@ STAGE_FUNCTIONS = {
 def run_stages(cfg: RunConfig, out_dir: Path, stages: Sequence[str]) -> list[str]:
     """Run the selected stages in pipeline order, one after another.
 
-    A name not in STAGES raises ConfigError.  Returns the rendered
-    regression tables when the eventstudy stage ran, else an empty list;
-    nothing is printed.
+    A name not in STAGES raises ConfigError.  The registry is loaded once,
+    before anything is written, and handed to every stage.  Returns the
+    rendered regression tables when the eventstudy stage ran, else an empty
+    list; nothing is printed.
     """
     for stage in stages:
         if stage not in STAGES:
             raise ConfigError(f"unknown stage {stage!r}; stages are {', '.join(STAGES)}")
     digest = cfg.digest()
+    records = load_registry(cfg.registry)
     output.write_json(out_dir / "run_config.json", {"config": cfg.digest_payload()}, digest)
     tables: list[str] = []
     for stage in STAGES:
         if stage in stages:
             log.info("running stage %s", stage)
-            result = STAGE_FUNCTIONS[stage](cfg, out_dir)
+            result = STAGE_FUNCTIONS[stage](cfg, out_dir, records)
             if stage == "eventstudy":
                 tables = result
     return tables

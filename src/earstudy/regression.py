@@ -13,7 +13,6 @@ from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import betainc
 
 from . import output
 from .errors import DegenerateRegressorError, InsufficientDataError, MalformedRecordError
@@ -66,8 +65,12 @@ def two_sided_p_value(t_stat: float, df: int) -> float:
     """Two-sided Student-t p-value, 2*P(T_df > |t|).
 
     Evaluated through the regularized incomplete beta function, which scipy
-    computes by continued fractions; accurate to well below 1e-10.
+    computes by continued fractions; accurate to well below 1e-10.  scipy is
+    imported here, on the first call, so that commands which fit no
+    regression do not pay for the import.
     """
+    from scipy.special import betainc
+
     if df < 1:
         raise InsufficientDataError(f"degrees of freedom must be >= 1, got {df}")
     if math.isnan(t_stat):

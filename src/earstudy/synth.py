@@ -13,9 +13,11 @@ import hashlib
 import inspect
 import json
 import math
+import sys
 from dataclasses import dataclass, field, replace
 from datetime import date as dt_date
 from datetime import datetime, timedelta, timezone
+from itertools import accumulate, repeat
 from pathlib import Path
 from typing import Sequence
 
@@ -25,9 +27,12 @@ from .errors import ScenarioError
 from .geometry import EMBEDDING_DIM, LEFT_EYE_INDICES, RIGHT_EYE_INDICES, LandmarkBatch
 from .identity import Gallery, GalleryEntry
 from .market import PriceBar, parse_instant
+from .output import FILE_ID_RULE, is_file_id
 
 EYE_SPAN_PX = 30.0
 DEFAULT_TZ = timezone(timedelta(hours=-4))
+# The largest x for which math.exp(x) does not overflow.
+_MAX_LOG_PRICE = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -155,6 +160,8 @@ def _overlaps(a: tuple[float, float], b: tuple[float, float]) -> bool:
 
 
 def validate_scenario(spec: ScenarioSpec) -> None:
+    if not is_file_id(spec.conference_id):
+        raise ScenarioError(f"conference_id {spec.conference_id!r} must be {FILE_ID_RULE}")
     for name in ("fps", "conference_length_s", "baseline_ear", "blink_rate_hz"):
         if not math.isfinite(getattr(spec, name)):
             raise ScenarioError(f"{spec.conference_id}: {name} must be finite")
@@ -170,6 +177,14 @@ def validate_scenario(spec: ScenarioSpec) -> None:
         raise ScenarioError(f"{spec.conference_id}: blink_rate_hz must be nonnegative")
     if spec.n_questions < 1:
         raise ScenarioError(f"{spec.conference_id}: n_questions must be >= 1")
+    ps = spec.price_spec
+    for name in ("base_price", "minute_vol", "vol_after_factor", "drift_during_qa"):
+        if not math.isfinite(getattr(ps, name)):
+            raise ScenarioError(f"{spec.conference_id}: price_spec.{name} must be finite")
+    if ps.base_price <= 0:
+        raise ScenarioError(f"{spec.conference_id}: base_price must be positive")
+    if ps.minute_vol < 0 or ps.vol_after_factor < 0:
+        raise ScenarioError(f"{spec.conference_id}: volatilities must be nonnegative")
 
     length = spec.conference_length_s
     episodes = sorted(spec.reading_episodes, key=lambda e: e.start_s)
@@ -468,32 +483,35 @@ def gen_price_series(spec: ScenarioSpec) -> tuple[list[PriceBar], PriceTruth]:
     """
     tl = spec.resolved_timeline()
     ps = spec.price_spec
-    if ps.base_price <= 0:
-        raise ScenarioError(f"{spec.conference_id}: base_price must be positive")
-    if ps.minute_vol < 0 or ps.vol_after_factor < 0:
-        raise ScenarioError(f"{spec.conference_id}: volatilities must be nonnegative")
-
     window_open = tl.qa_start - timedelta(minutes=120)
     n_steps = int((tl.trading_close - window_open).total_seconds() // 60)
     seq = np.random.SeedSequence(spec.seed)
     rng = np.random.Generator(np.random.PCG64(seq.spawn(3)[2]))
     shocks = rng.normal(size=n_steps)
 
-    bars = [PriceBar(window_open, ps.base_price)]
-    log_price = math.log(ps.base_price)
-    n_qa_steps = 0
-    prev_time = window_open
-    for k in range(n_steps):
-        bar_time = window_open + timedelta(minutes=k + 1)
-        in_qa = prev_time >= tl.qa_start and bar_time <= tl.conference_end
-        after = prev_time >= tl.conference_end
-        vol = ps.minute_vol * (ps.vol_after_factor if after else 1.0)
-        drift = ps.drift_during_qa if in_qa else 0.0
-        if in_qa:
-            n_qa_steps += 1
-        log_price += drift + vol * shocks[k]
-        bars.append(PriceBar(bar_time, math.exp(log_price)))
-        prev_time = bar_time
+    # Step k runs from minute k to minute k + 1 after window_open; instants
+    # are compared as whole microseconds from window_open.
+    def offset(instant: datetime) -> int:
+        return (instant - window_open) // timedelta(microseconds=1)
+
+    step_start = np.arange(n_steps, dtype=np.int64) * 60_000_000
+    in_qa = (step_start >= offset(tl.qa_start)) & (
+        step_start + 60_000_000 <= offset(tl.conference_end)
+    )
+    after = step_start >= offset(tl.conference_end)
+    vol = np.where(after, ps.minute_vol * ps.vol_after_factor, ps.minute_vol)
+    drift = np.where(in_qa, ps.drift_during_qa, 0.0)
+    # cumsum adds in order, so each log price is the sum the walk accumulates.
+    # A sum that overflows to inf or NaN fails the check below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        steps = drift + vol * shocks
+        log_prices = np.cumsum(np.concatenate(([math.log(ps.base_price)], steps)))
+    if not log_prices.max() <= _MAX_LOG_PRICE:
+        raise ScenarioError(f"{spec.conference_id}: the price walk overflows")
+    prices = [ps.base_price, *map(math.exp, log_prices[1:].tolist())]
+    times = accumulate(repeat(timedelta(minutes=1), n_steps), initial=window_open)
+    bars = list(map(PriceBar, times, prices))
+    n_qa_steps = int(np.count_nonzero(in_qa))
 
     truth = PriceTruth(
         conference_id=spec.conference_id,

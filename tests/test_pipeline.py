@@ -230,6 +230,15 @@ def test_cli_exit_codes(small_fixture, tmp_path):
                  "--out", str(tmp_path / "out3")]) == 2
 
 
+def test_cli_import_leaves_scipy_unloaded():
+    # Only the p-values use scipy, and they import it when first called.
+    probe = ("import sys, earstudy.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"
+
+
 def test_cli_synth_subprocess(tmp_path):
     scenario_path = tmp_path / "scenario.json"
     scenario_path.write_text(json.dumps({"study": {"seed": 5, "n_conferences": 3}}))
@@ -305,11 +314,20 @@ STUDY = {"seed": 1, "n_conferences": 3}
         json.dumps({"study": {**STUDY, "effect_slope": float("nan")}}).encode(),
         json.dumps({"study": {**STUDY, "seed": -1}}).encode(),
         json.dumps({"study": [1]}).encode(),
+        json.dumps({**SCENARIO, "price_spec": {"base_price": float("nan")}}).encode(),
+        json.dumps({**SCENARIO, "price_spec": {"minute_vol": float("nan")}}).encode(),
+        json.dumps({**SCENARIO, "price_spec": {"vol_after_factor": float("inf")}}).encode(),
+        json.dumps({**SCENARIO, "price_spec": {"drift_during_qa": float("-inf")}}).encode(),
+        json.dumps({"study": {**STUDY, "effect_intercept": 1000}}).encode(),
+        json.dumps({**SCENARIO, "price_spec": {"drift_during_qa": 1000.0}}).encode(),
+        json.dumps({**SCENARIO, "price_spec": {"drift_during_qa": 1e308}}).encode(),
     ],
     ids=["invalid-json", "list", "unknown-study-key", "text-study-seed", "scalar-scenarios",
          "text-gallery-seed", "invalid-utf8", "missing-file", "negative-seed",
          "negative-gallery-seed", "nan-fps", "zero-target-r2", "zero-episode-ear",
-         "nan-study-slope", "negative-study-seed", "list-study"],
+         "nan-study-slope", "negative-study-seed", "list-study", "nan-base-price",
+         "nan-minute-vol", "inf-vol-after-factor", "inf-drift", "overflowing-study-intercept",
+         "overflowing-drift", "infinite-walk"],
 )
 def test_bad_scenario_file_is_one_line_error(tmp_path, capsys, content):
     path = tmp_path / "scenario.json"
@@ -320,6 +338,43 @@ def test_bad_scenario_file_is_one_line_error(tmp_path, capsys, content):
     assert len(err.splitlines()) == 1, err
     assert err.startswith("configuration error: ")
     assert "Traceback" not in err
+
+
+UNSAFE_IDS = ["../escaped", "../../escaped", "a/b", "a\\b", "a\0b", ".", "..", "", 7]
+
+
+@pytest.mark.parametrize("conference_id", UNSAFE_IDS)
+def test_synth_rejects_unsafe_conference_id(tmp_path, capsys, conference_id):
+    scenario_path = tmp_path / "scenario.json"
+    unsafe = {**SCENARIO, "conference_id": conference_id}
+    scenario_path.write_text(json.dumps({"scenarios": [SCENARIO, unsafe]}))
+    out = tmp_path / "a" / "b"
+    assert main(["synth", "--config", str(scenario_path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1, err
+    assert err.startswith("configuration error: conference_id ")
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["scenario.json"]
+
+
+@pytest.mark.parametrize("conference_id", UNSAFE_IDS)
+def test_run_rejects_unsafe_registry_id(tmp_path, capsys, small_fixture, conference_id):
+    raw = json.loads((small_fixture / "registry.json").read_text())
+    entry = raw["conferences"][0]
+    entry["conference_id"] = conference_id
+    for key in ("landmarks", "transcript", "segments", "prices"):
+        entry[key] = str(small_fixture / entry[key])
+    work = tmp_path / "a" / "b"
+    work.mkdir(parents=True)
+    (work / "registry.json").write_text(json.dumps(raw))
+    config_path = write_run_config(tmp_path / "config.json", small_fixture,
+                                   registry=str(work / "registry.json"))
+    assert main(["run", "--config", str(config_path), "--out", str(work / "out")]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1, err
+    assert err.startswith("data error: registry ")
+    assert "conference_id" in err
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["a", "b", "config.json",
+                                                           "registry.json"]
 
 
 def test_every_output_file_embeds_provenance(completed_run):

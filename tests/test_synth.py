@@ -17,7 +17,7 @@ from earstudy import (
 )
 from earstudy.attention import series_from_samples
 from earstudy.geometry import write_landmark_stream
-from earstudy.market import PriceSeries, build_timeline, event_window_stats
+from earstudy.market import PriceSeries, build_timeline, event_window_stats, write_price_csv
 from earstudy.synth import (
     GallerySpec,
     PriceSpec,
@@ -108,7 +108,7 @@ def test_landmark_stream_deterministic():
 
 # sha256 of the landmark JSONL of the scenario below.  Only a deliberate
 # change of the generator or of the record encoding may change it.
-PINNED_SHA256 = "d0dc0164c4d425a6ff1a81c7bdb6eac3830f55eae83c3b687d1656bfebc0937a"
+PINNED_SHA256 = "145d00dc88c3ada22df5241a6555f45ba9f50b2a8d5d732b43de3284d32661ad"
 
 
 def test_landmark_stream_bytes_are_pinned():
@@ -314,6 +314,31 @@ def test_price_series_vol_factor_shows_up_in_realized_ratio():
         stats = event_window_stats(PriceSeries(tuple(bars)), tl, spec.conference_id)
         ratios.append(stats.vol_after / stats.vol_before)
     assert abs(np.mean(ratios) - 0.5) < 0.1
+
+
+# sha256 of the price CSV of the scenario below, as the per-minute walk wrote
+# it.  The Q&A starts and ends off the minute grid, and every step kind (before,
+# during with drift, after with scaled volatility) occurs.
+PRICE_PINNED_SHA256 = "17055e488cc1b571060e6220886b61cd705c831ed9cd7b861008c06d43e3b057"
+
+
+def test_price_csv_bytes_are_pinned():
+    qa = datetime(2020, 1, 15, 14, 30, 20, tzinfo=TZ)
+    spec = scenario(
+        conference_id="conf-pin",
+        seed=11,
+        conference_length_s=2730.0,
+        reading_episodes=(),
+        timeline=TimelineSpec(qa, qa + timedelta(seconds=2730),
+                              qa.replace(hour=16, minute=0, second=0)),
+        price_spec=PriceSpec(base_price=123.4, minute_vol=0.003,
+                             drift_during_qa=0.0007, vol_after_factor=0.6),
+    )
+    bars, truth = gen_price_series(spec)
+    assert (truth.n_bars, truth.n_qa_steps) == (210, 45)
+    buf = io.StringIO()
+    write_price_csv(bars, buf)
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == PRICE_PINNED_SHA256
 
 
 def test_price_series_deterministic():
