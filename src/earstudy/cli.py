@@ -10,6 +10,7 @@ exclusions and errors are.
 from __future__ import annotations
 
 import argparse
+import gc
 import logging
 import sys
 from pathlib import Path
@@ -82,6 +83,16 @@ def _overrides(args: argparse.Namespace) -> dict:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # Collections skip the objects alive at start-up (numpy, the modules);
+    # unfreezing on the way out gives an in-process caller its heap back.
+    gc.freeze()
+    try:
+        return _main(argv)
+    finally:
+        gc.unfreeze()
+
+
+def _main(argv: list[str] | None) -> int:
     logging.basicConfig(
         level=logging.WARNING, format="%(levelname)s %(name)s: %(message)s",
         stream=sys.stderr,

@@ -8,6 +8,7 @@ gaze drops to a document on the desk.
 
 from __future__ import annotations
 
+import gc
 import math
 from contextlib import closing
 from dataclasses import dataclass
@@ -158,12 +159,20 @@ def read_landmark_batch(path: str | Path) -> LandmarkBatch:
     """
     parts: list[LandmarkBatch] = []
     last_ts: dict[str, float] = {}
-    with closing(_numbered_records(path)) as numbered:
-        while True:
-            step = list(islice(numbered, _BATCH_LINES))
-            parts.append(_checked_step(path, step, last_ts))
-            if len(step) < _BATCH_LINES:
-                break
+    # Decoded records form no reference cycles, so cyclic collection would
+    # only rescan the lists and dicts of the step still alive.
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        with closing(_numbered_records(path)) as numbered:
+            while True:
+                step = list(islice(numbered, _BATCH_LINES))
+                parts.append(_checked_step(path, step, last_ts))
+                if len(step) < _BATCH_LINES:
+                    break
+    finally:
+        if gc_was_enabled:
+            gc.enable()
     columns = ("timestamps", "points", "embeddings", "has_embedding")
     return LandmarkBatch(
         *(np.concatenate([getattr(part, name) for part in parts]) for name in columns)

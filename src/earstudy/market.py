@@ -13,9 +13,9 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from datetime import datetime, timedelta
-from operator import itemgetter
+from operator import attrgetter, itemgetter, lt, methodcaller
 from pathlib import Path
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -30,29 +30,48 @@ class PriceBar(NamedTuple):
     price: float
 
 
-@dataclass(frozen=True)
 class PriceSeries:
-    """Strictly increasing minute bars with positive prices."""
+    """Minute bars as two columns: aware datetimes in strictly increasing
+    order, and positive finite float64 prices.
 
-    bars: tuple[PriceBar, ...]
+    The columns are checked in bulk; a series that breaks a rule raises
+    MalformedRecordError naming its first bad bar.
+    """
 
-    def __post_init__(self) -> None:
-        prev: datetime | None = None
-        for bar in self.bars:
-            if bar.timestamp.tzinfo is None:
-                raise MalformedRecordError(
-                    f"price bar at {bar.timestamp} lacks a timezone designator"
-                )
-            if bar.price <= 0 or not math.isfinite(bar.price):
-                raise MalformedRecordError(f"non-positive price {bar.price} at {bar.timestamp}")
-            if prev is not None and bar.timestamp <= prev:
-                raise MalformedRecordError(
-                    f"price timestamps not strictly increasing at {bar.timestamp}"
-                )
-            prev = bar.timestamp
+    __slots__ = ("times", "prices")
 
-    def timestamps(self) -> list[datetime]:
-        return [b.timestamp for b in self.bars]
+    def __init__(self, times: Iterable[datetime], prices: Sequence[float] | np.ndarray) -> None:
+        times = tuple(times)
+        prices = np.array(prices, dtype=np.float64)
+        if prices.shape != (len(times),):
+            raise ValueError(f"{len(times)} times but prices of shape {prices.shape}")
+        prices.setflags(write=False)
+        if not (
+            None not in map(attrgetter("tzinfo"), times)
+            and ((prices > 0) & (prices < math.inf)).all()
+            and all(map(lt, times, times[1:]))
+        ):
+            raise MalformedRecordError(_first_bad_bar(times, prices))
+        self.times = times
+        self.prices = prices
+
+    @property
+    def bars(self) -> tuple[PriceBar, ...]:
+        return tuple(map(PriceBar, self.times, self.prices.tolist()))
+
+
+def _first_bad_bar(times: tuple[datetime, ...], prices: np.ndarray) -> str:
+    """The rule that the first bad bar of a rejected series breaks."""
+    prev: datetime | None = None
+    for timestamp, price in zip(times, prices.tolist()):
+        if timestamp.tzinfo is None:
+            return f"price bar at {timestamp} lacks a timezone designator"
+        if price <= 0 or not math.isfinite(price):
+            return f"non-positive price {price} at {timestamp}"
+        if prev is not None and timestamp <= prev:
+            return f"price timestamps not strictly increasing at {timestamp}"
+        prev = timestamp
+    raise AssertionError("a series that fails the bulk checks has a bad bar")
 
 
 @dataclass(frozen=True)
@@ -109,10 +128,10 @@ def build_timeline(
 
 def price_at(series: PriceSeries, t: datetime) -> float:
     """Price of the latest bar at or before t."""
-    idx = bisect_right(series.timestamps(), t) - 1
+    idx = bisect_right(series.times, t) - 1
     if idx < 0:
         raise CoverageError(f"no price bar at or before {t.isoformat()}")
-    return series.bars[idx].price
+    return float(series.prices[idx])
 
 
 def window_log_return(series: PriceSeries, t_from: datetime, t_to: datetime) -> float:
@@ -130,10 +149,9 @@ def window_returns(series: PriceSeries, t_from: datetime, t_to: datetime) -> np.
     """
     if t_from >= t_to:
         raise ConfigError(f"volatility window is empty or reversed: {t_from} .. {t_to}")
-    ts = series.timestamps()
-    lo = bisect_right(ts, t_from)
-    hi = bisect_right(ts, t_to)
-    prices = np.array([b.price for b in series.bars[lo:hi]])
+    lo = bisect_right(series.times, t_from)
+    hi = bisect_right(series.times, t_to)
+    prices = series.prices[lo:hi]
     if prices.size < 2:
         raise CoverageError(
             f"window ({t_from.isoformat()}, {t_to.isoformat()}] contains "
@@ -197,14 +215,40 @@ def parse_instant(text: str) -> datetime:
 PRICE_COLUMNS = ("timestamp", "price")
 
 
+def _check_price_row(row: list[str]) -> None:
+    parse_instant(row[0]), float(row[1])
+
+
 def read_price_csv(path: str | Path) -> PriceSeries:
-    bars = output.read_csv(
-        path,
-        PRICE_COLUMNS,
-        lambda row: PriceBar(parse_instant(row[0]), float(row[1])),
-        "price",
-    )
-    return PriceSeries(tuple(bars))
+    """The price file as a checked series, converted a column at a time.
+
+    A file with a row that parse_instant or float rejects raises the error
+    that row gives, naming the first such row.
+    """
+    try:
+        rows = output.read_csv(path, PRICE_COLUMNS, list, "price")
+    except MalformedRecordError:
+        # A bad row ahead of the first bytes that are not UTF-8 is named
+        # first, as when each row was converted as it was read.
+        output.read_csv(path, PRICE_COLUMNS, _check_price_row, "price")
+        raise
+    try:
+        # parse_instant's steps, chained in C over the whole column.
+        texts = map(str.strip, map(itemgetter(0), rows))
+        texts = map(methodcaller("replace", "Z", "+00:00"), texts)
+        times = list(map(datetime.fromisoformat, texts))
+        prices = np.fromiter(map(float, map(itemgetter(1), rows)), np.float64, len(rows))
+        readable = None not in map(attrgetter("tzinfo"), times)
+    except (IndexError, ValueError):
+        readable = False
+    if not readable:
+        for row in rows:
+            try:
+                _check_price_row(row)
+            except (IndexError, ValueError) as exc:
+                raise MalformedRecordError(f"{path}: bad price row {row!r}") from exc
+        raise AssertionError("a row the columns reject is rejected on its own")
+    return PriceSeries(times, prices)
 
 
 def write_price_csv(bars: Iterable[PriceBar], fh, meta_line: str | None = None) -> int:

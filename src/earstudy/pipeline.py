@@ -543,6 +543,12 @@ def build_fixture(
         }
     )
 
+    # The label check and the price walk are the steps that can fail for a
+    # later conference, so they run before the first write: a scenario error
+    # leaves no file behind.
+    for spec in scenarios:
+        synth.check_gallery_labels(spec, gallery_spec)
+    price_files = [_price_file(spec, digest) for spec in scenarios]
     gallery, _queries = synth.gen_gallery(
         gallery_spec.labels,
         gallery_spec.cluster_radius,
@@ -557,9 +563,8 @@ def build_fixture(
 
     registry_entries = []
     truths: dict[str, dict] = {}
-    for spec in scenarios:
+    for spec, (price_text, price_truth) in zip(scenarios, price_files):
         frame_indices, batch, landmark_truth = synth.gen_landmark_stream(spec, gallery_spec)
-        bars, price_truth = synth.gen_price_series(spec)
         timeline = spec.resolved_timeline()
 
         buf = io.StringIO()
@@ -569,11 +574,7 @@ def build_fixture(
         output.write_text(
             out_dir / "landmarks" / f"{spec.conference_id}.jsonl", buf.getvalue(), digest
         )
-        buf = io.StringIO()
-        market.write_price_csv(bars, buf, meta_line=output.meta_line(digest))
-        output.write_text(
-            out_dir / "prices" / f"{spec.conference_id}.csv", buf.getvalue(), digest
-        )
+        output.write_text(out_dir / "prices" / f"{spec.conference_id}.csv", price_text, digest)
         output.write_text(
             out_dir / "transcripts" / f"{spec.conference_id}.txt",
             synth.gen_transcript(spec),
@@ -612,6 +613,14 @@ def build_fixture(
     if study_truth is not None:
         truth_payload["study"] = study_truth
     output.write_json(out_dir / "ground_truth.json", truth_payload, digest)
+
+
+def _price_file(spec: synth.ScenarioSpec, digest: str) -> tuple[str, synth.PriceTruth]:
+    """The text of a scenario's price CSV, and the truth of its walk."""
+    bars, truth = synth.gen_price_series(spec)
+    buf = io.StringIO()
+    market.write_price_csv(bars, buf, meta_line=output.meta_line(digest))
+    return buf.getvalue(), truth
 
 
 def run_synth(scenario_path: Path, out_dir: Path, seed_override: int | None = None) -> None:

@@ -368,6 +368,20 @@ def _inside(midpoints: np.ndarray, start: float, end: float) -> np.ndarray:
     return (start <= midpoints) & (midpoints < end)
 
 
+def script_labels(spec: ScenarioSpec) -> set[str]:
+    """The target's label and every label of the identity script."""
+    return {spec.target_label} | {iv.label for iv in spec.identity_script}
+
+
+def check_gallery_labels(spec: ScenarioSpec, gallery_spec: GallerySpec) -> None:
+    """Raise ScenarioError if the scenario names a label the gallery lacks."""
+    missing = script_labels(spec) - set(gallery_spec.labels)
+    if missing:
+        raise ScenarioError(
+            f"{spec.conference_id}: labels {sorted(missing)} not in gallery labels"
+        )
+
+
 def gen_landmark_stream(
     spec: ScenarioSpec,
     gallery_spec: GallerySpec | None = None,
@@ -380,15 +394,10 @@ def gen_landmark_stream(
     identity's cluster.  Blinks (single-frame EAR 0 dips) only occur on
     baseline target frames so episode bookkeeping stays exact.
     """
-    script_labels = {spec.target_label} | {iv.label for iv in spec.identity_script}
-    gspec = gallery_spec or GallerySpec(labels=tuple(sorted(script_labels)))
+    gspec = gallery_spec or GallerySpec(labels=tuple(sorted(script_labels(spec))))
     _check_separation(list(gspec.labels), gspec.separation, gspec.cluster_radius)
+    check_gallery_labels(spec, gspec)
     labels = list(gspec.labels)
-    if not script_labels <= set(labels):
-        raise ScenarioError(
-            f"{spec.conference_id}: labels {sorted(script_labels - set(labels))} "
-            "not in gallery labels"
-        )
 
     ss_embed, ss_blink = np.random.SeedSequence(spec.seed).spawn(2)
     rng_embed = np.random.Generator(np.random.PCG64(ss_embed))
@@ -835,9 +844,7 @@ def load_scenario_file(
             gallery_spec = gallery_spec_from_dict(raw.get("gallery", {}))
         else:
             scenarios = [scenario_from_dict(raw)]
-            labels = sorted(
-                {scenarios[0].target_label} | {iv.label for iv in scenarios[0].identity_script}
-            )
+            labels = sorted(script_labels(scenarios[0]))
             gallery_spec = gallery_spec_from_dict(raw.get("gallery", {"labels": labels}))
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ScenarioError(f"scenario file {path}: {type(exc).__name__}: {exc}") from exc

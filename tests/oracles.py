@@ -3,16 +3,21 @@
 These deliberately avoid the code paths under test: a stdlib-json landmark
 reader with per-field checks, the EAR over plain (x, y) tuples,
 plain-python distance sums, a design-matrix normal-equations OLS solve,
-adaptive Simpson quadrature of the t density, and a two-pass RMS.
+adaptive Simpson quadrature of the t density, a two-pass RMS, and a
+row-by-row price reader with event windows over plain lists.
 """
 
 from __future__ import annotations
 
+import csv
 import json
 import math
+from bisect import bisect_right
 
 import numpy as np
 import scipy.stats
+
+from earstudy.market import parse_instant
 
 
 class RejectedLine(Exception):
@@ -206,3 +211,54 @@ def rms_two_pass(values) -> float:
         acc += float(v) * float(v)
         count += 1
     return math.sqrt(acc / count)
+
+
+def read_price_rows(path) -> tuple[list, list]:
+    """Timestamps and prices of a price CSV, one row at a time.
+
+    Uses the stdlib csv module, parse_instant and float; "#" lines, the
+    header and blank rows are skipped.
+    """
+    times, prices = [], []
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = csv.reader(line for line in fh if not line.startswith("#"))
+        next(rows)
+        for row in rows:
+            if row:
+                times.append(parse_instant(row[0]))
+                prices.append(float(row[1]))
+    return times, prices
+
+
+def event_windows(times, prices, timeline) -> dict:
+    """The EventWindowStats fields over plain lists of bars.
+
+    A price is that of the latest bar at or before an instant; a window's
+    returns are those between bars in (open, close], in the order numpy
+    takes the log, differences and RMS, so every field matches bit for bit.
+    """
+
+    def price_at(t):
+        return prices[bisect_right(times, t) - 1]
+
+    def returns(t_from, t_to):
+        window = prices[bisect_right(times, t_from):bisect_right(times, t_to)]
+        return np.diff(np.log(np.array(window)))
+
+    def rms(values):
+        return float(np.sqrt(np.mean(values**2)))
+
+    before = returns(timeline.window_open, timeline.qa_start)
+    after = returns(timeline.conference_end, timeline.trading_close)
+    vol_before, vol_after = rms(before), rms(after)
+    return {
+        "return_during": math.log(price_at(timeline.conference_end)
+                                  / price_at(timeline.qa_start)),
+        "return_after": math.log(price_at(timeline.trading_close)
+                                 / price_at(timeline.conference_end)),
+        "vol_before": vol_before,
+        "vol_after": vol_after,
+        "vol_change": vol_after - vol_before,
+        "n_returns_before": len(before),
+        "n_returns_after": len(after),
+    }

@@ -1,4 +1,7 @@
+import json
 import math
+import shutil
+from dataclasses import asdict
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
@@ -10,7 +13,6 @@ from earstudy import (
     ConfigError,
     CoverageError,
     MalformedRecordError,
-    PriceBar,
     PriceSeries,
     build_timeline,
     event_window_stats,
@@ -19,8 +21,11 @@ from earstudy import (
     window_log_return,
 )
 from earstudy.market import parse_instant, read_price_csv, window_returns, write_price_csv
+from earstudy.pipeline import build_fixture, load_registry, load_run_config, run_stages
+from earstudy.synth import planted_study_scenarios
 
-from oracles import rms_two_pass
+from conftest import write_run_config
+from oracles import event_windows, read_price_rows, rms_two_pass
 
 TZ = timezone(timedelta(hours=-4))
 
@@ -30,9 +35,7 @@ def at(hour, minute, day=15):
 
 
 def minute_bars(start, prices):
-    return PriceSeries(
-        tuple(PriceBar(start + timedelta(minutes=k), float(p)) for k, p in enumerate(prices))
-    )
+    return PriceSeries([start + timedelta(minutes=k) for k in range(len(prices))], prices)
 
 
 def bars_from_returns(start, returns, base=100.0):
@@ -55,9 +58,7 @@ def test_build_timeline_rejects_bad_order():
 
 
 def test_price_at_last_at_or_before():
-    series = PriceSeries(
-        (PriceBar(at(14, 29), 100.0), PriceBar(at(14, 31), 102.0))
-    )
+    series = PriceSeries([at(14, 29), at(14, 31)], [100.0, 102.0])
     assert price_at(series, at(14, 30)) == 100.0
     assert price_at(series, at(14, 31)) == 102.0
     with pytest.raises(CoverageError):
@@ -123,9 +124,7 @@ def test_realized_vol_scale_invariant(scale, seed):
     rng = np.random.default_rng(seed)
     returns = rng.normal(0, 0.005, size=40)
     base = bars_from_returns(at(13, 0), returns)
-    scaled = PriceSeries(
-        tuple(PriceBar(b.timestamp, b.price * scale) for b in base.bars)
-    )
+    scaled = PriceSeries(base.times, base.prices * scale)
     lo, hi = at(13, 0), at(13, 40)
     assert realized_vol(scaled, lo, hi) == pytest.approx(
         realized_vol(base, lo, hi), rel=1e-9, abs=1e-15
@@ -200,11 +199,11 @@ def test_event_window_stats_coverage_error_names_window():
 
 def test_price_series_validation():
     with pytest.raises(MalformedRecordError):
-        PriceSeries((PriceBar(datetime(2019, 5, 15, 14, 0), 100.0),))  # naive
+        PriceSeries([datetime(2019, 5, 15, 14, 0)], [100.0])  # naive
     with pytest.raises(MalformedRecordError):
-        PriceSeries((PriceBar(at(14, 0), -5.0),))
+        PriceSeries([at(14, 0)], [-5.0])
     with pytest.raises(MalformedRecordError):
-        PriceSeries((PriceBar(at(14, 0), 100.0), PriceBar(at(14, 0), 101.0)))
+        PriceSeries([at(14, 0), at(14, 0)], [100.0, 101.0])
 
 
 def test_parse_instant():
@@ -230,4 +229,114 @@ def test_price_csv_rejects_bad_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("time,px\n2019-05-15T14:00:00-04:00,100\n")
     with pytest.raises(MalformedRecordError):
+        read_price_csv(path)
+
+
+def test_price_path_matches_row_oracle(small_fixture):
+    """Columns and window statistics equal a row-by-row read, bit for bit."""
+    for record in load_registry(small_fixture / "registry.json"):
+        series = read_price_csv(record.prices)
+        times, prices = read_price_rows(record.prices)
+        assert list(map(datetime.isoformat, series.times)) == list(
+            map(datetime.isoformat, times)
+        )
+        assert [p.hex() for p in series.prices.tolist()] == [p.hex() for p in prices]
+        timeline = build_timeline(record.qa_start, record.conference_end, record.trading_close)
+        stats = asdict(event_window_stats(series, timeline, record.conference_id))
+        for name, expected in event_windows(times, prices, timeline).items():
+            assert type(stats[name]) is type(expected), name
+            assert float(stats[name]).hex() == float(expected).hex(), name
+
+
+# Malformed price files: edits (data row, column, new cell, or None to cut
+# the row there) of conf-002's prices, whose third data row is 12:32, and
+# the exclusion reason the row-by-row reader gave.  A reason names the first
+# bad row, but a row that cannot be read is found before a bar that breaks
+# a rule.
+MALFORMED_PRICES = {
+    "unparsable-time": ([(2, 0, "not-a-time")], "invalid timestamp 'not-a-time'"),
+    "naive-time": (
+        [(2, 0, "2011-06-15T12:32:00")],
+        "timestamp '2011-06-15T12:32:00' lacks a timezone designator",
+    ),
+    "repeated-time": (
+        [(2, 0, "2011-06-15T12:31:00-04:00")],
+        "price timestamps not strictly increasing at 2011-06-15 12:31:00-04:00",
+    ),
+    "unparsable-price": (
+        [(2, 1, "abc")],
+        "{path}: bad price row ['2011-06-15T12:32:00-04:00', 'abc']",
+    ),
+    "missing-price": ([(2, 1, None)], "{path}: bad price row ['2011-06-15T12:32:00-04:00']"),
+    "zero-price": ([(2, 1, "0")], "non-positive price 0.0 at 2011-06-15 12:32:00-04:00"),
+    "negative-price": (
+        [(2, 1, "-1.5")],
+        "non-positive price -1.5 at 2011-06-15 12:32:00-04:00",
+    ),
+    "nan-price": ([(2, 1, "nan")], "non-positive price nan at 2011-06-15 12:32:00-04:00"),
+    "infinite-price": ([(2, 1, "inf")], "non-positive price inf at 2011-06-15 12:32:00-04:00"),
+    "bad-price-then-bad-time": (
+        [(2, 1, "abc"), (4, 0, "not-a-time")],
+        "{path}: bad price row ['2011-06-15T12:32:00-04:00', 'abc']",
+    ),
+    "repeat-then-zero": (
+        [(2, 0, "2011-06-15T12:31:00-04:00"), (5, 1, "0")],
+        "price timestamps not strictly increasing at 2011-06-15 12:31:00-04:00",
+    ),
+    "zero-then-naive": (
+        [(2, 1, "0"), (4, 0, "2011-06-15T12:34:00")],
+        "timestamp '2011-06-15T12:34:00' lacks a timezone designator",
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def price_fixture(tmp_path_factory):
+    """A five-conference study, and its event-study exclusions when intact."""
+    root = tmp_path_factory.mktemp("price_fixture")
+    scenarios, gallery_spec, truth = planted_study_scenarios(seed=301, n_conferences=5)
+    build_fixture(scenarios, gallery_spec, root / "fixture", truth)
+    cfg = load_run_config(write_run_config(root / "config.json", root / "fixture"))
+    run_stages(cfg, root / "out", cfg.stages)
+    diag = json.loads((root / "out" / "diagnostics" / "eventstudy.json").read_text())
+    return root / "fixture", diag["exclusions"]
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_PRICES))
+def test_malformed_prices_exclude_their_conference(price_fixture, tmp_path, case):
+    intact, exclusions = price_fixture
+    edits, reason = MALFORMED_PRICES[case]
+    fixture = shutil.copytree(intact, tmp_path / "fixture")
+    path = fixture / "prices" / "conf-002.csv"
+    lines = path.read_text().splitlines()
+    rows = [line.split(",") for line in lines[2:]]  # after the meta line and header
+    for row, column, cell in edits:
+        if cell is None:
+            del rows[row][column:]
+        else:
+            rows[row][column] = cell
+    path.write_text("\n".join(lines[:2] + [",".join(row) for row in rows]) + "\n")
+
+    cfg = load_run_config(write_run_config(tmp_path / "config.json", fixture))
+    run_stages(cfg, tmp_path / "out", cfg.stages)
+    diag = json.loads((tmp_path / "out" / "diagnostics" / "eventstudy.json").read_text())
+    expected = exclusions + [{"conference_id": "conf-002", "reason": reason.format(path=path)}]
+    assert sorted(diag["exclusions"], key=str) == sorted(expected, key=str)
+    with pytest.raises(MalformedRecordError) as info:
+        read_price_csv(path)
+    assert str(info.value) == reason.format(path=path)
+
+
+def test_bad_row_is_named_before_later_bytes_that_are_not_utf8(price_fixture, tmp_path):
+    """The rows ahead of an undecodable block are still checked first."""
+    path = tmp_path / "prices.csv"
+    lines = (price_fixture[0] / "prices" / "conf-002.csv").read_bytes().splitlines(True)
+    lines[4] = lines[4].replace(b"-04:00,", b"-04:00,abc")
+    lines[-1] = b"\xff" + lines[-1]
+    path.write_bytes(b"".join(lines))
+    with pytest.raises(MalformedRecordError, match=r"bad price row \['2011-06-15T12:32:00"):
+        read_price_csv(path)
+    lines[4] = b"\n"
+    path.write_bytes(b"".join(lines))
+    with pytest.raises(MalformedRecordError, match="not valid UTF-8"):
         read_price_csv(path)

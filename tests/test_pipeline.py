@@ -1,3 +1,4 @@
+import gc
 import io
 import json
 import shutil
@@ -230,6 +231,27 @@ def test_cli_exit_codes(small_fixture, tmp_path):
                  "--out", str(tmp_path / "out3")]) == 2
 
 
+def test_cli_main_freezes_the_heap_only_while_it_runs(small_fixture, tmp_path, monkeypatch):
+    """An in-process caller gets its collector back on every way out of main."""
+    frozen = []
+
+    def spy(*args):
+        frozen.append(gc.get_freeze_count())
+        return run_stages(*args)
+
+    monkeypatch.setattr("earstudy.cli.run_stages", spy)
+    config_path = write_run_config(tmp_path / "config.json", small_fixture)
+    assert main(["identify", "--config", str(config_path), "--out", str(tmp_path / "out")]) == 0
+    assert frozen[0] > 0
+    assert gc.get_freeze_count() == 0
+    assert main(["run", "--config", str(tmp_path / "missing.json"),
+                 "--out", str(tmp_path / "out2")]) == 1
+    assert gc.get_freeze_count() == 0
+    with pytest.raises(SystemExit):
+        main(["no-such-command"])
+    assert gc.get_freeze_count() == 0
+
+
 def test_cli_import_leaves_scipy_unloaded():
     # Only the p-values use scipy, and they import it when first called.
     probe = ("import sys, earstudy.cli; "
@@ -321,13 +343,16 @@ STUDY = {"seed": 1, "n_conferences": 3}
         json.dumps({"study": {**STUDY, "effect_intercept": 1000}}).encode(),
         json.dumps({**SCENARIO, "price_spec": {"drift_during_qa": 1000.0}}).encode(),
         json.dumps({**SCENARIO, "price_spec": {"drift_during_qa": 1e308}}).encode(),
+        json.dumps({"gallery": {"labels": ["chair"]},
+                    "scenarios": [SCENARIO, {**SCENARIO, "conference_id": "d",
+                                             "target_label": "reporter"}]}).encode(),
     ],
     ids=["invalid-json", "list", "unknown-study-key", "text-study-seed", "scalar-scenarios",
          "text-gallery-seed", "invalid-utf8", "missing-file", "negative-seed",
          "negative-gallery-seed", "nan-fps", "zero-target-r2", "zero-episode-ear",
          "nan-study-slope", "negative-study-seed", "list-study", "nan-base-price",
          "nan-minute-vol", "inf-vol-after-factor", "inf-drift", "overflowing-study-intercept",
-         "overflowing-drift", "infinite-walk"],
+         "overflowing-drift", "infinite-walk", "label-missing-from-gallery"],
 )
 def test_bad_scenario_file_is_one_line_error(tmp_path, capsys, content):
     path = tmp_path / "scenario.json"
@@ -338,6 +363,19 @@ def test_bad_scenario_file_is_one_line_error(tmp_path, capsys, content):
     assert len(err.splitlines()) == 1, err
     assert err.startswith("configuration error: ")
     assert "Traceback" not in err
+    assert not (tmp_path / "fx").exists()
+
+
+def test_synth_retry_after_scenario_error(tmp_path, capsys):
+    """A study whose third walk overflows leaves --out free for the fixed study."""
+    path = tmp_path / "study.json"
+    path.write_text(json.dumps({"study": {**STUDY, "effect_intercept": 1000}}))
+    out = tmp_path / "fx"
+    assert main(["synth", "--config", str(path), "--out", str(out)]) == 1
+    assert "conf-002" in capsys.readouterr().err
+    assert not out.exists()
+    path.write_text(json.dumps({"study": {**STUDY, "effect_intercept": 0}}))
+    assert main(["synth", "--config", str(path), "--out", str(out)]) == 0
 
 
 UNSAFE_IDS = ["../escaped", "../../escaped", "a/b", "a\\b", "a\0b", ".", "..", "", 7]

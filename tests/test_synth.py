@@ -274,7 +274,7 @@ def test_price_series_zero_vol_exact_drift():
     bars, truth = gen_price_series(spec)
     assert truth.n_qa_steps == 45
     assert truth.expected_return_during == pytest.approx(0.045)
-    series = PriceSeries(tuple(bars))
+    series = PriceSeries(*zip(*bars))
     tl = build_timeline(spec.timeline.qa_start, spec.timeline.conference_end,
                         spec.timeline.trading_close)
     stats = event_window_stats(series, tl, spec.conference_id)
@@ -311,7 +311,7 @@ def test_price_series_vol_factor_shows_up_in_realized_ratio():
         bars, _ = gen_price_series(spec)
         tl = build_timeline(spec.timeline.qa_start, spec.timeline.conference_end,
                             spec.timeline.trading_close)
-        stats = event_window_stats(PriceSeries(tuple(bars)), tl, spec.conference_id)
+        stats = event_window_stats(PriceSeries(*zip(*bars)), tl, spec.conference_id)
         ratios.append(stats.vol_after / stats.vol_before)
     assert abs(np.mean(ratios) - 0.5) < 0.1
 
