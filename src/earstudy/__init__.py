@@ -27,7 +27,6 @@ from .errors import (
     ScenarioError,
 )
 from .geometry import (
-    EarSample,
     LandmarkBatch,
     batch_ear,
     read_landmark_batch,

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -24,7 +24,6 @@ from .errors import (
     InsufficientDataError,
     MalformedRecordError,
 )
-from .geometry import EarSample
 
 FLOOR_POLICIES = ("error", "epsilon_floor")
 SPEAKER_TAGS = ("chair", "reporter")
@@ -47,6 +46,9 @@ class AttentionConfig:
     floor_value: float = 1e-9
 
     def __post_init__(self) -> None:
+        for name in ("threshold", "gap_factor", "floor_value"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if self.threshold <= 0:
             raise ConfigError(f"threshold must be positive, got {self.threshold}")
         if self.gap_factor <= 1:
@@ -59,60 +61,57 @@ class AttentionConfig:
             raise ConfigError(f"floor_value must be positive, got {self.floor_value}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EarSeries:
-    """Time-ordered EAR samples for one conference at a nominal frame rate."""
+    """One conference's EAR samples as two float64 columns at a nominal
+    frame rate: timestamps strictly increasing, values finite and >= 0."""
 
     conference_id: str
-    samples: tuple[EarSample, ...]
+    timestamps: np.ndarray
+    values: np.ndarray
     nominal_fps: float
 
     def __post_init__(self) -> None:
         if self.nominal_fps <= 0:
             raise ConfigError(f"nominal_fps must be positive, got {self.nominal_fps}")
-        timestamps = np.array([s.timestamp for s in self.samples])
-        if len(timestamps) > 1 and np.any(np.diff(timestamps) <= 0):
+        timestamps = np.asarray(self.timestamps, dtype=np.float64)
+        values = np.asarray(self.values, dtype=np.float64)
+        if timestamps.ndim != 1 or timestamps.shape != values.shape:
+            raise ValueError(f"{timestamps.shape} timestamps but {values.shape} values")
+        if not np.all(np.diff(timestamps) > 0):  # also false for a NaN
             raise MalformedRecordError(
                 f"conference {self.conference_id!r}: timestamps not strictly increasing"
             )
-        values = np.array([s.value for s in self.samples])
-        if values.size and (np.any(values < 0) or not np.all(np.isfinite(values))):
+        if np.any(values < 0) or not np.all(np.isfinite(values)):
             raise MalformedRecordError(
                 f"conference {self.conference_id!r}: EAR values must be finite and >= 0"
             )
+        object.__setattr__(self, "timestamps", timestamps)
+        object.__setattr__(self, "values", values)
+
+    def __len__(self) -> int:
+        return len(self.timestamps)
 
     @property
     def step(self) -> float:
         return 1.0 / self.nominal_fps
 
-    def timestamps(self) -> np.ndarray:
-        return np.array([s.timestamp for s in self.samples])
-
-    def values(self) -> np.ndarray:
-        return np.array([s.value for s in self.samples])
-
     def gap_spans(self, gap_factor: float = 3.0) -> list[tuple[float, float]]:
         """Inter-sample spans wider than gap_factor nominal frame intervals."""
-        ts = self.timestamps()
-        if len(ts) < 2:
-            return []
+        ts = self.timestamps
         cut = gap_factor * self.step
-        spacings = np.diff(ts)
-        return [
-            (float(ts[i]), float(ts[i + 1]))
-            for i in np.nonzero(spacings > cut)[0]
-        ]
+        return [(float(ts[i]), float(ts[i + 1])) for i in np.nonzero(np.diff(ts) > cut)[0]]
 
     @property
     def end_s(self) -> float:
-        if not self.samples:
+        if not len(self):
             raise DataError(f"conference {self.conference_id!r}: empty EAR series")
-        return self.samples[-1].timestamp
+        return float(self.timestamps[-1])
 
     @property
     def observed_s(self) -> float:
         """Total sampled time: one nominal frame interval per sample."""
-        return len(self.samples) * self.step
+        return len(self) * self.step
 
 
 @dataclass(frozen=True)
@@ -136,7 +135,6 @@ class ConferenceAttention:
     observed_s: float
     n_samples: int
     n_gaps: int
-    benchmark: BenchmarkVariables | None = None
 
 
 @dataclass(frozen=True)
@@ -177,9 +175,9 @@ def integrate_attention(
     per such sample.  Gaps contribute nothing because only samples are
     summed.
     """
-    if not series.samples:
+    if not len(series):
         raise DataError(f"conference {series.conference_id!r}: empty EAR series")
-    values = series.values()
+    values = series.values
     below = values < config.threshold
     integral = float(values[below].sum() * series.step)
     reading_time = float(below.sum() * series.step)
@@ -246,33 +244,19 @@ def benchmark_variables(
     )
 
 
-def estimate_fps(samples: Sequence[EarSample]) -> float:
+def estimate_fps(timestamps: Sequence[float] | np.ndarray) -> float:
     """Nominal frame rate as the reciprocal of the median sample spacing."""
-    if len(samples) < 2:
+    if len(timestamps) < 2:
         raise InsufficientDataError(
-            f"need at least 2 samples to estimate the frame rate, got {len(samples)}"
+            f"need at least 2 samples to estimate the frame rate, got {len(timestamps)}"
         )
-    spacings = np.diff([s.timestamp for s in samples])
-    med = float(np.median(spacings))
+    med = float(np.median(np.diff(timestamps)))
     if med <= 0:
         raise MalformedRecordError("non-increasing timestamps in EAR samples")
     return 1.0 / med
 
 
-def series_from_samples(
-    conference_id: str,
-    samples: Sequence[EarSample],
-    nominal_fps: float | None = None,
-) -> EarSeries:
-    fps = nominal_fps if nominal_fps is not None else estimate_fps(samples)
-    return EarSeries(conference_id, tuple(samples), fps)
-
-
-def summarize_conference(
-    series: EarSeries,
-    config: AttentionConfig,
-    benchmark: BenchmarkVariables | None = None,
-) -> ConferenceAttention:
+def summarize_conference(series: EarSeries, config: AttentionConfig) -> ConferenceAttention:
     integral, reading_time = integrate_attention(series, config)
     return ConferenceAttention(
         conference_id=series.conference_id,
@@ -281,9 +265,8 @@ def summarize_conference(
         reading_time_s=reading_time,
         end_s=series.end_s,
         observed_s=series.observed_s,
-        n_samples=len(series.samples),
+        n_samples=len(series),
         n_gaps=len(series.gap_spans(config.gap_factor)),
-        benchmark=benchmark,
     )
 
 
@@ -297,16 +280,18 @@ SEGMENT_COLUMNS = ("start_s", "end_s", "speaker")
 
 
 def write_ear_csv(
-    samples: Iterable[tuple[float, float]], fh, meta_line: str | None = None
+    timestamps: np.ndarray, values: np.ndarray, fh, meta_line: str | None = None
 ) -> int:
-    """Write (timestamp_s, ear) rows, such as EarSamples; returns the row count."""
-    return output.write_csv(fh, EAR_COLUMNS, samples, meta_line)
+    """Write one (timestamp_s, ear) row per sample; returns the row count."""
+    rows = zip(timestamps.tolist(), values.tolist(), strict=True)
+    return output.write_csv(fh, EAR_COLUMNS, rows, meta_line)
 
 
-def read_ear_csv(path: str | Path) -> list[EarSample]:
-    return output.read_csv(
-        path, EAR_COLUMNS, lambda row: EarSample(float(row[0]), float(row[1])), "EAR"
-    )
+def read_ear_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
+    """The timestamp and EAR columns of an EAR file, as float64 arrays."""
+    rows = output.read_csv(path, EAR_COLUMNS, lambda row: (float(row[0]), float(row[1])), "EAR")
+    timestamps, values = np.array(rows, dtype=np.float64).reshape(-1, 2).T
+    return timestamps, values
 
 
 def read_segments_csv(path: str | Path, conference_id: str) -> SpeakerSegments:

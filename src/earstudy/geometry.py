@@ -30,13 +30,6 @@ LANDMARK_COUNT = 68
 EMBEDDING_DIM = 128
 
 
-class EarSample(NamedTuple):
-    """One EAR observation: seconds from conference start, ratio value."""
-
-    timestamp: float
-    value: float
-
-
 def batch_ear(
     points: np.ndarray,
     left_indices: Sequence[int] = LEFT_EYE_INDICES,

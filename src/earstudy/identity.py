@@ -9,6 +9,7 @@ unknown on a tie or an insufficient total).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -77,6 +78,8 @@ class IdentityConfig:
     no_embedding_policy: str = "drop"
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.epsilon):
+            raise ConfigError(f"epsilon must be finite, got {self.epsilon}")
         if self.epsilon < 0:
             raise ConfigError(f"epsilon must be nonnegative, got {self.epsilon}")
         if self.min_votes < 1:

@@ -66,7 +66,9 @@ def _first_bad_bar(times: tuple[datetime, ...], prices: np.ndarray) -> str:
     for timestamp, price in zip(times, prices.tolist()):
         if timestamp.tzinfo is None:
             return f"price bar at {timestamp} lacks a timezone designator"
-        if price <= 0 or not math.isfinite(price):
+        if not math.isfinite(price):
+            return f"non-finite price {price} at {timestamp}"
+        if price <= 0:
             return f"non-positive price {price} at {timestamp}"
         if prev is not None and timestamp <= prev:
             return f"price timestamps not strictly increasing at {timestamp}"

@@ -91,9 +91,6 @@ class RunConfig:
             "eye_indices": [list(self.eye_left), list(self.eye_right)],
         }
 
-    def digest(self) -> str:
-        return output.config_digest(self.digest_payload())
-
 
 def _file_sha256(path: Path, what: str) -> str:
     try:
@@ -121,10 +118,18 @@ def load_run_config(path: str | Path, overrides: dict | None = None) -> RunConfi
     def resolve(key: str) -> Path:
         if key not in raw:
             raise ConfigError(f"config {path}: missing required key {key!r}")
+        if not isinstance(raw[key], str):
+            raise ConfigError(f"config {path}: {key} must be a path, got {raw[key]!r}")
         return (base / raw[key]).resolve()
 
+    def section(key: str) -> dict:
+        value = raw.get(key, {})
+        if not isinstance(value, dict):
+            raise ConfigError(f"config {path}: {key} must be a JSON object, got {value!r}")
+        return dict(value)
+
     try:
-        ident_raw = dict(raw.get("identity", {}))
+        ident_raw = section("identity")
         for key in (f.name for f in fields(identity.IdentityConfig)):
             if overrides.get(key) is not None:
                 ident_raw[key] = overrides[key]
@@ -140,7 +145,7 @@ def load_run_config(path: str | Path, overrides: dict | None = None) -> RunConfi
             min_votes=int(min_votes),
             no_embedding_policy=ident_raw.get("no_embedding_policy", "drop"),
         )
-        att_raw = dict(raw.get("attention", {}))
+        att_raw = section("attention")
         attention_cfg = att.AttentionConfig(
             threshold=float(att_raw.get("threshold", 0.2)),
             gap_factor=float(att_raw.get("gap_factor", 3.0)),
@@ -150,7 +155,7 @@ def load_run_config(path: str | Path, overrides: dict | None = None) -> RunConfi
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"config {path}: invalid identity or attention value: {exc}") from exc
 
-    market_raw = dict(raw.get("market", {}))
+    market_raw = section("market")
     close_text = overrides.get("trading_close") or market_raw.get("trading_close", "16:00")
     try:
         close_time = time.fromisoformat(close_text)
@@ -161,7 +166,9 @@ def load_run_config(path: str | Path, overrides: dict | None = None) -> RunConfi
     if not target:
         raise ConfigError(f"config {path}: target_label is required")
 
-    stages = tuple(raw.get("stages", STAGES))
+    stages = raw.get("stages", list(STAGES))
+    if not isinstance(stages, list):
+        raise ConfigError(f"config {path}: stages must be a list of names, got {stages!r}")
     for stage in stages:
         if stage not in STAGES:
             raise ConfigError(f"config {path}: unknown stage {stage!r}")
@@ -182,7 +189,7 @@ def load_run_config(path: str | Path, overrides: dict | None = None) -> RunConfi
         identity=ident,
         attention=attention_cfg,
         market=MarketConfig(trading_close=close_time),
-        stages=stages,
+        stages=tuple(stages),
         eye_left=eye_left,
         eye_right=eye_right,
     )
@@ -257,14 +264,15 @@ def load_registry(path: str | Path) -> list[ConferenceRecord]:
 # ---------------------------------------------------------------------------
 
 
-def stage_identify(cfg: RunConfig, out_dir: Path, records: list[ConferenceRecord]) -> dict:
+def stage_identify(
+    cfg: RunConfig, out_dir: Path, records: list[ConferenceRecord], digest: str
+) -> dict:
     """Each landmark stream's target-speaker frames as an EAR series, ear/<id>.csv."""
     gallery = identity.load_gallery(cfg.gallery)
     if cfg.target_label not in gallery.labels:
         raise ConfigError(
             f"gallery {cfg.gallery} has no entries for target label {cfg.target_label!r}"
         )
-    digest = cfg.digest()
     conferences: dict[str, dict] = {}
     warnings: list[tuple[str, str]] = []
     for record in records:
@@ -277,9 +285,9 @@ def stage_identify(cfg: RunConfig, out_dir: Path, records: list[ConferenceRecord
         )
         keep = np.array(keep, dtype=bool)
         values, usable = geometry.batch_ear(batch.points[keep], cfg.eye_left, cfg.eye_right)
-        samples = zip(batch.timestamps[keep][usable].tolist(), values[usable].tolist())
         buf = io.StringIO()
-        count = att.write_ear_csv(samples, buf, meta_line=output.meta_line(digest))
+        count = att.write_ear_csv(batch.timestamps[keep][usable], values[usable], buf,
+                                  meta_line=output.meta_line(digest))
         output.write_text(out_dir / "ear" / f"{record.conference_id}.csv",
                           buf.getvalue(), digest)
         info = {**diag.as_dict(), "n_samples": count, "dropped_degenerate": diag.written - count}
@@ -319,8 +327,9 @@ WINDOW_COLUMNS = (
 )
 
 
-def stage_attention(cfg: RunConfig, out_dir: Path, records: list[ConferenceRecord]) -> dict:
-    digest = cfg.digest()
+def stage_attention(
+    cfg: RunConfig, out_dir: Path, records: list[ConferenceRecord], digest: str
+) -> dict:
     rows: list[dict] = []
     exclusions: list[dict] = []
     floored: list[str] = []
@@ -333,7 +342,10 @@ def stage_attention(cfg: RunConfig, out_dir: Path, records: list[ConferenceRecor
                 "run the identify stage first"
             )
         try:
-            series = att.series_from_samples(record.conference_id, att.read_ear_csv(ear_path))
+            timestamps, values = att.read_ear_csv(ear_path)
+            series = att.EarSeries(
+                record.conference_id, timestamps, values, att.estimate_fps(timestamps)
+            )
             summary = att.summarize_conference(series, cfg.attention)
             if (
                 cfg.attention.floor_policy == "epsilon_floor"
@@ -392,11 +404,10 @@ def read_attention_csv(path: Path) -> list[dict]:
 
 
 def stage_eventstudy(
-    cfg: RunConfig, out_dir: Path, records: list[ConferenceRecord]
+    cfg: RunConfig, out_dir: Path, records: list[ConferenceRecord], digest: str
 ) -> list[str]:
     """Window statistics and the regression tables; returns the table texts."""
     by_id = {r.conference_id: r for r in records}
-    digest = cfg.digest()
     attention_path = out_dir / "attention.csv"
     if not attention_path.exists():
         raise ConfigError("missing attention table: run the attention stage first")
@@ -500,22 +511,24 @@ STAGE_FUNCTIONS = {
 def run_stages(cfg: RunConfig, out_dir: Path, stages: Sequence[str]) -> list[str]:
     """Run the selected stages in pipeline order, one after another.
 
-    A name not in STAGES raises ConfigError.  The registry is loaded once,
-    before anything is written, and handed to every stage.  Returns the
-    rendered regression tables when the eventstudy stage ran, else an empty
-    list; nothing is printed.
+    A name not in STAGES raises ConfigError.  The registry is loaded and
+    the inputs are hashed once, before anything is written, and the records
+    and the config digest are handed to every stage.  Returns the rendered
+    regression tables when the eventstudy stage ran, else an empty list;
+    nothing is printed.
     """
     for stage in stages:
         if stage not in STAGES:
             raise ConfigError(f"unknown stage {stage!r}; stages are {', '.join(STAGES)}")
-    digest = cfg.digest()
+    payload = cfg.digest_payload()
+    digest = output.config_digest(payload)
     records = load_registry(cfg.registry)
-    output.write_json(out_dir / "run_config.json", {"config": cfg.digest_payload()}, digest)
+    output.write_json(out_dir / "run_config.json", {"config": payload}, digest)
     tables: list[str] = []
     for stage in STAGES:
         if stage in stages:
             log.info("running stage %s", stage)
-            result = STAGE_FUNCTIONS[stage](cfg, out_dir, records)
+            result = STAGE_FUNCTIONS[stage](cfg, out_dir, records, digest)
             if stage == "eventstudy":
                 tables = result
     return tables

@@ -262,3 +262,45 @@ def event_windows(times, prices, timeline) -> dict:
         "n_returns_before": len(before),
         "n_returns_after": len(after),
     }
+
+
+def read_ear_rows(path) -> tuple[list, list]:
+    """Timestamps and EAR values of an EAR CSV, read with the stdlib csv module."""
+    timestamps, values = [], []
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = csv.reader(line for line in fh if not line.startswith("#"))
+        next(rows)
+        for row in rows:
+            if row:
+                timestamps.append(float(row[0]))
+                values.append(float(row[1]))
+    return timestamps, values
+
+
+def attention_row(timestamps, values, threshold, gap_factor) -> dict | None:
+    """The attention.csv fields of one conference, by a loop over its samples.
+
+    The nominal frame interval is the reciprocal of the frame rate, which is
+    the reciprocal of the median sample spacing.  Each sample below the
+    threshold adds value * step to the integral (summed with math.fsum) and
+    step to the reading time; a spacing wider than gap_factor steps is a gap.
+    None when there are fewer than 2 samples, and log_attention is None when
+    the integral is 0.
+    """
+    if len(timestamps) < 2:
+        return None
+    spacings = sorted(b - a for a, b in zip(timestamps, timestamps[1:]))
+    mid = len(spacings) // 2
+    median = spacings[mid] if len(spacings) % 2 else (spacings[mid - 1] + spacings[mid]) / 2
+    step = 1.0 / (1.0 / median)
+    below = [v for v in values if v < threshold]
+    integral = math.fsum(below) * step
+    return {
+        "attention_integral": integral,
+        "log_attention": math.log(integral) if integral > 0 else None,
+        "reading_time_s": len(below) * step,
+        "end_s": timestamps[-1],
+        "observed_s": len(timestamps) * step,
+        "n_samples": len(timestamps),
+        "n_gaps": sum(b - a > gap_factor * step for a, b in zip(timestamps, timestamps[1:])),
+    }

@@ -17,7 +17,7 @@ import pytest
 
 from earstudy import (
     AttentionConfig,
-    EarSample,
+    EarSeries,
     Gallery,
     GalleryEntry,
     IdentityConfig,
@@ -29,7 +29,7 @@ from earstudy import (
     two_sided_p_value,
     vote_counts,
 )
-from earstudy.attention import series_from_samples
+from earstudy.attention import estimate_fps
 from earstudy.cli import main
 from earstudy.geometry import LEFT_EYE_INDICES, RIGHT_EYE_INDICES
 from earstudy.synth import (
@@ -161,8 +161,8 @@ def pipeline_attention(spec: ScenarioSpec, threshold: float) -> tuple[float, flo
     _, batch, _ = gen_landmark_stream(spec)
     values, usable = batch_ear(batch.points)
     assert usable.all()
-    samples = [EarSample(t, v) for t, v in zip(batch.timestamps.tolist(), values.tolist())]
-    series = series_from_samples(spec.conference_id, samples)
+    series = EarSeries(spec.conference_id, batch.timestamps, values,
+                       estimate_fps(batch.timestamps))
     return integrate_attention(series, AttentionConfig(threshold=threshold))
 
 

@@ -23,22 +23,18 @@ from earstudy.attention import (
     estimate_fps,
     read_ear_csv,
     read_segments_csv,
-    series_from_samples,
     summarize_conference,
     write_ear_csv,
     write_segments_csv,
 )
-from earstudy.geometry import EarSample
 
 
 def series(values, fps=2.0, start=None, conference_id="c"):
     """Series sampled on the (k+1)/fps grid unless start is given."""
     step = 1.0 / fps
     first = step if start is None else start
-    samples = tuple(
-        EarSample(first + k * step, float(v)) for k, v in enumerate(values)
-    )
-    return EarSeries(conference_id, samples, fps)
+    timestamps = first + step * np.arange(len(values))
+    return EarSeries(conference_id, timestamps, values, fps)
 
 
 def sample_trace(episodes, baseline, length, fps):
@@ -59,6 +55,13 @@ def sample_trace(episodes, baseline, length, fps):
 CONFIG = AttentionConfig(threshold=0.2)
 
 
+@pytest.mark.parametrize("name", ["threshold", "gap_factor", "floor_value"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_attention_config_rejects_non_finite(name, value):
+    with pytest.raises(ConfigError, match=f"{name} must be finite"):
+        AttentionConfig(**{name: value})
+
+
 def test_integrate_worked_example():
     s = series([0.30, 0.15, 0.10, 0.25], fps=2.0)
     integral, reading = integrate_attention(s, CONFIG)
@@ -75,31 +78,30 @@ def test_integrate_all_above_threshold_is_zero():
 def test_integrate_gap_contributes_nothing():
     values = [0.30, 0.15, 0.10, 0.25]
     base = series(values, fps=2.0)
-    shifted = EarSeries(
-        "c",
-        tuple(
-            EarSample(s.timestamp + (30.0 if i >= 2 else 0.0), s.value)
-            for i, s in enumerate(base.samples)
-        ),
-        2.0,
-    )
+    shifted = EarSeries("c", base.timestamps + [0.0, 0.0, 30.0, 30.0], base.values, 2.0)
     assert integrate_attention(shifted, CONFIG) == integrate_attention(base, CONFIG)
     assert len(shifted.gap_spans(CONFIG.gap_factor)) == 1
 
 
 def test_integrate_empty_series_errors():
     with pytest.raises(DataError):
-        integrate_attention(EarSeries("c", (), 2.0), CONFIG)
+        integrate_attention(EarSeries("c", [], [], 2.0), CONFIG)
 
 
 def test_series_rejects_nonincreasing_timestamps():
     with pytest.raises(MalformedRecordError):
-        EarSeries("c", (EarSample(1.0, 0.3), EarSample(1.0, 0.2)), 2.0)
+        EarSeries("c", [1.0, 1.0], [0.3, 0.2], 2.0)
+
+
+@pytest.mark.parametrize("timestamps", [[1.0, math.nan], [math.nan, 1.0]])
+def test_series_rejects_nan_timestamp(timestamps):
+    with pytest.raises(MalformedRecordError, match="timestamps not strictly increasing"):
+        EarSeries("c", timestamps, [0.3, 0.2], 2.0)
 
 
 def test_series_rejects_negative_values():
     with pytest.raises(MalformedRecordError):
-        EarSeries("c", (EarSample(1.0, -0.1),), 2.0)
+        EarSeries("c", [1.0], [-0.1], 2.0)
 
 
 def test_log_level_identities():
@@ -242,11 +244,10 @@ def test_planted_recovery_within_discretization_bound():
 
 
 def test_estimate_fps_median_spacing():
-    samples = [EarSample(0.1 * (k + 1), 0.3) for k in range(10)]
-    samples.append(EarSample(5.0, 0.3))  # one gap must not bias the median
-    assert estimate_fps(samples) == pytest.approx(10.0, rel=1e-9)
+    timestamps = np.append(0.1 * np.arange(1, 11), 5.0)  # one gap must not bias the median
+    assert estimate_fps(timestamps) == pytest.approx(10.0, rel=1e-9)
     with pytest.raises(InsufficientDataError):
-        estimate_fps(samples[:1])
+        estimate_fps(timestamps[:1])
 
 
 def test_summarize_conference_fields():
@@ -260,12 +261,13 @@ def test_summarize_conference_fields():
 
 
 def test_ear_csv_round_trip_exact(tmp_path):
-    samples = [EarSample(0.5 * (k + 1), 0.1 + 0.01 * k) for k in range(10)]
+    timestamps = 0.5 * np.arange(1, 11)
+    values = 0.1 + 0.01 * np.arange(10)
     path = tmp_path / "ear.csv"
     with open(path, "w", encoding="utf-8") as fh:
-        write_ear_csv(samples, fh, meta_line="config_hash=abc tool_version=0")
+        write_ear_csv(timestamps, values, fh, meta_line="config_hash=abc tool_version=0")
     loaded = read_ear_csv(path)
-    assert loaded == samples
+    assert [column.tolist() for column in loaded] == [timestamps.tolist(), values.tolist()]
 
 
 def test_ear_csv_rejects_bad_header(tmp_path):
@@ -283,8 +285,3 @@ def test_segments_csv_round_trip(tmp_path):
     loaded = read_segments_csv(path, "c")
     assert loaded.segments == segs.segments
 
-
-def test_series_from_samples_estimates_fps():
-    samples = [EarSample(0.2 * (k + 1), 0.3) for k in range(5)]
-    s = series_from_samples("c", samples)
-    assert s.nominal_fps == pytest.approx(5.0)

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -340,6 +341,9 @@ def test_gallery_file_plain_array(tmp_path):
 def test_identity_config_validation():
     with pytest.raises(ConfigError):
         IdentityConfig(epsilon=-1.0)
+    for epsilon in (math.nan, math.inf):
+        with pytest.raises(ConfigError, match="epsilon must be finite"):
+            IdentityConfig(epsilon=epsilon)
     with pytest.raises(ConfigError):
         IdentityConfig(epsilon=0.5, min_votes=0)
     with pytest.raises(ConfigError):

@@ -273,8 +273,8 @@ MALFORMED_PRICES = {
         [(2, 1, "-1.5")],
         "non-positive price -1.5 at 2011-06-15 12:32:00-04:00",
     ),
-    "nan-price": ([(2, 1, "nan")], "non-positive price nan at 2011-06-15 12:32:00-04:00"),
-    "infinite-price": ([(2, 1, "inf")], "non-positive price inf at 2011-06-15 12:32:00-04:00"),
+    "nan-price": ([(2, 1, "nan")], "non-finite price nan at 2011-06-15 12:32:00-04:00"),
+    "infinite-price": ([(2, 1, "inf")], "non-finite price inf at 2011-06-15 12:32:00-04:00"),
     "bad-price-then-bad-time": (
         [(2, 1, "abc"), (4, 0, "not-a-time")],
         "{path}: bad price row ['2011-06-15T12:32:00-04:00', 'abc']",

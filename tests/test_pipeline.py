@@ -7,13 +7,14 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from earstudy import ConfigError, DataError, InsufficientDataError
+from earstudy import ConfigError, DataError, InsufficientDataError, pipeline
 from earstudy.attention import write_ear_csv
 from earstudy.cli import main
 from earstudy.geometry import read_landmark_batch
-from earstudy.output import meta_line
+from earstudy.output import config_digest, meta_line
 from earstudy.pipeline import (
     build_fixture,
     load_registry,
@@ -26,10 +27,16 @@ from earstudy.synth import planted_study_scenarios
 from conftest import write_run_config
 from oracles import (
     RejectedLine,
+    attention_row,
     brute_force_classify,
     frame_aspect_ratio,
+    read_ear_rows,
     read_landmark_columns,
 )
+
+
+def digest(cfg) -> str:
+    return config_digest(cfg.digest_payload())
 
 
 def tree_bytes(root: Path) -> dict:
@@ -73,7 +80,8 @@ def scalar_identify(cfg, record) -> tuple[bytes, dict]:
                 pass
     tally["total"] = len(columns["timestamp_s"])
     buf = io.StringIO()
-    write_ear_csv(samples, buf, meta_line=meta_line(cfg.digest()))
+    timestamps, values = np.array(samples, dtype=float).reshape(-1, 2).T
+    write_ear_csv(timestamps, values, buf, meta_line=meta_line(digest(cfg)))
     return buf.getvalue().encode("utf-8"), tally
 
 
@@ -144,6 +152,36 @@ def test_rerun_is_byte_identical(completed_run, tmp_path):
     assert tree_bytes(second) == tree_bytes(out)
 
 
+def test_run_hashes_each_input_once(completed_run, tmp_path, monkeypatch):
+    _, cfg, _ = completed_run
+    hashed = []
+    file_sha256 = pipeline._file_sha256
+    monkeypatch.setattr(pipeline, "_file_sha256",
+                        lambda path, what: hashed.append(path) or file_sha256(path, what))
+    run_stages(cfg, tmp_path / "out", cfg.stages)
+    assert sorted(hashed) == sorted([cfg.registry, cfg.gallery])
+
+
+def test_attention_table_matches_row_oracle(completed_run):
+    _, cfg, out = completed_run
+    table = {row["conference_id"]: row for row in read_attention_csv(out / "attention.csv")}
+    threshold, gap_factor = cfg.attention.threshold, cfg.attention.gap_factor
+    checked = []
+    for path in sorted((out / "ear").glob("*.csv")):
+        expected = attention_row(*read_ear_rows(path), threshold, gap_factor)
+        row = table.get(path.stem)
+        if row is None:  # excluded: too few samples, or no log of a zero integral
+            assert expected is None or expected["log_attention"] is None, path.stem
+            continue
+        assert (row["n_samples"], row["n_gaps"]) == (expected["n_samples"], expected["n_gaps"])
+        for field in ("attention_integral", "log_attention", "reading_time_s", "end_s",
+                      "observed_s"):
+            assert row[field] == pytest.approx(expected[field], rel=1e-12, abs=0), field
+        checked.append(path.stem)
+    assert sorted(checked) == sorted(table)
+    assert len(checked) == 6
+
+
 def test_windows_csv_has_expected_columns(completed_run):
     _, _, out = completed_run
     lines = (out / "windows.csv").read_text().splitlines()
@@ -211,7 +249,7 @@ def test_run_config_flag_overrides(small_fixture, tmp_path):
     assert tweaked.identity.epsilon == 0.25
     assert tweaked.target_label == "reporter"
     assert tweaked.market.trading_close.isoformat() == "15:45:00"
-    assert tweaked.digest() != base.digest()
+    assert digest(tweaked) != digest(base)
 
 
 def test_cli_exit_codes(small_fixture, tmp_path):
@@ -419,11 +457,11 @@ def test_every_output_file_embeds_provenance(completed_run):
     _, cfg, out = completed_run
     from earstudy.output import embedded_digest
 
-    digest = cfg.digest()
+    expected = digest(cfg)
     files = [p for p in out.rglob("*") if p.is_file()]
     assert files
     for path in files:
-        assert embedded_digest(path) == digest, path
+        assert embedded_digest(path) == expected, path
 
 
 @pytest.mark.parametrize("value", [2, 2.0])
@@ -479,7 +517,7 @@ def test_eye_index_layout_override(small_fixture, tmp_path):
     assert cfg.eye_left == tuple(range(42, 48))
     assert cfg.eye_right == tuple(range(36, 42))
     base = load_run_config(write_run_config(tmp_path / "base.json", small_fixture))
-    assert cfg.digest() != base.digest()
+    assert digest(cfg) != digest(base)
 
 
 def test_missing_transcript_becomes_exclusion(small_fixture, tmp_path):
@@ -585,10 +623,19 @@ def test_non_utf8_json_file_is_one_line_error(small_fixture, tmp_path, capsys, n
         ("config.json", ("eye_indices",), [[36, 39], [42, 45]], 1),
         ("config.json", ("market", "trading_close"), 5, 1),
         ("config.json", ("identity", "min_votes"), 2.7, 1),
+        ("config.json", ("registry",), 5, 1),
+        ("config.json", ("gallery",), None, 1),
+        ("config.json", ("stages",), 5, 1),
+        ("config.json", ("market",), 5, 1),
+        ("config.json", ("identity", "epsilon"), float("nan"), 1),
+        ("config.json", ("attention", "threshold"), float("inf"), 1),
+        ("config.json", ("attention", "gap_factor"), float("nan"), 1),
+        ("config.json", ("attention", "floor_value"), float("nan"), 1),
     ],
     ids=["registry-date", "registry-conferences", "gallery-entries", "gallery-text",
          "gallery-nan", "epsilon-text", "eye-index-99", "eye-two-points", "trading-close",
-         "min-votes-fraction"],
+         "min-votes-fraction", "registry-path-number", "gallery-path-null", "stages-number",
+         "market-number", "epsilon-nan", "threshold-inf", "gap-factor-nan", "floor-value-nan"],
 )
 def test_malformed_input_is_one_line_error(
     small_fixture, tmp_path, capsys, name, keys, value, code
@@ -607,3 +654,4 @@ def test_malformed_input_is_one_line_error(
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1, err
     assert "Traceback" not in err
+    assert err.startswith("configuration error: " if code == 1 else "data error: "), err

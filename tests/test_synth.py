@@ -8,14 +8,14 @@ import pytest
 
 from earstudy import (
     AttentionConfig,
-    EarSample,
+    EarSeries,
     IdentityConfig,
     ScenarioError,
     batch_ear,
     classify_batch,
     integrate_attention,
 )
-from earstudy.attention import series_from_samples
+from earstudy.attention import estimate_fps
 from earstudy.geometry import write_landmark_stream
 from earstudy.market import PriceSeries, build_timeline, event_window_stats, write_price_csv
 from earstudy.synth import (
@@ -172,8 +172,8 @@ def test_landmark_stream_identity_script_clusters():
 def test_round_trip_through_attention_pipeline():
     spec = scenario(fps=15.0)
     _, batch, truth = gen_landmark_stream(spec)
-    samples = [EarSample(t, v) for t, v in zip(batch.timestamps.tolist(), ear_values(batch))]
-    series = series_from_samples(spec.conference_id, samples)
+    series = EarSeries(spec.conference_id, batch.timestamps, ear_values(batch),
+                       estimate_fps(batch.timestamps))
     assert series.nominal_fps == pytest.approx(15.0, rel=1e-9)
     cfg = AttentionConfig(threshold=0.2)
     integral, reading = integrate_attention(series, cfg)
