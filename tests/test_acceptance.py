@@ -355,3 +355,44 @@ def test_c10_run_determinism(planted_run):
     assert trees["a"] == trees["b"]
     assert stdouts["a"] == stdouts["b"]
     report(10, "run determinism")
+
+
+# --- golden tables of the reference study -----------------------------------
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def _same_numbers(got, expected, where: str) -> None:
+    """Equal structure and strings; numbers equal to 1e-12 relative."""
+    if isinstance(expected, dict):
+        assert isinstance(got, dict) and got.keys() == expected.keys(), where
+        for key in expected:
+            _same_numbers(got[key], expected[key], f"{where}.{key}")
+    elif isinstance(expected, list):
+        assert isinstance(got, list) and len(got) == len(expected), where
+        for i, (g, e) in enumerate(zip(got, expected)):
+            _same_numbers(g, e, f"{where}[{i}]")
+    elif isinstance(expected, float) and not isinstance(got, bool):
+        assert isinstance(got, (int, float)), where
+        assert math.isclose(got, expected, rel_tol=1e-12, abs_tol=0.0), (where, got, expected)
+    else:
+        assert type(got) is type(expected) and got == expected, (where, got, expected)
+
+
+def test_reference_tables_match_golden(planted_run):
+    """The paper tables of the reference study are pinned, stamps aside.
+
+    Text tables and stdout are compared byte for byte; the JSON tables to
+    1e-12 relative, since BLAS may sum the OLS dot products in another order.
+    """
+    outputs, stdouts, _ = planted_run
+    tables = outputs["a"] / "tables"
+    assert stdouts["a"] == (GOLDEN / "stdout.txt").read_text()
+    for dependent in ("return_during", "return_after", "vol_change_x100"):
+        lines = (tables / f"{dependent}.txt").read_text().splitlines(keepends=True)
+        text = "".join(line for line in lines if not line.startswith("#"))
+        assert text == (GOLDEN / f"{dependent}.txt").read_text(), dependent
+        payload = json.loads((tables / f"{dependent}.json").read_text())
+        del payload["meta"]
+        expected = json.loads((GOLDEN / f"{dependent}.json").read_text())
+        _same_numbers(payload, expected, dependent)
