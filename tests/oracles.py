@@ -3,7 +3,7 @@
 These deliberately avoid the code paths under test: a stdlib-json landmark
 reader with per-field checks, the EAR over plain (x, y) tuples,
 plain-python distance sums, a design-matrix normal-equations OLS solve,
-adaptive Simpson quadrature of the t density, a two-pass RMS, and a
+scipy's t distribution, adaptive Simpson quadrature of the t density, a two-pass RMS, and a
 row-by-row price reader with event windows over plain lists.
 """
 
@@ -144,7 +144,7 @@ def ols_normal_equations(x, y) -> dict:
         t = coef / se
         r2 = 1.0 - ssr / sst if sst > 0 else 1.0
         f = (sst - ssr) / (ssr / df) if ssr > 0 else math.inf
-    p = 2.0 * scipy.stats.t.sf(np.abs(t), df)
+    p = t_two_sided_p_scipy(t, df)
     return {
         "alpha": float(coef[0]),
         "beta": float(coef[1]),
@@ -160,6 +160,11 @@ def ols_normal_equations(x, y) -> dict:
         "f_stat": float(f),
         "n": n,
     }
+
+
+def t_two_sided_p_scipy(t, df):
+    """2*P(T_df > |t|) from scipy.stats, elementwise over an array of t."""
+    return 2.0 * scipy.stats.t.sf(np.abs(t), df)
 
 
 def _simpson(f, a, fa, b, fb):

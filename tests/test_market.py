@@ -225,6 +225,25 @@ def test_price_csv_round_trip(tmp_path):
     assert loaded.bars == series.bars
 
 
+def test_mixed_offsets_are_ordered_by_instant(tmp_path):
+    """A file that changes offset is ordered by instant, not by wall clock."""
+    path = tmp_path / "prices.csv"
+    # 16:30Z, 16:31Z, 16:32Z: the wall clock goes back, the instants go on.
+    path.write_text("timestamp,price\n2011-06-15T12:30:00-04:00,100\n"
+                    "2011-06-15T12:31:00-04:00,101\n2011-06-15T11:32:00-05:00,102\n")
+    assert [t.isoformat() for t in read_price_csv(path).times][-1] == (
+        "2011-06-15T11:32:00-05:00"
+    )
+    # 16:30Z, 17:31Z, 15:32Z: the wall clock goes on, the instants go back.
+    path.write_text("timestamp,price\n2011-06-15T12:30:00-04:00,100\n"
+                    "2011-06-15T12:31:00-05:00,101\n2011-06-15T12:32:00-03:00,102\n")
+    with pytest.raises(MalformedRecordError) as info:
+        read_price_csv(path)
+    assert str(info.value) == (
+        "price timestamps not strictly increasing at 2011-06-15 12:32:00-03:00"
+    )
+
+
 def test_price_csv_rejects_bad_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("time,px\n2019-05-15T14:00:00-04:00,100\n")
@@ -320,7 +339,9 @@ def test_malformed_prices_exclude_their_conference(price_fixture, tmp_path, case
     cfg = load_run_config(write_run_config(tmp_path / "config.json", fixture))
     run_stages(cfg, tmp_path / "out", cfg.stages)
     diag = json.loads((tmp_path / "out" / "diagnostics" / "eventstudy.json").read_text())
-    expected = exclusions + [{"conference_id": "conf-002", "reason": reason.format(path=path)}]
+    # The diagnostics name the file relative to the registry's directory.
+    excluded = {"conference_id": "conf-002", "reason": reason.format(path="prices/conf-002.csv")}
+    expected = exclusions + [excluded]
     assert sorted(diag["exclusions"], key=str) == sorted(expected, key=str)
     with pytest.raises(MalformedRecordError) as info:
         read_price_csv(path)

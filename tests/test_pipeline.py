@@ -291,12 +291,28 @@ def test_cli_main_freezes_the_heap_only_while_it_runs(small_fixture, tmp_path, m
 
 
 def test_cli_import_leaves_scipy_unloaded():
-    # Only the p-values use scipy, and they import it when first called.
+    # The package imports no scipy; the tests keep it as an oracle.
     probe = ("import sys, earstudy.cli; "
              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
     assert result.stdout == "[]\n"
+
+
+def test_run_never_imports_scipy(completed_run, tmp_path):
+    """A whole run with scipy unimportable exits 0 and writes the same tree."""
+    fixture, _, out = completed_run
+    probe = ("import sys; sys.modules['scipy'] = None; "
+             "from earstudy.cli import main; sys.exit(main())")
+    config_path = write_run_config(tmp_path / "config.json", fixture)
+    result = subprocess.run(
+        [sys.executable, "-c", probe, "run", "--config", str(config_path),
+         "--out", str(tmp_path / "out")],
+        capture_output=True, text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    assert "Traceback" not in result.stderr
+    assert tree_bytes(tmp_path / "out") == tree_bytes(out)
 
 
 def test_cli_synth_subprocess(tmp_path):
@@ -592,9 +608,26 @@ def test_invalid_utf8_is_a_data_error(small_fixture, tmp_path, kind):
     assert result.returncode == 0, result.stderr
     stage = "eventstudy" if kind == "prices" else "attention"
     diag = json.loads((tmp_path / "out" / "diagnostics" / f"{stage}.json").read_text())
-    assert {"conference_id": "conf-001", "reason": f"{path}: not valid UTF-8"} in (
+    name = path.relative_to(fixture).as_posix()
+    assert {"conference_id": "conf-001", "reason": f"{name}: not valid UTF-8"} in (
         diag["exclusions"]
     )
+
+
+def test_exclusion_reasons_do_not_depend_on_out(small_fixture, tmp_path):
+    """A bad ear/<id>.csv is named relative to --out, wherever --out lies."""
+    cfg = load_run_config(write_run_config(tmp_path / "config.json", small_fixture))
+    trees = []
+    for out in (tmp_path / "a" / "out", tmp_path / "b" / "deeper" / "out"):
+        run_stages(cfg, out, ("identify",))
+        ear = out / "ear" / "conf-006.csv"
+        ear.write_bytes(ear.read_bytes() + b"1.5,abc\n")
+        run_stages(cfg, out, ("attention", "eventstudy"))
+        diag = json.loads((out / "diagnostics" / "attention.json").read_text())
+        reasons = {e["conference_id"]: e["reason"] for e in diag["exclusions"]}
+        assert reasons["conf-006"].startswith("ear/conf-006.csv"), reasons
+        trees.append(tree_bytes(out))
+    assert trees[0] == trees[1]
 
 
 @pytest.mark.parametrize("name, code", [("registry.json", 2), ("gallery.json", 2),
@@ -631,11 +664,22 @@ def test_non_utf8_json_file_is_one_line_error(small_fixture, tmp_path, capsys, n
         ("config.json", ("attention", "threshold"), float("inf"), 1),
         ("config.json", ("attention", "gap_factor"), float("nan"), 1),
         ("config.json", ("attention", "floor_value"), float("nan"), 1),
+        ("config.json", ("identity", "epsilon"), True, 1),
+        ("config.json", ("identity", "min_votes"), True, 1),
+        ("config.json", ("attention", "threshold"), True, 1),
+        ("config.json", ("attention", "floor_value"), False, 1),
+        ("config.json", ("eye_indices",), {}, 1),
+        ("config.json", ("eye_indices",), 0, 1),
+        ("config.json", ("eye_indices",), "", 1),
+        ("config.json", ("eye_indices",), [], 1),
     ],
     ids=["registry-date", "registry-conferences", "gallery-entries", "gallery-text",
          "gallery-nan", "epsilon-text", "eye-index-99", "eye-two-points", "trading-close",
          "min-votes-fraction", "registry-path-number", "gallery-path-null", "stages-number",
-         "market-number", "epsilon-nan", "threshold-inf", "gap-factor-nan", "floor-value-nan"],
+         "market-number", "epsilon-nan", "threshold-inf", "gap-factor-nan", "floor-value-nan",
+         "epsilon-true", "min-votes-true", "threshold-true", "floor-value-false",
+         "eye-indices-object", "eye-indices-zero", "eye-indices-empty-text",
+         "eye-indices-empty-list"],
 )
 def test_malformed_input_is_one_line_error(
     small_fixture, tmp_path, capsys, name, keys, value, code

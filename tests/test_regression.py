@@ -17,7 +17,7 @@ from earstudy import (
 )
 from earstudy.regression import table_rows, write_table_csv, write_table_json
 
-from oracles import ols_normal_equations, t_two_sided_p_quadrature
+from oracles import ols_normal_equations, t_two_sided_p_quadrature, t_two_sided_p_scipy
 
 FIELDS = (
     "alpha", "beta", "se_alpha", "se_beta", "t_alpha", "t_beta",
@@ -157,6 +157,66 @@ def test_p_value_matches_quadrature_oracle():
 
 def test_p_value_infinite_t():
     assert two_sided_p_value(float("inf"), 10) == 0.0
+
+
+def test_p_value_matches_scipy_oracle():
+    """df 1-199, 500 and 1000, t on a linear and a log grid: 1e-11 relative.
+
+    The log grid starts at 1e-4 because below that scipy itself loses
+    digits: it forms 1 - x for x = df / (df + t^2), 3e-9 relative off at
+    t = 1e-8 and df = 1.  test_p_value_closed_forms covers small t.
+    """
+    t_grid = np.concatenate([np.linspace(0.0, 40.0, 81), np.logspace(-4.0, 3.0, 71)])
+    for df in [*range(1, 200), 500, 1000]:
+        expected = t_two_sided_p_scipy(t_grid, df)
+        for t, want in zip(t_grid.tolist(), expected.tolist()):
+            got = two_sided_p_value(t, df)
+            if want < 1e-300:  # beyond the normal range of a double
+                assert got < 1e-290, (df, t)
+                continue
+            assert abs(got - want) <= 1e-11 * want, (df, t, got, want)
+
+
+@pytest.mark.parametrize("t", [1e-12, 1e-8, 0.3, 2.5, 1e4, 1e16, 1e40, 1e200])
+def test_p_value_closed_forms(t):
+    """df 1 and 2 have closed forms free of cancellation, tiny p included."""
+    cauchy = 2.0 / math.pi * math.atan(1.0 / t)
+    root = math.hypot(t, math.sqrt(2.0))
+    df2 = 2.0 / (root * (root + t))
+    for df, want in ((1, cauchy), (2, df2)):
+        got = two_sided_p_value(t, df)
+        assert abs(got - want) <= 1e-12 * want, (df, got, want)
+        assert two_sided_p_value(-t, df) == got
+
+
+def test_p_value_near_one_keeps_its_digits():
+    """Small t at large df: 1 - x is never formed by subtraction.
+
+    The expected value is I_x(98.5, 1/2) at x = 197 / (197 + t^2), from
+    50-digit arithmetic; forming 1 - x in doubles puts 1.2e-12 of error here.
+    """
+    got = two_sided_p_value(0.0035336755463137902, 197)
+    assert got == pytest.approx(0.99718411644549923485, rel=1e-14, abs=0.0)
+
+
+def test_p_value_tiny_keeps_relative_accuracy():
+    for df, t in ((1, 1e40), (2, 1e16), (10, 1e4), (42, 100.0)):
+        got = two_sided_p_value(t, df)
+        want = float(t_two_sided_p_scipy(t, df))
+        assert got < 1e-30
+        assert abs(got - want) <= 1e-11 * want, (df, t, got, want)
+
+
+def test_p_value_edges():
+    for df in (1, 2, 43, 1000):
+        assert two_sided_p_value(0.0, df) == 1.0
+        assert two_sided_p_value(-0.0, df) == 1.0
+        assert two_sided_p_value(math.inf, df) == 0.0
+        assert two_sided_p_value(-math.inf, df) == 0.0
+        assert math.isnan(two_sided_p_value(math.nan, df))
+    for df in (0, -1):
+        with pytest.raises(InsufficientDataError):
+            two_sided_p_value(1.0, df)
 
 
 def test_null_effect_rarely_earns_three_stars():
