@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from .errors import ConfigError, DataError
-from .pipeline import STAGES, load_run_config, run_stages, run_synth
+from .pipeline import STAGES, load_run_config, run_stages
 
 
 def _add_common(parser: argparse.ArgumentParser, seed: bool = False) -> None:
@@ -102,6 +102,9 @@ def _main(argv: list[str] | None) -> int:
 
     try:
         if args.command == "synth":
+            # Imported here, so that the stages never load the generator.
+            from .synth import run_synth
+
             run_synth(Path(args.config), out_dir, seed_override=args.seed)
             return 0
         cfg = load_run_config(args.config, _overrides(args))

@@ -14,7 +14,7 @@ from contextlib import closing
 from dataclasses import dataclass
 from itertools import chain, islice
 from pathlib import Path
-from typing import IO, Iterator, NamedTuple, Sequence
+from typing import IO, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 import orjson
@@ -70,8 +70,8 @@ class _Rejected(NamedTuple):
     reason: str
 
 
-def _numbered_records(path: str | Path) -> Iterator[tuple[int, object]]:
-    """(line number, decoded record) of each frame record line.
+def _numbered_records(path: str | Path) -> Iterator[tuple[int, object, bool]]:
+    """(line number, decoded record, plain) of each frame record line.
 
     Blank lines and {"_meta": ...} records are skipped.  A line that orjson
     rejects, or whose record has true or false for a number, is yielded as a
@@ -82,6 +82,12 @@ def _numbered_records(path: str | Path) -> Iterator[tuple[int, object]]:
     an "l", so two single-byte searches clear most lines at a fifth of the
     cost of searching for the words, which are only searched for when a
     conference_id or an escape holds one of the letters.
+
+    A record is plain when its line holds 2 * len(record) + 2 quote bytes:
+    its only strings are then its keys and its conference_id.  numpy reads
+    a numeric string as its number, so the values of a record that is not
+    plain, such as one with an escaped quote in its conference_id, are
+    type-checked one by one.
     """
     with open(path, "rb") as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -105,7 +111,8 @@ def _numbered_records(path: str | Path) -> Iterator[tuple[int, object]]:
                 and _holds_boolean_number(record)
             ):
                 record = _Rejected("true or false in place of a number")
-            yield line_no, record
+            plain = type(record) is dict and line.count(b'"') == 2 * len(record) + 2
+            yield line_no, record, plain
 
 
 def _holds_boolean_number(record: object) -> bool:
@@ -146,7 +153,10 @@ _BATCH_LINES = 32
 def read_landmark_batch(path: str | Path) -> LandmarkBatch:
     """Read a JSONL landmark stream into arrays, one orjson.loads per line.
 
-    The records are checked vectorised, one step of lines at a time.  When a
+    The records are checked vectorised, one step of lines at a time: each
+    column is converted in one pass with np.fromiter after its lengths are
+    checked, and its values must be finite.  Lines screened as not plain
+    (see _numbered_records) also have each value's type checked.  When a
     step fails, its records are checked one by one, and the first bad one
     raises MalformedRecordError "{path}: line {n}: {reason}".
     """
@@ -173,29 +183,33 @@ def read_landmark_batch(path: str | Path) -> LandmarkBatch:
 
 
 def _checked_step(
-    path: str | Path, step: list[tuple[int, object]], last_ts: dict[str, float]
+    path: str | Path, step: list[tuple[int, object, bool]], last_ts: dict[str, float]
 ) -> LandmarkBatch:
-    """The batch of one step's (line number, record) pairs.
+    """The batch of one step's (line number, record, plain) triples.
 
     A step the vectorised checks reject is checked again one record at a
     time, which names the first bad line.
     """
-    batch = _checked_batch([record for _, record in step], last_ts)
+    plain = all(p for _, _, p in step)
+    batch = _checked_batch([record for _, record, _ in step], last_ts, plain)
     if isinstance(batch, LandmarkBatch):
         return batch
-    for line_no, record in step:
-        reason = _checked_batch([record], last_ts)
+    for line_no, record, plain in step:
+        reason = _checked_batch([record], last_ts, plain)
         if isinstance(reason, str):
             raise MalformedRecordError(f"{path}: line {line_no}: {reason}")
     raise AssertionError("records that pass one at a time pass together")
 
 
-def _checked_batch(records: list, last_ts: dict[str, float]) -> LandmarkBatch | str:
+def _checked_batch(
+    records: list, last_ts: dict[str, float], plain: bool
+) -> LandmarkBatch | str:
     """The batch of the decoded records, or the reason they break the format.
 
     Given one record, the reason is that record's own.  last_ts holds each
     conference's latest timestamp before these records, and is updated with
-    theirs when they pass.
+    theirs when they pass.  Unless plain, every timestamp, coordinate and
+    embedding entry must be an int or a float.
     """
     for record in records:
         if type(record) is not dict:
@@ -213,46 +227,53 @@ def _checked_batch(records: list, last_ts: dict[str, float]) -> LandmarkBatch | 
     # orjson reads an integer below -2**63 or from 2**64 up as a float.
     if not all(type(i) is int for i in indices):
         return "frame_index is not an integer"
-    timestamps = _finite_array(raw_times, ())
+    n = len(records)
+    timestamps = _finite_values(raw_times, n, plain)
     if timestamps is None or not (timestamps >= 0).all():
         return "timestamp_s is not a finite number >= 0"
     try:
-        pairs = all({2}.issuperset(map(len, p)) for p in raw_points)
-        # One flat row of coordinates per frame converts faster than the
-        # nested pairs; the pair lengths are checked above.
-        flat = [list(chain.from_iterable(p)) for p in raw_points] if pairs else None
+        pairs = all(len(p) == LANDMARK_COUNT and {2}.issuperset(map(len, p))
+                    for p in raw_points)
     except TypeError:
-        flat = None
-    points = None if flat is None else _finite_array(flat, (2 * LANDMARK_COUNT,))
+        pairs = False
+    coordinates = chain.from_iterable(chain.from_iterable(raw_points))
+    points = _finite_values(coordinates, n * 2 * LANDMARK_COUNT, plain) if pairs else None
     if points is None:
         return f"expected {LANDMARK_COUNT} [x, y] pairs of finite numbers in points"
     has_embedding = np.array([e is not None for e in raw_embeddings], dtype=bool)
-    embedded = _finite_array([e for e in raw_embeddings if e is not None], (EMBEDDING_DIM,))
-    if embedded is None:
+    embedded = [e for e in raw_embeddings if e is not None]
+    try:
+        sized = all(len(e) == EMBEDDING_DIM for e in embedded)
+    except TypeError:
+        sized = False
+    entries = chain.from_iterable(embedded)
+    flat = _finite_values(entries, len(embedded) * EMBEDDING_DIM, plain) if sized else None
+    if flat is None:
         return f"expected {EMBEDDING_DIM} finite numbers in embedding"
     conference_id = _time_ordered(ids, timestamps.tolist(), last_ts)
     if conference_id is not None:
         return f"timestamps decrease within conference {conference_id!r}"
-    n = len(records)
     embeddings = np.zeros((n, EMBEDDING_DIM))
-    embeddings[has_embedding] = embedded.reshape(-1, EMBEDDING_DIM)
+    embeddings[has_embedding] = flat.reshape(-1, EMBEDDING_DIM)
     return LandmarkBatch(
-        timestamps.astype(float),
-        points.astype(float).reshape(n, LANDMARK_COUNT, 2),
-        embeddings,
-        has_embedding,
+        timestamps, points.reshape(n, LANDMARK_COUNT, 2), embeddings, has_embedding
     )
 
 
-def _finite_array(values: list, row_shape: tuple[int, ...]) -> np.ndarray | None:
-    """values as an array of finite numbers in rows of row_shape, else None."""
+def _finite_values(values: Iterable, count: int, plain: bool) -> np.ndarray | None:
+    """The count values as a float array, or None unless each is a finite number.
+
+    np.fromiter reads null as NaN, which the finiteness check rejects, and a
+    numeric string as its number, so unless plain each value's type is
+    checked first.
+    """
+    if not plain:
+        values = list(values)
+        if not all(type(v) is int or type(v) is float for v in values):
+            return None
     try:
-        array = np.array(values)
+        array = np.fromiter(values, np.float64, count)
     except (TypeError, ValueError):
-        return None
-    if len(array) == 0:
-        return array
-    if array.dtype.kind not in "iuf" or array.shape[1:] != row_shape:
         return None
     return array if np.isfinite(array).all() else None
 

@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from . import attention as att
-from . import geometry, identity, market, output, regression, synth
+from . import geometry, identity, market, output, regression
 from .errors import ConfigError, DataError, InsufficientDataError
 
 log = logging.getLogger(__name__)
@@ -130,9 +130,10 @@ def load_run_config(path: str | Path, overrides: dict | None = None) -> RunConfi
         return dict(value)
 
     def number(values: dict, name: str, key: str, default: float | None = None):
-        # float() and int() would take JSON true and false as 1 and 0.
+        # float() and int() would take JSON true and false as 1 and 0, and
+        # text such as "0.5" as its number.
         value = values.get(key, default)
-        if isinstance(value, bool):
+        if type(value) is not int and type(value) is not float:
             raise ConfigError(f"config {path}: {name}.{key} must be a number, got {value!r}")
         return value
 
@@ -160,7 +161,7 @@ def load_run_config(path: str | Path, overrides: dict | None = None) -> RunConfi
             floor_policy=att_raw.get("floor_policy", "error"),
             floor_value=float(number(att_raw, "attention", "floor_value", 1e-9)),
         )
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"config {path}: invalid identity or attention value: {exc}") from exc
 
     market_raw = section("market")
@@ -556,112 +557,3 @@ def run_stages(cfg: RunConfig, out_dir: Path, stages: Sequence[str]) -> list[str
             if stage == "eventstudy":
                 tables = result
     return tables
-
-
-# ---------------------------------------------------------------------------
-# Fixture building (synth subcommand)
-# ---------------------------------------------------------------------------
-
-
-def build_fixture(
-    scenarios: Sequence[synth.ScenarioSpec],
-    gallery_spec: synth.GallerySpec,
-    out_dir: Path,
-    study_truth: dict | None = None,
-) -> None:
-    """Write a complete fixture directory for a scenario suite."""
-    ids = [s.conference_id for s in scenarios]
-    if len(set(ids)) != len(ids):
-        raise ConfigError("duplicate conference ids in scenario suite")
-    digest = output.config_digest(
-        {
-            "scenarios": [synth.scenario_to_dict(s) for s in scenarios],
-            "gallery": asdict(gallery_spec),
-        }
-    )
-
-    # The label check and the price walk are the steps that can fail for a
-    # later conference, so they run before the first write: a scenario error
-    # leaves no file behind.
-    for spec in scenarios:
-        synth.check_gallery_labels(spec, gallery_spec)
-    price_files = [_price_file(spec, digest) for spec in scenarios]
-    gallery, _queries = synth.gen_gallery(
-        gallery_spec.labels,
-        gallery_spec.cluster_radius,
-        gallery_spec.seed,
-        separation=gallery_spec.separation,
-        entries_per_label=gallery_spec.entries_per_label,
-        queries_per_label=gallery_spec.queries_per_label,
-    )
-    buf = io.StringIO()
-    identity.dump_gallery(gallery, buf, meta=output.meta_dict(digest))
-    output.write_text(out_dir / "gallery.json", buf.getvalue(), digest)
-
-    registry_entries = []
-    truths: dict[str, dict] = {}
-    for spec, (price_text, price_truth) in zip(scenarios, price_files):
-        frame_indices, batch, landmark_truth = synth.gen_landmark_stream(spec, gallery_spec)
-        timeline = spec.resolved_timeline()
-
-        buf = io.StringIO()
-        geometry.write_landmark_stream(
-            spec.conference_id, frame_indices, batch, buf, meta=output.meta_dict(digest)
-        )
-        output.write_text(
-            out_dir / "landmarks" / f"{spec.conference_id}.jsonl", buf.getvalue(), digest
-        )
-        output.write_text(out_dir / "prices" / f"{spec.conference_id}.csv", price_text, digest)
-        output.write_text(
-            out_dir / "transcripts" / f"{spec.conference_id}.txt",
-            synth.gen_transcript(spec),
-            digest,
-        )
-        segments = att.SpeakerSegments(
-            spec.conference_id, tuple(synth.speaker_segments_rows(spec))
-        )
-        buf = io.StringIO()
-        att.write_segments_csv(segments, buf, meta_line=output.meta_line(digest))
-        output.write_text(
-            out_dir / "segments" / f"{spec.conference_id}.csv", buf.getvalue(), digest
-        )
-
-        registry_entries.append(
-            {
-                "conference_id": spec.conference_id,
-                "date": spec.date.isoformat(),
-                "qa_start": timeline.qa_start.isoformat(),
-                "conference_end": timeline.conference_end.isoformat(),
-                "trading_close": timeline.trading_close.isoformat(),
-                "landmarks": f"landmarks/{spec.conference_id}.jsonl",
-                "transcript": f"transcripts/{spec.conference_id}.txt",
-                "segments": f"segments/{spec.conference_id}.csv",
-                "prices": f"prices/{spec.conference_id}.csv",
-            }
-        )
-        truths[spec.conference_id] = {
-            "landmarks": asdict(landmark_truth),
-            "prices": asdict(price_truth),
-            "n_questions": spec.n_questions,
-        }
-
-    output.write_json(out_dir / "registry.json", {"conferences": registry_entries}, digest)
-    truth_payload: dict = {"conferences": truths}
-    if study_truth is not None:
-        truth_payload["study"] = study_truth
-    output.write_json(out_dir / "ground_truth.json", truth_payload, digest)
-
-
-def _price_file(spec: synth.ScenarioSpec, digest: str) -> tuple[str, synth.PriceTruth]:
-    """The text of a scenario's price CSV, and the truth of its walk."""
-    bars, truth = synth.gen_price_series(spec)
-    buf = io.StringIO()
-    market.write_price_csv(bars, buf, meta_line=output.meta_line(digest))
-    return buf.getvalue(), truth
-
-
-def run_synth(scenario_path: Path, out_dir: Path, seed_override: int | None = None) -> None:
-    scenarios, gallery_spec, study_truth = synth.load_scenario_file(
-        scenario_path, seed_override
-    )
-    build_fixture(scenarios, gallery_spec, out_dir, study_truth)

@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import hashlib
 import inspect
+import io
 import json
 import math
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from datetime import date as dt_date
 from datetime import datetime, timedelta, timezone
 from itertools import accumulate, repeat
@@ -23,11 +24,26 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ScenarioError
-from .geometry import EMBEDDING_DIM, LEFT_EYE_INDICES, RIGHT_EYE_INDICES, LandmarkBatch
-from .identity import Gallery, GalleryEntry
-from .market import PriceBar, parse_instant
-from .output import FILE_ID_RULE, is_file_id
+from .attention import SpeakerSegments, write_segments_csv
+from .errors import ConfigError, ScenarioError
+from .geometry import (
+    EMBEDDING_DIM,
+    LEFT_EYE_INDICES,
+    RIGHT_EYE_INDICES,
+    LandmarkBatch,
+    write_landmark_stream,
+)
+from .identity import Gallery, GalleryEntry, dump_gallery
+from .market import PriceBar, parse_instant, write_price_csv
+from .output import (
+    FILE_ID_RULE,
+    config_digest,
+    is_file_id,
+    meta_dict,
+    meta_line,
+    write_json,
+    write_text,
+)
 
 EYE_SPAN_PX = 30.0
 DEFAULT_TZ = timezone(timedelta(hours=-4))
@@ -855,3 +871,112 @@ def load_scenario_file(
     if len(set(ids)) != len(ids):
         raise ScenarioError("duplicate conference_id in scenario file")
     return scenarios, gallery_spec, None
+
+
+# ---------------------------------------------------------------------------
+# Fixture directories (the synth subcommand)
+# ---------------------------------------------------------------------------
+
+
+def build_fixture(
+    scenarios: Sequence[ScenarioSpec],
+    gallery_spec: GallerySpec,
+    out_dir: Path,
+    study_truth: dict | None = None,
+) -> None:
+    """Write a complete fixture directory for a scenario suite."""
+    ids = [s.conference_id for s in scenarios]
+    if len(set(ids)) != len(ids):
+        raise ConfigError("duplicate conference ids in scenario suite")
+    digest = config_digest(
+        {
+            "scenarios": [scenario_to_dict(s) for s in scenarios],
+            "gallery": asdict(gallery_spec),
+        }
+    )
+
+    # The label check and the price walk are the steps that can fail for a
+    # later conference, so they run before the first write: a scenario error
+    # leaves no file behind.
+    for spec in scenarios:
+        check_gallery_labels(spec, gallery_spec)
+    price_files = [_price_file(spec, digest) for spec in scenarios]
+    gallery, _queries = gen_gallery(
+        gallery_spec.labels,
+        gallery_spec.cluster_radius,
+        gallery_spec.seed,
+        separation=gallery_spec.separation,
+        entries_per_label=gallery_spec.entries_per_label,
+        queries_per_label=gallery_spec.queries_per_label,
+    )
+    buf = io.StringIO()
+    dump_gallery(gallery, buf, meta=meta_dict(digest))
+    write_text(out_dir / "gallery.json", buf.getvalue(), digest)
+
+    registry_entries = []
+    truths: dict[str, dict] = {}
+    for spec, (price_text, price_truth) in zip(scenarios, price_files):
+        frame_indices, batch, landmark_truth = gen_landmark_stream(spec, gallery_spec)
+        timeline = spec.resolved_timeline()
+
+        buf = io.StringIO()
+        write_landmark_stream(
+            spec.conference_id, frame_indices, batch, buf, meta=meta_dict(digest)
+        )
+        write_text(
+            out_dir / "landmarks" / f"{spec.conference_id}.jsonl", buf.getvalue(), digest
+        )
+        write_text(out_dir / "prices" / f"{spec.conference_id}.csv", price_text, digest)
+        write_text(
+            out_dir / "transcripts" / f"{spec.conference_id}.txt",
+            gen_transcript(spec),
+            digest,
+        )
+        segments = SpeakerSegments(
+            spec.conference_id, tuple(speaker_segments_rows(spec))
+        )
+        buf = io.StringIO()
+        write_segments_csv(segments, buf, meta_line=meta_line(digest))
+        write_text(
+            out_dir / "segments" / f"{spec.conference_id}.csv", buf.getvalue(), digest
+        )
+
+        registry_entries.append(
+            {
+                "conference_id": spec.conference_id,
+                "date": spec.date.isoformat(),
+                "qa_start": timeline.qa_start.isoformat(),
+                "conference_end": timeline.conference_end.isoformat(),
+                "trading_close": timeline.trading_close.isoformat(),
+                "landmarks": f"landmarks/{spec.conference_id}.jsonl",
+                "transcript": f"transcripts/{spec.conference_id}.txt",
+                "segments": f"segments/{spec.conference_id}.csv",
+                "prices": f"prices/{spec.conference_id}.csv",
+            }
+        )
+        truths[spec.conference_id] = {
+            "landmarks": asdict(landmark_truth),
+            "prices": asdict(price_truth),
+            "n_questions": spec.n_questions,
+        }
+
+    write_json(out_dir / "registry.json", {"conferences": registry_entries}, digest)
+    truth_payload: dict = {"conferences": truths}
+    if study_truth is not None:
+        truth_payload["study"] = study_truth
+    write_json(out_dir / "ground_truth.json", truth_payload, digest)
+
+
+def _price_file(spec: ScenarioSpec, digest: str) -> tuple[str, PriceTruth]:
+    """The text of a scenario's price CSV, and the truth of its walk."""
+    bars, truth = gen_price_series(spec)
+    buf = io.StringIO()
+    write_price_csv(bars, buf, meta_line=meta_line(digest))
+    return buf.getvalue(), truth
+
+
+def run_synth(scenario_path: Path, out_dir: Path, seed_override: int | None = None) -> None:
+    scenarios, gallery_spec, study_truth = load_scenario_file(
+        scenario_path, seed_override
+    )
+    build_fixture(scenarios, gallery_spec, out_dir, study_truth)

@@ -4,8 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from earstudy.pipeline import build_fixture
-from earstudy.synth import planted_study_scenarios
+from earstudy.synth import build_fixture, planted_study_scenarios
 
 
 def write_run_config(path: Path, fixture_dir: Path, **overrides) -> Path:

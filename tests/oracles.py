@@ -2,9 +2,10 @@
 
 These deliberately avoid the code paths under test: a stdlib-json landmark
 reader with per-field checks, the EAR over plain (x, y) tuples,
-plain-python distance sums, a design-matrix normal-equations OLS solve,
-scipy's t distribution, adaptive Simpson quadrature of the t density, a two-pass RMS, and a
-row-by-row price reader with event windows over plain lists.
+plain-python distance sums, the vote as one norm per gallery entry, a
+design-matrix normal-equations OLS solve, scipy's t distribution, adaptive
+Simpson quadrature of the t density, a two-pass RMS, and a row-by-row price
+reader with event windows over plain lists.
 """
 
 from __future__ import annotations
@@ -122,6 +123,16 @@ def brute_force_classify(query, entries, epsilon, min_votes):
     if best < min_votes or len(winners) != 1:
         return None
     return winners[0]
+
+
+def vote_counts_loop(embeddings, gallery, epsilon) -> np.ndarray:
+    """identity.vote_counts as one norm per gallery entry: (N, L) votes."""
+    embeddings = np.asarray(embeddings, dtype=float)
+    names, codes = gallery.label_codes
+    counts = np.zeros((len(embeddings), len(names)), dtype=int)
+    for row, code in zip(gallery.matrix, codes.tolist()):
+        counts[:, code] += np.linalg.norm(embeddings - row, axis=1) < epsilon
+    return counts
 
 
 def ols_normal_equations(x, y) -> dict:

@@ -337,18 +337,72 @@ GOOD = json.dumps(frame_record(0, 1.0, embedding=[0.5] * 128))
         json.dumps(frame_record(1, True)),
         # The words true and false in the conference_id do not hide a boolean.
         json.dumps(frame_record(1, 2.0, "true-false", embedding=[True] + [0.5] * 127)),
+        # Iterated, a two-character string or a two-key object gives two
+        # strings, which np.fromiter would read as numbers.
+        json.dumps({**frame_record(1, 2.0), "points": ["12"] + [[0.5, 1.0]] * 67}),
+        json.dumps({**frame_record(1, 2.0), "points": [{"1": 0, "2": 0}] + [[0.5, 1.0]] * 67}),
+        json.dumps(frame_record(1, 2.0, embedding=[0.5] * 127 + ["0.5"])),
     ],
     ids=["number", "string", "null-points", "scalar-points", "null-coordinate",
          "list-id", "inf-time", "negative-time", "inf-index", "text-embedding",
          "nested-embedding", "nan-embedding", "list-record", "two-records",
          "overflow-coordinate", "uneven-pairs", "string-index", "bool-index",
          "huge-index", "string-time", "string-coordinates", "numeric-text-embedding",
-         "bool-coordinate", "bool-embedding", "bool-time", "bool-embedding-word-id"],
+         "bool-coordinate", "bool-embedding", "bool-time", "bool-embedding-word-id",
+         "string-pair", "object-pair", "numeric-text-in-embedding"],
 )
 def test_readers_reject_bad_record(tmp_path, bad_line):
     path = tmp_path / "bad.jsonl"
     path.write_text(f"{GOOD}\n{bad_line}\n")
     assert_readers_reject(path)
+
+
+POINTS_REASON = "expected 68 [x, y] pairs of finite numbers in points"
+EMBEDDING_REASON = "expected 128 finite numbers in embedding"
+
+
+@pytest.mark.parametrize(
+    "record, reason",
+    [
+        ({**frame_record(1, 2.0), "points": ["12"] + [[0.5, 1.0]] * 67}, POINTS_REASON),
+        ({**frame_record(1, 2.0), "points": [{"1": 0, "2": 0}] * 68}, POINTS_REASON),
+        ({**frame_record(1, 2.0), "points": [[None, 1.0]] * 68}, POINTS_REASON),
+        (frame_record(1, 2.0, embedding=[0.5] * 127 + ["0.5"]), EMBEDDING_REASON),
+        (frame_record(1, 2.0, embedding=[None] * 128), EMBEDDING_REASON),
+        # Checked in order: the timestamp, then the points, then the embedding.
+        (frame_record(1, "2.0", embedding=["0.5"] * 128),
+         "timestamp_s is not a finite number >= 0"),
+        ({**frame_record(1, 2.0, embedding=["0.5"] * 128), "points": ["12"] * 68},
+         POINTS_REASON),
+    ],
+    ids=["string-pair", "object-pairs", "null-coordinate", "numeric-text-in-embedding",
+         "null-embedding", "text-time-first", "text-points-before-embedding"],
+)
+def test_text_or_null_for_a_number_keeps_its_reason(tmp_path, record, reason):
+    path = tmp_path / "bad.jsonl"
+    path.write_text(f"{GOOD}\n{json.dumps(record)}\n")
+    with pytest.raises(MalformedRecordError) as info:
+        read_landmark_batch(path)
+    assert str(info.value) == f"{path}: line 2: {reason}"
+
+
+def test_id_with_an_escaped_quote_is_read(tmp_path, monkeypatch):
+    """A quote in the conference_id makes its line not plain: its values are
+    type-checked one by one, and the stream reads back equal."""
+    plain_flags = []
+    finite_values = geometry._finite_values
+
+    def spy(values, count, plain):
+        plain_flags.append(plain)
+        return finite_values(values, count, plain)
+
+    monkeypatch.setattr(geometry, "_finite_values", spy)
+    path = tmp_path / "stream.jsonl"
+    write_jsonl(path, [frame_record(0, 0.0, 'a"b', embedding=[0.5] * 128),
+                       frame_record(1, 0.5, 'a"b')])
+    assert 'a\\"b' in path.read_text()
+    assert len(assert_batch_equals_oracle(path)) == 2
+    assert plain_flags and not any(plain_flags)
 
 
 def test_first_bad_line_is_reported_first(tmp_path):

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from earstudy.identity import dump_gallery, load_gallery
 from earstudy.pipeline import load_run_config, run_stages
 
 from conftest import write_run_config
-from oracles import brute_force_classify, python_norm
+from oracles import brute_force_classify, python_norm, vote_counts_loop
 
 
 def vec(*head):
@@ -148,6 +149,99 @@ def test_vote_counts_monotone_in_epsilon(seed):
     small = vote_counts(queries, gallery, eps)
     large = vote_counts(queries, gallery, 2.0 * eps)
     assert np.all(large >= small)
+
+
+def loop_distances(queries, gallery):
+    """Each query's distance to each entry, as the loop oracle computes it."""
+    return [np.linalg.norm(queries - row, axis=1) for row in gallery.matrix]
+
+
+def boundary_epsilons(queries, gallery):
+    """Every finite distance of the pairs, and the doubles on either side of it."""
+    distances = np.unique(np.concatenate(loop_distances(queries, gallery)))
+    distances = distances[np.isfinite(distances)]
+    return [*distances, *np.nextafter(distances, 0.0), *np.nextafter(distances, np.inf)]
+
+
+def adversarial_votes(case):
+    """(queries, gallery, epsilons) on which a shortcut vote could differ."""
+    rng = np.random.default_rng(7)
+    base = rng.normal(size=(5, 128))
+    labels = ("a", "b", "a", "c", "b")
+    if case == "boundary":
+        # Queries near each entry, and one on the segment between two.
+        queries = np.vstack([base + rng.normal(scale=0.3, size=base.shape),
+                             (base[0] + base[1]) / 2.0])
+        return queries, Gallery(tuple(map(GalleryEntry, labels, base))), None
+    if case == "duplicates":
+        # The same vector under one label twice and under two labels.
+        rows = [base[0], base[0], base[1], base[1], base[2]]
+        gallery = Gallery(tuple(map(GalleryEntry, labels, rows)))
+        return np.array(rows + [base[3]]), gallery, None
+    if case in ("zero-distance", "empty"):
+        gallery = Gallery(tuple(map(GalleryEntry, labels, base)))
+        queries = base if case == "zero-distance" else np.zeros((0, 128))
+        return queries, gallery, [0.0, 5e-324, 1e-300, 0.5, 1e200]
+    if case == "near-overflow":
+        # Opposite rows whose distance squared lies within rounding of the
+        # largest double: the product may stay finite where the norm overflows.
+        unit = base[0] / np.linalg.norm(base[0])
+        rows = [unit * np.sqrt(np.finfo(float).max / 4.0) * (1.0 + k * 1e-15)
+                for k in range(-3, 4)]
+        gallery = Gallery(tuple(GalleryEntry(f"r{k}", row) for k, row in enumerate(rows)))
+        return -np.array(rows), gallery, [1e154, 1e200]
+    # Squares underflow below 1e-154 and overflow above 1e154.
+    scales = {"tiny": [1e-160], "huge": [1e150, 1e154, 1e160, 1e200],
+              "mixed": [1e-160, 1.0, 1e154, 1e200]}[case]
+    rows = [base[k] * scales[k % len(scales)] for k in range(len(base))]
+    queries = np.vstack([np.array(rows) * (1.0 + 1e-9), np.array(rows[::-1]),
+                         np.zeros((1, 128))])
+    gallery = Gallery(tuple(map(GalleryEntry, labels, rows)))
+    return queries, gallery, [0.0, 5e-324, 1e-160, 1e-150, 0.5, 1e150, 1e154, 1e200,
+                              np.finfo(float).max]
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["boundary", "duplicates", "zero-distance", "empty", "tiny", "huge", "mixed",
+     "near-overflow"],
+)
+def test_vote_counts_equals_loop_exactly(case):
+    """The matrix-product vote gives the per-entry norm's votes, bit for bit,
+    at distances equal to epsilon and one double either side of it, and where
+    squares underflow or overflow."""
+    queries, gallery, epsilons = adversarial_votes(case)
+    with np.errstate(over="ignore"):  # the norm's squares overflow above 1e154
+        epsilons = [*(epsilons or []), *boundary_epsilons(queries, gallery), 1e200]
+        assert len(epsilons) > 3
+        for epsilon in epsilons:
+            got = vote_counts(queries, gallery, float(epsilon))
+            expected = vote_counts_loop(queries, gallery, float(epsilon))
+            assert got.dtype == expected.dtype and got.shape == expected.shape
+            assert np.array_equal(got, expected), epsilon
+
+
+def test_vote_counts_overflow_is_silent():
+    """Finite entries whose squares overflow vote without a numpy warning,
+    which would be a stray stderr line in a run."""
+    gallery = Gallery((GalleryEntry("a", np.zeros(128)),
+                       GalleryEntry("b", np.full(128, 1e200))))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        votes = vote_counts(np.full((2, 128), 1e200), gallery, 0.5)
+    assert votes.tolist() == [[0, 1], [0, 1]]
+
+
+def test_vote_counts_at_epsilon_votes_like_the_loop():
+    """A query at exactly epsilon from an entry gets no vote, one double
+    farther still none, and one double nearer gets it."""
+    gallery = Gallery((GalleryEntry("a", vec(0.1, 0.2)),))
+    query = vec(0.1, 0.2) + np.random.default_rng(3).normal(size=128)
+    (distance,) = loop_distances(query[None], gallery)[0]
+    for epsilon, votes in [(distance, 0), (np.nextafter(distance, 0.0), 0),
+                           (np.nextafter(distance, np.inf), 1)]:
+        assert vote_counts(query[None], gallery, epsilon).tolist() == [[votes]]
+        assert vote_counts_loop(query[None], gallery, epsilon).tolist() == [[votes]]
 
 
 def test_empty_gallery_rejected():

@@ -21,8 +21,8 @@ from earstudy import (
     window_log_return,
 )
 from earstudy.market import parse_instant, read_price_csv, window_returns, write_price_csv
-from earstudy.pipeline import build_fixture, load_registry, load_run_config, run_stages
-from earstudy.synth import planted_study_scenarios
+from earstudy.pipeline import load_registry, load_run_config, run_stages
+from earstudy.synth import build_fixture, planted_study_scenarios
 
 from conftest import write_run_config
 from oracles import event_windows, read_price_rows, rms_two_pass

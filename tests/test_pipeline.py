@@ -16,13 +16,12 @@ from earstudy.cli import main
 from earstudy.geometry import read_landmark_batch
 from earstudy.output import config_digest, meta_line
 from earstudy.pipeline import (
-    build_fixture,
     load_registry,
     load_run_config,
     read_attention_csv,
     run_stages,
 )
-from earstudy.synth import planted_study_scenarios
+from earstudy.synth import build_fixture, planted_study_scenarios
 
 from conftest import write_run_config
 from oracles import (
@@ -303,6 +302,23 @@ def test_run_never_imports_scipy(completed_run, tmp_path):
     """A whole run with scipy unimportable exits 0 and writes the same tree."""
     fixture, _, out = completed_run
     probe = ("import sys; sys.modules['scipy'] = None; "
+             "from earstudy.cli import main; sys.exit(main())")
+    config_path = write_run_config(tmp_path / "config.json", fixture)
+    result = subprocess.run(
+        [sys.executable, "-c", probe, "run", "--config", str(config_path),
+         "--out", str(tmp_path / "out")],
+        capture_output=True, text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    assert "Traceback" not in result.stderr
+    assert tree_bytes(tmp_path / "out") == tree_bytes(out)
+
+
+def test_run_never_imports_synth(completed_run, tmp_path):
+    """A whole run with the fixture generator unimportable exits 0 and
+    writes the same tree: only the synth subcommand loads it."""
+    fixture, _, out = completed_run
+    probe = ("import sys; sys.modules['earstudy.synth'] = None; "
              "from earstudy.cli import main; sys.exit(main())")
     config_path = write_run_config(tmp_path / "config.json", fixture)
     result = subprocess.run(
@@ -672,6 +688,12 @@ def test_non_utf8_json_file_is_one_line_error(small_fixture, tmp_path, capsys, n
         ("config.json", ("eye_indices",), 0, 1),
         ("config.json", ("eye_indices",), "", 1),
         ("config.json", ("eye_indices",), [], 1),
+        ("config.json", ("identity", "epsilon"), "0.5", 1),
+        ("config.json", ("identity", "min_votes"), "1", 1),
+        ("config.json", ("attention", "threshold"), "0.2", 1),
+        ("config.json", ("attention", "gap_factor"), "3.0", 1),
+        ("config.json", ("attention", "floor_value"), "1e-9", 1),
+        ("config.json", ("identity", "epsilon"), 10**400, 1),
     ],
     ids=["registry-date", "registry-conferences", "gallery-entries", "gallery-text",
          "gallery-nan", "epsilon-text", "eye-index-99", "eye-two-points", "trading-close",
@@ -679,7 +701,9 @@ def test_non_utf8_json_file_is_one_line_error(small_fixture, tmp_path, capsys, n
          "market-number", "epsilon-nan", "threshold-inf", "gap-factor-nan", "floor-value-nan",
          "epsilon-true", "min-votes-true", "threshold-true", "floor-value-false",
          "eye-indices-object", "eye-indices-zero", "eye-indices-empty-text",
-         "eye-indices-empty-list"],
+         "eye-indices-empty-list", "epsilon-numeric-text", "min-votes-numeric-text",
+         "threshold-numeric-text", "gap-factor-numeric-text", "floor-value-numeric-text",
+         "epsilon-beyond-double"],
 )
 def test_malformed_input_is_one_line_error(
     small_fixture, tmp_path, capsys, name, keys, value, code
