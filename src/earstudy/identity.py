@@ -137,7 +137,7 @@ def vote_counts(embeddings: np.ndarray, gallery: Gallery, epsilon: float) -> np.
     strictly less than epsilon.
 
     All squared distances come from one matrix product, |e|^2 + |g|^2 -
-    2 e.g.  Its error is below 1e-13 (|e|^2 + |g|^2) (Higham, Accuracy and
+    2 E G^T.  Its error is below 1e-13 (|e|^2 + |g|^2) (Higham, Accuracy and
     Stability of Numerical Algorithms, section 3.1), and so is that of the
     norm above, so a pair whose value lies farther than _SLACK times that
     scale, plus _TINY for underflow, from epsilon^2 is decided by it.  Every

@@ -233,8 +233,8 @@ def test_vote_counts_overflow_is_silent():
 
 
 def test_vote_counts_at_epsilon_votes_like_the_loop():
-    """A query at exactly epsilon from an entry gets no vote, one double
-    farther still none, and one double nearer gets it."""
+    """With epsilon equal to a query's distance from an entry, or one double
+    below it, the entry casts no vote; one double above it, one vote."""
     gallery = Gallery((GalleryEntry("a", vec(0.1, 0.2)),))
     query = vec(0.1, 0.2) + np.random.default_rng(3).normal(size=128)
     (distance,) = loop_distances(query[None], gallery)[0]
