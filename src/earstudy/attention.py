@@ -250,7 +250,12 @@ def estimate_fps(timestamps: Sequence[float] | np.ndarray) -> float:
         raise InsufficientDataError(
             f"need at least 2 samples to estimate the frame rate, got {len(timestamps)}"
         )
-    med = float(np.median(np.diff(timestamps)))
+    # np.median's value (NaN if a NaN sorts last) without importing numpy.ma.
+    spacings = np.sort(np.diff(timestamps)).tolist()
+    mid = len(spacings) // 2
+    med = spacings[mid] if len(spacings) % 2 else (spacings[mid - 1] + spacings[mid]) / 2.0
+    if math.isnan(spacings[-1]):
+        med = math.nan
     if med <= 0:
         raise MalformedRecordError("non-increasing timestamps in EAR samples")
     return 1.0 / med

@@ -311,8 +311,8 @@ def write_landmark_stream(
     rows = zip(
         np.asarray(frame_indices).tolist(),  # numpy integers do not encode
         batch.timestamps.tolist(),
-        batch.points.tolist(),
-        batch.embeddings.tolist(),
+        np.ascontiguousarray(batch.points),  # orjson encodes C-contiguous arrays only
+        np.ascontiguousarray(batch.embeddings),
         batch.has_embedding.tolist(),
         strict=True,
     )
@@ -325,6 +325,6 @@ def write_landmark_stream(
         }
         if has_embedding:
             record["embedding"] = embedding
-        lines.append(orjson.dumps(record))
+        lines.append(orjson.dumps(record, option=orjson.OPT_SERIALIZE_NUMPY))
     fh.write(b"\n".join([*lines, b""]).decode())
     return len(batch)

@@ -253,10 +253,9 @@ def read_price_csv(path: str | Path) -> PriceSeries:
     return PriceSeries(times, prices)
 
 
-def write_price_csv(bars: Iterable[PriceBar], fh, meta_line: str | None = None) -> int:
-    # map and zip keep the per-bar loop out of Python bytecode; a fixture
-    # has hundreds of bars per conference.
-    bars = tuple(bars)
-    timestamps = map(datetime.isoformat, map(itemgetter(0), bars))
-    prices = map(float, map(itemgetter(1), bars))
-    return output.write_csv(fh, PRICE_COLUMNS, zip(timestamps, prices), meta_line)
+def write_price_csv(
+    stamps: Iterable[str], prices: Iterable[float], fh, meta_line: str | None = None
+) -> int:
+    """Write one row per bar from a column of timestamp text and one of prices."""
+    rows = zip(stamps, map(float, prices), strict=True)
+    return output.write_csv(fh, PRICE_COLUMNS, rows, meta_line)

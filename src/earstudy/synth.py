@@ -17,7 +17,8 @@ import math
 import sys
 from dataclasses import asdict, dataclass, field, replace
 from datetime import date as dt_date
-from datetime import datetime, timedelta, timezone
+from datetime import datetime, time, timedelta, timezone
+from functools import lru_cache
 from itertools import accumulate, repeat
 from pathlib import Path
 from typing import Sequence
@@ -115,14 +116,15 @@ class ScenarioSpec:
     def resolved_timeline(self) -> TimelineSpec:
         if self.timeline is not None:
             return self.timeline
-        qa_start = datetime.combine(
-            self.date, datetime.min.time(), tzinfo=DEFAULT_TZ
-        ) + timedelta(hours=14, minutes=30)
-        return TimelineSpec(
-            qa_start=qa_start,
-            conference_end=qa_start + timedelta(seconds=self.conference_length_s),
-            trading_close=qa_start.replace(hour=16, minute=0, second=0, microsecond=0),
-        )
+        return _default_timeline(self.date, self.conference_length_s)
+
+
+def _default_timeline(day: dt_date, length_s: float) -> TimelineSpec:
+    """A Q&A from 14:30 at DEFAULT_TZ lasting length_s, and a 16:00 close."""
+    qa_start = datetime.combine(day, time(14, 30), tzinfo=DEFAULT_TZ)
+    return TimelineSpec(
+        qa_start, qa_start + timedelta(seconds=length_s), qa_start.replace(hour=16, minute=0)
+    )
 
 
 @dataclass(frozen=True)
@@ -256,8 +258,8 @@ def validate_scenario(spec: ScenarioSpec) -> None:
     if spec.timeline is not None:
         tl = spec.timeline
         for instant in (tl.qa_start, tl.conference_end, tl.trading_close):
-            if instant.tzinfo is None:
-                raise ScenarioError(f"{spec.conference_id}: timeline instants need timezones")
+            if not isinstance(instant.tzinfo, timezone):  # as minute_stamps needs
+                raise ScenarioError(f"{spec.conference_id}: timeline instants need fixed offsets")
         if not (tl.qa_start < tl.conference_end < tl.trading_close):
             raise ScenarioError(f"{spec.conference_id}: timeline instants out of order")
         span = (tl.conference_end - tl.qa_start).total_seconds()
@@ -277,17 +279,21 @@ def _label_seed(label: str) -> int:
     return int.from_bytes(hashlib.sha256(label.encode("utf-8")).digest()[:8], "big")
 
 
+@lru_cache(maxsize=256)
 def cluster_center(label: str, separation: float) -> np.ndarray:
     """Deterministic per-label cluster center, independent of the label set.
 
     Random 128-dim unit directions are nearly orthogonal (pairwise distance
     ~ sqrt(2)), so scaling by separation/sqrt(2) puts any two labels about
-    `separation` apart.
+    `separation` apart.  Calls with the same arguments share one read-only
+    array: synth asks for each center once per conference.
     """
     rng = np.random.Generator(np.random.PCG64(_label_seed(label)))
     direction = rng.normal(size=EMBEDDING_DIM)
     direction /= np.linalg.norm(direction)
-    return direction * (separation / math.sqrt(2.0))
+    center = direction * (separation / math.sqrt(2.0))
+    center.setflags(write=False)
+    return center
 
 
 def _check_separation(labels: Sequence[str], separation: float, cluster_radius: float) -> None:
@@ -500,7 +506,14 @@ def analytic_attention(truth: LandmarkTruth, threshold: float) -> tuple[float, f
 
 
 def gen_price_series(spec: ScenarioSpec) -> tuple[list[PriceBar], PriceTruth]:
-    """Minute bars from 120 minutes before the Q&A through the close.
+    """Minute bars from 120 minutes before the Q&A through the close."""
+    window_open, prices, truth = _walk_prices(spec)
+    times = accumulate(repeat(timedelta(minutes=1), len(prices) - 1), initial=window_open)
+    return list(map(PriceBar, times, prices)), truth
+
+
+def _walk_prices(spec: ScenarioSpec) -> tuple[datetime, list[float], PriceTruth]:
+    """The first bar's time, one price per minute from then on, and the truth.
 
     Log prices follow a random walk with per-minute volatility; the scripted
     drift applies only to steps lying inside the Q&A window, and volatility
@@ -534,8 +547,6 @@ def gen_price_series(spec: ScenarioSpec) -> tuple[list[PriceBar], PriceTruth]:
     if not log_prices.max() <= _MAX_LOG_PRICE:
         raise ScenarioError(f"{spec.conference_id}: the price walk overflows")
     prices = [ps.base_price, *map(math.exp, log_prices[1:].tolist())]
-    times = accumulate(repeat(timedelta(minutes=1), n_steps), initial=window_open)
-    bars = list(map(PriceBar, times, prices))
     n_qa_steps = int(np.count_nonzero(in_qa))
 
     truth = PriceTruth(
@@ -545,9 +556,25 @@ def gen_price_series(spec: ScenarioSpec) -> tuple[list[PriceBar], PriceTruth]:
         drift_during_qa=ps.drift_during_qa,
         n_qa_steps=n_qa_steps,
         expected_return_during=ps.drift_during_qa * n_qa_steps,
-        n_bars=len(bars),
+        n_bars=len(prices),
     )
-    return bars, truth
+    return window_open, prices, truth
+
+
+_CLOCK = [f"T{hour:02}:{minute:02}" for hour in range(24) for minute in range(60)]
+
+
+def minute_stamps(start: datetime, n: int) -> list[str]:
+    """(start + k minutes).isoformat() for k in range(n), from text tables.
+
+    start's tzinfo must be a datetime.timezone, so that every minute has
+    the same offset.  Every minute then shares the text after its
+    "YYYY-MM-DDTHH:MM": seconds, any microseconds, and the offset.
+    """
+    tail = start.isoformat()[16:]
+    first = start.hour * 60 + start.minute  # minutes into start's day
+    days = [(start.date() + timedelta(d)).isoformat() for d in range((first + n - 1) // 1440 + 1)]
+    return [days[m // 1440] + _CLOCK[m % 1440] + tail for m in range(first, first + n)]
 
 
 # ---------------------------------------------------------------------------
@@ -660,14 +687,6 @@ def planted_study_scenarios(
             vol_after_factor = float(np.clip(0.7 * (1.0 + vol_drop_slope * delta), 0.2, 0.95))
         prev_log_attention = log_attention
 
-        qa_start = datetime.combine(
-            conf_date, datetime.min.time(), tzinfo=DEFAULT_TZ
-        ) + timedelta(hours=14, minutes=30)
-        timeline = TimelineSpec(
-            qa_start=qa_start,
-            conference_end=qa_start + timedelta(seconds=length_s),
-            trading_close=qa_start.replace(hour=16, minute=0),
-        )
         scenarios.append(
             ScenarioSpec(
                 conference_id=conf_id,
@@ -687,7 +706,7 @@ def planted_study_scenarios(
                     drift_during_qa=drift,
                     vol_after_factor=vol_after_factor,
                 ),
-                timeline=timeline,
+                timeline=_default_timeline(conf_date, length_s),
             )
         )
         per_conference[conf_id] = {
@@ -916,45 +935,33 @@ def build_fixture(
     registry_entries = []
     truths: dict[str, dict] = {}
     for spec, (price_text, price_truth) in zip(scenarios, price_files):
+        cid = spec.conference_id
         frame_indices, batch, landmark_truth = gen_landmark_stream(spec, gallery_spec)
+        landmarks, segments = io.StringIO(), io.StringIO()
+        write_landmark_stream(cid, frame_indices, batch, landmarks, meta=meta_dict(digest))
+        rows = tuple(speaker_segments_rows(spec))
+        write_segments_csv(SpeakerSegments(cid, rows), segments, meta_line=meta_line(digest))
+        # Each file's path in the fixture, which the registry also records.
+        files = {
+            "landmarks": (f"landmarks/{cid}.jsonl", landmarks.getvalue()),
+            "transcript": (f"transcripts/{cid}.txt", gen_transcript(spec)),
+            "segments": (f"segments/{cid}.csv", segments.getvalue()),
+            "prices": (f"prices/{cid}.csv", price_text),
+        }
+        for rel_path, text in files.values():
+            write_text(out_dir / rel_path, text, digest)
         timeline = spec.resolved_timeline()
-
-        buf = io.StringIO()
-        write_landmark_stream(
-            spec.conference_id, frame_indices, batch, buf, meta=meta_dict(digest)
-        )
-        write_text(
-            out_dir / "landmarks" / f"{spec.conference_id}.jsonl", buf.getvalue(), digest
-        )
-        write_text(out_dir / "prices" / f"{spec.conference_id}.csv", price_text, digest)
-        write_text(
-            out_dir / "transcripts" / f"{spec.conference_id}.txt",
-            gen_transcript(spec),
-            digest,
-        )
-        segments = SpeakerSegments(
-            spec.conference_id, tuple(speaker_segments_rows(spec))
-        )
-        buf = io.StringIO()
-        write_segments_csv(segments, buf, meta_line=meta_line(digest))
-        write_text(
-            out_dir / "segments" / f"{spec.conference_id}.csv", buf.getvalue(), digest
-        )
-
         registry_entries.append(
             {
-                "conference_id": spec.conference_id,
+                "conference_id": cid,
                 "date": spec.date.isoformat(),
                 "qa_start": timeline.qa_start.isoformat(),
                 "conference_end": timeline.conference_end.isoformat(),
                 "trading_close": timeline.trading_close.isoformat(),
-                "landmarks": f"landmarks/{spec.conference_id}.jsonl",
-                "transcript": f"transcripts/{spec.conference_id}.txt",
-                "segments": f"segments/{spec.conference_id}.csv",
-                "prices": f"prices/{spec.conference_id}.csv",
+                **{key: rel_path for key, (rel_path, _) in files.items()},
             }
         )
-        truths[spec.conference_id] = {
+        truths[cid] = {
             "landmarks": asdict(landmark_truth),
             "prices": asdict(price_truth),
             "n_questions": spec.n_questions,
@@ -969,9 +976,9 @@ def build_fixture(
 
 def _price_file(spec: ScenarioSpec, digest: str) -> tuple[str, PriceTruth]:
     """The text of a scenario's price CSV, and the truth of its walk."""
-    bars, truth = gen_price_series(spec)
+    window_open, prices, truth = _walk_prices(spec)
     buf = io.StringIO()
-    write_price_csv(bars, buf, meta_line=meta_line(digest))
+    write_price_csv(minute_stamps(window_open, len(prices)), prices, buf, meta_line(digest))
     return buf.getvalue(), truth
 
 

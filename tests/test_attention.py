@@ -250,6 +250,17 @@ def test_estimate_fps_median_spacing():
         estimate_fps(timestamps[:1])
 
 
+def test_estimate_fps_median_is_np_median_bitwise():
+    """The median spacing is np.median's to the bit, for odd and even
+    counts, tied spacings, and a NaN (which makes it NaN)."""
+    rng = np.random.default_rng(3)
+    for n in range(2, 401):
+        for timestamps in (np.cumsum(rng.exponential(0.04, n)), np.round(np.arange(n) / 30.0, 2)):
+            expected = np.float64(1.0 / float(np.median(np.diff(timestamps))))
+            assert np.float64(estimate_fps(timestamps)).tobytes() == expected.tobytes(), n
+    assert math.isnan(estimate_fps(np.array([0.0, 1.0, math.nan, 3.0, 2.0, 1.0])))
+
+
 def test_summarize_conference_fields():
     s = series([0.30, 0.15, 0.10, 0.25], fps=2.0)
     summary = summarize_conference(s, CONFIG)

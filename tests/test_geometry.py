@@ -1,4 +1,5 @@
 import gc
+import io
 import json
 import math
 import tempfile
@@ -7,6 +8,7 @@ from datetime import date
 from pathlib import Path
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -251,6 +253,67 @@ def test_stream_round_trip(tmp_path):
     )
     batch, _ = write_and_read(path, spec.conference_id, frame_indices, partial)
     assert_same_columns(batch, partial)
+
+
+def list_encoded_stream(conference_id, frame_indices, batch):
+    """The JSONL that write_landmark_stream wrote from nested lists: the
+    reference for its encoding of array rows."""
+    lines = []
+    for i, row in enumerate(zip(frame_indices.tolist(), batch.timestamps.tolist(),
+                                batch.points.tolist(), batch.embeddings.tolist())):
+        record = dict(zip(("frame_index", "timestamp_s", "points", "embedding"), row))
+        if not batch.has_embedding[i]:
+            del record["embedding"]
+        lines.append(orjson.dumps({"conference_id": conference_id, **record}) + b"\n")
+    return b"".join(lines).decode()
+
+
+def write_stream_text(conference_id, frame_indices, batch):
+    buf = io.StringIO()
+    write_landmark_stream(conference_id, frame_indices, batch, buf)
+    return buf.getvalue()
+
+
+def test_stream_writer_encodes_rows_as_their_lists():
+    """Random doubles, edge values and NaN are written as their Python
+    floats are: the shortest round-trip text, and null for NaN."""
+    rng = np.random.default_rng(11)
+    n = 40
+    points = rng.normal(scale=1e3, size=(n, 68, 2)) * 10.0 ** rng.integers(-12, 12, (n, 68, 2))
+    embeddings = rng.normal(size=(n, 128))
+    edges = [-0.0, 5e-324, 1e16, 0.00001, float("nan"), 1.7976931348623157e308, 0.1, 3.0]
+    points[0, : len(edges), 0] = edges
+    embeddings[1, : len(edges)] = edges
+    batch = geometry.LandmarkBatch(
+        timestamps=np.arange(n) / 3.0,
+        points=points,
+        embeddings=embeddings,
+        has_embedding=np.arange(n) % 4 != 0,
+    )
+    frame_indices = np.arange(n) * 2
+    text = write_stream_text("c", frame_indices, batch)
+    assert text == list_encoded_stream("c", frame_indices, batch)
+    first, second = (json.loads(line) for line in text.splitlines()[:2])
+    assert first["points"][4] == [None, points[0, 4, 1]]  # NaN is null
+    assert "embedding" not in first and second["embedding"][4] is None
+
+
+def test_stream_writer_accepts_strided_columns():
+    """Non-contiguous columns give the bytes of their contiguous copies."""
+    spec = ScenarioSpec(conference_id="conf-s", seed=5, date=date(2020, 1, 15), fps=4.0,
+                        conference_length_s=20.0, blink_rate_hz=0.5)
+    frame_indices, batch, _ = gen_landmark_stream(spec)
+    strided = replace(
+        batch,
+        points=np.repeat(batch.points, 2, axis=2)[:, :, ::2],
+        embeddings=np.asfortranarray(batch.embeddings),
+    )
+    assert not strided.points[0].flags.c_contiguous
+    assert not strided.embeddings[0].flags.c_contiguous
+    assert np.array_equal(strided.points, batch.points)
+    text = write_stream_text(spec.conference_id, frame_indices, strided)
+    assert text == write_stream_text(spec.conference_id, frame_indices, batch)
+    assert text == list_encoded_stream(spec.conference_id, frame_indices, batch)
 
 
 def assert_readers_reject(path):

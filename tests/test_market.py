@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import shutil
@@ -220,9 +221,12 @@ def test_price_csv_round_trip(tmp_path):
     series = minute_bars(at(14, 0), [100.0, 100.5, 101.25])
     path = tmp_path / "prices.csv"
     with open(path, "w", encoding="utf-8") as fh:
-        write_price_csv(series.bars, fh, meta_line="config_hash=ff tool_version=0")
+        write_price_csv(map(datetime.isoformat, series.times), series.prices, fh,
+                        meta_line="config_hash=ff tool_version=0")
     loaded = read_price_csv(path)
     assert loaded.bars == series.bars
+    with pytest.raises(ValueError):  # the two columns must have one length
+        write_price_csv(["2019-05-15T14:00:00-04:00"], [100.0, 101.0], io.StringIO())
 
 
 def test_mixed_offsets_are_ordered_by_instant(tmp_path):

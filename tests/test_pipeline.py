@@ -314,6 +314,23 @@ def test_run_never_imports_scipy(completed_run, tmp_path):
     assert tree_bytes(tmp_path / "out") == tree_bytes(out)
 
 
+def test_run_never_imports_numpy_ma(completed_run, tmp_path):
+    """A whole run with numpy.ma unimportable exits 0 and writes the same
+    tree: the frame-rate median does not go through np.median."""
+    fixture, _, out = completed_run
+    probe = ("import sys; sys.modules['numpy.ma'] = None; "
+             "from earstudy.cli import main; sys.exit(main())")
+    config_path = write_run_config(tmp_path / "config.json", fixture)
+    result = subprocess.run(
+        [sys.executable, "-c", probe, "run", "--config", str(config_path),
+         "--out", str(tmp_path / "out")],
+        capture_output=True, text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    assert "Traceback" not in result.stderr
+    assert tree_bytes(tmp_path / "out") == tree_bytes(out)
+
+
 def test_run_never_imports_synth(completed_run, tmp_path):
     """A whole run with the fixture generator unimportable exits 0 and
     writes the same tree: only the synth subcommand loads it."""

@@ -1,7 +1,9 @@
 import hashlib
 import io
+import json
 import math
-from datetime import date, datetime, timedelta, timezone
+from datetime import date, datetime, timedelta, timezone, tzinfo
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,10 +28,13 @@ from earstudy.synth import (
     ScriptInterval,
     TimelineSpec,
     analytic_attention,
+    cluster_center,
     gen_gallery,
     gen_landmark_stream,
     gen_price_series,
+    minute_stamps,
     planted_study_scenarios,
+    run_synth,
     scenario_from_dict,
     scenario_to_dict,
 )
@@ -336,8 +341,11 @@ def test_price_csv_bytes_are_pinned():
     )
     bars, truth = gen_price_series(spec)
     assert (truth.n_bars, truth.n_qa_steps) == (210, 45)
+    times, prices = zip(*bars)
+    stamps = minute_stamps(times[0], len(times))
+    assert stamps == list(map(datetime.isoformat, times))
     buf = io.StringIO()
-    write_price_csv(bars, buf)
+    write_price_csv(stamps, prices, buf)
     assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == PRICE_PINNED_SHA256
 
 
@@ -347,6 +355,102 @@ def test_price_series_deterministic():
     a, _ = gen_price_series(spec)
     b, _ = gen_price_series(spec)
     assert a == b
+
+
+@pytest.mark.parametrize("start", [
+    datetime(2020, 1, 15, 12, 30, tzinfo=TZ),  # on the minute grid
+    datetime(2020, 1, 15, 12, 30, 20, tzinfo=TZ),  # off it, as in the price pin
+    datetime(2020, 1, 15, 12, 30, 20, 250000, tzinfo=TZ),
+    datetime(2020, 1, 15, 12, 30, 0, 7, tzinfo=TZ),
+    datetime(2020, 1, 15, 23, 58, 59, tzinfo=timezone.utc),  # crosses midnight
+    datetime(2020, 2, 28, 23, 0, tzinfo=timezone(timedelta(hours=5, minutes=30))),
+    datetime(2020, 1, 15, 9, 45, 1, tzinfo=timezone(timedelta(hours=-4))),
+    datetime(1899, 12, 31, 23, 0, 30, tzinfo=timezone(timedelta(hours=1, seconds=15))),
+])
+def test_minute_stamps_match_isoformat(start):
+    for n in (0, 1, 150, 3000):  # 3000 minutes cross at least two midnights
+        expected = [(start + k * timedelta(minutes=1)).isoformat() for k in range(n)]
+        assert minute_stamps(start, n) == expected
+
+
+def test_cluster_center_is_shared_read_only():
+    """Repeated calls share one array, so no caller may write to it."""
+    center = cluster_center("chair", 1.0)
+    assert cluster_center("chair", 1.0) is center
+    with pytest.raises(ValueError):
+        center[0] = 0.0
+
+
+class _HourAhead(tzinfo):
+    """A tzinfo that is not a datetime.timezone, as zoneinfo's are not."""
+
+    def utcoffset(self, dt):
+        return timedelta(hours=1)
+
+    def dst(self, dt):
+        return timedelta(0)
+
+
+def test_timeline_needs_fixed_offsets():
+    qa = datetime(2020, 1, 15, 14, 30, tzinfo=_HourAhead())
+    for timeline in (
+        TimelineSpec(qa, qa + timedelta(minutes=5), qa.replace(hour=16)),
+        TimelineSpec(qa.replace(tzinfo=None), qa + timedelta(minutes=5), qa.replace(hour=16)),
+    ):
+        with pytest.raises(ScenarioError) as info:
+            scenario(timeline=timeline, conference_length_s=300.0, reading_episodes=())
+        assert str(info.value) == "conf-t: timeline instants need fixed offsets"
+
+
+def tree_sha256(root: Path) -> str:
+    """sha256 over every file's path relative to root, its size and bytes."""
+    digest = hashlib.sha256()
+    for path in sorted(p for p in root.rglob("*") if p.is_file()):
+        rel = path.relative_to(root).as_posix().encode()
+        data = path.read_bytes()
+        digest.update(b"%d:%s%d:" % (len(rel), rel, len(data)))
+        digest.update(data)
+    return digest.hexdigest()
+
+
+def off_grid_suite() -> dict:
+    """Three conferences whose explicit -04:00 timelines start off the
+    minute grid, one of them at half a second."""
+    starts = [datetime(2019, 3, 20, 14, 30, 20, tzinfo=TZ),
+              datetime(2019, 5, 1, 10, 15, 45, 500000, tzinfo=TZ),
+              datetime(2019, 6, 19, 13, 2, 7, tzinfo=TZ)]
+    suite = []
+    for i, (qa, length) in enumerate(zip(starts, [630.0, 845.25, 512.0])):
+        suite.append({
+            "conference_id": f"off-{i + 1}", "seed": 40 + i, "date": qa.date().isoformat(),
+            "fps": 2.0, "conference_length_s": length,
+            "reading_episodes": [{"start_s": 100.0, "end_s": 160.0, "ear_level": 0.15}],
+            "identity_script": [{"start_s": 10.0, "end_s": 30.0, "label": "reporter"}],
+            "blink_rate_hz": 0.2,
+            "price_spec": {"base_price": 2500.0 + i, "minute_vol": 0.002,
+                           "drift_during_qa": 0.0004 * (i - 1), "vol_after_factor": 0.7},
+            "timeline": {
+                "qa_start": qa.isoformat(),
+                "conference_end": (qa + timedelta(seconds=length)).isoformat(),
+                "trading_close": qa.replace(hour=16, minute=0, second=0,
+                                            microsecond=0).isoformat(),
+            },
+        })
+    return {"scenarios": suite, "gallery": {"labels": ["chair", "reporter"], "seed": 5}}
+
+
+# sha256 (tree_sha256) of whole synth fixture trees, as the per-bar datetime
+# and nested-list writers wrote them.
+@pytest.mark.parametrize("scenario_file, pinned", [
+    ({"study": {"seed": 2024, "n_conferences": 4}},
+     "5d8f18ad4531dad2394390d315582ab35c4aaa184b9772c21d77f5857595dfc7"),
+    (off_grid_suite(), "f93c0f4a4d0256f5fbab88e72db0b1002e040ebb059252d3389d4939a09ae46f"),
+], ids=["study-4", "off-grid-suite"])
+def test_fixture_tree_bytes_are_pinned(tmp_path, scenario_file, pinned):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario_file))
+    run_synth(path, tmp_path / "fixture")
+    assert tree_sha256(tmp_path / "fixture") == pinned
 
 
 def test_scenario_json_round_trip():
