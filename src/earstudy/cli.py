@@ -72,16 +72,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _overrides(args: argparse.Namespace) -> dict:
-    return {
-        "epsilon": getattr(args, "epsilon", None),
-        "min_votes": getattr(args, "min_votes", None),
-        "target_label": getattr(args, "target_label", None),
-        "no_embedding_policy": getattr(args, "no_embedding_policy", None),
-        "trading_close": getattr(args, "trading_close", None),
-    }
-
-
 def main(argv: list[str] | None = None) -> int:
     # Collections skip the objects alive at start-up (numpy, the modules);
     # unfreezing on the way out gives an in-process caller its heap back.
@@ -107,7 +97,7 @@ def _main(argv: list[str] | None) -> int:
 
             run_synth(Path(args.config), out_dir, seed_override=args.seed)
             return 0
-        cfg = load_run_config(args.config, _overrides(args))
+        cfg = load_run_config(args.config, vars(args))
         stages = cfg.stages if args.command == "run" else (args.command,)
         for table in run_stages(cfg, out_dir, stages):
             print(table)

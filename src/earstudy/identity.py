@@ -16,12 +16,13 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
 from .errors import ConfigError, MalformedRecordError
 from .geometry import EMBEDDING_DIM
+from .schema import read, read_json, to_json
 
 NO_EMBEDDING_POLICIES = ("drop", "assume_target")
 
@@ -214,42 +215,27 @@ def route_frames(
 
 
 # ---------------------------------------------------------------------------
-# Gallery file: JSON array of {"label": ..., "embedding": [128 numbers]}
+# Gallery file: {"entries": [{"label": ..., "embedding": [...]}]}, or the list
 # ---------------------------------------------------------------------------
 
 
+class _GalleryFile(NamedTuple):
+    """The gallery file's keys, in the order dump_gallery writes them."""
+
+    meta: object = None
+    entries: tuple[GalleryEntry, ...] = ()
+
+
 def load_gallery(path: str | Path) -> Gallery:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read gallery file {path}: {exc}") from exc
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise MalformedRecordError(f"gallery file {path}: invalid JSON") from exc
-    if isinstance(raw, dict):
-        raw = raw.get("entries", [])
-    if not isinstance(raw, list):
-        raise MalformedRecordError(f"gallery file {path}: expected a list of entries")
-    entries = []
-    for item in raw:
-        try:
-            entries.append(
-                GalleryEntry(item["label"], np.asarray(item["embedding"], dtype=float))
-            )
-        except (KeyError, TypeError, ValueError, MalformedRecordError) as exc:
-            raise MalformedRecordError(f"gallery file {path}: bad entry: {exc}") from exc
+    raw = read_json(path, "gallery file", MalformedRecordError)
+    if isinstance(raw, list):
+        raw = {"entries": raw}
+    entries = read(_GalleryFile, raw, f"gallery file {path}", MalformedRecordError).entries
     if not entries:
         raise ConfigError(f"gallery file {path} contains no entries")
-    return Gallery(tuple(entries))
+    return Gallery(entries)
 
 
 def dump_gallery(gallery: Gallery, fh, meta: dict | None = None) -> None:
-    payload: dict = {}
-    if meta is not None:
-        payload["meta"] = meta
-    payload["entries"] = [
-        {"label": e.label, "embedding": [float(v) for v in e.embedding]}
-        for e in gallery.entries
-    ]
-    json.dump(payload, fh, separators=(",", ":"))
+    json.dump(to_json(_GalleryFile(meta, gallery.entries)), fh, separators=(",", ":"))
     fh.write("\n")

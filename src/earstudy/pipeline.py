@@ -11,21 +11,21 @@ from __future__ import annotations
 
 import hashlib
 import io
-import json
 import logging
 import os
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from datetime import date as dt_date
 from datetime import datetime, time
 from operator import itemgetter
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from . import attention as att
-from . import geometry, identity, market, output, regression
+from . import geometry, identity, market, output, regression, schema
 from .errors import ConfigError, DataError, InsufficientDataError
+from .schema import FileId
 
 log = logging.getLogger(__name__)
 
@@ -47,9 +47,13 @@ class MarketConfig:
 
 @dataclass(frozen=True)
 class ConferenceRecord:
-    """One registry row: where a conference's data lives and when it ran."""
+    """One registry row: where a conference's data lives and when it ran.
 
-    conference_id: str
+    date orders the first differences and qa_start places the price
+    windows, so the two must agree: qa_start falls on date in its offset.
+    """
+
+    conference_id: FileId
     date: dt_date
     qa_start: datetime
     conference_end: datetime
@@ -59,8 +63,20 @@ class ConferenceRecord:
     prices: Path
     trading_close: datetime | None = None
 
+    def __post_init__(self) -> None:
+        if self.qa_start >= self.conference_end:
+            raise DataError("qa_start must precede conference_end")
+        if self.qa_start.date() != self.date:
+            raise DataError(f"date {self.date} differs from qa_start's date "
+                            f"{self.qa_start.date()}")
+
     def qa_duration_s(self) -> float:
         return (self.conference_end - self.qa_start).total_seconds()
+
+
+class _Registry(NamedTuple):
+    conferences: tuple[ConferenceRecord, ...]
+    meta: object = None
 
 
 @dataclass(frozen=True)
@@ -69,11 +85,26 @@ class RunConfig:
     gallery: Path
     target_label: str
     identity: identity.IdentityConfig
-    attention: att.AttentionConfig
+    attention: att.AttentionConfig = field(default_factory=att.AttentionConfig)
     market: MarketConfig = field(default_factory=MarketConfig)
     stages: tuple[str, ...] = STAGES
-    eye_left: tuple[int, ...] = geometry.LEFT_EYE_INDICES
-    eye_right: tuple[int, ...] = geometry.RIGHT_EYE_INDICES
+    eye_indices: tuple[tuple[int, ...], ...] = (
+        geometry.LEFT_EYE_INDICES, geometry.RIGHT_EYE_INDICES
+    )
+
+    def __post_init__(self) -> None:
+        for stage in self.stages:
+            if stage not in STAGES:
+                raise ConfigError(f"unknown stage {stage!r}")
+        if len(self.eye_indices) != 2 or not all(
+            len(set(group)) == len(group) == 6
+            and all(0 <= i < geometry.LANDMARK_COUNT for i in group)
+            for group in self.eye_indices
+        ):
+            raise ConfigError(
+                "eye_indices must be two lists of 6 distinct landmark indices in "
+                f"0..{geometry.LANDMARK_COUNT - 1}, got {self.eye_indices!r}"
+            )
 
     def digest_payload(self) -> dict:
         """The hashed configuration.
@@ -81,15 +112,12 @@ class RunConfig:
         The registry and gallery enter by the sha256 of their bytes, not by
         path, so the same inputs in another directory give the same hash.
         """
+        settings = schema.to_json(self)
+        del settings["registry"], settings["gallery"]
         return {
             "registry_sha256": _file_sha256(self.registry, "registry"),
             "gallery_sha256": _file_sha256(self.gallery, "gallery file"),
-            "target_label": self.target_label,
-            "identity": asdict(self.identity),
-            "attention": asdict(self.attention),
-            "market": {"trading_close": self.market.trading_close.isoformat()},
-            "stages": list(self.stages),
-            "eye_indices": [list(self.eye_left), list(self.eye_right)],
+            **settings,
         }
 
 
@@ -100,172 +128,41 @@ def _file_sha256(path: Path, what: str) -> str:
         raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
 
 
+# The section of the run config that each command-line override replaces.
+_OVERRIDE_SECTIONS = {"epsilon": "identity", "min_votes": "identity",
+                      "no_embedding_policy": "identity", "trading_close": "market",
+                      "target_label": None}
+
+
 def load_run_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
-    """Parse a run-config JSON file, applying CLI flag overrides."""
+    """Parse a run-config JSON file.
+
+    A value in overrides (the command-line flags, by _OVERRIDE_SECTIONS
+    key) that is not None replaces the config's.
+    """
     path = Path(path)
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"config {path}: invalid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError(f"config {path}: expected a JSON object")
-
-    overrides = overrides or {}
-    base = path.parent
-
-    def resolve(key: str) -> Path:
-        if key not in raw:
-            raise ConfigError(f"config {path}: missing required key {key!r}")
-        if not isinstance(raw[key], str):
-            raise ConfigError(f"config {path}: {key} must be a path, got {raw[key]!r}")
-        return (base / raw[key]).resolve()
-
-    def section(key: str) -> dict:
-        value = raw.get(key, {})
-        if not isinstance(value, dict):
-            raise ConfigError(f"config {path}: {key} must be a JSON object, got {value!r}")
-        return dict(value)
-
-    def number(values: dict, name: str, key: str, default: float | None = None):
-        # float() and int() would take JSON true and false as 1 and 0, and
-        # text such as "0.5" as its number.
-        value = values.get(key, default)
-        if type(value) is not int and type(value) is not float:
-            raise ConfigError(f"config {path}: {name}.{key} must be a number, got {value!r}")
-        return value
-
-    try:
-        ident_raw = section("identity")
-        for key in (f.name for f in fields(identity.IdentityConfig)):
-            if overrides.get(key) is not None:
-                ident_raw[key] = overrides[key]
-        if "epsilon" not in ident_raw:
-            raise ConfigError(f"config {path}: identity.epsilon is required")
-        min_votes = number(ident_raw, "identity", "min_votes", 1)
-        if isinstance(min_votes, float) and not min_votes.is_integer():
-            raise ConfigError(
-                f"config {path}: identity.min_votes must be a whole number, got {min_votes!r}"
-            )
-        ident = identity.IdentityConfig(
-            epsilon=float(number(ident_raw, "identity", "epsilon")),
-            min_votes=int(min_votes),
-            no_embedding_policy=ident_raw.get("no_embedding_policy", "drop"),
-        )
-        att_raw = section("attention")
-        attention_cfg = att.AttentionConfig(
-            threshold=float(number(att_raw, "attention", "threshold", 0.2)),
-            gap_factor=float(number(att_raw, "attention", "gap_factor", 3.0)),
-            floor_policy=att_raw.get("floor_policy", "error"),
-            floor_value=float(number(att_raw, "attention", "floor_value", 1e-9)),
-        )
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"config {path}: invalid identity or attention value: {exc}") from exc
-
-    market_raw = section("market")
-    close_text = overrides.get("trading_close") or market_raw.get("trading_close", "16:00")
-    try:
-        close_time = time.fromisoformat(close_text)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid trading close {close_text!r}: {exc}") from exc
-
-    target = overrides.get("target_label") or raw.get("target_label")
-    if not target:
-        raise ConfigError(f"config {path}: target_label is required")
-
-    stages = raw.get("stages", list(STAGES))
-    if not isinstance(stages, list):
-        raise ConfigError(f"config {path}: stages must be a list of names, got {stages!r}")
-    for stage in stages:
-        if stage not in STAGES:
-            raise ConfigError(f"config {path}: unknown stage {stage!r}")
-
-    eye = raw.get("eye_indices")
-    if eye is not None and not _valid_eye_groups(eye):
-        raise ConfigError(
-            f"config {path}: eye_indices must be two lists of 6 distinct landmark "
-            f"indices in 0..{geometry.LANDMARK_COUNT - 1}, got {eye!r}"
-        )
-    eye_left = geometry.LEFT_EYE_INDICES if eye is None else tuple(eye[0])
-    eye_right = geometry.RIGHT_EYE_INDICES if eye is None else tuple(eye[1])
-
-    return RunConfig(
-        registry=resolve("registry"),
-        gallery=resolve("gallery"),
-        target_label=target,
-        identity=ident,
-        attention=attention_cfg,
-        market=MarketConfig(trading_close=close_time),
-        stages=tuple(stages),
-        eye_left=eye_left,
-        eye_right=eye_right,
-    )
-
-
-def _valid_eye_groups(eye) -> bool:
-    return isinstance(eye, list) and len(eye) == 2 and all(
-        isinstance(group, list)
-        and len(group) == 6
-        and len(set(group)) == 6
-        and all(type(i) is int and 0 <= i < geometry.LANDMARK_COUNT for i in group)
-        for group in eye
-    )
+    raw = schema.read_json(path, "config", ConfigError)
+    for key, section in _OVERRIDE_SECTIONS.items():
+        value = (overrides or {}).get(key)
+        target = raw.setdefault(section, {}) if section and isinstance(raw, dict) else raw
+        if value is not None and isinstance(target, dict):
+            target[key] = value
+    return schema.read(RunConfig, raw, f"config {path}", ConfigError, path.parent)
 
 
 def load_registry(path: str | Path) -> list[ConferenceRecord]:
+    """The registry's conferences in date order, then id order."""
     path = Path(path)
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read registry {path}: {exc}") from exc
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise DataError(f"registry {path}: invalid JSON: {exc}") from exc
-    conferences = raw.get("conferences", []) if isinstance(raw, dict) else None
-    if not isinstance(conferences, list):
-        raise DataError(f"registry {path}: expected an object with a 'conferences' list")
-
-    base = path.parent
-    records: list[ConferenceRecord] = []
-    seen: set[str] = set()
-    for number, item in enumerate(conferences, start=1):
-        try:
-            record = ConferenceRecord(
-                conference_id=item["conference_id"],
-                date=dt_date.fromisoformat(item["date"]),
-                qa_start=market.parse_instant(item["qa_start"]),
-                conference_end=market.parse_instant(item["conference_end"]),
-                landmarks=(base / item["landmarks"]).resolve(),
-                transcript=(base / item["transcript"]).resolve(),
-                segments=(base / item["segments"]).resolve(),
-                prices=(base / item["prices"]).resolve(),
-                trading_close=(
-                    market.parse_instant(item["trading_close"])
-                    if item.get("trading_close")
-                    else None
-                ),
-            )
-        except KeyError as exc:
-            raise DataError(f"registry {path}: conference entry missing {exc}") from exc
-        except (TypeError, ValueError) as exc:
-            raise DataError(f"registry {path}: conference entry {number}: {exc}") from exc
-        if not output.is_file_id(record.conference_id):
-            raise DataError(f"registry {path}: conference_id {record.conference_id!r} "
-                            f"must be {output.FILE_ID_RULE}")
-        if record.conference_id in seen:
-            raise DataError(f"registry {path}: duplicate id {record.conference_id!r}")
-        if record.qa_start >= record.conference_end:
-            raise DataError(
-                f"registry {path}: {record.conference_id!r} has qa_start >= conference_end"
-            )
-        seen.add(record.conference_id)
-        records.append(record)
+    raw = schema.read_json(path, "registry", DataError)
+    records = schema.read(_Registry, raw, f"registry {path}", DataError, path.parent).conferences
     if not records:
         raise DataError(f"registry {path} lists no conferences")
-    records.sort(key=lambda r: (r.date, r.conference_id))
-    return records
+    first: dict[str, int] = {}
+    for i, record in enumerate(records):
+        if first.setdefault(record.conference_id, i) != i:
+            raise DataError(f"registry {path}: conferences[{i}]: "
+                            f"duplicate id {record.conference_id!r}")
+    return sorted(records, key=lambda r: (r.date, r.conference_id))
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +190,7 @@ def stage_identify(
             labels, batch.has_embedding.tolist(), cfg.target_label, cfg.identity
         )
         keep = np.array(keep, dtype=bool)
-        values, usable = geometry.batch_ear(batch.points[keep], cfg.eye_left, cfg.eye_right)
+        values, usable = geometry.batch_ear(batch.points[keep], *cfg.eye_indices)
         buf = io.StringIO()
         count = att.write_ear_csv(batch.timestamps[keep][usable], values[usable], buf,
                                   meta_line=output.meta_line(digest))

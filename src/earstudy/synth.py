@@ -10,9 +10,7 @@ EAR level maps to exact vertical lid offsets.
 from __future__ import annotations
 
 import hashlib
-import inspect
 import io
-import json
 import math
 import sys
 from dataclasses import asdict, dataclass, field, replace
@@ -21,7 +19,7 @@ from datetime import datetime, time, timedelta, timezone
 from functools import lru_cache
 from itertools import accumulate, repeat
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -35,7 +33,7 @@ from .geometry import (
     write_landmark_stream,
 )
 from .identity import Gallery, GalleryEntry, dump_gallery
-from .market import PriceBar, parse_instant, write_price_csv
+from .market import PriceBar, write_price_csv
 from .output import (
     FILE_ID_RULE,
     config_digest,
@@ -45,6 +43,7 @@ from .output import (
     write_json,
     write_text,
 )
+from .schema import FileId, read, read_json, to_json
 
 EYE_SPAN_PX = 30.0
 DEFAULT_TZ = timezone(timedelta(hours=-4))
@@ -64,6 +63,11 @@ class ScriptInterval:
     start_s: float
     end_s: float
     label: str
+
+
+class Gap(NamedTuple):
+    start_s: float
+    end_s: float
 
 
 @dataclass(frozen=True)
@@ -95,7 +99,7 @@ class GallerySpec:
 class ScenarioSpec:
     """One synthetic conference: EAR script, identity script, and prices."""
 
-    conference_id: str
+    conference_id: FileId
     seed: int
     date: dt_date
     fps: float
@@ -103,7 +107,7 @@ class ScenarioSpec:
     reading_episodes: tuple[ReadingEpisode, ...] = ()
     baseline_ear: float = 0.30
     blink_rate_hz: float = 0.0
-    gap_intervals: tuple[tuple[float, float], ...] = ()
+    gap_intervals: tuple[Gap, ...] = ()
     identity_script: tuple[ScriptInterval, ...] = ()
     target_label: str = "chair"
     n_questions: int = 20
@@ -262,6 +266,8 @@ def validate_scenario(spec: ScenarioSpec) -> None:
                 raise ScenarioError(f"{spec.conference_id}: timeline instants need fixed offsets")
         if not (tl.qa_start < tl.conference_end < tl.trading_close):
             raise ScenarioError(f"{spec.conference_id}: timeline instants out of order")
+        if tl.qa_start.date() != spec.date:  # as the registry needs
+            raise ScenarioError(f"{spec.conference_id}: timeline qa_start is not on {spec.date}")
         span = (tl.conference_end - tl.qa_start).total_seconds()
         if abs(span - length) > 1e-6:
             raise ScenarioError(
@@ -618,7 +624,7 @@ def speaker_segments_rows(spec: ScenarioSpec) -> list[tuple[float, float, str]]:
 
 
 def planted_study_scenarios(
-    seed: int,
+    seed: int = 0,
     n_conferences: int = 45,
     effect_slope: float = 0.005,
     effect_intercept: float = 0.0,
@@ -737,124 +743,13 @@ def planted_study_scenarios(
 # ---------------------------------------------------------------------------
 
 
-def scenario_to_dict(spec: ScenarioSpec) -> dict:
-    out: dict = {
-        "conference_id": spec.conference_id,
-        "seed": spec.seed,
-        "date": spec.date.isoformat(),
-        "fps": spec.fps,
-        "conference_length_s": spec.conference_length_s,
-        "baseline_ear": spec.baseline_ear,
-        "blink_rate_hz": spec.blink_rate_hz,
-        "reading_episodes": [
-            {"start_s": e.start_s, "end_s": e.end_s, "ear_level": e.ear_level}
-            for e in spec.reading_episodes
-        ],
-        "gap_intervals": [
-            {"start_s": start, "end_s": end} for start, end in spec.gap_intervals
-        ],
-        "identity_script": [
-            {"start_s": iv.start_s, "end_s": iv.end_s, "label": iv.label}
-            for iv in spec.identity_script
-        ],
-        "target_label": spec.target_label,
-        "n_questions": spec.n_questions,
-        "price_spec": {
-            "base_price": spec.price_spec.base_price,
-            "minute_vol": spec.price_spec.minute_vol,
-            "drift_during_qa": spec.price_spec.drift_during_qa,
-            "vol_after_factor": spec.price_spec.vol_after_factor,
-        },
-    }
-    if spec.timeline is not None:
-        out["timeline"] = {
-            "qa_start": spec.timeline.qa_start.isoformat(),
-            "conference_end": spec.timeline.conference_end.isoformat(),
-            "trading_close": spec.timeline.trading_close.isoformat(),
-        }
-    return out
+class _Suite(NamedTuple):
+    scenarios: tuple[ScenarioSpec, ...]
+    gallery: GallerySpec = GallerySpec()
 
 
-def scenario_from_dict(raw: dict) -> ScenarioSpec:
-    try:
-        timeline = None
-        if raw.get("timeline"):
-            tl = raw["timeline"]
-            timeline = TimelineSpec(
-                qa_start=parse_instant(tl["qa_start"]),
-                conference_end=parse_instant(tl["conference_end"]),
-                trading_close=parse_instant(tl["trading_close"]),
-            )
-        price = raw.get("price_spec", {})
-        return ScenarioSpec(
-            conference_id=raw["conference_id"],
-            seed=int(raw["seed"]),
-            date=dt_date.fromisoformat(raw["date"]),
-            fps=float(raw["fps"]),
-            conference_length_s=float(raw["conference_length_s"]),
-            reading_episodes=tuple(
-                ReadingEpisode(float(e["start_s"]), float(e["end_s"]), float(e["ear_level"]))
-                for e in raw.get("reading_episodes", [])
-            ),
-            baseline_ear=float(raw.get("baseline_ear", 0.30)),
-            blink_rate_hz=float(raw.get("blink_rate_hz", 0.0)),
-            gap_intervals=tuple(
-                (float(g["start_s"]), float(g["end_s"])) for g in raw.get("gap_intervals", [])
-            ),
-            identity_script=tuple(
-                ScriptInterval(float(iv["start_s"]), float(iv["end_s"]), iv["label"])
-                for iv in raw.get("identity_script", [])
-            ),
-            target_label=raw.get("target_label", "chair"),
-            n_questions=int(raw.get("n_questions", 20)),
-            price_spec=PriceSpec(
-                base_price=float(price.get("base_price", 3000.0)),
-                minute_vol=float(price.get("minute_vol", 0.001)),
-                drift_during_qa=float(price.get("drift_during_qa", 0.0)),
-                vol_after_factor=float(price.get("vol_after_factor", 1.0)),
-            ),
-            timeline=timeline,
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ScenarioError(f"invalid scenario object: {exc}") from exc
-
-
-def gallery_spec_from_dict(raw: dict) -> GallerySpec:
-    return GallerySpec(
-        labels=tuple(raw.get("labels", ("chair", "reporter"))),
-        cluster_radius=float(raw.get("cluster_radius", 0.05)),
-        separation=float(raw.get("separation", 1.0)),
-        entries_per_label=int(raw.get("entries_per_label", 8)),
-        queries_per_label=int(raw.get("queries_per_label", 4)),
-        seed=int(raw.get("seed", 0)),
-    )
-
-
-# Parameters of planted_study_scenarios that take whole numbers; the others
-# take any number.
-_WHOLE_STUDY_PARAMS = ("seed", "n_conferences")
-
-
-def _study_params(path: str | Path, study: object, seed_override: int | None) -> dict:
-    """Keyword arguments for planted_study_scenarios from a "study" object."""
-    if not isinstance(study, dict):
-        raise ScenarioError(f"scenario file {path}: study must be a JSON object")
-    params = dict(study)
-    if seed_override is not None:
-        params["seed"] = seed_override
-    params.setdefault("seed", 0)
-    try:
-        inspect.signature(planted_study_scenarios).bind(**params)
-    except TypeError as exc:
-        raise ScenarioError(f"scenario file {path}: study: {exc}") from exc
-    for name, value in params.items():
-        whole = name in _WHOLE_STUDY_PARAMS
-        if type(value) is not int and (whole or type(value) is not float):
-            kind = "an integer" if whole else "a number"
-            raise ScenarioError(f"scenario file {path}: study: {name} must be {kind}")
-        if type(value) is float and not math.isfinite(value):
-            raise ScenarioError(f"scenario file {path}: study: {name} must be finite")
-    return params
+class _Study(NamedTuple):
+    study: object
 
 
 def load_scenario_file(
@@ -865,31 +760,25 @@ def load_scenario_file(
     A file that cannot be read, or that does not describe scenarios, raises
     ScenarioError naming the file.
     """
-    try:
-        raw = json.loads(Path(path).read_bytes().decode("utf-8"))
-    except (OSError, ValueError) as exc:  # ValueError covers bad UTF-8 and bad JSON
-        raise ScenarioError(f"cannot read scenario file {path}: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ScenarioError(f"scenario file {path}: expected a JSON object")
-    if "study" in raw:
-        return planted_study_scenarios(**_study_params(path, raw["study"], seed_override))
-    try:
-        if "scenarios" in raw:
-            scenarios = [scenario_from_dict(s) for s in raw["scenarios"]]
-            gallery_spec = gallery_spec_from_dict(raw.get("gallery", {}))
-        else:
-            scenarios = [scenario_from_dict(raw)]
-            labels = sorted(script_labels(scenarios[0]))
-            gallery_spec = gallery_spec_from_dict(raw.get("gallery", {"labels": labels}))
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise ScenarioError(f"scenario file {path}: {type(exc).__name__}: {exc}") from exc
+    raw = read_json(path, "scenario file", ScenarioError)
+    source = f"scenario file {path}"
+    if isinstance(raw, dict) and "study" in raw:
+        study = read(_Study, raw, source, ScenarioError).study
+        if seed_override is not None and isinstance(study, dict):
+            study["seed"] = seed_override
+        return read(planted_study_scenarios, study, source, ScenarioError, where="study")
+    if isinstance(raw, dict) and "scenarios" in raw:
+        scenarios, gallery_spec = read(_Suite, raw, source, ScenarioError)
+    else:
+        gallery = raw.pop("gallery", None) if isinstance(raw, dict) else None
+        scenarios = (read(ScenarioSpec, raw, source, ScenarioError),)
+        gallery_spec = GallerySpec(labels=tuple(sorted(script_labels(scenarios[0]))))
+        if gallery is not None:
+            gallery_spec = read(GallerySpec, gallery, source, ScenarioError, where="gallery")
 
     if seed_override is not None:
         scenarios = [replace(s, seed=seed_override + i) for i, s in enumerate(scenarios)]
-    ids = [s.conference_id for s in scenarios]
-    if len(set(ids)) != len(ids):
-        raise ScenarioError("duplicate conference_id in scenario file")
-    return scenarios, gallery_spec, None
+    return list(scenarios), gallery_spec, None
 
 
 # ---------------------------------------------------------------------------
@@ -909,7 +798,7 @@ def build_fixture(
         raise ConfigError("duplicate conference ids in scenario suite")
     digest = config_digest(
         {
-            "scenarios": [scenario_to_dict(s) for s in scenarios],
+            "scenarios": [to_json(s) for s in scenarios],
             "gallery": asdict(gallery_spec),
         }
     )
@@ -920,14 +809,7 @@ def build_fixture(
     for spec in scenarios:
         check_gallery_labels(spec, gallery_spec)
     price_files = [_price_file(spec, digest) for spec in scenarios]
-    gallery, _queries = gen_gallery(
-        gallery_spec.labels,
-        gallery_spec.cluster_radius,
-        gallery_spec.seed,
-        separation=gallery_spec.separation,
-        entries_per_label=gallery_spec.entries_per_label,
-        queries_per_label=gallery_spec.queries_per_label,
-    )
+    gallery, _queries = gen_gallery(**asdict(gallery_spec))
     buf = io.StringIO()
     dump_gallery(gallery, buf, meta=meta_dict(digest))
     write_text(out_dir / "gallery.json", buf.getvalue(), digest)

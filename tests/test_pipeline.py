@@ -73,8 +73,7 @@ def scalar_identify(cfg, record) -> tuple[bytes, dict]:
         if keep:
             tally["written"] += 1
             try:
-                samples.append((timestamp, frame_aspect_ratio(points, cfg.eye_left,
-                                                              cfg.eye_right)))
+                samples.append((timestamp, frame_aspect_ratio(points, *cfg.eye_indices)))
             except ZeroDivisionError:
                 pass
     tally["total"] = len(columns["timestamp_s"])
@@ -433,13 +432,29 @@ STUDY = {"seed": 1, "n_conferences": 3}
         json.dumps({"gallery": {"labels": ["chair"]},
                     "scenarios": [SCENARIO, {**SCENARIO, "conference_id": "d",
                                              "target_label": "reporter"}]}).encode(),
+        json.dumps({**SCENARIO, "target_label": 5}).encode(),
+        json.dumps({"gallery": {"labels": ["chair", 5]},
+                    "scenarios": [{**SCENARIO, "identity_script": [
+                        {"start_s": 0.0, "end_s": 10.0, "label": 5}]}]}).encode(),
+        json.dumps({**SCENARIO, "seed": 1.7}).encode(),
+        json.dumps({**SCENARIO, "n_questions": 3.9}).encode(),
+        json.dumps({**SCENARIO, "fps": "2"}).encode(),
+        json.dumps({**SCENARIO, "gallery": {"seed": 2.5}}).encode(),
+        json.dumps({**SCENARIO, "fsp": 2.0}).encode(),
+        json.dumps({**SCENARIO, "timeline": {"qa_start": "2020-01-16T14:30:00-04:00",
+                                             "conference_end": "2020-01-16T14:31:00-04:00",
+                                             "trading_close": "2020-01-16T16:00:00-04:00"}}
+                   ).encode(),
     ],
     ids=["invalid-json", "list", "unknown-study-key", "text-study-seed", "scalar-scenarios",
          "text-gallery-seed", "invalid-utf8", "missing-file", "negative-seed",
          "negative-gallery-seed", "nan-fps", "zero-target-r2", "zero-episode-ear",
          "nan-study-slope", "negative-study-seed", "list-study", "nan-base-price",
          "nan-minute-vol", "inf-vol-after-factor", "inf-drift", "overflowing-study-intercept",
-         "overflowing-drift", "infinite-walk", "label-missing-from-gallery"],
+         "overflowing-drift", "infinite-walk", "label-missing-from-gallery",
+         "number-target-label", "number-script-label", "fractional-seed",
+         "fractional-n-questions", "text-fps", "fractional-gallery-seed", "misspelled-key",
+         "timeline-off-date"],
 )
 def test_bad_scenario_file_is_one_line_error(tmp_path, capsys, content):
     path = tmp_path / "scenario.json"
@@ -477,7 +492,8 @@ def test_synth_rejects_unsafe_conference_id(tmp_path, capsys, conference_id):
     assert main(["synth", "--config", str(scenario_path), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1, err
-    assert err.startswith("configuration error: conference_id ")
+    assert err.startswith(f"configuration error: scenario file {scenario_path}: "
+                          "scenarios[1].conference_id: must be ")
     assert sorted(p.name for p in tmp_path.rglob("*")) == ["scenario.json"]
 
 
@@ -563,8 +579,7 @@ def test_eye_index_layout_override(small_fixture, tmp_path):
     write_run_config(config_path, small_fixture,
                      eye_indices=[list(range(42, 48)), list(range(36, 42))])
     cfg = load_run_config(config_path)
-    assert cfg.eye_left == tuple(range(42, 48))
-    assert cfg.eye_right == tuple(range(36, 42))
+    assert cfg.eye_indices == (tuple(range(42, 48)), tuple(range(36, 42)))
     base = load_run_config(write_run_config(tmp_path / "base.json", small_fixture))
     assert digest(cfg) != digest(base)
 
@@ -711,6 +726,16 @@ def test_non_utf8_json_file_is_one_line_error(small_fixture, tmp_path, capsys, n
         ("config.json", ("attention", "gap_factor"), "3.0", 1),
         ("config.json", ("attention", "floor_value"), "1e-9", 1),
         ("config.json", ("identity", "epsilon"), 10**400, 1),
+        ("registry.json", ("conferences", 0, "qa_start"), 5, 2),
+        ("registry.json", ("conferences", 0, "conference_end"), 5, 2),
+        ("registry.json", ("conferences", 0, "trading_close"), 5, 2),
+        ("registry.json", ("conferences", 0, "landmarks"), 5, 2),
+        ("registry.json", ("conferences", 0, "trading_close"), "2011-04-27T16:00:00", 2),
+        ("registry.json", ("conferences", 0), [], 2),
+        ("registry.json", ("conferences", 0, "date"), "2011-04-28", 2),
+        ("gallery.json", ("entries", 0, "label"), 5, 2),
+        ("gallery.json", ("entries", 0, "embedding", 0), True, 2),
+        ("config.json", ("attention", "treshold"), 0.3, 1),
     ],
     ids=["registry-date", "registry-conferences", "gallery-entries", "gallery-text",
          "gallery-nan", "epsilon-text", "eye-index-99", "eye-two-points", "trading-close",
@@ -720,7 +745,11 @@ def test_non_utf8_json_file_is_one_line_error(small_fixture, tmp_path, capsys, n
          "eye-indices-object", "eye-indices-zero", "eye-indices-empty-text",
          "eye-indices-empty-list", "epsilon-numeric-text", "min-votes-numeric-text",
          "threshold-numeric-text", "gap-factor-numeric-text", "floor-value-numeric-text",
-         "epsilon-beyond-double"],
+         "epsilon-beyond-double", "registry-qa-start-number",
+         "registry-conference-end-number", "registry-trading-close-number",
+         "registry-landmarks-number", "registry-naive-trading-close", "registry-entry-list",
+         "registry-date-off-qa-start", "gallery-label-number", "gallery-embedding-true",
+         "config-misspelled-key"],
 )
 def test_malformed_input_is_one_line_error(
     small_fixture, tmp_path, capsys, name, keys, value, code
@@ -740,3 +769,6 @@ def test_malformed_input_is_one_line_error(
     assert len(err.splitlines()) == 1, err
     assert "Traceback" not in err
     assert err.startswith("configuration error: " if code == 1 else "data error: "), err
+    # The line names the file and the key.
+    assert str(path) in err, err
+    assert [key for key in keys if isinstance(key, str)][-1] in err, err

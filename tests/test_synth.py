@@ -35,9 +35,8 @@ from earstudy.synth import (
     minute_stamps,
     planted_study_scenarios,
     run_synth,
-    scenario_from_dict,
-    scenario_to_dict,
 )
+from earstudy.schema import read, to_json
 
 TZ = timezone(timedelta(hours=-4))
 
@@ -461,7 +460,7 @@ def test_scenario_json_round_trip():
         conference_length_s=300.0,
         reading_episodes=(ReadingEpisode(100.0, 130.0, 0.15),),
     )
-    assert scenario_from_dict(scenario_to_dict(spec)) == spec
+    assert read(ScenarioSpec, to_json(spec), "scenario", ScenarioError) == spec
 
 
 def test_planted_study_scenarios_shape():
