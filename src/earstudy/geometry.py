@@ -13,6 +13,7 @@ import math
 from contextlib import closing
 from dataclasses import dataclass
 from itertools import chain, islice
+from operator import itemgetter
 from pathlib import Path
 from typing import IO, Iterable, Iterator, NamedTuple, Sequence
 
@@ -35,7 +36,7 @@ def batch_ear(
     left_indices: Sequence[int] = LEFT_EYE_INDICES,
     right_indices: Sequence[int] = RIGHT_EYE_INDICES,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The EAR of every frame of an (N, 68, 2) array, and the usable mask.
+    """The EAR of every frame of an (N, P, 2) array of points, and the usable mask.
 
     A frame's EAR is the mean of its two eyes' EAR,
     (|p2-p6| + |p3-p5|) / (2 |p1-p4|).  A frame is unusable (False in the
@@ -83,11 +84,21 @@ def _numbered_records(path: str | Path) -> Iterator[tuple[int, object, bool]]:
     cost of searching for the words, which are only searched for when a
     conference_id or an escape holds one of the letters.
 
-    A record is plain when its line holds 2 * len(record) + 2 quote bytes:
-    its only strings are then its keys and its conference_id.  numpy reads
-    a numeric string as its number, so the values of a record that is not
-    plain, such as one with an escaped quote in its conference_id, are
-    type-checked one by one.
+    A record is plain when four byte screens show that its timestamp,
+    coordinates and embedding entries are all numbers, which orjson only
+    ever decodes as finite floats or as integers in [-2**63, 2**64).  Only the
+    points that the caller asks for are then converted, so no other check
+    would see a value of the wrong kind among the rest:
+    - 2 * len(record) + 2 quote bytes: its only strings are its keys and
+      its conference_id (numpy also reads a numeric string as its number);
+    - LANDMARK_COUNT + 1 "[" bytes, one more with a list embedding: no
+      array stands for a number, as in a pair [[1, 2], 3];
+    - no "{" after the first byte: no object stands for a number;
+    - no word null, searched for under the same letter screen as true and
+      false (numpy reads null as NaN, but only where it converts).
+    A conference_id or escape holding one of these bytes also makes its
+    line not plain, which costs only time: the values of a record that is
+    not plain are type-checked one by one.
     """
     with open(path, "rb") as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -105,13 +116,21 @@ def _numbered_records(path: str | Path) -> Iterator[tuple[int, object, bool]]:
                     record = _Rejected("invalid JSON")
             if isinstance(record, dict) and "_meta" in record:
                 continue
+            words = b"u" in line or b"l" in line
             if (
-                (b"u" in line or b"l" in line)
+                words
                 and (b"true" in line or b"false" in line)
                 and _holds_boolean_number(record)
             ):
                 record = _Rejected("true or false in place of a number")
-            plain = type(record) is dict and line.count(b'"') == 2 * len(record) + 2
+            plain = (
+                type(record) is dict
+                and line.count(b'"') == 2 * len(record) + 2
+                and line.count(b"[")
+                == LANDMARK_COUNT + 1 + (type(record.get("embedding")) is list)
+                and line.find(b"{", 1) < 0
+                and not (words and b"null" in line)
+            )
             yield line_no, record, plain
 
 
@@ -133,7 +152,7 @@ class LandmarkBatch:
     """A whole landmark stream as columns; row i is the i-th frame record."""
 
     timestamps: np.ndarray  # (N,)
-    points: np.ndarray  # (N, 68, 2)
+    points: np.ndarray  # (N, 68, 2), or (N, len(point_indices), 2)
     embeddings: np.ndarray  # (N, 128), zero rows where has_embedding is False
     has_embedding: np.ndarray  # (N,) bool
 
@@ -141,26 +160,41 @@ class LandmarkBatch:
         return len(self.timestamps)
 
 
+class _Columns(NamedTuple):
+    """One read step's checked columns, each flat."""
+
+    timestamps: np.ndarray  # (n,)
+    points: np.ndarray  # (n * P * 2,)
+    embedded: np.ndarray  # (m * 128,): only the rows that have an embedding
+    has_embedding: np.ndarray  # (n,) bool
+
+
 # Lines decoded per step of read_landmark_batch.  Only one step's decoded
 # JSON is alive at a time.  Decoded records are large (about 14 KiB for a
 # frame with an embedding), and a run's peak RSS grows with the step: on the
-# 45-conference planted study it was 67.7 MB at 32 lines, 74.4 MB at 256
-# and 81.7 MB for whole files, against 69.4 MB for a frame-by-frame reader.
+# 45-conference planted study it was 39.8 MB at 32 lines, 46.8 MB at 256
+# and 52.1 MB for whole files, against 39.7 MB at one line per step.
 # Smaller steps cost no measurable time.
 _BATCH_LINES = 32
 
 
-def read_landmark_batch(path: str | Path) -> LandmarkBatch:
+def read_landmark_batch(
+    path: str | Path, point_indices: Sequence[int] | None = None
+) -> LandmarkBatch:
     """Read a JSONL landmark stream into arrays, one orjson.loads per line.
 
-    The records are checked vectorised, one step of lines at a time: each
-    column is converted in one pass with np.fromiter after its lengths are
-    checked, and its values must be finite.  Lines screened as not plain
-    (see _numbered_records) also have each value's type checked.  When a
-    step fails, its records are checked one by one, and the first bad one
-    raises MalformedRecordError "{path}: line {n}: {reason}".
+    points holds the listed points of each frame, in the given order, which
+    is points[:, point_indices] of the full (N, 68, 2) read; the default
+    lists all 68.  Every coordinate is checked either way.  The records are
+    checked vectorised, one step of lines at a time: each column is
+    converted in one pass with np.fromiter after its lengths are checked,
+    and its values must be finite.  Lines screened as not plain (see
+    _numbered_records) also have each value's type checked.  When a step
+    fails, its records are checked one by one, and the first bad one raises
+    MalformedRecordError "{path}: line {n}: {reason}".
     """
-    parts: list[LandmarkBatch] = []
+    indices = range(LANDMARK_COUNT) if point_indices is None else tuple(point_indices)
+    parts: list[_Columns] = []
     last_ts: dict[str, float] = {}
     # Decoded records form no reference cycles, so cyclic collection would
     # only rescan the lists and dicts of the step still alive.
@@ -170,46 +204,54 @@ def read_landmark_batch(path: str | Path) -> LandmarkBatch:
         with closing(_numbered_records(path)) as numbered:
             while True:
                 step = list(islice(numbered, _BATCH_LINES))
-                parts.append(_checked_step(path, step, last_ts))
+                parts.append(_checked_step(path, step, last_ts, indices))
                 if len(step) < _BATCH_LINES:
                     break
     finally:
         if gc_was_enabled:
             gc.enable()
-    columns = ("timestamps", "points", "embeddings", "has_embedding")
-    return LandmarkBatch(
-        *(np.concatenate([getattr(part, name) for part in parts]) for name in columns)
+    timestamps, points, embedded, has_embedding = (
+        np.concatenate(column) for column in zip(*parts)
     )
+    n = len(timestamps)
+    embeddings = np.zeros((n, EMBEDDING_DIM))
+    embeddings[has_embedding] = embedded.reshape(-1, EMBEDDING_DIM)
+    points = points.reshape(n, len(indices), 2)
+    return LandmarkBatch(timestamps, points, embeddings, has_embedding)
 
 
 def _checked_step(
-    path: str | Path, step: list[tuple[int, object, bool]], last_ts: dict[str, float]
-) -> LandmarkBatch:
-    """The batch of one step's (line number, record, plain) triples.
+    path: str | Path,
+    step: list[tuple[int, object, bool]],
+    last_ts: dict[str, float],
+    point_indices: Sequence[int],
+) -> _Columns:
+    """The columns of one step's (line number, record, plain) triples.
 
     A step the vectorised checks reject is checked again one record at a
     time, which names the first bad line.
     """
     plain = all(p for _, _, p in step)
-    batch = _checked_batch([record for _, record, _ in step], last_ts, plain)
-    if isinstance(batch, LandmarkBatch):
-        return batch
+    columns = _checked_batch([record for _, record, _ in step], last_ts, plain, point_indices)
+    if isinstance(columns, _Columns):
+        return columns
     for line_no, record, plain in step:
-        reason = _checked_batch([record], last_ts, plain)
+        reason = _checked_batch([record], last_ts, plain, point_indices)
         if isinstance(reason, str):
             raise MalformedRecordError(f"{path}: line {line_no}: {reason}")
     raise AssertionError("records that pass one at a time pass together")
 
 
 def _checked_batch(
-    records: list, last_ts: dict[str, float], plain: bool
-) -> LandmarkBatch | str:
-    """The batch of the decoded records, or the reason they break the format.
+    records: list, last_ts: dict[str, float], plain: bool, point_indices: Sequence[int]
+) -> _Columns | str:
+    """The columns of the decoded records, or the reason they break the format.
 
     Given one record, the reason is that record's own.  last_ts holds each
     conference's latest timestamp before these records, and is updated with
     theirs when they pass.  Unless plain, every timestamp, coordinate and
-    embedding entry must be an int or a float.
+    embedding entry must be an int or a float.  Of each record's points,
+    only those at point_indices are converted.
     """
     for record in records:
         if type(record) is not dict:
@@ -228,7 +270,7 @@ def _checked_batch(
     if not all(type(i) is int for i in indices):
         return "frame_index is not an integer"
     n = len(records)
-    timestamps = _finite_values(raw_times, n, plain)
+    timestamps = _finite_values(raw_times, n) if plain or _numbers(raw_times) else None
     if timestamps is None or not (timestamps >= 0).all():
         return "timestamp_s is not a finite number >= 0"
     try:
@@ -236,8 +278,14 @@ def _checked_batch(
                     for p in raw_points)
     except TypeError:
         pairs = False
-    coordinates = chain.from_iterable(chain.from_iterable(raw_points))
-    points = _finite_values(coordinates, n * 2 * LANDMARK_COUNT, plain) if pairs else None
+    if pairs and (plain or _numbers(chain.from_iterable(chain.from_iterable(raw_points)))):
+        # itemgetter of one index returns that item, not a 1-tuple.
+        pick = (itemgetter(*point_indices) if len(point_indices) > 1
+                else lambda p: [p[i] for i in point_indices])
+        picked = chain.from_iterable(chain.from_iterable(map(pick, raw_points)))
+        points = _finite_values(picked, n * 2 * len(point_indices))
+    else:
+        points = None
     if points is None:
         return f"expected {LANDMARK_COUNT} [x, y] pairs of finite numbers in points"
     has_embedding = np.array([e is not None for e in raw_embeddings], dtype=bool)
@@ -246,31 +294,30 @@ def _checked_batch(
         sized = all(len(e) == EMBEDDING_DIM for e in embedded)
     except TypeError:
         sized = False
-    entries = chain.from_iterable(embedded)
-    flat = _finite_values(entries, len(embedded) * EMBEDDING_DIM, plain) if sized else None
+    if sized and (plain or _numbers(chain.from_iterable(embedded))):
+        flat = _finite_values(chain.from_iterable(embedded), len(embedded) * EMBEDDING_DIM)
+    else:
+        flat = None
     if flat is None:
         return f"expected {EMBEDDING_DIM} finite numbers in embedding"
     conference_id = _time_ordered(ids, timestamps.tolist(), last_ts)
     if conference_id is not None:
         return f"timestamps decrease within conference {conference_id!r}"
-    embeddings = np.zeros((n, EMBEDDING_DIM))
-    embeddings[has_embedding] = flat.reshape(-1, EMBEDDING_DIM)
-    return LandmarkBatch(
-        timestamps, points.reshape(n, LANDMARK_COUNT, 2), embeddings, has_embedding
-    )
+    return _Columns(timestamps, points, flat, has_embedding)
 
 
-def _finite_values(values: Iterable, count: int, plain: bool) -> np.ndarray | None:
-    """The count values as a float array, or None unless each is a finite number.
+def _numbers(values: Iterable) -> bool:
+    """Whether each value is an int or a float.
 
-    np.fromiter reads null as NaN, which the finiteness check rejects, and a
-    numeric string as its number, so unless plain each value's type is
-    checked first.
+    A step that is not plain has every timestamp, coordinate and embedding
+    entry checked here: np.fromiter reads a numeric string as its number,
+    and the points that are not converted meet no other check.
     """
-    if not plain:
-        values = list(values)
-        if not all(type(v) is int or type(v) is float for v in values):
-            return None
+    return all(type(v) is int or type(v) is float for v in values)
+
+
+def _finite_values(values: Iterable, count: int) -> np.ndarray | None:
+    """The count values as a float array, or None unless each is a finite number."""
     try:
         array = np.fromiter(values, np.float64, count)
     except (TypeError, ValueError):

@@ -179,18 +179,20 @@ def stage_identify(
         raise ConfigError(
             f"gallery {cfg.gallery} has no entries for target label {cfg.target_label!r}"
         )
+    left_eye, right_eye = cfg.eye_indices
+    eye_points = [*left_eye, *right_eye]  # read as (N, 12, 2), left eye first
     conferences: dict[str, dict] = {}
     warnings: list[tuple[str, str]] = []
     for record in records:
         if not record.landmarks.exists():
             raise ConfigError(f"landmark file not found: {record.landmarks}")
-        batch = geometry.read_landmark_batch(record.landmarks)
+        batch = geometry.read_landmark_batch(record.landmarks, eye_points)
         labels = identity.classify_batch(batch.embeddings, gallery, cfg.identity)
         keep, diag = identity.route_frames(
             labels, batch.has_embedding.tolist(), cfg.target_label, cfg.identity
         )
         keep = np.array(keep, dtype=bool)
-        values, usable = geometry.batch_ear(batch.points[keep], *cfg.eye_indices)
+        values, usable = geometry.batch_ear(batch.points[keep], range(6), range(6, 12))
         buf = io.StringIO()
         count = att.write_ear_csv(batch.timestamps[keep][usable], values[usable], buf,
                                   meta_line=output.meta_line(digest))

@@ -449,23 +449,138 @@ def test_text_or_null_for_a_number_keeps_its_reason(tmp_path, record, reason):
     assert str(info.value) == f"{path}: line 2: {reason}"
 
 
+def type_checked_values(monkeypatch):
+    """The number of values each per-value type check sees, as a list that
+    fills while the test reads."""
+    counts = []
+    numbers = geometry._numbers
+
+    def spy(values):
+        values = list(values)
+        counts.append(len(values))
+        return numbers(values)
+
+    monkeypatch.setattr(geometry, "_numbers", spy)
+    return counts
+
+
+EYES = LEFT_EYE_INDICES + RIGHT_EYE_INDICES
+
+
+def planted_line(index, value):
+    """A record line with the JSON text value as the x of points[index].
+
+    "3+1" instead gives points[index] three numbers and a neighbouring
+    pair one, so that the record still holds 136 coordinates.
+    """
+    pairs = [f"[{i}.0,{i + 1}.0]" for i in range(68)]
+    if value == "3+1":
+        pairs[index], pairs[index + 1 if index < 67 else index - 1] = "[1,2,3]", "[4]"
+    else:
+        pairs[index] = f"[{value},{index + 1}.0]"
+    embedding = ",".join(["0.5"] * 128)
+    return ('{"conference_id":"c","frame_index":1,"timestamp_s":2.0,'
+            f'"points":[{",".join(pairs)}],"embedding":[{embedding}]}}')
+
+
+# Each value with the reason that rejects its line, or None where it reads.
+PLANTED = [
+    ("null", POINTS_REASON),
+    ("true", "true or false in place of a number"),
+    ('"1.5"', POINTS_REASON),
+    ("[]", POINTS_REASON),
+    ("{}", POINTS_REASON),
+    ("[1.0,2.0]", POINTS_REASON),
+    ("1" * 26, None),  # orjson reads it as a float
+    ("1" * 400, "invalid JSON"),  # orjson reads it as infinity and refuses it
+    ("-0", None),
+    ("3+1", POINTS_REASON),
+]
+
+
+@pytest.mark.parametrize("point_indices", [None, EYES], ids=["all-points", "eye-points"])
+@pytest.mark.parametrize("index", [0, 40, 67])
+@pytest.mark.parametrize(
+    "value, reason", PLANTED,
+    ids=["null", "true", "text", "empty-list", "empty-object", "list", "26-digits",
+         "400-digits", "minus-zero", "3+1-pair"],
+)
+def test_planted_coordinate_keeps_its_reason(tmp_path, value, reason, index, point_indices):
+    """Every coordinate is checked, whether or not it is converted: a point
+    outside point_indices (0, 67) is rejected as an eye point (40) is."""
+    path = tmp_path / "planted.jsonl"
+    path.write_text(f"{GOOD}\n{planted_line(index, value)}\n")
+    if reason is not None:
+        with pytest.raises(MalformedRecordError) as info:
+            read_landmark_batch(path, point_indices)
+        assert str(info.value) == f"{path}: line 2: {reason}"
+        return
+    points = read_landmark_batch(path).points
+    assert points[1, index].tolist() == [float(value), index + 1.0]
+    expected = points if point_indices is None else points[:, EYES]
+    assert np.array_equal(read_landmark_batch(path, point_indices).points, expected)
+
+
+@pytest.mark.parametrize("point_indices", [None, EYES], ids=["all-points", "eye-points"])
+def test_null_in_an_embedding(tmp_path, point_indices):
+    """A null entry is not a number; a null embedding is no embedding."""
+    path = tmp_path / "stream.jsonl"
+    null_entry = frame_record(1, 2.0, embedding=[0.5] * 127 + [None])
+    path.write_text(f"{GOOD}\n{json.dumps(null_entry)}\n")
+    with pytest.raises(MalformedRecordError) as info:
+        read_landmark_batch(path, point_indices)
+    assert str(info.value) == f"{path}: line 2: {EMBEDDING_REASON}"
+    path.write_text(f"{GOOD}\n{json.dumps({**frame_record(1, 2.0), 'embedding': None})}\n")
+    batch = read_landmark_batch(path, point_indices)
+    assert batch.has_embedding.tolist() == [True, False]
+    assert batch.embeddings.tolist() == [[0.5] * 128, [0.0] * 128]
+
+
+@pytest.mark.parametrize("conference_id", ["[c", "{c}", "[{"])
+def test_id_with_a_bracket_is_type_checked(tmp_path, monkeypatch, conference_id):
+    """A bracket or brace in the conference_id makes its line not plain."""
+    counts = type_checked_values(monkeypatch)
+    path = tmp_path / "stream.jsonl"
+    write_jsonl(path, [frame_record(0, 0.0, conference_id, embedding=[0.5] * 128)])
+    full = assert_batch_equals_oracle(path)
+    assert counts == [1, 136, 128]
+    eyes = read_landmark_batch(path, EYES)
+    assert np.array_equal(eyes.points, full.points[:, EYES])
+
+
+@pytest.mark.parametrize("groups", [(LEFT_EYE_INDICES, RIGHT_EYE_INDICES),
+                                    (RIGHT_EYE_INDICES, LEFT_EYE_INDICES)],
+                         ids=["eyes", "swapped-eyes"])
+def test_point_indices_select_points_in_order(small_fixture, groups):
+    indices = [*groups[0], *groups[1]]
+    for path in sorted((small_fixture / "landmarks").glob("*.jsonl")):
+        full = read_landmark_batch(path)
+        eyes = read_landmark_batch(path, indices)
+        assert np.array_equal(eyes.points, full.points[:, indices])
+        for name in ("timestamps", "embeddings", "has_embedding"):
+            assert np.array_equal(getattr(eyes, name), getattr(full, name)), name
+
+
+@pytest.mark.parametrize("indices", [[], [40], [40, 40, 3]], ids=["none", "one", "repeated"])
+def test_point_indices_of_any_length(tmp_path, indices):
+    path = tmp_path / "stream.jsonl"
+    write_jsonl(path, [frame_record(0, 0.0), frame_record(1, 1.0)])
+    points = read_landmark_batch(path, indices).points
+    assert points.shape == (2, len(indices), 2)
+    assert np.array_equal(points, read_landmark_batch(path).points[:, indices])
+
+
 def test_id_with_an_escaped_quote_is_read(tmp_path, monkeypatch):
     """A quote in the conference_id makes its line not plain: its values are
     type-checked one by one, and the stream reads back equal."""
-    plain_flags = []
-    finite_values = geometry._finite_values
-
-    def spy(values, count, plain):
-        plain_flags.append(plain)
-        return finite_values(values, count, plain)
-
-    monkeypatch.setattr(geometry, "_finite_values", spy)
+    counts = type_checked_values(monkeypatch)
     path = tmp_path / "stream.jsonl"
     write_jsonl(path, [frame_record(0, 0.0, 'a"b', embedding=[0.5] * 128),
                        frame_record(1, 0.5, 'a"b')])
     assert 'a\\"b' in path.read_text()
     assert len(assert_batch_equals_oracle(path)) == 2
-    assert plain_flags and not any(plain_flags)
+    # Two timestamps, 2 * 136 coordinates and one embedding.
+    assert counts == [2, 2 * 136, 128]
 
 
 def test_first_bad_line_is_reported_first(tmp_path):

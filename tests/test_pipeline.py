@@ -584,6 +584,17 @@ def test_eye_index_layout_override(small_fixture, tmp_path):
     assert digest(cfg) != digest(base)
 
 
+def test_identify_reads_the_configured_points(small_fixture, tmp_path):
+    """identify converts only the eye points, and takes them from eye_indices."""
+    config_path = write_run_config(tmp_path / "config.json", small_fixture,
+                                   eye_indices=[list(range(42, 48)), list(range(30, 36))])
+    cfg = load_run_config(config_path)
+    run_stages(cfg, tmp_path / "out", ("identify",))
+    for record in load_registry(cfg.registry):
+        got = (tmp_path / "out" / "ear" / f"{record.conference_id}.csv").read_bytes()
+        assert got == scalar_identify(cfg, record)[0], record.conference_id
+
+
 def test_missing_transcript_becomes_exclusion(small_fixture, tmp_path):
     raw = json.loads((small_fixture / "registry.json").read_text())
     raw["conferences"][0]["transcript"] = "transcripts/nonexistent.txt"
