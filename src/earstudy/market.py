@@ -227,28 +227,25 @@ def read_price_csv(path: str | Path) -> PriceSeries:
     A file with a row that parse_instant or float rejects raises the error
     that row gives, naming the first such row.
     """
+    rows = output.csv_rows(path, PRICE_COLUMNS, _check_price_row, "price")
     try:
-        rows = output.read_csv(path, PRICE_COLUMNS, list, "price")
-    except MalformedRecordError:
-        # A bad row ahead of the first bytes that are not UTF-8 is named
-        # first, as when each row was converted as it was read.
-        output.read_csv(path, PRICE_COLUMNS, _check_price_row, "price")
-        raise
-    try:
-        # parse_instant's steps, chained in C over the whole column.
-        texts = map(str.strip, map(itemgetter(0), rows))
-        texts = map(methodcaller("replace", "Z", "+00:00"), texts)
-        times = list(map(datetime.fromisoformat, texts))
+        # parse_instant's steps over the whole column: every "Z" reads as
+        # "+00:00" (fromisoformat alone would also take a "Z" between date
+        # and time), and the strip is needed only when the raw text fails,
+        # as fromisoformat takes no surrounding space.
+        stamps = list(map(itemgetter(0), rows))
+        if "Z" in "".join(stamps):
+            stamps = list(map(methodcaller("replace", "Z", "+00:00"), stamps))
+        try:
+            times = list(map(datetime.fromisoformat, stamps))
+        except ValueError:
+            times = list(map(datetime.fromisoformat, map(str.strip, stamps)))
         prices = np.fromiter(map(float, map(itemgetter(1), rows)), np.float64, len(rows))
         readable = None not in map(attrgetter("tzinfo"), times)
     except (IndexError, ValueError):
         readable = False
     if not readable:
-        for row in rows:
-            try:
-                _check_price_row(row)
-            except (IndexError, ValueError) as exc:
-                raise MalformedRecordError(f"{path}: bad price row {row!r}") from exc
+        output.check_rows(path, rows, _check_price_row, "price")
         raise AssertionError("a row the columns reject is rejected on its own")
     return PriceSeries(times, prices)
 

@@ -7,16 +7,16 @@ overwrite each other.  The output directory itself is excluded from the
 hash so identical runs into different directories stay byte-identical.
 
 Every CSV the package reads or writes has optional ``#`` metadata comment
-lines, a header row, then one row per record.
+lines, a header row, then one row per record, its cells separated by commas
+and never quoted.
 """
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 import re
-from itertools import chain
+from itertools import chain, repeat
 from pathlib import Path
 from typing import Callable, Iterable, Sequence, TypeVar
 
@@ -74,10 +74,18 @@ def check_overwrite(path: Path, digest: str) -> None:
 
 
 def write_text(path: Path, content: str, digest: str) -> None:
+    """Write content to path, creating its directories.
+
+    A file system error (an output directory that is a file, say) raises
+    ConfigError naming path.
+    """
     check_overwrite(path, digest)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(content)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(content)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
 def write_json(path: Path, payload: dict, digest: str) -> None:
@@ -136,25 +144,74 @@ def read_csv(
 ) -> list[_T]:
     """Rows of a CSV file, each converted by ``parse_row``.
 
-    ``#`` lines and blank rows are skipped.  The header must begin with
-    ``columns``.  A row that ``parse_row`` rejects with IndexError or
-    ValueError raises MalformedRecordError naming ``what`` and the row, as
-    does a file that is not UTF-8.
+    The rows are those of csv_rows.  A row that ``parse_row`` rejects with
+    IndexError or ValueError raises MalformedRecordError naming ``what``
+    and the first such row.
     """
-    parsed: list[_T] = []
+    rows = csv_rows(path, columns, parse_row, what)
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            reader = csv.reader(line for line in fh if not line.startswith("#"))
-            header = next(reader, None)
-            if header is None or [h.strip() for h in header[:len(columns)]] != list(columns):
-                raise MalformedRecordError(f"{path}: expected '{','.join(columns)}' header")
-            for row in reader:
-                if not row:
-                    continue
-                try:
-                    parsed.append(parse_row(row))
-                except (IndexError, ValueError) as exc:
-                    raise MalformedRecordError(f"{path}: bad {what} row {row!r}") from exc
+        return list(map(parse_row, rows))
+    except (IndexError, ValueError):
+        check_rows(path, rows, parse_row, what)
+        raise
+
+
+def csv_rows(
+    path: str | Path,
+    columns: Sequence[str],
+    check_row: Callable[[list[str]], object],
+    what: str,
+) -> list[list[str]]:
+    """The data rows of a CSV file in write_csv's format, each a list of cells.
+
+    The file is read in one pass.  LF, CRLF and a lone CR each end a line.
+    ``#`` lines and blank rows are skipped, and a row is its line split at
+    every comma: cells are never quoted.  The first other line is the
+    header, which must begin with ``columns``.  A file that is not UTF-8
+    raises MalformedRecordError, after the complete rows ahead of its first
+    bad byte are checked with check_rows, so that a bad row there is named
+    first.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
+        head = data[:exc.start].decode("utf-8")
+        # Only the lines that end ahead of the bad byte are complete.
+        lines = _lines(head[:max(head.rfind("\n"), head.rfind("\r")) + 1])[:-1]
+        if lines:
+            check_rows(path, _data_rows(path, lines, columns), check_row, what)
         raise MalformedRecordError(f"{path}: not valid UTF-8") from exc
-    return parsed
+    return _data_rows(path, _lines(text), columns)
+
+
+def check_rows(
+    path: str | Path, rows: Iterable[list[str]], check_row: Callable, what: str
+) -> None:
+    """Raise MalformedRecordError naming the first row that ``check_row``
+    rejects with IndexError or ValueError."""
+    for row in rows:
+        try:
+            check_row(row)
+        except (IndexError, ValueError) as exc:
+            raise MalformedRecordError(f"{path}: bad {what} row {row!r}") from exc
+
+
+def _lines(text: str) -> list[str]:
+    """text's lines, without their line ends and without ``#`` lines."""
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    lines = text.split("\n")
+    if "\n#" in text:
+        return [line for line in lines if not line.startswith("#")]
+    # No line but the first (write_csv's meta line) is a comment.
+    return lines[1:] if text.startswith("#") else lines
+
+
+def _data_rows(path: str | Path, lines: list[str], columns: Sequence[str]) -> list[list[str]]:
+    """The rows after the header line, which must begin with columns."""
+    header = lines[0].split(",") if lines else None
+    if header is None or [h.strip() for h in header[:len(columns)]] != list(columns):
+        raise MalformedRecordError(f"{path}: expected '{','.join(columns)}' header")
+    return list(map(str.split, filter(None, lines[1:]), repeat(",")))

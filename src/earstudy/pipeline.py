@@ -13,7 +13,7 @@ import hashlib
 import io
 import logging
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from datetime import date as dt_date
 from datetime import datetime, time
 from operator import itemgetter
@@ -186,7 +186,10 @@ def stage_identify(
     for record in records:
         if not record.landmarks.exists():
             raise ConfigError(f"landmark file not found: {record.landmarks}")
-        batch = geometry.read_landmark_batch(record.landmarks, eye_points)
+        try:
+            batch = geometry.read_landmark_batch(record.landmarks, eye_points)
+        except OSError as exc:
+            raise ConfigError(f"cannot read landmark file {record.landmarks}: {exc}") from exc
         labels = identity.classify_batch(batch.embeddings, gallery, cfg.identity)
         keep, diag = identity.route_frames(
             labels, batch.has_embedding.tolist(), cfg.target_label, cfg.identity
@@ -273,7 +276,7 @@ def stage_attention(
                         record.conference_id, reason)
             continue
         rows.append({
-            **asdict(summary),
+            **vars(summary),  # the fields, in order, uncopied
             "date": record.date.isoformat(),
             "log_n_questions": benchmark.n_questions_log,
             "log_qa_duration": benchmark.duration_qa_log,
@@ -368,7 +371,7 @@ def stage_eventstudy(
             continue
         window_rows.append({
             **row,
-            **asdict(stats),
+            **vars(stats),
             "vol_change_x100": stats.vol_change * 100.0,
         })
 

@@ -7,7 +7,7 @@ type hint of the field or parameter it names:
 - str, and FileId (a str that keeps to output.FILE_ID_RULE);
 - int: a JSON integer or a whole float such as 2.0, never true or false;
 - float: a finite JSON number, never true or false;
-- Path: text, resolved against the directory of the file read;
+- Path: text without NUL, resolved against the directory of the file read;
 - date, time and datetime: ISO text; a datetime needs a UTC offset;
 - np.ndarray: a list of numbers, as one float64 column;
 - object: any JSON value, unchecked;
@@ -23,6 +23,8 @@ from __future__ import annotations
 import inspect
 import json
 import math
+import os
+import stat
 import types
 from datetime import date, datetime, time
 from functools import lru_cache
@@ -70,7 +72,7 @@ def read(target, value: object, source: str, error: type[Exception],
     where names value within its file.
     """
     try:
-        return _record(target)[0](value, where, base)
+        return _record(target)[0](value, where, None if base is None else _Base(base))
     except _Invalid as exc:
         raise error(f"{source}: {exc}") from None
 
@@ -120,8 +122,38 @@ def _column(value, where, base):
         _fail(where, "a number lies beyond the double range")
 
 
+class _Base:
+    """The directory that one read call resolves relative paths against.
+
+    resolve(text) equals (directory / text).resolve(), but each distinct
+    parent directory is resolved once, and only the leaf is looked up
+    (lstat) for each path.  A leaf that is a symbolic link, "." or ".."
+    takes the full resolve.
+    """
+
+    def __init__(self, directory: Path) -> None:
+        self.directory = os.fspath(directory)
+        self.parents: dict[str, str] = {}
+
+    def resolve(self, text: str) -> Path:
+        parent, name = os.path.split(os.path.join(self.directory, text))
+        if name in ("", ".", ".."):
+            return Path(self.directory, text).resolve()
+        resolved = self.parents.get(parent)
+        if resolved is None:
+            resolved = self.parents[parent] = str(Path(parent).resolve())
+        leaf = os.path.join(resolved, name)
+        try:
+            is_link = stat.S_ISLNK(os.lstat(leaf).st_mode)
+        except OSError:  # a missing leaf, which resolve() keeps as it is
+            is_link = False
+        return Path(self.directory, text).resolve() if is_link else Path(leaf)
+
+
 def _path(value, where, base):
-    return (base / _text(value, where, base, "a path")).resolve()
+    if "\0" in _text(value, where, base, "a path"):  # no file system takes one
+        _fail(where, f"expected a path, got {_show(value)}")
+    return base.resolve(value)
 
 
 def _parsed(parse, kind):

@@ -4,8 +4,9 @@ These deliberately avoid the code paths under test: a stdlib-json landmark
 reader with per-field checks, the EAR over plain (x, y) tuples,
 plain-python distance sums, the vote as one norm per gallery entry, a
 design-matrix normal-equations OLS solve, scipy's t distribution, adaptive
-Simpson quadrature of the t density, a two-pass RMS, and a row-by-row price
-reader with event windows over plain lists.
+Simpson quadrature of the t density, a two-pass RMS, a row-by-row price
+reader with event windows over plain lists, and the CSV rows as the stdlib
+csv module reads them.
 """
 
 from __future__ import annotations
@@ -227,6 +228,19 @@ def rms_two_pass(values) -> float:
         acc += float(v) * float(v)
         count += 1
     return math.sqrt(acc / count)
+
+
+def read_csv_rows(path) -> tuple[list | None, list]:
+    """The header and data rows of a CSV file, read with the stdlib csv module.
+
+    The file is read in universal-newline mode, "#" lines are dropped
+    before the csv module sees them, and blank rows are skipped.  The
+    header is None for a file with no other line.
+    """
+    with open(path, encoding="utf-8") as fh:
+        rows = csv.reader(line for line in fh if not line.startswith("#"))
+        header = next(rows, None)
+        return header, [row for row in rows if row]
 
 
 def read_price_rows(path) -> tuple[list, list]:

@@ -248,6 +248,35 @@ def test_mixed_offsets_are_ordered_by_instant(tmp_path):
     )
 
 
+@pytest.mark.parametrize("stamps", [
+    ["2019-05-15T18:30:00Z", "2019-05-15T18:31:00Z"],
+    [" 2019-05-15T14:30:00-04:00", "2019-05-15T14:31:00-04:00\t"],
+    ["2019-05-15T14:30:00-04:00", " 2019-05-15T18:31:00Z "],
+    ["2019-05-15T14:30-04:00", "2019-05-15T18:31:00.500Z"],
+], ids=["z", "spaces", "z-and-spaces", "short-forms"])
+def test_price_stamps_read_as_parse_instant_reads_them(tmp_path, stamps):
+    path = tmp_path / "prices.csv"
+    path.write_text("timestamp,price\n" + "".join(f"{s},100\n" for s in stamps))
+    times = read_price_csv(path).times
+    expected = [parse_instant(s) for s in stamps]
+    assert [(t.isoformat(), t.tzinfo) for t in times] == [
+        (t.isoformat(), t.tzinfo) for t in expected
+    ]
+
+
+def test_a_z_between_date_and_time_is_rejected_as_parse_instant_rejects_it(tmp_path):
+    """datetime.fromisoformat takes any character between date and time,
+    "Z" too; parse_instant reads every "Z" as "+00:00" and fails."""
+    stamp = "2019-05-15Z18:30:00+00:00"
+    with pytest.raises(MalformedRecordError) as expected:
+        parse_instant(stamp)
+    path = tmp_path / "prices.csv"
+    path.write_text(f"timestamp,price\n{stamp},100\n")
+    with pytest.raises(MalformedRecordError) as info:
+        read_price_csv(path)
+    assert str(info.value) == str(expected.value) == f"invalid timestamp {stamp!r}"
+
+
 def test_price_csv_rejects_bad_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("time,px\n2019-05-15T14:00:00-04:00,100\n")

@@ -6,11 +6,12 @@ import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
-from earstudy import ConfigError, DataError, InsufficientDataError, pipeline
+from earstudy import ConfigError, DataError, InsufficientDataError, pipeline, schema
 from earstudy.attention import write_ear_csv
 from earstudy.cli import main
 from earstudy.geometry import read_landmark_batch
@@ -741,6 +742,7 @@ def test_non_utf8_json_file_is_one_line_error(small_fixture, tmp_path, capsys, n
         ("registry.json", ("conferences", 0, "conference_end"), 5, 2),
         ("registry.json", ("conferences", 0, "trading_close"), 5, 2),
         ("registry.json", ("conferences", 0, "landmarks"), 5, 2),
+        ("registry.json", ("conferences", 0, "landmarks"), "landmarks/a\0b.jsonl", 2),
         ("registry.json", ("conferences", 0, "trading_close"), "2011-04-27T16:00:00", 2),
         ("registry.json", ("conferences", 0), [], 2),
         ("registry.json", ("conferences", 0, "date"), "2011-04-28", 2),
@@ -758,7 +760,8 @@ def test_non_utf8_json_file_is_one_line_error(small_fixture, tmp_path, capsys, n
          "threshold-numeric-text", "gap-factor-numeric-text", "floor-value-numeric-text",
          "epsilon-beyond-double", "registry-qa-start-number",
          "registry-conference-end-number", "registry-trading-close-number",
-         "registry-landmarks-number", "registry-naive-trading-close", "registry-entry-list",
+         "registry-landmarks-number", "registry-landmarks-nul",
+         "registry-naive-trading-close", "registry-entry-list",
          "registry-date-off-qa-start", "gallery-label-number", "gallery-embedding-true",
          "config-misspelled-key"],
 )
@@ -783,3 +786,83 @@ def test_malformed_input_is_one_line_error(
     # The line names the file and the key.
     assert str(path) in err, err
     assert [key for key in keys if isinstance(key, str)][-1] in err, err
+
+
+@pytest.mark.parametrize("unreadable", [False, True], ids=["missing", "directory"])
+def test_unreadable_landmark_file_is_one_line_configuration_error(
+    small_fixture, tmp_path, unreadable
+):
+    """A landmark path that exists but cannot be read fails as a missing one does."""
+    fixture = shutil.copytree(small_fixture, tmp_path / "fixture")
+    path = fixture / "landmarks" / "conf-003.jsonl"
+    path.unlink()
+    if unreadable:
+        path.mkdir()
+    result = run_cli(write_run_config(fixture / "config.json", fixture), tmp_path / "out")
+    assert result.returncode == 1
+    assert "Traceback" not in result.stderr
+    assert len(result.stderr.splitlines()) == 1, result.stderr
+    reason = f"cannot read landmark file {path}: " if unreadable else (
+        f"landmark file not found: {path}"
+    )
+    assert result.stderr.startswith(f"configuration error: {reason}"), result.stderr
+
+
+@pytest.mark.parametrize("command", ["run", "synth"])
+def test_out_that_is_a_file_is_one_line_configuration_error(small_fixture, tmp_path, command):
+    out = tmp_path / "out"
+    out.write_text("not a directory\n")
+    config_path = write_run_config(tmp_path / "config.json", small_fixture)
+    if command == "synth":
+        config_path = tmp_path / "study.json"
+        config_path.write_text(json.dumps({"study": {"seed": 1, "n_conferences": 4}}))
+    result = subprocess.run(
+        [sys.executable, "-m", "earstudy", command, "--config", str(config_path),
+         "--out", str(out / "sub" if command == "synth" else out)],
+        capture_output=True, text=True,
+    )
+    assert result.returncode == 1
+    assert "Traceback" not in result.stderr
+    assert len(result.stderr.splitlines()) == 1, result.stderr
+    assert result.stderr.startswith("configuration error: cannot write "), result.stderr
+    assert out.read_text() == "not a directory\n"
+
+
+class _Paths(NamedTuple):
+    paths: tuple[Path, ...]
+
+
+def test_paths_resolve_as_path_resolve_does(tmp_path, monkeypatch):
+    """Each distinct parent is resolved once, and the paths equal Path.resolve()."""
+    real = tmp_path / "base" / "real"
+    real.mkdir(parents=True)
+    (real / "a.csv").write_text("")
+    (real / "link.csv").symlink_to(real / "a.csv")  # a symlinked file
+    (tmp_path / "base" / "linked").symlink_to(real)  # a symlinked directory
+    (tmp_path / "base" / "loose.csv").symlink_to("real/../real/a.csv")
+    texts = [
+        "real/a.csv", "real/link.csv", "linked/a.csv", "linked/link.csv", "loose.csv",
+        "real/../real/a.csv", "linked/../base/real/a.csv", "real/..", "linked/..", "real/",
+        "real/missing.csv", "missing/dir/x.csv", "linked/missing.csv", ".", "",
+        str(real / "a.csv"), "real/./a.csv", "real//a.csv",
+    ]
+    monkeypatch.chdir(tmp_path)
+    for base in (tmp_path / "base", Path("base")):
+        expected = tuple((base / text).resolve() for text in texts)
+        assert len(set(expected)) < len(expected)  # some name one file
+        got = schema.read(_Paths, {"paths": texts}, "test", DataError, base).paths
+        assert got == expected
+        assert all(type(path) is type(expected[0]) for path in got)
+
+
+def test_registry_resolves_each_directory_once(small_fixture, monkeypatch):
+    resolved = []
+    resolve = Path.resolve
+    monkeypatch.setattr(Path, "resolve", lambda self: resolved.append(self) or resolve(self))
+    records = load_registry(small_fixture / "registry.json")
+    # landmarks/, transcripts/, segments/ and prices/, for all 8 conferences
+    assert len(records) == 8 and len(resolved) == 4
+    monkeypatch.undo()
+    raw = json.loads((small_fixture / "registry.json").read_text())["conferences"]
+    expected = {c["conference_id"]: (small_fixture / c["prices"]).resolve() for c in raw}
+    assert {r.conference_id: r.prices for r in records} == expected
