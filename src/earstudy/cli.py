@@ -14,61 +14,36 @@ import gc
 import logging
 import sys
 from pathlib import Path
+from typing import NoReturn
 
 from .errors import ConfigError, DataError
 from .pipeline import STAGES, load_run_config, run_stages
 
 
-def _add_common(parser: argparse.ArgumentParser, seed: bool = False) -> None:
-    parser.add_argument("--config", required=True, help="path to the JSON config file")
-    parser.add_argument("--out", required=True, help="output directory")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="accepted and ignored, so that existing scripts "
-                             "passing it keep working; stages run serially")
-    if seed:
-        parser.add_argument("--seed", type=int, default=None,
-                            help="override the scenario seed")
+class _Parser(argparse.ArgumentParser):
+    """A usage error is a one-line configuration error, exit 1."""
 
-
-def _add_identity_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--epsilon", type=float, default=None,
-                        help="identity vote distance tolerance")
-    parser.add_argument("--min-votes", type=int, default=None,
-                        help="minimum vote count to accept a label")
-    parser.add_argument("--target-label", default=None, help="speaker label to keep")
-    parser.add_argument("--no-embedding-policy", choices=["drop", "assume_target"],
-                        default=None, help="handling of frames without embeddings")
-
-
-def _add_market_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--trading-close", default=None, metavar="HH:MM",
-                        help="trading close time (default 16:00)")
+    def error(self, message: str) -> NoReturn:
+        self.exit(1, f"configuration error: {message}\n")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="earstudy",
         description="Attention measures from landmark streams and the "
                     "event-study regressions built on them.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_synth = sub.add_parser("synth", help="generate a synthetic fixture directory")
-    _add_common(p_synth, seed=True)
-
-    for stage in STAGES:
-        p_stage = sub.add_parser(stage, help=f"run the {stage} stage")
-        _add_common(p_stage)
-        if stage == "identify":
-            _add_identity_flags(p_stage)
-        if stage == "eventstudy":
-            _add_market_flags(p_stage)
-
-    p_run = sub.add_parser("run", help="run all configured stages")
-    _add_common(p_run)
-    _add_identity_flags(p_run)
-    _add_market_flags(p_run)
-
+    helps = {"synth": "generate a synthetic fixture directory",
+             **{stage: f"run the {stage} stage" for stage in STAGES},
+             "run": "run all configured stages"}
+    for command, help_text in helps.items():
+        p_command = sub.add_parser(command, help=help_text)
+        p_command.add_argument("--config", required=True, help="path to the JSON config file")
+        p_command.add_argument("--out", required=True, help="output directory")
+        p_command.add_argument("--jobs", type=int, default=1,
+                               help="accepted and ignored, so that existing scripts "
+                                    "passing it keep working; stages run serially")
     return parser
 
 
@@ -95,9 +70,9 @@ def _main(argv: list[str] | None) -> int:
             # Imported here, so that the stages never load the generator.
             from .synth import run_synth
 
-            run_synth(Path(args.config), out_dir, seed_override=args.seed)
+            run_synth(Path(args.config), out_dir)
             return 0
-        cfg = load_run_config(args.config, vars(args))
+        cfg = load_run_config(args.config)
         stages = cfg.stages if args.command == "run" else (args.command,)
         for table in run_stages(cfg, out_dir, stages):
             print(table)

@@ -75,14 +75,8 @@ def _numbered_records(path: str | Path) -> Iterator[tuple[int, object, bool]]:
     """(line number, decoded record, plain) of each frame record line.
 
     Blank lines and {"_meta": ...} records are skipped.  A line that orjson
-    rejects, or whose record has true or false for a number, is yielded as a
-    _Rejected, so that a bad record before it is still found first.  numpy
-    reads booleans next to numbers as 1.0 and 0.0, so the vectorised checks
-    would miss them.  Only a line holding the word true or false is checked
-    value by value.  The keys and numbers of a record hold neither a "u" nor
-    an "l", so two single-byte searches clear most lines at a fifth of the
-    cost of searching for the words, which are only searched for when a
-    conference_id or an escape holds one of the letters.
+    rejects is yielded as a _Rejected, so that a bad record before it is
+    still found first.
 
     A record is plain when four byte screens show that its timestamp,
     coordinates and embedding entries are all numbers, which orjson only
@@ -94,11 +88,15 @@ def _numbered_records(path: str | Path) -> Iterator[tuple[int, object, bool]]:
     - LANDMARK_COUNT + 1 "[" bytes, one more with a list embedding: no
       array stands for a number, as in a pair [[1, 2], 3];
     - no "{" after the first byte: no object stands for a number;
-    - no word null, searched for under the same letter screen as true and
-      false (numpy reads null as NaN, but only where it converts).
-    A conference_id or escape holding one of these bytes also makes its
-    line not plain, which costs only time: the values of a record that is
-    not plain are type-checked one by one.
+    - no word null, true or false (numpy reads null as NaN and booleans as
+      1.0 and 0.0, but only where it converts).  The keys and numbers of a
+      record hold neither a "u" nor an "l", so two single-byte searches
+      clear most lines at a fifth of the cost of searching for the words,
+      which are only searched for when a conference_id or an escape holds
+      one of the letters.
+    A conference_id or escape holding one of these bytes or words also
+    makes its line not plain, which costs only time: the values of a record
+    that is not plain are type-checked one by one.
     """
     with open(path, "rb") as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -117,34 +115,16 @@ def _numbered_records(path: str | Path) -> Iterator[tuple[int, object, bool]]:
             if isinstance(record, dict) and "_meta" in record:
                 continue
             words = b"u" in line or b"l" in line
-            if (
-                words
-                and (b"true" in line or b"false" in line)
-                and _holds_boolean_number(record)
-            ):
-                record = _Rejected("true or false in place of a number")
             plain = (
                 type(record) is dict
                 and line.count(b'"') == 2 * len(record) + 2
                 and line.count(b"[")
                 == LANDMARK_COUNT + 1 + (type(record.get("embedding")) is list)
                 and line.find(b"{", 1) < 0
-                and not (words and b"null" in line)
+                and not (words and (b"null" in line or b"true" in line
+                                    or b"false" in line))
             )
             yield line_no, record, plain
-
-
-def _holds_boolean_number(record: object) -> bool:
-    """Whether a boolean stands for the timestamp, a coordinate or an embedding entry."""
-    if type(record) is not dict:
-        return False
-    points, embedding = record.get("points"), record.get("embedding")
-    values = [record.get("timestamp_s")]
-    if type(points) is list:
-        values += chain.from_iterable(p for p in points if type(p) is list)
-    if type(embedding) is list:
-        values += embedding
-    return any(type(v) is bool for v in values)
 
 
 @dataclass(frozen=True)
@@ -310,8 +290,9 @@ def _numbers(values: Iterable) -> bool:
     """Whether each value is an int or a float.
 
     A step that is not plain has every timestamp, coordinate and embedding
-    entry checked here: np.fromiter reads a numeric string as its number,
-    and the points that are not converted meet no other check.
+    entry checked here: np.fromiter reads a numeric string as its number
+    and a boolean as 1.0 or 0.0, and the points that are not converted meet
+    no other check.
     """
     return all(type(v) is int or type(v) is float for v in values)
 

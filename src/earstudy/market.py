@@ -225,7 +225,8 @@ def read_price_csv(path: str | Path) -> PriceSeries:
     """The price file as a checked series, converted a column at a time.
 
     A file with a row that parse_instant or float rejects raises the error
-    that row gives, naming the first such row.
+    that row gives, naming the first such row; a file whose rows all read
+    raises PriceSeries's error for its first bad bar.
     """
     rows = output.csv_rows(path, PRICE_COLUMNS, _check_price_row, "price")
     try:
@@ -241,13 +242,10 @@ def read_price_csv(path: str | Path) -> PriceSeries:
         except ValueError:
             times = list(map(datetime.fromisoformat, map(str.strip, stamps)))
         prices = np.fromiter(map(float, map(itemgetter(1), rows)), np.float64, len(rows))
-        readable = None not in map(attrgetter("tzinfo"), times)
-    except (IndexError, ValueError):
-        readable = False
-    if not readable:
+        return PriceSeries(times, prices)
+    except (IndexError, ValueError, MalformedRecordError):
         output.check_rows(path, rows, _check_price_row, "price")
-        raise AssertionError("a row the columns reject is rejected on its own")
-    return PriceSeries(times, prices)
+        raise
 
 
 def write_price_csv(

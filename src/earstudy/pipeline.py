@@ -2,9 +2,8 @@
 
 identify turns each landmark stream into the target speaker's EAR series;
 each later stage reads the previous stage's on-disk outputs and writes its
-own files plus diagnostics, so expensive upstream stages are never
-recomputed when downstream parameters change.  Conferences that fail a
-stage are excluded with a logged reason rather than aborting the run.
+own files plus diagnostics.  Conferences that fail a stage are excluded
+with a logged reason rather than aborting the run.
 """
 
 from __future__ import annotations
@@ -128,25 +127,10 @@ def _file_sha256(path: Path, what: str) -> str:
         raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
 
 
-# The section of the run config that each command-line override replaces.
-_OVERRIDE_SECTIONS = {"epsilon": "identity", "min_votes": "identity",
-                      "no_embedding_policy": "identity", "trading_close": "market",
-                      "target_label": None}
-
-
-def load_run_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
-    """Parse a run-config JSON file.
-
-    A value in overrides (the command-line flags, by _OVERRIDE_SECTIONS
-    key) that is not None replaces the config's.
-    """
+def load_run_config(path: str | Path) -> RunConfig:
+    """Parse a run-config JSON file."""
     path = Path(path)
     raw = schema.read_json(path, "config", ConfigError)
-    for key, section in _OVERRIDE_SECTIONS.items():
-        value = (overrides or {}).get(key)
-        target = raw.setdefault(section, {}) if section and isinstance(raw, dict) else raw
-        if value is not None and isinstance(target, dict):
-            target[key] = value
     return schema.read(RunConfig, raw, f"config {path}", ConfigError, path.parent)
 
 
@@ -414,9 +398,7 @@ def stage_eventstudy(
         csv_buf = io.StringIO()
         regression.write_table_csv(rows_out, csv_buf, meta_line=output.meta_line(digest))
         output.write_text(out_dir / "tables" / f"{dependent}.csv", csv_buf.getvalue(), digest)
-        json_buf = io.StringIO()
-        regression.write_table_json(rows_out, json_buf, meta=output.meta_dict(digest))
-        output.write_text(out_dir / "tables" / f"{dependent}.json", json_buf.getvalue(), digest)
+        output.write_json(out_dir / "tables" / f"{dependent}.json", {"models": rows_out}, digest)
 
     diagnostics = {
         "exclusions": exclusions,

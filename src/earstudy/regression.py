@@ -1,13 +1,12 @@
 """Univariate OLS with full inference statistics and table rendering.
 
 Closed-form slope/intercept estimates with classical (homoskedastic)
-standard errors, two-sided Student-t p-values, and a text/CSV/JSON table
+standard errors, two-sided Student-t p-values, and a text/CSV table
 renderer using the conventional significance stars.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass
 from typing import Sequence
@@ -262,14 +261,3 @@ def table_rows(
 def write_table_csv(rows: Sequence[dict], fh, meta_line: str | None = None) -> None:
     fields = list(rows[0]) if rows else []
     output.write_csv(fh, fields, (tuple(row[f] for f in fields) for row in rows), meta_line)
-
-
-def write_table_json(
-    rows: Sequence[dict], fh, meta: dict | None = None
-) -> None:
-    payload: dict = {}
-    if meta is not None:
-        payload["meta"] = meta
-    payload["models"] = list(rows)
-    json.dump(payload, fh, indent=2)
-    fh.write("\n")

@@ -13,7 +13,7 @@ import hashlib
 import io
 import math
 import sys
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from datetime import date as dt_date
 from datetime import datetime, time, timedelta, timezone
 from functools import lru_cache
@@ -752,9 +752,7 @@ class _Study(NamedTuple):
     study: object
 
 
-def load_scenario_file(
-    path: str | Path, seed_override: int | None = None
-) -> tuple[list[ScenarioSpec], GallerySpec, dict | None]:
+def load_scenario_file(path: str | Path) -> tuple[list[ScenarioSpec], GallerySpec, dict | None]:
     """Parse a scenario JSON file: single scenario, suite, or planted study.
 
     A file that cannot be read, or that does not describe scenarios, raises
@@ -764,8 +762,6 @@ def load_scenario_file(
     source = f"scenario file {path}"
     if isinstance(raw, dict) and "study" in raw:
         study = read(_Study, raw, source, ScenarioError).study
-        if seed_override is not None and isinstance(study, dict):
-            study["seed"] = seed_override
         return read(planted_study_scenarios, study, source, ScenarioError, where="study")
     if isinstance(raw, dict) and "scenarios" in raw:
         scenarios, gallery_spec = read(_Suite, raw, source, ScenarioError)
@@ -775,9 +771,6 @@ def load_scenario_file(
         gallery_spec = GallerySpec(labels=tuple(sorted(script_labels(scenarios[0]))))
         if gallery is not None:
             gallery_spec = read(GallerySpec, gallery, source, ScenarioError, where="gallery")
-
-    if seed_override is not None:
-        scenarios = [replace(s, seed=seed_override + i) for i, s in enumerate(scenarios)]
     return list(scenarios), gallery_spec, None
 
 
@@ -864,8 +857,6 @@ def _price_file(spec: ScenarioSpec, digest: str) -> tuple[str, PriceTruth]:
     return buf.getvalue(), truth
 
 
-def run_synth(scenario_path: Path, out_dir: Path, seed_override: int | None = None) -> None:
-    scenarios, gallery_spec, study_truth = load_scenario_file(
-        scenario_path, seed_override
-    )
+def run_synth(scenario_path: Path, out_dir: Path) -> None:
+    scenarios, gallery_spec, study_truth = load_scenario_file(scenario_path)
     build_fixture(scenarios, gallery_spec, out_dir, study_truth)

@@ -486,7 +486,7 @@ def planted_line(index, value):
 # Each value with the reason that rejects its line, or None where it reads.
 PLANTED = [
     ("null", POINTS_REASON),
-    ("true", "true or false in place of a number"),
+    ("true", POINTS_REASON),
     ('"1.5"', POINTS_REASON),
     ("[]", POINTS_REASON),
     ("{}", POINTS_REASON),

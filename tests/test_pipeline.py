@@ -239,18 +239,6 @@ def test_registry_rejects_duplicates(tmp_path, small_fixture):
         load_registry(bad)
 
 
-def test_run_config_flag_overrides(small_fixture, tmp_path):
-    config_path = tmp_path / "config.json"
-    write_run_config(config_path, small_fixture)
-    base = load_run_config(config_path)
-    tweaked = load_run_config(config_path, {"epsilon": 0.25, "target_label": "reporter",
-                                            "trading_close": "15:45"})
-    assert tweaked.identity.epsilon == 0.25
-    assert tweaked.target_label == "reporter"
-    assert tweaked.market.trading_close.isoformat() == "15:45:00"
-    assert digest(tweaked) != digest(base)
-
-
 def test_cli_exit_codes(small_fixture, tmp_path):
     config_path = tmp_path / "config.json"
     write_run_config(config_path, small_fixture)
@@ -287,6 +275,62 @@ def test_cli_main_freezes_the_heap_only_while_it_runs(small_fixture, tmp_path, m
     with pytest.raises(SystemExit):
         main(["no-such-command"])
     assert gc.get_freeze_count() == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--config", "{config}", "--out", "{out}", "--bogus", "1"],
+        ["run", "--config", "{config}", "--out", "{out}", "--epsilon", "0.4"],
+        ["synth", "--config", "{scenario}", "--out", "{out}", "--seed", "6"],
+        ["run", "--out", "{out}"],
+        ["run", "--config", "{config}", "--out", "{out}", "--jobs", "abc"],
+        [],
+        ["no-such-command"],
+    ],
+    ids=["unknown-flag", "run-epsilon", "synth-seed", "no-config", "text-jobs",
+         "no-command", "unknown-command"],
+)
+def test_cli_usage_error_is_one_line_configuration_error(
+    small_fixture, tmp_path, capsys, argv
+):
+    """Settings come from the config file only: a flag that is not --config,
+    --out or --jobs N is refused like any other usage error, before
+    anything is written."""
+    config_path = write_run_config(tmp_path / "config.json", small_fixture)
+    scenario_path = tmp_path / "scenario.json"
+    scenario_path.write_text(json.dumps({"study": {"seed": 5, "n_conferences": 3}}))
+    paths = {"config": config_path, "scenario": scenario_path, "out": tmp_path / "out"}
+    with pytest.raises(SystemExit) as info:
+        main([arg.format(**paths) for arg in argv])
+    assert info.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("configuration error: ")
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_help_exits_zero(capsys):
+    for argv in (["-h"], ["run", "-h"]):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: earstudy")
+
+
+def test_table_json_holds_meta_then_the_csv_rows(completed_run):
+    _, cfg, out = completed_run
+    text = (out / "tables" / "return_during.json").read_text()
+    payload = json.loads(text)
+    assert list(payload) == ["meta", "models"]
+    assert payload["meta"]["config_hash"] == digest(cfg)
+    assert text == json.dumps(payload, indent=2) + "\n"
+    header, *rows = (out / "tables" / "return_during.csv").read_text().splitlines()[1:]
+    beta = header.split(",").index("beta")
+    assert [m["covariate"] for m in payload["models"]] == list(pipeline.COVARIATE_COLUMNS)
+    # full precision
+    assert [m["beta"] for m in payload["models"]] == [float(r.split(",")[beta]) for r in rows]
 
 
 def test_cli_import_leaves_scipy_unloaded():
@@ -385,18 +429,6 @@ def test_run_does_not_depend_on_fixture_directory(small_fixture, tmp_path):
         run_stages(cfg, tmp_path / name / "out", cfg.stages)
         trees.append(tree_bytes(tmp_path / name / "out"))
     assert trees[0] == trees[1]
-
-
-def test_cli_synth_seed_override(tmp_path):
-    scenario_path = tmp_path / "scenario.json"
-    scenario_path.write_text(json.dumps({"study": {"seed": 5, "n_conferences": 3}}))
-    assert main(["synth", "--config", str(scenario_path),
-                 "--out", str(tmp_path / "a")]) == 0
-    assert main(["synth", "--config", str(scenario_path), "--seed", "6",
-                 "--out", str(tmp_path / "b")]) == 0
-    reg_a = (tmp_path / "a" / "registry.json").read_bytes()
-    reg_b = (tmp_path / "b" / "registry.json").read_bytes()
-    assert reg_a != reg_b
 
 
 SCENARIO = {"conference_id": "c", "seed": 1, "date": "2020-01-15", "fps": 1.0,

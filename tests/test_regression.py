@@ -15,7 +15,7 @@ from earstudy import (
     significance_stars,
     two_sided_p_value,
 )
-from earstudy.regression import table_rows, write_table_csv, write_table_json
+from earstudy.regression import table_rows, write_table_csv
 
 from oracles import ols_normal_equations, t_two_sided_p_quadrature, t_two_sided_p_scipy
 
@@ -293,12 +293,3 @@ def test_table_rows_and_writers(tmp_path):
     assert lines[0].startswith("#")
     assert lines[1].split(",")[0] == "dependent"
     assert len(lines) == 4
-
-    json_path = tmp_path / "t.json"
-    import json
-
-    with open(json_path, "w", encoding="utf-8") as fh:
-        write_table_json(rows, fh, meta={"config_hash": "00"})
-    payload = json.loads(json_path.read_text())
-    assert payload["meta"]["config_hash"] == "00"
-    assert payload["models"][0]["beta"] == results[0].beta
