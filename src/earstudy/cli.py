@@ -1,8 +1,8 @@
 """Command-line entry point.
 
-Subcommands: synth (build a fixture directory from a scenario file),
-identify / attention / eventstudy (single pipeline stages), and run (all
-configured stages).  Exit codes: 0 success, 1 configuration error, 2 data
+Subcommands: synth (build a fixture directory from a scenario file) and
+run (the pipeline, identify -> attention -> eventstudy, printing the
+regression tables).  Exit codes: 0 success, 1 configuration error, 2 data
 error.  Logging goes to stderr at WARNING level: progress is not logged,
 exclusions and errors are.
 """
@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import NoReturn
 
 from .errors import ConfigError, DataError
-from .pipeline import STAGES, load_run_config, run_stages
+from .pipeline import load_run_config, run_stages
 
 
 class _Parser(argparse.ArgumentParser):
@@ -35,8 +35,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     helps = {"synth": "generate a synthetic fixture directory",
-             **{stage: f"run the {stage} stage" for stage in STAGES},
-             "run": "run all configured stages"}
+             "run": "run the pipeline and print the regression tables"}
     for command, help_text in helps.items():
         p_command = sub.add_parser(command, help=help_text)
         p_command.add_argument("--config", required=True, help="path to the JSON config file")
@@ -73,8 +72,7 @@ def _main(argv: list[str] | None) -> int:
             run_synth(Path(args.config), out_dir)
             return 0
         cfg = load_run_config(args.config)
-        stages = cfg.stages if args.command == "run" else (args.command,)
-        for table in run_stages(cfg, out_dir, stages):
+        for table in run_stages(cfg, out_dir):
             print(table)
         return 0
     except ConfigError as exc:

@@ -232,7 +232,7 @@ def load_gallery(path: str | Path) -> Gallery:
         raw = {"entries": raw}
     entries = read(_GalleryFile, raw, f"gallery file {path}", MalformedRecordError).entries
     if not entries:
-        raise ConfigError(f"gallery file {path} contains no entries")
+        raise MalformedRecordError(f"gallery file {path} contains no entries")
     return Gallery(entries)
 
 

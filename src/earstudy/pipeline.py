@@ -1,7 +1,8 @@
-"""Staged pipeline: identify -> attention -> eventstudy.
+"""The pipeline: identify -> attention -> eventstudy, run in that order.
 
-identify turns each landmark stream into the target speaker's EAR series;
-each later stage reads the previous stage's on-disk outputs and writes its
+identify turns each landmark stream into the target speaker's EAR series,
+ear/<id>.csv; attention reads those files and returns the attention table
+it writes; eventstudy takes that table in memory.  Each stage writes its
 own files plus diagnostics.  Conferences that fail a stage are excluded
 with a logged reason rather than aborting the run.
 """
@@ -17,7 +18,7 @@ from datetime import date as dt_date
 from datetime import datetime, time
 from operator import itemgetter
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,8 +28,6 @@ from .errors import ConfigError, DataError, InsufficientDataError
 from .schema import FileId
 
 log = logging.getLogger(__name__)
-
-STAGES = ("identify", "attention", "eventstudy")
 
 DEPENDENT_COLUMNS = ("return_during", "return_after", "vol_change_x100")
 COVARIATE_COLUMNS = (
@@ -86,24 +85,6 @@ class RunConfig:
     identity: identity.IdentityConfig
     attention: att.AttentionConfig = field(default_factory=att.AttentionConfig)
     market: MarketConfig = field(default_factory=MarketConfig)
-    stages: tuple[str, ...] = STAGES
-    eye_indices: tuple[tuple[int, ...], ...] = (
-        geometry.LEFT_EYE_INDICES, geometry.RIGHT_EYE_INDICES
-    )
-
-    def __post_init__(self) -> None:
-        for stage in self.stages:
-            if stage not in STAGES:
-                raise ConfigError(f"unknown stage {stage!r}")
-        if len(self.eye_indices) != 2 or not all(
-            len(set(group)) == len(group) == 6
-            and all(0 <= i < geometry.LANDMARK_COUNT for i in group)
-            for group in self.eye_indices
-        ):
-            raise ConfigError(
-                "eye_indices must be two lists of 6 distinct landmark indices in "
-                f"0..{geometry.LANDMARK_COUNT - 1}, got {self.eye_indices!r}"
-            )
 
     def digest_payload(self) -> dict:
         """The hashed configuration.
@@ -154,24 +135,22 @@ def load_registry(path: str | Path) -> list[ConferenceRecord]:
 # ---------------------------------------------------------------------------
 
 
+# Read as (N, 12, 2), left eye first: the only points identify converts.
+EYE_POINTS = geometry.LEFT_EYE_INDICES + geometry.RIGHT_EYE_INDICES
+
+
 def stage_identify(
-    cfg: RunConfig, out_dir: Path, records: list[ConferenceRecord], digest: str
+    cfg: RunConfig, out_dir: Path, records: list[ConferenceRecord], digest: str,
+    gallery: identity.Gallery,
 ) -> dict:
     """Each landmark stream's target-speaker frames as an EAR series, ear/<id>.csv."""
-    gallery = identity.load_gallery(cfg.gallery)
-    if cfg.target_label not in gallery.labels:
-        raise ConfigError(
-            f"gallery {cfg.gallery} has no entries for target label {cfg.target_label!r}"
-        )
-    left_eye, right_eye = cfg.eye_indices
-    eye_points = [*left_eye, *right_eye]  # read as (N, 12, 2), left eye first
     conferences: dict[str, dict] = {}
     warnings: list[tuple[str, str]] = []
     for record in records:
         if not record.landmarks.exists():
             raise ConfigError(f"landmark file not found: {record.landmarks}")
         try:
-            batch = geometry.read_landmark_batch(record.landmarks, eye_points)
+            batch = geometry.read_landmark_batch(record.landmarks, EYE_POINTS)
         except OSError as exc:
             raise ConfigError(f"cannot read landmark file {record.landmarks}: {exc}") from exc
         labels = identity.classify_batch(batch.embeddings, gallery, cfg.identity)
@@ -224,7 +203,11 @@ WINDOW_COLUMNS = (
 
 def stage_attention(
     cfg: RunConfig, out_dir: Path, records: list[ConferenceRecord], digest: str
-) -> dict:
+) -> list[dict]:
+    """The attention table from ear/<id>.csv, written as attention.csv.
+
+    Returns its rows, one dict per surviving conference in date order.
+    """
     rows: list[dict] = []
     exclusions: list[dict] = []
     floored: list[str] = []
@@ -281,7 +264,7 @@ def stage_attention(
 
     diagnostics = {"exclusions": exclusions, "floored": floored, "n_rows": len(rows)}
     output.write_json(out_dir / "diagnostics" / "attention.json", diagnostics, digest)
-    return diagnostics
+    return rows
 
 
 def _path_free(exc: Exception, out_dir: Path, registry: Path, *paths: Path) -> str:
@@ -297,32 +280,13 @@ def _path_free(exc: Exception, out_dir: Path, registry: Path, *paths: Path) -> s
     return reason
 
 
-def _attention_row(cells: list[str]) -> dict:
-    row: dict = {}
-    for key, value in zip(ATTENTION_COLUMNS, cells, strict=True):
-        if key in ("conference_id", "date"):
-            row[key] = value
-        elif key in ("n_samples", "n_gaps"):
-            row[key] = int(value)
-        else:
-            row[key] = float(value) if value else None
-    return row
-
-
-def read_attention_csv(path: Path) -> list[dict]:
-    return output.read_csv(path, ATTENTION_COLUMNS, _attention_row, "attention")
-
-
 def stage_eventstudy(
-    cfg: RunConfig, out_dir: Path, records: list[ConferenceRecord], digest: str
+    cfg: RunConfig, out_dir: Path, records: list[ConferenceRecord], digest: str,
+    rows: list[dict],
 ) -> list[str]:
-    """Window statistics and the regression tables; returns the table texts."""
+    """Window statistics and the regression tables for stage_attention's rows;
+    returns the table texts."""
     by_id = {r.conference_id: r for r in records}
-    attention_path = out_dir / "attention.csv"
-    if not attention_path.exists():
-        raise ConfigError("missing attention table: run the attention stage first")
-    rows = read_attention_csv(attention_path)
-
     window_rows: list[dict] = []
     exclusions: list[dict] = []
     # Only the last price file read is held: conferences that share a file
@@ -330,12 +294,7 @@ def stage_eventstudy(
     prices_path: Path | None = None
     prices: market.PriceSeries | None = None
     for row in rows:
-        record = by_id.get(row["conference_id"])
-        if record is None:
-            exclusions.append(
-                {"conference_id": row["conference_id"], "reason": "not in registry"}
-            )
-            continue
+        record = by_id[row["conference_id"]]
         close = record.trading_close
         if close is None:
             close = datetime.combine(
@@ -417,27 +376,24 @@ STAGE_FUNCTIONS = {
 }
 
 
-def run_stages(cfg: RunConfig, out_dir: Path, stages: Sequence[str]) -> list[str]:
-    """Run the selected stages in pipeline order, one after another.
+def run_stages(cfg: RunConfig, out_dir: Path) -> list[str]:
+    """Run identify, attention and eventstudy, one after another.
 
-    A name not in STAGES raises ConfigError.  The registry is loaded and
-    the inputs are hashed once, before anything is written, and the records
-    and the config digest are handed to every stage.  Returns the rendered
-    regression tables when the eventstudy stage ran, else an empty list;
-    nothing is printed.
+    The registry and the gallery are loaded, and the inputs hashed, once,
+    before anything is written, so an input error leaves --out untouched.
+    The stages are called through STAGE_FUNCTIONS, so that a profiler (the
+    tracer in perfbench/) can time each by replacing its entry.  Returns the
+    rendered regression tables; nothing is printed.
     """
-    for stage in stages:
-        if stage not in STAGES:
-            raise ConfigError(f"unknown stage {stage!r}; stages are {', '.join(STAGES)}")
     payload = cfg.digest_payload()
     digest = output.config_digest(payload)
     records = load_registry(cfg.registry)
+    gallery = identity.load_gallery(cfg.gallery)
+    if cfg.target_label not in gallery.labels:
+        raise ConfigError(
+            f"gallery {cfg.gallery} has no entries for target label {cfg.target_label!r}"
+        )
     output.write_json(out_dir / "run_config.json", {"config": payload}, digest)
-    tables: list[str] = []
-    for stage in STAGES:
-        if stage in stages:
-            log.info("running stage %s", stage)
-            result = STAGE_FUNCTIONS[stage](cfg, out_dir, records, digest)
-            if stage == "eventstudy":
-                tables = result
-    return tables
+    STAGE_FUNCTIONS["identify"](cfg, out_dir, records, digest, gallery)
+    rows = STAGE_FUNCTIONS["attention"](cfg, out_dir, records, digest)
+    return STAGE_FUNCTIONS["eventstudy"](cfg, out_dir, records, digest, rows)

@@ -331,7 +331,8 @@ def test_filter_missing_target_label_is_config_error(small_fixture, tmp_path):
         write_run_config(tmp_path / "config.json", small_fixture, gallery=str(gallery_path))
     )
     with pytest.raises(ConfigError, match="no entries for target label 'chair'"):
-        run_stages(cfg, tmp_path / "out", ("identify",))
+        run_stages(cfg, tmp_path / "out")
+    assert not (tmp_path / "out").exists()  # checked before anything is written
 
 
 def test_classify_matches_brute_force_on_random_pairs():

@@ -349,7 +349,7 @@ def price_fixture(tmp_path_factory):
     scenarios, gallery_spec, truth = planted_study_scenarios(seed=301, n_conferences=5)
     build_fixture(scenarios, gallery_spec, root / "fixture", truth)
     cfg = load_run_config(write_run_config(root / "config.json", root / "fixture"))
-    run_stages(cfg, root / "out", cfg.stages)
+    run_stages(cfg, root / "out")
     diag = json.loads((root / "out" / "diagnostics" / "eventstudy.json").read_text())
     return root / "fixture", diag["exclusions"]
 
@@ -370,7 +370,7 @@ def test_malformed_prices_exclude_their_conference(price_fixture, tmp_path, case
     path.write_text("\n".join(lines[:2] + [",".join(row) for row in rows]) + "\n")
 
     cfg = load_run_config(write_run_config(tmp_path / "config.json", fixture))
-    run_stages(cfg, tmp_path / "out", cfg.stages)
+    run_stages(cfg, tmp_path / "out")
     diag = json.loads((tmp_path / "out" / "diagnostics" / "eventstudy.json").read_text())
     # The diagnostics name the file relative to the registry's directory.
     excluded = {"conference_id": "conf-002", "reason": reason.format(path="prices/conf-002.csv")}

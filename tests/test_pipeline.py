@@ -14,13 +14,17 @@ import pytest
 from earstudy import ConfigError, DataError, InsufficientDataError, pipeline, schema
 from earstudy.attention import write_ear_csv
 from earstudy.cli import main
-from earstudy.geometry import read_landmark_batch
-from earstudy.output import config_digest, meta_line
+from earstudy.geometry import LEFT_EYE_INDICES, RIGHT_EYE_INDICES, read_landmark_batch
+from earstudy.identity import load_gallery
+from earstudy.output import config_digest, meta_line, read_csv
 from earstudy.pipeline import (
+    ATTENTION_COLUMNS,
     load_registry,
     load_run_config,
-    read_attention_csv,
     run_stages,
+    stage_attention,
+    stage_eventstudy,
+    stage_identify,
 )
 from earstudy.synth import build_fixture, planted_study_scenarios
 
@@ -37,6 +41,27 @@ from oracles import (
 
 def digest(cfg) -> str:
     return config_digest(cfg.digest_payload())
+
+
+def identify_only(cfg, out: Path) -> None:
+    """The identify stage alone, given what run_stages gives it."""
+    stage_identify(cfg, out, load_registry(cfg.registry), digest(cfg),
+                   load_gallery(cfg.gallery))
+
+
+def attention_table_row(cells: list[str]) -> dict:
+    """One attention.csv row: ids and dates as text, counts as int, blanks as None."""
+    row = dict(zip(ATTENTION_COLUMNS, cells, strict=True))
+    for key, value in row.items():
+        if key in ("n_samples", "n_gaps"):
+            row[key] = int(value)
+        elif key not in ("conference_id", "date"):
+            row[key] = float(value) if value else None
+    return row
+
+
+def read_attention_table(path: Path) -> list[dict]:
+    return read_csv(path, ATTENTION_COLUMNS, attention_table_row, "attention")
 
 
 def tree_bytes(root: Path) -> dict:
@@ -74,7 +99,8 @@ def scalar_identify(cfg, record) -> tuple[bytes, dict]:
         if keep:
             tally["written"] += 1
             try:
-                samples.append((timestamp, frame_aspect_ratio(points, *cfg.eye_indices)))
+                ear = frame_aspect_ratio(points, LEFT_EYE_INDICES, RIGHT_EYE_INDICES)
+                samples.append((timestamp, ear))
             except ZeroDivisionError:
                 pass
     tally["total"] = len(columns["timestamp_s"])
@@ -90,7 +116,7 @@ def completed_run(small_fixture, tmp_path_factory):
     config_path = out_dir / "config.json"
     write_run_config(config_path, small_fixture)
     cfg = load_run_config(config_path)
-    run_stages(cfg, out_dir / "out", cfg.stages)
+    run_stages(cfg, out_dir / "out")
     return small_fixture, cfg, out_dir / "out"
 
 
@@ -110,7 +136,7 @@ def test_stage_outputs_exist(completed_run):
 
 def test_attention_table_order_and_blank_first_delta(completed_run):
     fixture, _, out = completed_run
-    rows = read_attention_csv(out / "attention.csv")
+    rows = read_attention_table(out / "attention.csv")
     # excluded: conf-003 (zero attention) and conf-005 (empty stream)
     ids = [r["conference_id"] for r in rows]
     assert ids == sorted(ids)
@@ -147,7 +173,7 @@ def test_identify_diagnostics_counts(completed_run):
 def test_rerun_is_byte_identical(completed_run, tmp_path):
     fixture, cfg, out = completed_run
     second = tmp_path / "out2"
-    run_stages(cfg, second, cfg.stages)
+    run_stages(cfg, second)
     assert tree_bytes(second) == tree_bytes(out)
 
 
@@ -157,13 +183,13 @@ def test_run_hashes_each_input_once(completed_run, tmp_path, monkeypatch):
     file_sha256 = pipeline._file_sha256
     monkeypatch.setattr(pipeline, "_file_sha256",
                         lambda path, what: hashed.append(path) or file_sha256(path, what))
-    run_stages(cfg, tmp_path / "out", cfg.stages)
+    run_stages(cfg, tmp_path / "out")
     assert sorted(hashed) == sorted([cfg.registry, cfg.gallery])
 
 
 def test_attention_table_matches_row_oracle(completed_run):
     _, cfg, out = completed_run
-    table = {row["conference_id"]: row for row in read_attention_csv(out / "attention.csv")}
+    table = {row["conference_id"]: row for row in read_attention_table(out / "attention.csv")}
     threshold, gap_factor = cfg.attention.threshold, cfg.attention.gap_factor
     checked = []
     for path in sorted((out / "ear").glob("*.csv")):
@@ -198,17 +224,13 @@ def test_different_config_refuses_overwrite(completed_run, tmp_path):
                                "no_embedding_policy": "drop"})
     other = load_run_config(config_path)
     with pytest.raises(ConfigError, match="refusing to overwrite"):
-        run_stages(other, out, other.stages)
+        run_stages(other, out)
 
 
 def test_stage_requires_upstream_outputs(small_fixture, tmp_path):
-    config_path = tmp_path / "config.json"
-    write_run_config(config_path, small_fixture)
-    cfg = load_run_config(config_path)
-    with pytest.raises(ConfigError, match="identify"):
-        run_stages(cfg, tmp_path / "fresh", ("attention",))
-    with pytest.raises(ConfigError, match="attention"):
-        run_stages(cfg, tmp_path / "fresh2", ("eventstudy",))
+    cfg = load_run_config(write_run_config(tmp_path / "config.json", small_fixture))
+    with pytest.raises(ConfigError, match="run the identify stage first"):
+        stage_attention(cfg, tmp_path / "fresh", load_registry(cfg.registry), digest(cfg))
 
 
 def test_eventstudy_aborts_below_three_usable(tmp_path):
@@ -220,7 +242,7 @@ def test_eventstudy_aborts_below_three_usable(tmp_path):
     write_run_config(config_path, fixture)
     cfg = load_run_config(config_path)
     with pytest.raises(InsufficientDataError):
-        run_stages(cfg, tmp_path / "out", cfg.stages)
+        run_stages(cfg, tmp_path / "out")
 
 
 def test_registry_loader_orders_and_validates(small_fixture):
@@ -242,7 +264,7 @@ def test_registry_rejects_duplicates(tmp_path, small_fixture):
 def test_cli_exit_codes(small_fixture, tmp_path):
     config_path = tmp_path / "config.json"
     write_run_config(config_path, small_fixture)
-    assert main(["identify", "--config", str(config_path),
+    assert main(["run", "--config", str(config_path),
                  "--out", str(tmp_path / "out")]) == 0
 
     assert main(["run", "--config", str(tmp_path / "missing.json"),
@@ -252,7 +274,7 @@ def test_cli_exit_codes(small_fixture, tmp_path):
     empty_registry.write_text(json.dumps({"conferences": []}))
     bad_config = tmp_path / "bad_config.json"
     write_run_config(bad_config, small_fixture, registry=str(empty_registry))
-    assert main(["identify", "--config", str(bad_config),
+    assert main(["run", "--config", str(bad_config),
                  "--out", str(tmp_path / "out3")]) == 2
 
 
@@ -266,7 +288,7 @@ def test_cli_main_freezes_the_heap_only_while_it_runs(small_fixture, tmp_path, m
 
     monkeypatch.setattr("earstudy.cli.run_stages", spy)
     config_path = write_run_config(tmp_path / "config.json", small_fixture)
-    assert main(["identify", "--config", str(config_path), "--out", str(tmp_path / "out")]) == 0
+    assert main(["run", "--config", str(config_path), "--out", str(tmp_path / "out")]) == 0
     assert frozen[0] > 0
     assert gc.get_freeze_count() == 0
     assert main(["run", "--config", str(tmp_path / "missing.json"),
@@ -287,15 +309,20 @@ def test_cli_main_freezes_the_heap_only_while_it_runs(small_fixture, tmp_path, m
         ["run", "--config", "{config}", "--out", "{out}", "--jobs", "abc"],
         [],
         ["no-such-command"],
+        ["identify", "--config", "{config}", "--out", "{out}"],
+        ["attention", "--config", "{config}", "--out", "{out}"],
+        ["eventstudy", "--config", "{config}", "--out", "{out}"],
     ],
     ids=["unknown-flag", "run-epsilon", "synth-seed", "no-config", "text-jobs",
-         "no-command", "unknown-command"],
+         "no-command", "unknown-command", "identify-command", "attention-command",
+         "eventstudy-command"],
 )
 def test_cli_usage_error_is_one_line_configuration_error(
     small_fixture, tmp_path, capsys, argv
 ):
-    """Settings come from the config file only: a flag that is not --config,
-    --out or --jobs N is refused like any other usage error, before
+    """Settings come from the config file only, and synth and run are the
+    only commands: a flag that is not --config, --out or --jobs N, or a
+    removed stage command, is refused like any other usage error, before
     anything is written."""
     config_path = write_run_config(tmp_path / "config.json", small_fixture)
     scenario_path = tmp_path / "scenario.json"
@@ -426,7 +453,7 @@ def test_run_does_not_depend_on_fixture_directory(small_fixture, tmp_path):
     for name in ("a", "b"):
         fixture = shutil.copytree(small_fixture, tmp_path / name / "fixture")
         cfg = load_run_config(write_run_config(tmp_path / name / "config.json", fixture))
-        run_stages(cfg, tmp_path / name / "out", cfg.stages)
+        run_stages(cfg, tmp_path / name / "out")
         trees.append(tree_bytes(tmp_path / name / "out"))
     assert trees[0] == trees[1]
 
@@ -595,7 +622,7 @@ def test_identify_routing_matches_filter_speaker_frames(small_fixture, tmp_path,
         identity={"epsilon": 0.5, "min_votes": 1, "no_embedding_policy": policy},
     )
     cfg = load_run_config(config_path)
-    run_stages(cfg, tmp_path / "out", ("identify",))
+    identify_only(cfg, tmp_path / "out")
 
     diag = json.loads((tmp_path / "out" / "diagnostics" / "identify.json").read_text())
     for record in load_registry(cfg.registry):
@@ -605,27 +632,6 @@ def test_identify_routing_matches_filter_speaker_frames(small_fixture, tmp_path,
         got_ear = (tmp_path / "out" / "ear" / f"{record.conference_id}.csv").read_bytes()
         assert got_ear == ear, record.conference_id
     assert sum(c["no_embedding"] for c in diag["conferences"].values()) > 0
-
-
-def test_eye_index_layout_override(small_fixture, tmp_path):
-    config_path = tmp_path / "config.json"
-    write_run_config(config_path, small_fixture,
-                     eye_indices=[list(range(42, 48)), list(range(36, 42))])
-    cfg = load_run_config(config_path)
-    assert cfg.eye_indices == (tuple(range(42, 48)), tuple(range(36, 42)))
-    base = load_run_config(write_run_config(tmp_path / "base.json", small_fixture))
-    assert digest(cfg) != digest(base)
-
-
-def test_identify_reads_the_configured_points(small_fixture, tmp_path):
-    """identify converts only the eye points, and takes them from eye_indices."""
-    config_path = write_run_config(tmp_path / "config.json", small_fixture,
-                                   eye_indices=[list(range(42, 48)), list(range(30, 36))])
-    cfg = load_run_config(config_path)
-    run_stages(cfg, tmp_path / "out", ("identify",))
-    for record in load_registry(cfg.registry):
-        got = (tmp_path / "out" / "ear" / f"{record.conference_id}.csv").read_bytes()
-        assert got == scalar_identify(cfg, record)[0], record.conference_id
 
 
 def test_missing_transcript_becomes_exclusion(small_fixture, tmp_path):
@@ -640,17 +646,10 @@ def test_missing_transcript_becomes_exclusion(small_fixture, tmp_path):
     config_path = tmp_path / "config.json"
     write_run_config(config_path, small_fixture, registry=str(registry))
     cfg = load_run_config(config_path)
-    run_stages(cfg, tmp_path / "out", cfg.stages)
+    run_stages(cfg, tmp_path / "out")
     diag = json.loads((tmp_path / "out" / "diagnostics" / "attention.json").read_text())
     excluded = {e["conference_id"] for e in diag["exclusions"]}
     assert "conf-001" in excluded
-
-
-def test_run_stages_rejects_unknown_stage(small_fixture, tmp_path):
-    cfg = load_run_config(write_run_config(tmp_path / "config.json", small_fixture))
-    with pytest.raises(ConfigError, match="unknown stage 'ear'"):
-        run_stages(cfg, tmp_path / "out", ("identify", "ear"))
-    assert not (tmp_path / "out").exists()
 
 
 def run_cli(config_path: Path, out: Path) -> subprocess.CompletedProcess:
@@ -711,10 +710,12 @@ def test_exclusion_reasons_do_not_depend_on_out(small_fixture, tmp_path):
     cfg = load_run_config(write_run_config(tmp_path / "config.json", small_fixture))
     trees = []
     for out in (tmp_path / "a" / "out", tmp_path / "b" / "deeper" / "out"):
-        run_stages(cfg, out, ("identify",))
+        identify_only(cfg, out)
         ear = out / "ear" / "conf-006.csv"
         ear.write_bytes(ear.read_bytes() + b"1.5,abc\n")
-        run_stages(cfg, out, ("attention", "eventstudy"))
+        records = load_registry(cfg.registry)
+        rows = stage_attention(cfg, out, records, digest(cfg))
+        stage_eventstudy(cfg, out, records, digest(cfg), rows)
         diag = json.loads((out / "diagnostics" / "attention.json").read_text())
         reasons = {e["conference_id"]: e["reason"] for e in diag["exclusions"]}
         assert reasons["conf-006"].startswith("ear/conf-006.csv"), reasons
@@ -733,6 +734,7 @@ def test_non_utf8_json_file_is_one_line_error(small_fixture, tmp_path, capsys, n
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1, err
     assert f"{path}: invalid JSON" in err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(
@@ -744,13 +746,10 @@ def test_non_utf8_json_file_is_one_line_error(small_fixture, tmp_path, capsys, n
         ("gallery.json", ("entries", 0, "embedding", 0), "abc", 2),
         ("gallery.json", ("entries", 0, "embedding", 0), float("nan"), 2),
         ("config.json", ("identity", "epsilon"), "x", 1),
-        ("config.json", ("eye_indices",), [[36, 37, 38, 39, 40, 99], list(range(42, 48))], 1),
-        ("config.json", ("eye_indices",), [[36, 39], [42, 45]], 1),
         ("config.json", ("market", "trading_close"), 5, 1),
         ("config.json", ("identity", "min_votes"), 2.7, 1),
         ("config.json", ("registry",), 5, 1),
         ("config.json", ("gallery",), None, 1),
-        ("config.json", ("stages",), 5, 1),
         ("config.json", ("market",), 5, 1),
         ("config.json", ("identity", "epsilon"), float("nan"), 1),
         ("config.json", ("attention", "threshold"), float("inf"), 1),
@@ -760,10 +759,6 @@ def test_non_utf8_json_file_is_one_line_error(small_fixture, tmp_path, capsys, n
         ("config.json", ("identity", "min_votes"), True, 1),
         ("config.json", ("attention", "threshold"), True, 1),
         ("config.json", ("attention", "floor_value"), False, 1),
-        ("config.json", ("eye_indices",), {}, 1),
-        ("config.json", ("eye_indices",), 0, 1),
-        ("config.json", ("eye_indices",), "", 1),
-        ("config.json", ("eye_indices",), [], 1),
         ("config.json", ("identity", "epsilon"), "0.5", 1),
         ("config.json", ("identity", "min_votes"), "1", 1),
         ("config.json", ("attention", "threshold"), "0.2", 1),
@@ -781,21 +776,24 @@ def test_non_utf8_json_file_is_one_line_error(small_fixture, tmp_path, capsys, n
         ("gallery.json", ("entries", 0, "label"), 5, 2),
         ("gallery.json", ("entries", 0, "embedding", 0), True, 2),
         ("config.json", ("attention", "treshold"), 0.3, 1),
+        ("config.json", ("stages",), ["identify", "attention", "eventstudy"], 1),
+        ("config.json", ("eye_indices",), [list(range(36, 42)), list(range(42, 48))], 1),
+        ("gallery.json", ("entries",), [], 2),
     ],
     ids=["registry-date", "registry-conferences", "gallery-entries", "gallery-text",
-         "gallery-nan", "epsilon-text", "eye-index-99", "eye-two-points", "trading-close",
-         "min-votes-fraction", "registry-path-number", "gallery-path-null", "stages-number",
+         "gallery-nan", "epsilon-text", "trading-close",
+         "min-votes-fraction", "registry-path-number", "gallery-path-null",
          "market-number", "epsilon-nan", "threshold-inf", "gap-factor-nan", "floor-value-nan",
          "epsilon-true", "min-votes-true", "threshold-true", "floor-value-false",
-         "eye-indices-object", "eye-indices-zero", "eye-indices-empty-text",
-         "eye-indices-empty-list", "epsilon-numeric-text", "min-votes-numeric-text",
+         "epsilon-numeric-text", "min-votes-numeric-text",
          "threshold-numeric-text", "gap-factor-numeric-text", "floor-value-numeric-text",
          "epsilon-beyond-double", "registry-qa-start-number",
          "registry-conference-end-number", "registry-trading-close-number",
          "registry-landmarks-number", "registry-landmarks-nul",
          "registry-naive-trading-close", "registry-entry-list",
          "registry-date-off-qa-start", "gallery-label-number", "gallery-embedding-true",
-         "config-misspelled-key"],
+         "config-misspelled-key", "removed-key-stages", "removed-key-eye-indices",
+         "gallery-empty"],
 )
 def test_malformed_input_is_one_line_error(
     small_fixture, tmp_path, capsys, name, keys, value, code
@@ -815,9 +813,10 @@ def test_malformed_input_is_one_line_error(
     assert len(err.splitlines()) == 1, err
     assert "Traceback" not in err
     assert err.startswith("configuration error: " if code == 1 else "data error: "), err
-    # The line names the file and the key.
+    # The line names the file and the key, and nothing is written.
     assert str(path) in err, err
     assert [key for key in keys if isinstance(key, str)][-1] in err, err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("unreadable", [False, True], ids=["missing", "directory"])
