@@ -6,8 +6,6 @@ __version__ = "0.1.0"
 
 from .attention import (
     AttentionConfig,
-    BenchmarkVariables,
-    ConferenceAttention,
     EarSeries,
     SpeakerSegments,
     benchmark_variables,
@@ -21,7 +19,6 @@ from .errors import (
     DataError,
     DegenerateRegressorError,
     DomainError,
-    EarStudyError,
     InsufficientDataError,
     MalformedRecordError,
     ScenarioError,
@@ -33,7 +30,6 @@ from .geometry import (
     write_landmark_stream,
 )
 from .identity import (
-    FilterDiagnostics,
     Gallery,
     GalleryEntry,
     IdentityConfig,
@@ -44,9 +40,7 @@ from .identity import (
 from .market import (
     ConferenceTimeline,
     EventWindowStats,
-    PriceBar,
     PriceSeries,
-    build_timeline,
     event_window_stats,
     price_at,
     realized_vol,
@@ -54,7 +48,6 @@ from .market import (
 )
 from .regression import (
     RegressionInput,
-    RegressionResult,
     ols_univariate,
     render_table,
     significance_stars,

@@ -118,9 +118,9 @@ class EarSeries:
 class BenchmarkVariables:
     """Log complexity proxies: question count, Q&A length, chair speech time."""
 
-    n_questions_log: float
-    duration_qa_log: float
-    duration_chair_speech_log: float
+    log_n_questions: float
+    log_qa_duration: float
+    log_chair_speech: float
 
 
 @dataclass(frozen=True)
@@ -217,13 +217,12 @@ def delta_series(values: Sequence[float]) -> np.ndarray:
 def benchmark_variables(
     transcript: str,
     segments: SpeakerSegments,
-    qa_start_s: float,
-    qa_end_s: float,
+    qa_duration_s: float,
 ) -> BenchmarkVariables:
     """Log question count, log Q&A duration, log chair speaking time."""
-    if qa_end_s <= qa_start_s:
+    if qa_duration_s <= 0:
         raise ConfigError(
-            f"conference {segments.conference_id!r}: qa_end_s must exceed qa_start_s"
+            f"conference {segments.conference_id!r}: qa_duration_s must be positive"
         )
     n_questions = transcript.count("?")
     if n_questions == 0:
@@ -238,9 +237,9 @@ def benchmark_variables(
             "log duration undefined"
         )
     return BenchmarkVariables(
-        n_questions_log=math.log(n_questions),
-        duration_qa_log=math.log(qa_end_s - qa_start_s),
-        duration_chair_speech_log=math.log(chair_seconds),
+        log_n_questions=math.log(n_questions),
+        log_qa_duration=math.log(qa_duration_s),
+        log_chair_speech=math.log(chair_seconds),
     )
 
 

@@ -1,10 +1,11 @@
 """Event timelines and intraday return/volatility windows from 1-minute bars.
 
-Each conference defines four instants: a window opening two hours before
-the Q&A, the Q&A start, the conference end, and the trading close.  Log
-returns are measured during the Q&A and from its end to the close;
-realized volatility is the root mean square of the 1-minute log returns
-whose endpoints both fall inside the (open, close] window being measured.
+Each conference's timeline holds three instants, the Q&A start, the
+conference end and the trading close, and opens its pre-event window two
+hours before the Q&A.  Log returns are measured during the Q&A and from
+its end to the close; realized volatility is the root mean square of the
+1-minute log returns whose endpoints both fall inside the (open, close]
+window being measured.
 """
 
 from __future__ import annotations
@@ -78,23 +79,27 @@ def _first_bad_bar(times: tuple[datetime, ...], prices: np.ndarray) -> str:
 
 @dataclass(frozen=True)
 class ConferenceTimeline:
-    """The four instants bounding a conference's event windows."""
+    """The Q&A start, the conference end and the trading close, in order,
+    each with a UTC offset; the pre-event window opens PRE_WINDOW before
+    the Q&A."""
 
-    window_open: datetime
     qa_start: datetime
     conference_end: datetime
     trading_close: datetime
 
     def __post_init__(self) -> None:
-        if not (
-            self.window_open < self.qa_start < self.conference_end < self.trading_close
-        ):
+        for name, instant in vars(self).items():
+            if instant.utcoffset() is None:
+                raise ConfigError(f"timeline {name} {instant} lacks a UTC offset")
+        if not (self.qa_start < self.conference_end < self.trading_close):
             raise ConfigError(
-                "timeline instants must satisfy window_open < qa_start < "
-                f"conference_end < trading_close, got {self}"
+                f"expected qa_start < conference_end < trading_close, got "
+                f"{self.qa_start} / {self.conference_end} / {self.trading_close}"
             )
-        if self.qa_start - self.window_open != PRE_WINDOW:
-            raise ConfigError("window_open must be exactly 120 minutes before qa_start")
+
+    @property
+    def window_open(self) -> datetime:
+        return self.qa_start - PRE_WINDOW
 
 
 @dataclass(frozen=True)
@@ -109,23 +114,6 @@ class EventWindowStats:
     vol_change: float
     n_returns_before: int
     n_returns_after: int
-
-
-def build_timeline(
-    qa_start: datetime, conference_end: datetime, trading_close: datetime
-) -> ConferenceTimeline:
-    """Timeline with the pre-event window opening 120 minutes before the Q&A."""
-    if not (qa_start < conference_end < trading_close):
-        raise ConfigError(
-            f"expected qa_start < conference_end < trading_close, got "
-            f"{qa_start} / {conference_end} / {trading_close}"
-        )
-    return ConferenceTimeline(
-        window_open=qa_start - PRE_WINDOW,
-        qa_start=qa_start,
-        conference_end=conference_end,
-        trading_close=trading_close,
-    )
 
 
 def price_at(series: PriceSeries, t: datetime) -> float:

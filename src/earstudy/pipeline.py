@@ -232,9 +232,7 @@ def stage_attention(
                 floored.append(record.conference_id)
             transcript = output.read_text(record.transcript)
             segments = att.read_segments_csv(record.segments, record.conference_id)
-            benchmark = att.benchmark_variables(
-                transcript, segments, 0.0, record.qa_duration_s()
-            )
+            benchmark = att.benchmark_variables(transcript, segments, record.qa_duration_s())
         except (DataError, OSError) as exc:
             reason = _path_free(exc, out_dir, cfg.registry, ear_path, record.transcript,
                                 record.segments)
@@ -245,9 +243,7 @@ def stage_attention(
         rows.append({
             **vars(summary),  # the fields, in order, uncopied
             "date": record.date.isoformat(),
-            "log_n_questions": benchmark.n_questions_log,
-            "log_qa_duration": benchmark.duration_qa_log,
-            "log_chair_speech": benchmark.duration_chair_speech_log,
+            **vars(benchmark),
         })
 
     # First differences across surviving conferences in date order; the
@@ -301,7 +297,7 @@ def stage_eventstudy(
                 record.date, cfg.market.trading_close, tzinfo=record.qa_start.tzinfo
             )
         try:
-            timeline = market.build_timeline(record.qa_start, record.conference_end, close)
+            timeline = market.ConferenceTimeline(record.qa_start, record.conference_end, close)
             if record.prices != prices_path:
                 prices = market.read_price_csv(record.prices)
                 prices_path = record.prices

@@ -33,7 +33,7 @@ from .geometry import (
     write_landmark_stream,
 )
 from .identity import Gallery, GalleryEntry, dump_gallery
-from .market import PriceBar, write_price_csv
+from .market import ConferenceTimeline, PriceBar, write_price_csv
 from .output import (
     FILE_ID_RULE,
     config_digest,
@@ -79,13 +79,6 @@ class PriceSpec:
 
 
 @dataclass(frozen=True)
-class TimelineSpec:
-    qa_start: datetime
-    conference_end: datetime
-    trading_close: datetime
-
-
-@dataclass(frozen=True)
 class GallerySpec:
     labels: tuple[str, ...] = ("chair", "reporter")
     cluster_radius: float = 0.05
@@ -112,21 +105,21 @@ class ScenarioSpec:
     target_label: str = "chair"
     n_questions: int = 20
     price_spec: PriceSpec = field(default_factory=PriceSpec)
-    timeline: TimelineSpec | None = None
+    timeline: ConferenceTimeline | None = None
 
     def __post_init__(self) -> None:
         validate_scenario(self)
 
-    def resolved_timeline(self) -> TimelineSpec:
+    def resolved_timeline(self) -> ConferenceTimeline:
         if self.timeline is not None:
             return self.timeline
         return _default_timeline(self.date, self.conference_length_s)
 
 
-def _default_timeline(day: dt_date, length_s: float) -> TimelineSpec:
+def _default_timeline(day: dt_date, length_s: float) -> ConferenceTimeline:
     """A Q&A from 14:30 at DEFAULT_TZ lasting length_s, and a 16:00 close."""
     qa_start = datetime.combine(day, time(14, 30), tzinfo=DEFAULT_TZ)
-    return TimelineSpec(
+    return ConferenceTimeline(
         qa_start, qa_start + timedelta(seconds=length_s), qa_start.replace(hour=16, minute=0)
     )
 
@@ -259,21 +252,21 @@ def validate_scenario(spec: ScenarioSpec) -> None:
                     "a gap or an off-target interval"
                 )
 
-    if spec.timeline is not None:
-        tl = spec.timeline
-        for instant in (tl.qa_start, tl.conference_end, tl.trading_close):
-            if not isinstance(instant.tzinfo, timezone):  # as minute_stamps needs
-                raise ScenarioError(f"{spec.conference_id}: timeline instants need fixed offsets")
-        if not (tl.qa_start < tl.conference_end < tl.trading_close):
-            raise ScenarioError(f"{spec.conference_id}: timeline instants out of order")
-        if tl.qa_start.date() != spec.date:  # as the registry needs
-            raise ScenarioError(f"{spec.conference_id}: timeline qa_start is not on {spec.date}")
-        span = (tl.conference_end - tl.qa_start).total_seconds()
-        if abs(span - length) > 1e-6:
-            raise ScenarioError(
-                f"{spec.conference_id}: timeline span {span}s disagrees with "
-                f"conference_length_s {length}"
-            )
+    try:
+        tl = spec.resolved_timeline()
+    except (ConfigError, OverflowError) as exc:  # only a default timeline raises
+        raise ScenarioError(f"{spec.conference_id}: default timeline: {exc}") from None
+    for instant in vars(tl).values():
+        if not isinstance(instant.tzinfo, timezone):  # as minute_stamps needs
+            raise ScenarioError(f"{spec.conference_id}: timeline instants need fixed offsets")
+    if tl.qa_start.date() != spec.date:  # as the registry needs
+        raise ScenarioError(f"{spec.conference_id}: timeline qa_start is not on {spec.date}")
+    span = (tl.conference_end - tl.qa_start).total_seconds()
+    if abs(span - length) > 1e-6:
+        raise ScenarioError(
+            f"{spec.conference_id}: timeline span {span}s disagrees with "
+            f"conference_length_s {length}"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -527,7 +520,7 @@ def _walk_prices(spec: ScenarioSpec) -> tuple[datetime, list[float], PriceTruth]
     """
     tl = spec.resolved_timeline()
     ps = spec.price_spec
-    window_open = tl.qa_start - timedelta(minutes=120)
+    window_open = tl.window_open
     n_steps = int((tl.trading_close - window_open).total_seconds() // 60)
     seq = np.random.SeedSequence(spec.seed)
     rng = np.random.Generator(np.random.PCG64(seq.spawn(3)[2]))

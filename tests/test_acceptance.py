@@ -379,14 +379,42 @@ def _same_numbers(got, expected, where: str) -> None:
         assert type(got) is type(expected) and got == expected, (where, got, expected)
 
 
+def _csv_cells(text: str) -> list:
+    """A CSV text's rows as lists of cells, stamp lines left out; a cell
+    that reads as a number becomes a float."""
+    def cell(text):
+        try:
+            return float(text)
+        except ValueError:
+            return text
+    return [list(map(cell, line.split(","))) for line in text.splitlines()
+            if not line.startswith("#")]
+
+
 def test_reference_tables_match_golden(planted_run):
     """The paper tables of the reference study are pinned, stamps aside.
 
-    Text tables and stdout are compared byte for byte; the JSON tables to
-    1e-12 relative, since BLAS may sum the OLS dot products in another order.
+    Text tables and stdout are compared byte for byte; the JSON tables, the
+    windows and attention tables and the diagnostics to 1e-12 relative,
+    since BLAS may sum the OLS dot products in another order.  Each EAR
+    series is pinned by its row count and column sums.
     """
     outputs, stdouts, _ = planted_run
-    tables = outputs["a"] / "tables"
+    out_dir = outputs["a"]
+    for name in ("windows.csv", "attention.csv"):
+        _same_numbers(_csv_cells((out_dir / name).read_text()),
+                      _csv_cells((GOLDEN / name).read_text()), name)
+    for path in sorted((GOLDEN / "diagnostics").glob("*.json")):
+        payload = json.loads((out_dir / "diagnostics" / path.name).read_text())
+        del payload["meta"]
+        _same_numbers(payload, json.loads(path.read_text()), f"diagnostics/{path.name}")
+    series = {}
+    for path in sorted((out_dir / "ear").glob("*.csv")):
+        header, *rows = _csv_cells(path.read_text())
+        series[path.stem] = {"rows": len(rows),
+                             **{c: math.fsum(col) for c, col in zip(header, zip(*rows))}}
+    _same_numbers(series, json.loads((GOLDEN / "ear.json").read_text()), "ear")
+    tables = out_dir / "tables"
     assert stdouts["a"] == (GOLDEN / "stdout.txt").read_text()
     for dependent in ("return_during", "return_after", "vol_change_x100"):
         lines = (tables / f"{dependent}.txt").read_text().splitlines(keepends=True)

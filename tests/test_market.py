@@ -11,11 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from earstudy import (
+    ConferenceTimeline,
     ConfigError,
     CoverageError,
     MalformedRecordError,
     PriceSeries,
-    build_timeline,
     event_window_stats,
     price_at,
     realized_vol,
@@ -44,18 +44,18 @@ def bars_from_returns(start, returns, base=100.0):
     return minute_bars(start, np.exp(log_prices))
 
 
-def test_build_timeline_worked_example():
-    tl = build_timeline(at(14, 30), at(15, 15), at(16, 0))
+def test_conference_timeline_worked_example():
+    tl = ConferenceTimeline(at(14, 30), at(15, 15), at(16, 0))
     assert tl.window_open == at(12, 30)
     assert tl.qa_start == at(14, 30)
     assert tl.trading_close - tl.conference_end == timedelta(minutes=45)
 
 
-def test_build_timeline_rejects_bad_order():
+def test_conference_timeline_rejects_bad_order():
     with pytest.raises(ConfigError):
-        build_timeline(at(14, 30), at(16, 30), at(16, 0))
+        ConferenceTimeline(at(14, 30), at(16, 30), at(16, 0))
     with pytest.raises(ConfigError):
-        build_timeline(at(14, 30), at(14, 30), at(16, 0))
+        ConferenceTimeline(at(14, 30), at(14, 30), at(16, 0))
 
 
 def test_price_at_last_at_or_before():
@@ -146,7 +146,7 @@ def test_realized_vol_matches_two_pass_oracle():
 def full_day_series(vol_before=0.0, vol_after=0.0, drift_qa=0.0, seed=0):
     """Bars from 12:30 to 16:00 around a 14:30-15:15 conference."""
     rng = np.random.default_rng(seed)
-    tl = build_timeline(at(14, 30), at(15, 15), at(16, 0))
+    tl = ConferenceTimeline(at(14, 30), at(15, 15), at(16, 0))
     steps = []
     t = tl.window_open
     while t < tl.trading_close:
@@ -193,7 +193,7 @@ def test_event_window_stats_deterministic():
 
 def test_event_window_stats_coverage_error_names_window():
     series = minute_bars(at(14, 0), [100.0] * 30)  # no pre-window coverage
-    tl = build_timeline(at(14, 30), at(15, 15), at(16, 0))
+    tl = ConferenceTimeline(at(14, 30), at(15, 15), at(16, 0))
     with pytest.raises(CoverageError, match="c"):
         event_window_stats(series, tl, "c")
 
@@ -293,7 +293,7 @@ def test_price_path_matches_row_oracle(small_fixture):
             map(datetime.isoformat, times)
         )
         assert [p.hex() for p in series.prices.tolist()] == [p.hex() for p in prices]
-        timeline = build_timeline(record.qa_start, record.conference_end, record.trading_close)
+        timeline = ConferenceTimeline(record.qa_start, record.conference_end, record.trading_close)
         stats = asdict(event_window_stats(series, timeline, record.conference_id))
         for name, expected in event_windows(times, prices, timeline).items():
             assert type(stats[name]) is type(expected), name

@@ -505,6 +505,8 @@ STUDY = {"seed": 1, "n_conferences": 3}
                                              "conference_end": "2020-01-16T14:31:00-04:00",
                                              "trading_close": "2020-01-16T16:00:00-04:00"}}
                    ).encode(),
+        json.dumps({**SCENARIO, "conference_length_s": 7200.0}).encode(),
+        json.dumps({**SCENARIO, "conference_length_s": 1e12}).encode(),
     ],
     ids=["invalid-json", "list", "unknown-study-key", "text-study-seed", "scalar-scenarios",
          "text-gallery-seed", "invalid-utf8", "missing-file", "negative-seed",
@@ -514,7 +516,7 @@ STUDY = {"seed": 1, "n_conferences": 3}
          "overflowing-drift", "infinite-walk", "label-missing-from-gallery",
          "number-target-label", "number-script-label", "fractional-seed",
          "fractional-n-questions", "text-fps", "fractional-gallery-seed", "misspelled-key",
-         "timeline-off-date"],
+         "timeline-off-date", "default-timeline-past-close", "default-timeline-overflow"],
 )
 def test_bad_scenario_file_is_one_line_error(tmp_path, capsys, content):
     path = tmp_path / "scenario.json"

@@ -10,6 +10,7 @@ import pytest
 
 from earstudy import (
     AttentionConfig,
+    ConfigError,
     EarSeries,
     IdentityConfig,
     ScenarioError,
@@ -19,14 +20,18 @@ from earstudy import (
 )
 from earstudy.attention import estimate_fps
 from earstudy.geometry import write_landmark_stream
-from earstudy.market import PriceSeries, build_timeline, event_window_stats, write_price_csv
+from earstudy.market import (
+    ConferenceTimeline,
+    PriceSeries,
+    event_window_stats,
+    write_price_csv,
+)
 from earstudy.synth import (
     GallerySpec,
     PriceSpec,
     ReadingEpisode,
     ScenarioSpec,
     ScriptInterval,
-    TimelineSpec,
     analytic_attention,
     cluster_center,
     gen_gallery,
@@ -228,9 +233,38 @@ def test_scenario_timeline_span_checked():
     qa = datetime(2020, 1, 15, 14, 30, tzinfo=TZ)
     with pytest.raises(ScenarioError):
         scenario(
-            timeline=TimelineSpec(qa, qa + timedelta(seconds=200),
-                                  qa.replace(hour=16, minute=0))
+            timeline=ConferenceTimeline(qa, qa + timedelta(seconds=200),
+                                        qa.replace(hour=16, minute=0))
         )
+
+
+def test_default_timeline_checked():
+    """Without a timeline, a Q&A that ends after the 16:00 close is refused."""
+    with pytest.raises(ScenarioError) as info:
+        scenario(conference_length_s=7200.0, reading_episodes=())
+    assert str(info.value) == (
+        "conf-t: default timeline: expected qa_start < conference_end < trading_close, "
+        "got 2020-01-15 14:30:00-04:00 / 2020-01-15 16:30:00-04:00 / 2020-01-15 16:00:00-04:00"
+    )
+
+
+def test_scenario_file_timeline_order_message(tmp_path):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({
+        "conference_id": "c1", "seed": 1, "date": "2020-01-15", "fps": 1.0,
+        "conference_length_s": 60.0,
+        "timeline": {"qa_start": "2020-01-15T14:30:00-04:00",
+                     "conference_end": "2020-01-15T14:31:00-04:00",
+                     "trading_close": "2020-01-15T14:00:00-04:00"},
+    }))
+    with pytest.raises(ScenarioError) as info:
+        run_synth(path, tmp_path / "fx")
+    assert str(info.value) == (
+        f"scenario file {path}: timeline: expected qa_start < conference_end < "
+        "trading_close, got 2020-01-15 14:30:00-04:00 / 2020-01-15 14:31:00-04:00 / "
+        "2020-01-15 14:00:00-04:00"
+    )
+    assert not (tmp_path / "fx").exists()
 
 
 def test_gallery_separation_validation():
@@ -263,8 +297,8 @@ def test_single_label_gallery_classifies_in_ball_queries():
 
 def default_timeline(day=15, length_min=45):
     qa = datetime(2020, 1, day, 14, 30, tzinfo=TZ)
-    return TimelineSpec(qa, qa + timedelta(minutes=length_min),
-                        qa.replace(hour=16, minute=0))
+    return ConferenceTimeline(qa, qa + timedelta(minutes=length_min),
+                              qa.replace(hour=16, minute=0))
 
 
 def test_price_series_zero_vol_exact_drift():
@@ -279,9 +313,7 @@ def test_price_series_zero_vol_exact_drift():
     assert truth.n_qa_steps == 45
     assert truth.expected_return_during == pytest.approx(0.045)
     series = PriceSeries(*zip(*bars))
-    tl = build_timeline(spec.timeline.qa_start, spec.timeline.conference_end,
-                        spec.timeline.trading_close)
-    stats = event_window_stats(series, tl, spec.conference_id)
+    stats = event_window_stats(series, spec.timeline, spec.conference_id)
     assert stats.return_during == pytest.approx(0.045, rel=1e-9)
     assert stats.return_after == pytest.approx(0.0, abs=1e-12)
     assert stats.vol_before == 0.0
@@ -313,9 +345,7 @@ def test_price_series_vol_factor_shows_up_in_realized_ratio():
                                  drift_during_qa=0.0, vol_after_factor=0.5),
         )
         bars, _ = gen_price_series(spec)
-        tl = build_timeline(spec.timeline.qa_start, spec.timeline.conference_end,
-                            spec.timeline.trading_close)
-        stats = event_window_stats(PriceSeries(*zip(*bars)), tl, spec.conference_id)
+        stats = event_window_stats(PriceSeries(*zip(*bars)), spec.timeline, spec.conference_id)
         ratios.append(stats.vol_after / stats.vol_before)
     assert abs(np.mean(ratios) - 0.5) < 0.1
 
@@ -333,8 +363,8 @@ def test_price_csv_bytes_are_pinned():
         seed=11,
         conference_length_s=2730.0,
         reading_episodes=(),
-        timeline=TimelineSpec(qa, qa + timedelta(seconds=2730),
-                              qa.replace(hour=16, minute=0, second=0)),
+        timeline=ConferenceTimeline(qa, qa + timedelta(seconds=2730),
+                                    qa.replace(hour=16, minute=0, second=0)),
         price_spec=PriceSpec(base_price=123.4, minute_vol=0.003,
                              drift_during_qa=0.0007, vol_after_factor=0.6),
     )
@@ -392,13 +422,14 @@ class _HourAhead(tzinfo):
 
 def test_timeline_needs_fixed_offsets():
     qa = datetime(2020, 1, 15, 14, 30, tzinfo=_HourAhead())
-    for timeline in (
-        TimelineSpec(qa, qa + timedelta(minutes=5), qa.replace(hour=16)),
-        TimelineSpec(qa.replace(tzinfo=None), qa + timedelta(minutes=5), qa.replace(hour=16)),
-    ):
-        with pytest.raises(ScenarioError) as info:
-            scenario(timeline=timeline, conference_length_s=300.0, reading_episodes=())
-        assert str(info.value) == "conf-t: timeline instants need fixed offsets"
+    timeline = ConferenceTimeline(qa, qa + timedelta(minutes=5), qa.replace(hour=16))
+    with pytest.raises(ScenarioError) as info:
+        scenario(timeline=timeline, conference_length_s=300.0, reading_episodes=())
+    assert str(info.value) == "conf-t: timeline instants need fixed offsets"
+    # A naive instant has no offset at all, so the timeline itself refuses it.
+    with pytest.raises(ConfigError) as info:
+        ConferenceTimeline(qa.replace(tzinfo=None), qa + timedelta(minutes=5), qa.replace(hour=16))
+    assert str(info.value) == "timeline qa_start 2020-01-15 14:30:00 lacks a UTC offset"
 
 
 def tree_sha256(root: Path) -> str:
