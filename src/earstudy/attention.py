@@ -96,7 +96,7 @@ class EarSeries:
     def step(self) -> float:
         return 1.0 / self.nominal_fps
 
-    def gap_spans(self, gap_factor: float = 3.0) -> list[tuple[float, float]]:
+    def gap_spans(self, gap_factor: float) -> list[tuple[float, float]]:
         """Inter-sample spans wider than gap_factor nominal frame intervals."""
         ts = self.timestamps
         cut = gap_factor * self.step
@@ -275,8 +275,9 @@ def summarize_conference(series: EarSeries, config: AttentionConfig) -> Conferen
 
 
 # ---------------------------------------------------------------------------
-# CSV formats: EAR series ("timestamp_s,ear") and speaker segments
-# ("start_s,end_s,speaker"), in the format of output.write_csv/read_csv.
+# CSV formats, in the format of output.write_csv/read_csv: EAR series
+# ("timestamp_s,ear"), written only, and speaker segments
+# ("start_s,end_s,speaker"), read and written.
 # ---------------------------------------------------------------------------
 
 EAR_COLUMNS = ("timestamp_s", "ear")
@@ -289,13 +290,6 @@ def write_ear_csv(
     """Write one (timestamp_s, ear) row per sample; returns the row count."""
     rows = zip(timestamps.tolist(), values.tolist(), strict=True)
     return output.write_csv(fh, EAR_COLUMNS, rows, meta_line)
-
-
-def read_ear_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
-    """The timestamp and EAR columns of an EAR file, as float64 arrays."""
-    rows = output.read_csv(path, EAR_COLUMNS, lambda row: (float(row[0]), float(row[1])), "EAR")
-    timestamps, values = np.array(rows, dtype=np.float64).reshape(-1, 2).T
-    return timestamps, values
 
 
 def read_segments_csv(path: str | Path, conference_id: str) -> SpeakerSegments:

@@ -1,10 +1,11 @@
 """The pipeline: identify -> attention -> eventstudy, run in that order.
 
 identify turns each landmark stream into the target speaker's EAR series,
-ear/<id>.csv; attention reads those files and returns the attention table
-it writes; eventstudy takes that table in memory.  Each stage writes its
-own files plus diagnostics.  Conferences that fail a stage are excluded
-with a logged reason rather than aborting the run.
+writes it as ear/<id>.csv and returns it; attention takes those series in
+memory and returns the attention table it writes; eventstudy takes that
+table in memory.  Each stage writes its own files plus diagnostics.
+Conferences that fail a stage are excluded with a logged reason rather
+than aborting the run.
 """
 
 from __future__ import annotations
@@ -142,13 +143,13 @@ EYE_POINTS = geometry.LEFT_EYE_INDICES + geometry.RIGHT_EYE_INDICES
 def stage_identify(
     cfg: RunConfig, out_dir: Path, records: list[ConferenceRecord], digest: str,
     gallery: identity.Gallery,
-) -> dict:
-    """Each landmark stream's target-speaker frames as an EAR series, ear/<id>.csv."""
+) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """Each landmark stream's target-speaker frames as an EAR series, written
+    as ear/<id>.csv and returned as {id: (timestamps, values)}."""
+    series: dict[str, tuple[np.ndarray, np.ndarray]] = {}
     conferences: dict[str, dict] = {}
     warnings: list[tuple[str, str]] = []
     for record in records:
-        if not record.landmarks.exists():
-            raise ConfigError(f"landmark file not found: {record.landmarks}")
         try:
             batch = geometry.read_landmark_batch(record.landmarks, EYE_POINTS)
         except OSError as exc:
@@ -159,9 +160,10 @@ def stage_identify(
         )
         keep = np.array(keep, dtype=bool)
         values, usable = geometry.batch_ear(batch.points[keep], range(6), range(6, 12))
+        timestamps, values = batch.timestamps[keep][usable], values[usable]
+        series[record.conference_id] = timestamps, values
         buf = io.StringIO()
-        count = att.write_ear_csv(batch.timestamps[keep][usable], values[usable], buf,
-                                  meta_line=output.meta_line(digest))
+        count = att.write_ear_csv(timestamps, values, buf, meta_line=output.meta_line(digest))
         output.write_text(out_dir / "ear" / f"{record.conference_id}.csv",
                           buf.getvalue(), digest)
         info = {**diag.as_dict(), "n_samples": count, "dropped_degenerate": diag.written - count}
@@ -177,9 +179,9 @@ def stage_identify(
     for conference_id, warning in warnings:
         log.warning("conference %s: %s", conference_id, warning)
 
-    diagnostics = {"conferences": conferences}
-    output.write_json(out_dir / "diagnostics" / "identify.json", diagnostics, digest)
-    return diagnostics
+    output.write_json(out_dir / "diagnostics" / "identify.json",
+                      {"conferences": conferences}, digest)
+    return series
 
 
 ATTENTION_COLUMNS = (
@@ -202,9 +204,11 @@ WINDOW_COLUMNS = (
 
 
 def stage_attention(
-    cfg: RunConfig, out_dir: Path, records: list[ConferenceRecord], digest: str
+    cfg: RunConfig, out_dir: Path, records: list[ConferenceRecord], digest: str,
+    series: dict[str, tuple[np.ndarray, np.ndarray]],
 ) -> list[dict]:
-    """The attention table from ear/<id>.csv, written as attention.csv.
+    """The attention table from stage_identify's EAR series, written as
+    attention.csv.
 
     Returns its rows, one dict per surviving conference in date order.
     """
@@ -213,18 +217,13 @@ def stage_attention(
     floored: list[str] = []
 
     for record in records:
-        ear_path = out_dir / "ear" / f"{record.conference_id}.csv"
-        if not ear_path.exists():
-            raise ConfigError(
-                f"missing EAR series for {record.conference_id!r}: "
-                "run the identify stage first"
-            )
+        timestamps, values = series[record.conference_id]
         try:
-            timestamps, values = att.read_ear_csv(ear_path)
-            series = att.EarSeries(
-                record.conference_id, timestamps, values, att.estimate_fps(timestamps)
+            summary = att.summarize_conference(
+                att.EarSeries(record.conference_id, timestamps, values,
+                              att.estimate_fps(timestamps)),
+                cfg.attention,
             )
-            summary = att.summarize_conference(series, cfg.attention)
             if (
                 cfg.attention.floor_policy == "epsilon_floor"
                 and summary.attention_integral < cfg.attention.floor_value
@@ -234,8 +233,7 @@ def stage_attention(
             segments = att.read_segments_csv(record.segments, record.conference_id)
             benchmark = att.benchmark_variables(transcript, segments, record.qa_duration_s())
         except (DataError, OSError) as exc:
-            reason = _path_free(exc, out_dir, cfg.registry, ear_path, record.transcript,
-                                record.segments)
+            reason = _path_free(exc, cfg.registry, record.transcript, record.segments)
             exclusions.append({"conference_id": record.conference_id, "reason": reason})
             log.warning("conference %s excluded from attention table: %s",
                         record.conference_id, reason)
@@ -263,15 +261,15 @@ def stage_attention(
     return rows
 
 
-def _path_free(exc: Exception, out_dir: Path, registry: Path, *paths: Path) -> str:
-    """exc's message, with each of paths named relative to out_dir when it
-    lies there, else relative to the registry's directory.
+def _path_free(exc: Exception, registry: Path, *paths: Path) -> str:
+    """exc's message, with each of paths named relative to the registry's
+    directory.
 
     Exclusion reasons then do not depend on where --out and the inputs lie.
     """
     reason = str(exc)
+    base = registry.resolve().parent
     for path in paths:
-        base = out_dir if path.is_relative_to(out_dir) else registry.resolve().parent
         reason = reason.replace(str(path), os.path.relpath(path, base))
     return reason
 
@@ -303,7 +301,7 @@ def stage_eventstudy(
                 prices_path = record.prices
             stats = market.event_window_stats(prices, timeline, record.conference_id)
         except (DataError, ConfigError, OSError) as exc:
-            reason = _path_free(exc, out_dir, cfg.registry, record.prices)
+            reason = _path_free(exc, cfg.registry, record.prices)
             exclusions.append({"conference_id": row["conference_id"], "reason": reason})
             log.warning("conference %s excluded from event study: %s",
                         row["conference_id"], reason)
@@ -390,6 +388,6 @@ def run_stages(cfg: RunConfig, out_dir: Path) -> list[str]:
             f"gallery {cfg.gallery} has no entries for target label {cfg.target_label!r}"
         )
     output.write_json(out_dir / "run_config.json", {"config": payload}, digest)
-    STAGE_FUNCTIONS["identify"](cfg, out_dir, records, digest, gallery)
-    rows = STAGE_FUNCTIONS["attention"](cfg, out_dir, records, digest)
+    series = STAGE_FUNCTIONS["identify"](cfg, out_dir, records, digest, gallery)
+    rows = STAGE_FUNCTIONS["attention"](cfg, out_dir, records, digest, series)
     return STAGE_FUNCTIONS["eventstudy"](cfg, out_dir, records, digest, rows)

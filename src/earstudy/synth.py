@@ -479,26 +479,6 @@ def gen_landmark_stream(
     return frame_indices, batch, truth
 
 
-def analytic_attention(truth: LandmarkTruth, threshold: float) -> tuple[float, float]:
-    """Continuous-limit attention integral and sub-threshold time.
-
-    Blink dips carry one frame each and vanish in the continuous limit, so
-    they are ignored here; recovery tests use blink-free scenarios.
-    """
-    episode_seconds = sum(e.end_s - e.start_s for e in truth.episodes)
-    integral = sum(
-        e.ear_level * (e.end_s - e.start_s) for e in truth.episodes if e.ear_level < threshold
-    )
-    reading = sum(
-        (e.end_s - e.start_s) for e in truth.episodes if e.ear_level < threshold
-    )
-    if truth.baseline_ear < threshold:
-        baseline_seconds = truth.target_seconds - episode_seconds
-        integral += truth.baseline_ear * baseline_seconds
-        reading += baseline_seconds
-    return integral, reading
-
-
 # ---------------------------------------------------------------------------
 # Price path generation
 # ---------------------------------------------------------------------------

@@ -5,8 +5,9 @@ reader with per-field checks, the EAR over plain (x, y) tuples,
 plain-python distance sums, the vote as one norm per gallery entry, a
 design-matrix normal-equations OLS solve, scipy's t distribution, adaptive
 Simpson quadrature of the t density, a two-pass RMS, a row-by-row price
-reader with event windows over plain lists, and the CSV rows as the stdlib
-csv module reads them.
+reader with event windows over plain lists, the CSV rows as the stdlib
+csv module reads them, and the continuous-limit attention of a synthetic
+conference's planted episodes.
 """
 
 from __future__ import annotations
@@ -334,3 +335,24 @@ def attention_row(timestamps, values, threshold, gap_factor) -> dict | None:
         "n_samples": len(timestamps),
         "n_gaps": sum(b - a > gap_factor * step for a, b in zip(timestamps, timestamps[1:])),
     }
+
+
+def analytic_attention(truth, threshold: float) -> tuple[float, float]:
+    """Continuous-limit attention integral and sub-threshold time of a
+    synth.LandmarkTruth.
+
+    Blink dips carry one frame each and vanish in the continuous limit, so
+    they are ignored here; recovery tests use blink-free scenarios.
+    """
+    episode_seconds = sum(e.end_s - e.start_s for e in truth.episodes)
+    integral = sum(
+        e.ear_level * (e.end_s - e.start_s) for e in truth.episodes if e.ear_level < threshold
+    )
+    reading = sum(
+        (e.end_s - e.start_s) for e in truth.episodes if e.ear_level < threshold
+    )
+    if truth.baseline_ear < threshold:
+        baseline_seconds = truth.target_seconds - episode_seconds
+        integral += truth.baseline_ear * baseline_seconds
+        reading += baseline_seconds
+    return integral, reading

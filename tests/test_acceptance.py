@@ -32,16 +32,12 @@ from earstudy import (
 from earstudy.attention import estimate_fps
 from earstudy.cli import main
 from earstudy.geometry import LEFT_EYE_INDICES, RIGHT_EYE_INDICES
-from earstudy.synth import (
-    ReadingEpisode,
-    ScenarioSpec,
-    analytic_attention,
-    gen_landmark_stream,
-)
+from earstudy.synth import ReadingEpisode, ScenarioSpec, gen_landmark_stream
 
 from conftest import write_run_config
 from ear_cases import HAND_CASES
 from oracles import (
+    analytic_attention,
     brute_force_classify,
     frame_aspect_ratio,
     ols_normal_equations,

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from earstudy import MalformedRecordError
-from earstudy.attention import read_ear_csv, read_segments_csv
+from earstudy.attention import EAR_COLUMNS, read_segments_csv
 from earstudy.output import read_csv
 
 from oracles import read_csv_rows
@@ -66,19 +66,23 @@ def test_line_ends_are_equivalent(tmp_path):
         assert read_csv(path, COLUMNS, list, "test") == [["1", "2"], ["3", "4"]]
 
 
+def read_ear(path):
+    return read_csv(path, EAR_COLUMNS, lambda row: (float(row[0]), float(row[1])), "EAR")
+
+
 def test_a_quoted_cell_is_a_bad_row(tmp_path):
     """Cells are never quoted: the csv module's quoting is not undone."""
     path = tmp_path / "ear.csv"
     path.write_text('timestamp_s,ear\n0.0,0.3\n"0.5",0.3\n')
     with pytest.raises(MalformedRecordError) as info:
-        read_ear_csv(path)
+        read_ear(path)
     assert str(info.value) == f"""{path}: bad EAR row ['"0.5"', '0.3']"""
     path.write_text('start_s,end_s,speaker\n0.0,1.0,"chair"\n')
     with pytest.raises(MalformedRecordError, match="'\"chair\"'"):
         read_segments_csv(path, "c")
     path.write_text('"timestamp_s",ear\n0.0,0.3\n')
     with pytest.raises(MalformedRecordError, match="expected 'timestamp_s,ear' header"):
-        read_ear_csv(path)
+        read_ear(path)
 
 
 def test_first_bad_row_is_named(tmp_path):

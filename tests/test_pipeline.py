@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from earstudy import ConfigError, DataError, InsufficientDataError, pipeline, schema
-from earstudy.attention import write_ear_csv
+from earstudy.attention import EarSeries, estimate_fps, summarize_conference, write_ear_csv
 from earstudy.cli import main
 from earstudy.geometry import LEFT_EYE_INDICES, RIGHT_EYE_INDICES, read_landmark_batch
 from earstudy.identity import load_gallery
@@ -22,8 +22,6 @@ from earstudy.pipeline import (
     load_registry,
     load_run_config,
     run_stages,
-    stage_attention,
-    stage_eventstudy,
     stage_identify,
 )
 from earstudy.synth import build_fixture, planted_study_scenarios
@@ -188,20 +186,31 @@ def test_run_hashes_each_input_once(completed_run, tmp_path, monkeypatch):
 
 
 def test_attention_table_matches_row_oracle(completed_run):
+    """Each attention.csv row agrees with the oracle's loop over the written
+    ear/<id>.csv, and is exactly the package's summary of that file."""
     _, cfg, out = completed_run
     table = {row["conference_id"]: row for row in read_attention_table(out / "attention.csv")}
     threshold, gap_factor = cfg.attention.threshold, cfg.attention.gap_factor
+    fields = ("attention_integral", "log_attention", "reading_time_s", "end_s", "observed_s")
     checked = []
     for path in sorted((out / "ear").glob("*.csv")):
-        expected = attention_row(*read_ear_rows(path), threshold, gap_factor)
+        timestamps, values = read_ear_rows(path)
+        expected = attention_row(timestamps, values, threshold, gap_factor)
         row = table.get(path.stem)
         if row is None:  # excluded: too few samples, or no log of a zero integral
             assert expected is None or expected["log_attention"] is None, path.stem
             continue
         assert (row["n_samples"], row["n_gaps"]) == (expected["n_samples"], expected["n_gaps"])
-        for field in ("attention_integral", "log_attention", "reading_time_s", "end_s",
-                      "observed_s"):
+        for field in fields:
             assert row[field] == pytest.approx(expected[field], rel=1e-12, abs=0), field
+        summary = summarize_conference(
+            EarSeries(path.stem, np.array(timestamps), np.array(values),
+                      estimate_fps(timestamps)),
+            cfg.attention,
+        )
+        assert (summary.n_samples, summary.n_gaps) == (row["n_samples"], row["n_gaps"])
+        for field in fields:
+            assert float.hex(getattr(summary, field)) == float.hex(row[field]), field
         checked.append(path.stem)
     assert sorted(checked) == sorted(table)
     assert len(checked) == 6
@@ -225,12 +234,6 @@ def test_different_config_refuses_overwrite(completed_run, tmp_path):
     other = load_run_config(config_path)
     with pytest.raises(ConfigError, match="refusing to overwrite"):
         run_stages(other, out)
-
-
-def test_stage_requires_upstream_outputs(small_fixture, tmp_path):
-    cfg = load_run_config(write_run_config(tmp_path / "config.json", small_fixture))
-    with pytest.raises(ConfigError, match="run the identify stage first"):
-        stage_attention(cfg, tmp_path / "fresh", load_registry(cfg.registry), digest(cfg))
 
 
 def test_eventstudy_aborts_below_three_usable(tmp_path):
@@ -708,19 +711,18 @@ def test_invalid_utf8_is_a_data_error(small_fixture, tmp_path, kind):
 
 
 def test_exclusion_reasons_do_not_depend_on_out(small_fixture, tmp_path):
-    """A bad ear/<id>.csv is named relative to --out, wherever --out lies."""
-    cfg = load_run_config(write_run_config(tmp_path / "config.json", small_fixture))
+    """A bad segments file is named relative to the registry's directory,
+    wherever --out lies."""
+    fixture = shutil.copytree(small_fixture, tmp_path / "fixture")
+    segments = fixture / "segments" / "conf-006.csv"
+    segments.write_bytes(segments.read_bytes() + b"1.5,abc,chair\n")
+    cfg = load_run_config(write_run_config(tmp_path / "config.json", fixture))
     trees = []
     for out in (tmp_path / "a" / "out", tmp_path / "b" / "deeper" / "out"):
-        identify_only(cfg, out)
-        ear = out / "ear" / "conf-006.csv"
-        ear.write_bytes(ear.read_bytes() + b"1.5,abc\n")
-        records = load_registry(cfg.registry)
-        rows = stage_attention(cfg, out, records, digest(cfg))
-        stage_eventstudy(cfg, out, records, digest(cfg), rows)
+        run_stages(cfg, out)
         diag = json.loads((out / "diagnostics" / "attention.json").read_text())
         reasons = {e["conference_id"]: e["reason"] for e in diag["exclusions"]}
-        assert reasons["conf-006"].startswith("ear/conf-006.csv"), reasons
+        assert reasons["conf-006"].startswith("segments/conf-006.csv: "), reasons
         trees.append(tree_bytes(out))
     assert trees[0] == trees[1]
 
@@ -825,7 +827,7 @@ def test_malformed_input_is_one_line_error(
 def test_unreadable_landmark_file_is_one_line_configuration_error(
     small_fixture, tmp_path, unreadable
 ):
-    """A landmark path that exists but cannot be read fails as a missing one does."""
+    """A landmark path that is missing or cannot be read is one message."""
     fixture = shutil.copytree(small_fixture, tmp_path / "fixture")
     path = fixture / "landmarks" / "conf-003.jsonl"
     path.unlink()
@@ -835,10 +837,8 @@ def test_unreadable_landmark_file_is_one_line_configuration_error(
     assert result.returncode == 1
     assert "Traceback" not in result.stderr
     assert len(result.stderr.splitlines()) == 1, result.stderr
-    reason = f"cannot read landmark file {path}: " if unreadable else (
-        f"landmark file not found: {path}"
-    )
-    assert result.stderr.startswith(f"configuration error: {reason}"), result.stderr
+    reason = f"configuration error: cannot read landmark file {path}: "
+    assert result.stderr.startswith(reason), result.stderr
 
 
 @pytest.mark.parametrize("command", ["run", "synth"])

@@ -32,7 +32,6 @@ from earstudy.synth import (
     ReadingEpisode,
     ScenarioSpec,
     ScriptInterval,
-    analytic_attention,
     cluster_center,
     gen_gallery,
     gen_landmark_stream,
@@ -42,6 +41,8 @@ from earstudy.synth import (
     run_synth,
 )
 from earstudy.schema import read, to_json
+
+from oracles import analytic_attention
 
 TZ = timezone(timedelta(hours=-4))
 
