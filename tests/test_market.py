@@ -21,7 +21,13 @@ from earstudy import (
     realized_vol,
     window_log_return,
 )
-from earstudy.market import parse_instant, read_price_csv, window_returns, write_price_csv
+from earstudy.market import (
+    _first_bad_bar,
+    parse_instant,
+    read_price_csv,
+    window_returns,
+    write_price_csv,
+)
 from earstudy.pipeline import load_registry, load_run_config, run_stages
 from earstudy.synth import build_fixture, planted_study_scenarios
 
@@ -277,6 +283,100 @@ def test_a_z_between_date_and_time_is_rejected_as_parse_instant_rejects_it(tmp_p
     assert str(info.value) == str(expected.value) == f"invalid timestamp {stamp!r}"
 
 
+def write_prices(path, bars):
+    path.write_text("timestamp,price\n" + "".join(f"{t},{p}\n" for t, p in bars),
+                    encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("cell", [
+    "1e5", "1E-3", "+1.5", ".5", "5.", "1_000.5", " 2.5", "\u0661\u0662\u0663.\u0665", "100",
+    "100000000000000000000000", "1e400",
+])
+def test_price_cells_read_as_float_reads_them(tmp_path, cell):
+    """Each price is float() of its cell, whether JSON reads the cell as a
+    float, as an int or not at all."""
+    path = write_prices(tmp_path / "prices.csv", [
+        ("2011-06-15T12:30:00-04:00", "100.5"),
+        ("2011-06-15T12:31:00-04:00", cell),
+        ("2011-06-15T12:32:00-04:00", "101.25"),
+    ])
+    if math.isinf(float(cell)):
+        with pytest.raises(MalformedRecordError) as info:
+            read_price_csv(path)
+        assert str(info.value) == "non-finite price inf at 2011-06-15 12:31:00-04:00"
+    else:
+        got = read_price_csv(path).prices.tolist()
+        assert [p.hex() for p in got] == [float(c).hex() for c in ("100.5", cell, "101.25")]
+
+
+# Stamp columns, and the reader's error for each or None when the bars are
+# in order.  fromisoformat takes any character between date and time, a
+# digit or a space too, so stamps outside the canonical "T" form can order
+# one way as text and the other way as instants.
+STAMP_ORDERS = {
+    "canonical-increasing": (
+        ["2011-06-15T12:30:00-04:00", "2011-06-15T12:31:00-04:00", "2011-06-16T09:00:00-04:00"],
+        None,
+    ),
+    "canonical-repeat": (
+        ["2011-06-15T12:30:00-04:00", "2011-06-15T12:31:00-04:00", "2011-06-15T12:31:00-04:00"],
+        "price timestamps not strictly increasing at 2011-06-15 12:31:00-04:00",
+    ),
+    "digit-separators": (
+        ["2011-06-15312:31:00-04:00", "2011-06-15512:30:00-04:00"],
+        "price timestamps not strictly increasing at 2011-06-15 12:30:00-04:00",
+    ),
+    "space-then-t-back-in-time": (
+        ["2011-06-15 12:33:00-04:00", "2011-06-15T12:32:30-04:00"],
+        "price timestamps not strictly increasing at 2011-06-15 12:32:30-04:00",
+    ),
+    "t-then-space-forward-in-time": (
+        ["2011-06-15T12:32:30-04:00", "2011-06-15 12:33:00-04:00"],
+        None,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STAMP_ORDERS))
+def test_stamp_text_order_agrees_with_instant_order(tmp_path, case):
+    stamps, reason = STAMP_ORDERS[case]
+    path = write_prices(tmp_path / "prices.csv", [(s, "100.5") for s in stamps])
+    if reason is None:
+        assert read_price_csv(path).times == tuple(map(datetime.fromisoformat, stamps))
+    else:
+        with pytest.raises(MalformedRecordError) as info:
+            read_price_csv(path)
+        assert str(info.value) == reason
+
+
+@given(st.lists(
+    st.tuples(st.integers(min_value=0, max_value=5), st.sampled_from([-4, 1])),
+    min_size=1, max_size=6,
+))
+@settings(max_examples=100, deadline=None)
+def test_canonical_stamps_are_accepted_exactly_when_instants_increase(tmp_path_factory, bars):
+    """Bars k minutes after 15:00Z, each written in one of two offsets."""
+    start = datetime(2011, 6, 15, 15, 0, tzinfo=timezone.utc)
+    times = tuple(
+        (start + timedelta(minutes=k)).astimezone(timezone(timedelta(hours=h)))
+        for k, h in bars
+    )
+    prices = np.full(len(times), 100.5)
+    path = write_prices(tmp_path_factory.mktemp("order") / "prices.csv",
+                        [(t.isoformat(), "100.5") for t in times])
+    assert all(len(t.isoformat()) == 25 for t in times)
+    if all(a < b for a, b in zip(times, times[1:])):
+        series = read_price_csv(path)
+        assert [(t.isoformat(), t.utcoffset()) for t in series.times] == [
+            (t.isoformat(), t.utcoffset()) for t in times
+        ]
+    else:
+        with pytest.raises(MalformedRecordError) as info:
+            read_price_csv(path)
+        assert str(info.value) == _first_bad_bar(times, prices)
+
+
 def test_price_csv_rejects_bad_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("time,px\n2019-05-15T14:00:00-04:00,100\n")
@@ -321,6 +421,10 @@ MALFORMED_PRICES = {
     ),
     "missing-price": ([(2, 1, None)], "{path}: bad price row ['2011-06-15T12:32:00-04:00']"),
     "zero-price": ([(2, 1, "0")], "non-positive price 0.0 at 2011-06-15 12:32:00-04:00"),
+    "negative-zero-price": (
+        [(2, 1, "-0")],
+        "non-positive price -0.0 at 2011-06-15 12:32:00-04:00",
+    ),
     "negative-price": (
         [(2, 1, "-1.5")],
         "non-positive price -1.5 at 2011-06-15 12:32:00-04:00",
