@@ -5,6 +5,9 @@ conference as a left Riemann sum with a fixed step of one nominal frame
 interval, so camera-away gaps (stretches with no samples) contribute
 nothing.  Its natural log is first-differenced across consecutive
 conferences to obtain a stationary regressor.
+
+The module reads speaker segments (read_segments_csv) and writes no file:
+the pipeline writes the EAR series with output.write_csv and EAR_COLUMNS.
 """
 
 from __future__ import annotations
@@ -275,21 +278,13 @@ def summarize_conference(series: EarSeries, config: AttentionConfig) -> Conferen
 
 
 # ---------------------------------------------------------------------------
-# CSV formats, in the format of output.write_csv/read_csv: EAR series
+# CSV columns, in the format of output.write_csv/read_csv: EAR series
 # ("timestamp_s,ear"), written only, and speaker segments
 # ("start_s,end_s,speaker"), read and written.
 # ---------------------------------------------------------------------------
 
 EAR_COLUMNS = ("timestamp_s", "ear")
 SEGMENT_COLUMNS = ("start_s", "end_s", "speaker")
-
-
-def write_ear_csv(
-    timestamps: np.ndarray, values: np.ndarray, fh, meta_line: str | None = None
-) -> int:
-    """Write one (timestamp_s, ear) row per sample; returns the row count."""
-    rows = zip(timestamps.tolist(), values.tolist(), strict=True)
-    return output.write_csv(fh, EAR_COLUMNS, rows, meta_line)
 
 
 def read_segments_csv(path: str | Path, conference_id: str) -> SpeakerSegments:
@@ -300,8 +295,3 @@ def read_segments_csv(path: str | Path, conference_id: str) -> SpeakerSegments:
         "segment",
     )
     return SpeakerSegments(conference_id, tuple(rows))
-
-
-def write_segments_csv(segments: SpeakerSegments, fh, meta_line: str | None = None) -> None:
-    rows = ((float(start), float(end), tag) for start, end, tag in segments.segments)
-    output.write_csv(fh, SEGMENT_COLUMNS, rows, meta_line)

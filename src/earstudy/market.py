@@ -303,10 +303,3 @@ def read_price_csv(path: str | Path) -> PriceSeries:
         output.check_rows(path, rows, _check_price_row, "price")
         raise
 
-
-def write_price_csv(
-    stamps: Iterable[str], prices: Iterable[float], fh, meta_line: str | None = None
-) -> int:
-    """Write one row per bar from a column of timestamp text and one of prices."""
-    rows = zip(stamps, map(float, prices), strict=True)
-    return output.write_csv(fh, PRICE_COLUMNS, rows, meta_line)

@@ -8,7 +8,8 @@ hash so identical runs into different directories stay byte-identical.
 
 Every CSV the package reads or writes has optional ``#`` metadata comment
 lines, a header row, then one row per record, its cells separated by commas
-and never quoted.
+and never quoted.  write_csv is the package's one CSV writer: every CSV it
+writes, in the pipeline and in synth, starts with the stamp line.
 """
 
 from __future__ import annotations
@@ -114,25 +115,21 @@ def _cell(value) -> str:
 _PLAIN_CELLS = frozenset({str, int, float})
 
 
-def write_csv(
-    fh, columns: Sequence[str], rows: Iterable[tuple], meta_line: str | None = None
-) -> int:
-    """Write an optional ``# meta_line`` comment, the header, then the rows.
+def write_csv(path: Path, columns: Sequence[str], rows: Iterable[tuple], digest: str) -> int:
+    """Write path as a stamped CSV, through write_text: the
+    ``# config_hash=… tool_version=…`` line, the header, then the rows.
 
     Each row is a tuple with one cell per column.  Floats are written as
     ``repr(float(v))`` (the shortest text that reads back to the same
-    value), None as an empty cell, anything else with ``str``.  No header
-    is written when ``columns`` is empty.  Returns the number of rows.
+    value), None as an empty cell, anything else with ``str``.  Returns the
+    number of rows.
     """
-    if meta_line is not None:
-        fh.write(f"# {meta_line}\n")
-    if columns:
-        fh.write(",".join(columns) + "\n")
     rows = list(rows)
     if not _PLAIN_CELLS.issuperset(map(type, chain.from_iterable(rows))):
         rows = [tuple(map(_cell, row)) for row in rows]
     line = ",".join(["%s"] * len(columns)) + "\n"
-    fh.write("".join(map(line.__mod__, rows)))
+    head = f"# {meta_line(digest)}\n{','.join(columns)}\n"
+    write_text(path, head + "".join(map(line.__mod__, rows)), digest)
     return len(rows)
 
 

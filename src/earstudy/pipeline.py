@@ -1,9 +1,11 @@
 """The pipeline: identify -> attention -> eventstudy, run in that order.
 
-identify turns each landmark stream into the target speaker's EAR series,
-writes it as ear/<id>.csv and returns it; attention takes those series in
-memory and returns the attention table it writes; eventstudy takes that
-table in memory.  Each stage writes its own files plus diagnostics.
+identify turns each landmark stream into the target speaker's EAR series;
+attention turns those series into the attention table; eventstudy turns
+that table into window statistics and regression results.  The stages are
+pure: each returns what it computed, with its diagnostics, and writes
+nothing.  write_outputs writes every stage file once all three have
+returned, so a run that fails leaves only run_config.json under --out.
 Conferences that fail a stage are excluded with a logged reason rather
 than aborting the run.
 """
@@ -11,7 +13,6 @@ than aborting the run.
 from __future__ import annotations
 
 import hashlib
-import io
 import logging
 import os
 from dataclasses import dataclass, field
@@ -138,15 +139,18 @@ def load_registry(path: str | Path) -> list[ConferenceRecord]:
 
 # Read as (N, 12, 2), left eye first: the only points identify converts.
 EYE_POINTS = geometry.LEFT_EYE_INDICES + geometry.RIGHT_EYE_INDICES
+# A stage's results: each conference's EAR series as (timestamps, values),
+# and each dependent's regressions, one per covariate.
+Series = dict[str, tuple[np.ndarray, np.ndarray]]
+Results = dict[str, list[regression.RegressionResult]]
 
 
 def stage_identify(
-    cfg: RunConfig, out_dir: Path, records: list[ConferenceRecord], digest: str,
-    gallery: identity.Gallery,
-) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    """Each landmark stream's target-speaker frames as an EAR series, written
-    as ear/<id>.csv and returned as {id: (timestamps, values)}."""
-    series: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+    cfg: RunConfig, records: list[ConferenceRecord], gallery: identity.Gallery,
+) -> tuple[Series, dict]:
+    """Each landmark stream's target-speaker frames as an EAR series, and
+    the identify diagnostics."""
+    series: Series = {}
     conferences: dict[str, dict] = {}
     warnings: list[tuple[str, str]] = []
     for record in records:
@@ -162,10 +166,7 @@ def stage_identify(
         values, usable = geometry.batch_ear(batch.points[keep], range(6), range(6, 12))
         timestamps, values = batch.timestamps[keep][usable], values[usable]
         series[record.conference_id] = timestamps, values
-        buf = io.StringIO()
-        count = att.write_ear_csv(timestamps, values, buf, meta_line=output.meta_line(digest))
-        output.write_text(out_dir / "ear" / f"{record.conference_id}.csv",
-                          buf.getvalue(), digest)
+        count = len(timestamps)
         info = {**diag.as_dict(), "n_samples": count, "dropped_degenerate": diag.written - count}
         if diag.written == 0:
             info["warning"] = "no frames classified as target"
@@ -178,10 +179,7 @@ def stage_identify(
     # later file stays the failing run's one line on stderr.
     for conference_id, warning in warnings:
         log.warning("conference %s: %s", conference_id, warning)
-
-    output.write_json(out_dir / "diagnostics" / "identify.json",
-                      {"conferences": conferences}, digest)
-    return series
+    return series, {"conferences": conferences}
 
 
 ATTENTION_COLUMNS = (
@@ -204,13 +202,12 @@ WINDOW_COLUMNS = (
 
 
 def stage_attention(
-    cfg: RunConfig, out_dir: Path, records: list[ConferenceRecord], digest: str,
-    series: dict[str, tuple[np.ndarray, np.ndarray]],
-) -> list[dict]:
-    """The attention table from stage_identify's EAR series, written as
-    attention.csv.
+    cfg: RunConfig, records: list[ConferenceRecord], series: Series,
+) -> tuple[list[dict], dict]:
+    """The attention table from stage_identify's EAR series.
 
-    Returns its rows, one dict per surviving conference in date order.
+    Returns its rows, one dict per surviving conference in date order, and
+    the attention diagnostics.
     """
     rows: list[dict] = []
     exclusions: list[dict] = []
@@ -250,15 +247,7 @@ def stage_attention(
         deltas = att.delta_series([r[source] for r in rows]).tolist() if len(rows) > 1 else []
         for row, delta in zip(rows, [None, *deltas]):
             row[delta_col] = delta
-
-    buf = io.StringIO()
-    output.write_csv(buf, ATTENTION_COLUMNS, map(itemgetter(*ATTENTION_COLUMNS), rows),
-                     output.meta_line(digest))
-    output.write_text(out_dir / "attention.csv", buf.getvalue(), digest)
-
-    diagnostics = {"exclusions": exclusions, "floored": floored, "n_rows": len(rows)}
-    output.write_json(out_dir / "diagnostics" / "attention.json", diagnostics, digest)
-    return rows
+    return rows, {"exclusions": exclusions, "floored": floored, "n_rows": len(rows)}
 
 
 def _path_free(exc: Exception, registry: Path, *paths: Path) -> str:
@@ -275,11 +264,11 @@ def _path_free(exc: Exception, registry: Path, *paths: Path) -> str:
 
 
 def stage_eventstudy(
-    cfg: RunConfig, out_dir: Path, records: list[ConferenceRecord], digest: str,
-    rows: list[dict],
-) -> list[str]:
-    """Window statistics and the regression tables for stage_attention's rows;
-    returns the table texts."""
+    cfg: RunConfig, records: list[ConferenceRecord], rows: list[dict],
+) -> tuple[list[dict], Results, dict]:
+    """The window rows and regressions for stage_attention's rows, and the
+    eventstudy diagnostics; fewer than 3 usable conferences raise
+    InsufficientDataError."""
     by_id = {r.conference_id: r for r in records}
     window_rows: list[dict] = []
     exclusions: list[dict] = []
@@ -312,11 +301,6 @@ def stage_eventstudy(
             "vol_change_x100": stats.vol_change * 100.0,
         })
 
-    buf = io.StringIO()
-    output.write_csv(buf, WINDOW_COLUMNS, map(itemgetter(*WINDOW_COLUMNS), window_rows),
-                     output.meta_line(digest))
-    output.write_text(out_dir / "windows.csv", buf.getvalue(), digest)
-
     usable = [r for r in window_rows if r["delta_log_attention"] is not None]
     if len(usable) < 3:
         raise InsufficientDataError(
@@ -324,34 +308,13 @@ def stage_eventstudy(
             "need at least 3"
         )
 
-    texts: list[str] = []
-    for dependent in DEPENDENT_COLUMNS:
-        results = []
+    results: Results = {dependent: [] for dependent in DEPENDENT_COLUMNS}
+    for dependent, models in results.items():
         for covariate in COVARIATE_COLUMNS:
-            pairs = [
-                (r[dependent], r[covariate], r["conference_id"])
-                for r in usable
-                if r[covariate] is not None
-            ]
-            data = regression.RegressionInput(
-                y=np.array([p[0] for p in pairs]),
-                x=np.array([p[1] for p in pairs]),
-                labels=tuple(p[2] for p in pairs),
-            )
-            results.append(regression.ols_univariate(data))
-        text = regression.render_table(results, dependent, COVARIATE_COLUMNS)
-        texts.append(text)
-        rows_out = regression.table_rows(results, dependent, COVARIATE_COLUMNS)
-
-        output.write_text(
-            out_dir / "tables" / f"{dependent}.txt",
-            f"# {output.meta_line(digest)}\n" + text,
-            digest,
-        )
-        csv_buf = io.StringIO()
-        regression.write_table_csv(rows_out, csv_buf, meta_line=output.meta_line(digest))
-        output.write_text(out_dir / "tables" / f"{dependent}.csv", csv_buf.getvalue(), digest)
-        output.write_json(out_dir / "tables" / f"{dependent}.json", {"models": rows_out}, digest)
+            y, x, labels = zip(*[(r[dependent], r[covariate], r["conference_id"])
+                                 for r in usable if r[covariate] is not None])
+            models.append(regression.ols_univariate(
+                regression.RegressionInput(y=np.array(y), x=np.array(x), labels=labels)))
 
     diagnostics = {
         "exclusions": exclusions,
@@ -359,7 +322,42 @@ def stage_eventstudy(
         "n_regression_rows": len(usable),
         "standard_errors": "classical homoskedastic",
     }
-    output.write_json(out_dir / "diagnostics" / "eventstudy.json", diagnostics, digest)
+    return window_rows, results, diagnostics
+
+
+def write_outputs(
+    out_dir: Path, digest: str, identified: tuple[Series, dict],
+    attended: tuple[list[dict], dict], studied: tuple[list[dict], Results, dict],
+) -> list[str]:
+    """Write every stage file, stamped with digest, from the three stages'
+    return values; returns the rendered tables.  The one place that lays
+    out --out."""
+    series, identify_diagnostics = identified
+    for conference_id, (timestamps, values) in series.items():
+        output.write_csv(out_dir / "ear" / f"{conference_id}.csv", att.EAR_COLUMNS,
+                         zip(timestamps.tolist(), values.tolist()), digest)
+    output.write_json(out_dir / "diagnostics" / "identify.json", identify_diagnostics, digest)
+
+    rows, attention_diagnostics = attended
+    output.write_csv(out_dir / "attention.csv", ATTENTION_COLUMNS,
+                     map(itemgetter(*ATTENTION_COLUMNS), rows), digest)
+    output.write_json(out_dir / "diagnostics" / "attention.json", attention_diagnostics, digest)
+
+    window_rows, results, eventstudy_diagnostics = studied
+    output.write_csv(out_dir / "windows.csv", WINDOW_COLUMNS,
+                     map(itemgetter(*WINDOW_COLUMNS), window_rows), digest)
+    tables = out_dir / "tables"
+    texts: list[str] = []
+    for dependent, models in results.items():
+        text = regression.render_table(models, dependent, COVARIATE_COLUMNS)
+        texts.append(text)
+        table = regression.table_rows(models, dependent, COVARIATE_COLUMNS)
+        output.write_text(tables / f"{dependent}.txt",
+                          f"# {output.meta_line(digest)}\n" + text, digest)
+        output.write_csv(tables / f"{dependent}.csv", list(table[0]),
+                         [tuple(row.values()) for row in table], digest)
+        output.write_json(tables / f"{dependent}.json", {"models": table}, digest)
+    output.write_json(out_dir / "diagnostics" / "eventstudy.json", eventstudy_diagnostics, digest)
     return texts
 
 
@@ -371,10 +369,13 @@ STAGE_FUNCTIONS = {
 
 
 def run_stages(cfg: RunConfig, out_dir: Path) -> list[str]:
-    """Run identify, attention and eventstudy, one after another.
+    """Run identify, attention and eventstudy, one after another, then
+    write_outputs.
 
     The registry and the gallery are loaded, and the inputs hashed, once,
     before anything is written, so an input error leaves --out untouched.
+    run_config.json is written before the stages, so that an unwritable
+    --out, or one made under another config, fails first.
     The stages are called through STAGE_FUNCTIONS, so that a profiler (the
     tracer in perfbench/) can time each by replacing its entry.  Returns the
     rendered regression tables; nothing is printed.
@@ -388,6 +389,7 @@ def run_stages(cfg: RunConfig, out_dir: Path) -> list[str]:
             f"gallery {cfg.gallery} has no entries for target label {cfg.target_label!r}"
         )
     output.write_json(out_dir / "run_config.json", {"config": payload}, digest)
-    series = STAGE_FUNCTIONS["identify"](cfg, out_dir, records, digest, gallery)
-    rows = STAGE_FUNCTIONS["attention"](cfg, out_dir, records, digest, series)
-    return STAGE_FUNCTIONS["eventstudy"](cfg, out_dir, records, digest, rows)
+    identified = STAGE_FUNCTIONS["identify"](cfg, records, gallery)
+    attended = STAGE_FUNCTIONS["attention"](cfg, records, identified[0])
+    studied = STAGE_FUNCTIONS["eventstudy"](cfg, records, attended[0])
+    return write_outputs(out_dir, digest, identified, attended, studied)

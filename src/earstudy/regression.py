@@ -1,8 +1,9 @@
 """Univariate OLS with full inference statistics and table rendering.
 
 Closed-form slope/intercept estimates with classical (homoskedastic)
-standard errors, two-sided Student-t p-values, and a text/CSV table
-renderer using the conventional significance stars.
+standard errors, two-sided Student-t p-values, a text table renderer
+using the conventional significance stars, and the machine-readable rows
+that the pipeline writes as CSV and JSON.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from typing import Sequence
 
 import numpy as np
 
-from . import output
 from .errors import DegenerateRegressorError, InsufficientDataError, MalformedRecordError
 
 
@@ -257,7 +257,3 @@ def table_rows(
         rows.append(row)
     return rows
 
-
-def write_table_csv(rows: Sequence[dict], fh, meta_line: str | None = None) -> None:
-    fields = list(rows[0]) if rows else []
-    output.write_csv(fh, fields, (tuple(row[f] for f in fields) for row in rows), meta_line)

@@ -23,7 +23,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .attention import SpeakerSegments, write_segments_csv
+from .attention import SEGMENT_COLUMNS
 from .errors import ConfigError, ScenarioError
 from .geometry import (
     EMBEDDING_DIM,
@@ -33,13 +33,13 @@ from .geometry import (
     write_landmark_stream,
 )
 from .identity import Gallery, GalleryEntry, dump_gallery
-from .market import ConferenceTimeline, PriceBar, write_price_csv
+from .market import PRICE_COLUMNS, ConferenceTimeline, PriceBar
 from .output import (
     FILE_ID_RULE,
     config_digest,
     is_file_id,
     meta_dict,
-    meta_line,
+    write_csv,
     write_json,
     write_text,
 )
@@ -525,7 +525,7 @@ def _walk_prices(spec: ScenarioSpec) -> tuple[datetime, list[float], PriceTruth]
         log_prices = np.cumsum(np.concatenate(([math.log(ps.base_price)], steps)))
     if not log_prices.max() <= _MAX_LOG_PRICE:
         raise ScenarioError(f"{spec.conference_id}: the price walk overflows")
-    prices = [ps.base_price, *map(math.exp, log_prices[1:].tolist())]
+    prices = [float(ps.base_price), *map(math.exp, log_prices[1:].tolist())]
     n_qa_steps = int(np.count_nonzero(in_qa))
 
     truth = PriceTruth(
@@ -774,7 +774,7 @@ def build_fixture(
     # leaves no file behind.
     for spec in scenarios:
         check_gallery_labels(spec, gallery_spec)
-    price_files = [_price_file(spec, digest) for spec in scenarios]
+    walks = [_walk_prices(spec) for spec in scenarios]
     gallery, _queries = gen_gallery(**asdict(gallery_spec))
     buf = io.StringIO()
     dump_gallery(gallery, buf, meta=meta_dict(digest))
@@ -782,22 +782,21 @@ def build_fixture(
 
     registry_entries = []
     truths: dict[str, dict] = {}
-    for spec, (price_text, price_truth) in zip(scenarios, price_files):
+    for spec, (window_open, prices, price_truth) in zip(scenarios, walks):
         cid = spec.conference_id
         frame_indices, batch, landmark_truth = gen_landmark_stream(spec, gallery_spec)
-        landmarks, segments = io.StringIO(), io.StringIO()
+        landmarks = io.StringIO()
         write_landmark_stream(cid, frame_indices, batch, landmarks, meta=meta_dict(digest))
-        rows = tuple(speaker_segments_rows(spec))
-        write_segments_csv(SpeakerSegments(cid, rows), segments, meta_line=meta_line(digest))
         # Each file's path in the fixture, which the registry also records.
-        files = {
-            "landmarks": (f"landmarks/{cid}.jsonl", landmarks.getvalue()),
-            "transcript": (f"transcripts/{cid}.txt", gen_transcript(spec)),
-            "segments": (f"segments/{cid}.csv", segments.getvalue()),
-            "prices": (f"prices/{cid}.csv", price_text),
-        }
-        for rel_path, text in files.values():
-            write_text(out_dir / rel_path, text, digest)
+        files = {"landmarks": f"landmarks/{cid}.jsonl", "transcript": f"transcripts/{cid}.txt",
+                 "segments": f"segments/{cid}.csv", "prices": f"prices/{cid}.csv"}
+        write_text(out_dir / files["landmarks"], landmarks.getvalue(), digest)
+        write_text(out_dir / files["transcript"], gen_transcript(spec), digest)
+        segments = [(float(start), float(end), tag)
+                    for start, end, tag in speaker_segments_rows(spec)]
+        write_csv(out_dir / files["segments"], SEGMENT_COLUMNS, segments, digest)
+        write_csv(out_dir / files["prices"], PRICE_COLUMNS,
+                  zip(minute_stamps(window_open, len(prices)), prices), digest)
         timeline = spec.resolved_timeline()
         registry_entries.append(
             {
@@ -806,7 +805,7 @@ def build_fixture(
                 "qa_start": timeline.qa_start.isoformat(),
                 "conference_end": timeline.conference_end.isoformat(),
                 "trading_close": timeline.trading_close.isoformat(),
-                **{key: rel_path for key, (rel_path, _) in files.items()},
+                **files,
             }
         )
         truths[cid] = {
@@ -820,14 +819,6 @@ def build_fixture(
     if study_truth is not None:
         truth_payload["study"] = study_truth
     write_json(out_dir / "ground_truth.json", truth_payload, digest)
-
-
-def _price_file(spec: ScenarioSpec, digest: str) -> tuple[str, PriceTruth]:
-    """The text of a scenario's price CSV, and the truth of its walk."""
-    window_open, prices, truth = _walk_prices(spec)
-    buf = io.StringIO()
-    write_price_csv(minute_stamps(window_open, len(prices)), prices, buf, meta_line(digest))
-    return buf.getvalue(), truth
 
 
 def run_synth(scenario_path: Path, out_dir: Path) -> None:

@@ -20,12 +20,13 @@ from earstudy import (
     log_attention_level,
 )
 from earstudy.attention import (
+    EAR_COLUMNS,
+    SEGMENT_COLUMNS,
     estimate_fps,
     read_segments_csv,
     summarize_conference,
-    write_ear_csv,
-    write_segments_csv,
 )
+from earstudy.output import write_csv
 
 from oracles import read_ear_rows
 
@@ -276,16 +277,14 @@ def test_ear_csv_round_trip_exact(tmp_path):
     timestamps = 0.5 * np.arange(1, 11)
     values = 0.1 + 0.01 * np.arange(10)
     path = tmp_path / "ear.csv"
-    with open(path, "w", encoding="utf-8") as fh:
-        write_ear_csv(timestamps, values, fh, meta_line="config_hash=abc tool_version=0")
+    write_csv(path, EAR_COLUMNS, zip(timestamps.tolist(), values.tolist()), "abc")
     assert read_ear_rows(path) == (timestamps.tolist(), values.tolist())
 
 
 def test_segments_csv_round_trip(tmp_path):
     segs = segments((0.0, 100.0, "chair"), (100.0, 160.0, "reporter"))
     path = tmp_path / "segments.csv"
-    with open(path, "w", encoding="utf-8") as fh:
-        write_segments_csv(segs, fh, meta_line="x")
+    write_csv(path, SEGMENT_COLUMNS, segs.segments, "x")
     loaded = read_segments_csv(path, "c")
     assert loaded.segments == segs.segments
 

@@ -1,4 +1,3 @@
-import io
 import json
 import math
 import shutil
@@ -22,12 +21,13 @@ from earstudy import (
     window_log_return,
 )
 from earstudy.market import (
+    PRICE_COLUMNS,
     _first_bad_bar,
     parse_instant,
     read_price_csv,
     window_returns,
-    write_price_csv,
 )
+from earstudy.output import write_csv
 from earstudy.pipeline import load_registry, load_run_config, run_stages
 from earstudy.synth import build_fixture, planted_study_scenarios
 
@@ -226,13 +226,10 @@ def test_parse_instant():
 def test_price_csv_round_trip(tmp_path):
     series = minute_bars(at(14, 0), [100.0, 100.5, 101.25])
     path = tmp_path / "prices.csv"
-    with open(path, "w", encoding="utf-8") as fh:
-        write_price_csv(map(datetime.isoformat, series.times), series.prices, fh,
-                        meta_line="config_hash=ff tool_version=0")
+    write_csv(path, PRICE_COLUMNS,
+              zip(map(datetime.isoformat, series.times), series.prices.tolist()), "ff")
     loaded = read_price_csv(path)
     assert loaded.bars == series.bars
-    with pytest.raises(ValueError):  # the two columns must have one length
-        write_price_csv(["2019-05-15T14:00:00-04:00"], [100.0, 101.0], io.StringIO())
 
 
 def test_mixed_offsets_are_ordered_by_instant(tmp_path):

@@ -1,6 +1,6 @@
 import gc
-import io
 import json
+import re
 import shutil
 import subprocess
 import sys
@@ -10,13 +10,15 @@ from typing import NamedTuple
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from earstudy import ConfigError, DataError, InsufficientDataError, pipeline, schema
-from earstudy.attention import EarSeries, estimate_fps, summarize_conference, write_ear_csv
+from earstudy.attention import EarSeries, estimate_fps, summarize_conference
 from earstudy.cli import main
 from earstudy.geometry import LEFT_EYE_INDICES, RIGHT_EYE_INDICES, read_landmark_batch
 from earstudy.identity import load_gallery
-from earstudy.output import config_digest, meta_line, read_csv
+from earstudy.output import config_digest, read_csv
 from earstudy.pipeline import (
     ATTENTION_COLUMNS,
     load_registry,
@@ -39,12 +41,6 @@ from oracles import (
 
 def digest(cfg) -> str:
     return config_digest(cfg.digest_payload())
-
-
-def identify_only(cfg, out: Path) -> None:
-    """The identify stage alone, given what run_stages gives it."""
-    stage_identify(cfg, out, load_registry(cfg.registry), digest(cfg),
-                   load_gallery(cfg.gallery))
 
 
 def attention_table_row(cells: list[str]) -> dict:
@@ -70,8 +66,22 @@ def tree_bytes(root: Path) -> dict:
     }
 
 
-def scalar_identify(cfg, record) -> tuple[bytes, dict]:
-    """ear/<id>.csv and the routing tally as the oracles give them.
+def out_files(out: Path) -> list[str]:
+    return sorted(p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file())
+
+
+_HASH = re.compile(rb'(config_hash["=:\s]+)[0-9a-f]{12}')
+
+
+def masked_tree(root: Path) -> dict:
+    """tree_bytes without run_config.json, each config_hash value masked."""
+    return {name: _HASH.sub(rb"\1<hash>", data) for name, data in tree_bytes(root).items()
+            if name != "run_config.json"}
+
+
+def scalar_identify(cfg, record) -> tuple[tuple[list, list], dict]:
+    """The EAR series (timestamps, values) and the routing tally as the
+    oracles give them.
 
     The stdlib-json reader, the brute-force vote and the math.hypot EAR
     stand in for the library's reader, classifier and EAR.
@@ -102,10 +112,7 @@ def scalar_identify(cfg, record) -> tuple[bytes, dict]:
             except ZeroDivisionError:
                 pass
     tally["total"] = len(columns["timestamp_s"])
-    buf = io.StringIO()
-    timestamps, values = np.array(samples, dtype=float).reshape(-1, 2).T
-    write_ear_csv(timestamps, values, buf, meta_line=meta_line(digest(cfg)))
-    return buf.getvalue().encode("utf-8"), tally
+    return ([t for t, _ in samples], [ear for _, ear in samples]), tally
 
 
 @pytest.fixture(scope="module")
@@ -246,6 +253,64 @@ def test_eventstudy_aborts_below_three_usable(tmp_path):
     cfg = load_run_config(config_path)
     with pytest.raises(InsufficientDataError):
         run_stages(cfg, tmp_path / "out")
+    assert out_files(tmp_path / "out") == ["run_config.json"]
+
+
+@pytest.mark.parametrize("fault, code", [("malformed", 2), ("missing", 1)])
+def test_failed_run_leaves_only_run_config(small_fixture, tmp_path, capsys, fault, code):
+    """A landmark fault in the last conference fails the run after identify
+    has been through every other one, and no stage file is left."""
+    fixture = shutil.copytree(small_fixture, tmp_path / "fixture")
+    path = fixture / "landmarks" / "conf-008.jsonl"
+    if fault == "malformed":
+        lines = path.read_text().splitlines()
+        lines[2] = "{bad"
+        path.write_text("".join(f"{line}\n" for line in lines))
+    else:
+        path.unlink()
+    config_path = write_run_config(fixture / "config.json", fixture)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config_path), "--out", str(out)]) == code
+    error = "data error: " if code == 2 else "configuration error: "
+    assert capsys.readouterr().err.startswith(error)
+    assert out_files(out) == ["run_config.json"]
+
+
+@settings(max_examples=4, deadline=None)
+@given(order=st.permutations(range(8)))
+def test_registry_order_leaves_the_tree_unchanged(completed_run, tmp_path_factory, order):
+    """Shuffling the registry's entries changes only its sha256, so every
+    file but run_config.json is the same once config_hash is masked."""
+    fixture, _, out = completed_run
+    work = tmp_path_factory.mktemp("shuffled")
+    copy = shutil.copytree(fixture, work / "fixture")
+    raw = json.loads((copy / "registry.json").read_text())
+    raw["conferences"] = [raw["conferences"][i] for i in order]
+    (copy / "registry.json").write_text(json.dumps(raw))
+    run_stages(load_run_config(write_run_config(work / "config.json", copy)), work / "out")
+    assert masked_tree(work / "out") == masked_tree(out)
+
+
+@pytest.mark.parametrize("conference_id", ["conf-001", "conf-006"])
+def test_bad_price_file_leaves_other_window_rows_unchanged(
+    completed_run, tmp_path, conference_id
+):
+    """A conference excluded for a price of -1 loses its windows.csv row,
+    and every other line stays as it was."""
+    fixture, _, out = completed_run
+    copy = shutil.copytree(fixture, tmp_path / "fixture")
+    path = copy / "prices" / f"{conference_id}.csv"
+    lines = path.read_text().splitlines(keepends=True)
+    lines[5] = lines[5].split(",")[0] + ",-1\n"
+    path.write_text("".join(lines))
+    run_stages(load_run_config(write_run_config(tmp_path / "config.json", copy)),
+               tmp_path / "out")
+    diag = json.loads((tmp_path / "out" / "diagnostics" / "eventstudy.json").read_text())
+    assert [e["conference_id"] for e in diag["exclusions"]] == [conference_id]
+    before = (out / "windows.csv").read_text().splitlines()
+    after = (tmp_path / "out" / "windows.csv").read_text().splitlines()
+    assert after == [line for line in before if not line.startswith(f"{conference_id},")]
+    assert len(after) == len(before) - 1
 
 
 def test_registry_loader_orders_and_validates(small_fixture):
@@ -604,9 +669,11 @@ def test_whole_min_votes_loads(small_fixture, tmp_path, value):
 
 
 def test_ear_series_matches_scalar_oracle(completed_run):
+    """Each ear/<id>.csv, read back by the stdlib csv module, is the
+    oracle's series, value for value."""
     _, cfg, out = completed_run
     for record in load_registry(cfg.registry):
-        got = (out / "ear" / f"{record.conference_id}.csv").read_bytes()
+        got = read_ear_rows(out / "ear" / f"{record.conference_id}.csv")
         assert got == scalar_identify(cfg, record)[0], record.conference_id
 
 
@@ -627,15 +694,14 @@ def test_identify_routing_matches_filter_speaker_frames(small_fixture, tmp_path,
         identity={"epsilon": 0.5, "min_votes": 1, "no_embedding_policy": policy},
     )
     cfg = load_run_config(config_path)
-    identify_only(cfg, tmp_path / "out")
-
-    diag = json.loads((tmp_path / "out" / "diagnostics" / "identify.json").read_text())
-    for record in load_registry(cfg.registry):
-        ear, expected = scalar_identify(cfg, record)
+    records = load_registry(cfg.registry)
+    series, diag = stage_identify(cfg, records, load_gallery(cfg.gallery))
+    for record in records:
+        samples, expected = scalar_identify(cfg, record)
         got = diag["conferences"][record.conference_id]
         assert {key: got[key] for key in expected} == expected, record.conference_id
-        got_ear = (tmp_path / "out" / "ear" / f"{record.conference_id}.csv").read_bytes()
-        assert got_ear == ear, record.conference_id
+        timestamps, values = series[record.conference_id]
+        assert (timestamps.tolist(), values.tolist()) == samples, record.conference_id
     assert sum(c["no_embedding"] for c in diag["conferences"].values()) > 0
 
 

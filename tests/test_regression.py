@@ -15,7 +15,8 @@ from earstudy import (
     significance_stars,
     two_sided_p_value,
 )
-from earstudy.regression import table_rows, write_table_csv
+from earstudy.output import write_csv
+from earstudy.regression import table_rows
 
 from oracles import ols_normal_equations, t_two_sided_p_quadrature, t_two_sided_p_scipy
 
@@ -287,8 +288,7 @@ def test_table_rows_and_writers(tmp_path):
     assert rows[0]["beta"] == results[0].beta  # full precision
 
     csv_path = tmp_path / "t.csv"
-    with open(csv_path, "w", encoding="utf-8") as fh:
-        write_table_csv(rows, fh, meta_line="config_hash=00 tool_version=0")
+    write_csv(csv_path, list(rows[0]), [tuple(row.values()) for row in rows], "00")
     lines = csv_path.read_text().splitlines()
     assert lines[0].startswith("#")
     assert lines[1].split(",")[0] == "dependent"

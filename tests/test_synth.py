@@ -21,11 +21,12 @@ from earstudy import (
 from earstudy.attention import estimate_fps
 from earstudy.geometry import write_landmark_stream
 from earstudy.market import (
+    PRICE_COLUMNS,
     ConferenceTimeline,
     PriceSeries,
     event_window_stats,
-    write_price_csv,
 )
+from earstudy.output import write_csv
 from earstudy.synth import (
     GallerySpec,
     PriceSpec,
@@ -357,7 +358,7 @@ def test_price_series_vol_factor_shows_up_in_realized_ratio():
 PRICE_PINNED_SHA256 = "17055e488cc1b571060e6220886b61cd705c831ed9cd7b861008c06d43e3b057"
 
 
-def test_price_csv_bytes_are_pinned():
+def test_price_csv_bytes_are_pinned(tmp_path):
     qa = datetime(2020, 1, 15, 14, 30, 20, tzinfo=TZ)
     spec = scenario(
         conference_id="conf-pin",
@@ -374,9 +375,12 @@ def test_price_csv_bytes_are_pinned():
     times, prices = zip(*bars)
     stamps = minute_stamps(times[0], len(times))
     assert stamps == list(map(datetime.isoformat, times))
-    buf = io.StringIO()
-    write_price_csv(stamps, prices, buf)
-    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == PRICE_PINNED_SHA256
+    path = tmp_path / "prices.csv"
+    write_csv(path, PRICE_COLUMNS, zip(stamps, prices), "0" * 12)
+    # The pin covers the header and the rows, after the stamp line.
+    stamp, rows = path.read_bytes().split(b"\n", 1)
+    assert stamp.startswith(b"# config_hash=000000000000 ")
+    assert hashlib.sha256(rows).hexdigest() == PRICE_PINNED_SHA256
 
 
 def test_price_series_deterministic():
