@@ -34,6 +34,7 @@ from .identity import (
     GalleryEntry,
     IdentityConfig,
     classify_batch,
+    classify_codes,
     route_frames,
     vote_counts,
 )

@@ -36,13 +36,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     helps = {"synth": "generate a synthetic fixture directory",
              "run": "run the pipeline and print the regression tables"}
-    for command, help_text in helps.items():
-        p_command = sub.add_parser(command, help=help_text)
+    parsers = {command: sub.add_parser(command, help=help_text)
+               for command, help_text in helps.items()}
+    for p_command in parsers.values():
         p_command.add_argument("--config", required=True, help="path to the JSON config file")
         p_command.add_argument("--out", required=True, help="output directory")
-        p_command.add_argument("--jobs", type=int, default=1,
-                               help="accepted and ignored, so that existing scripts "
-                                    "passing it keep working; stages run serially")
+    parsers["run"].add_argument("--jobs", type=int, default=1,
+                                help="accepted and ignored, so that existing scripts "
+                                     "passing it keep working; stages run serially")
     return parser
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import chain, islice
 from operator import itemgetter
 from pathlib import Path
-from typing import IO, Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 import orjson
@@ -60,8 +60,8 @@ def batch_ear(
 #
 # One object per frame: conference_id, frame_index, timestamp_s, points (68
 # [x, y] pairs), optional embedding (128 numbers).  Records are sorted by
-# timestamp within a conference.  A leading {"_meta": ...} record written by
-# pipeline stages is skipped on read.
+# timestamp within a conference.  A leading {"_meta": ...} record, which
+# synth writes, is skipped on read.
 # ---------------------------------------------------------------------------
 
 
@@ -323,17 +323,15 @@ def write_landmark_stream(
     conference_id: str,
     frame_indices: Sequence[int] | np.ndarray,
     batch: LandmarkBatch,
-    fh: IO[str],
     meta: dict | None = None,
-) -> int:
-    """Write a batch as JSONL, optionally preceded by a {"_meta": ...} record.
+) -> str:
+    """A batch as JSONL text, optionally preceded by a {"_meta": ...} record.
 
     The inverse of read_landmark_batch: row i becomes the record of frame
     frame_indices[i], without "embedding" where has_embedding is False.
-    Returns the number of frame records written.  orjson writes each record
-    with a fixed key order, no spaces, UTF-8 text and every number as the
-    shortest text that reads back to the same double, so identical batches
-    always produce identical bytes.
+    orjson writes each record with a fixed key order, no spaces, UTF-8 text
+    and every number as the shortest text that reads back to the same
+    double, so identical batches always produce identical text.
     """
     lines = [] if meta is None else [orjson.dumps({"_meta": meta})]
     rows = zip(
@@ -354,5 +352,4 @@ def write_landmark_stream(
         if has_embedding:
             record["embedding"] = embedding
         lines.append(orjson.dumps(record, option=orjson.OPT_SERIALIZE_NUMPY))
-    fh.write(b"\n".join([*lines, b""]).decode())
-    return len(batch)
+    return b"\n".join([*lines, b""]).decode()

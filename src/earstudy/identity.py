@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -100,36 +100,6 @@ class IdentityConfig:
             )
 
 
-@dataclass
-class FilterDiagnostics:
-    """Per-stream tally of how frames were routed by the identity filter.
-
-    kept/rejected/unknown/no_embedding partition the input; written counts
-    the output frames (kept plus, under assume_target, the no-embedding
-    ones).
-    """
-
-    kept: int = 0
-    rejected: int = 0
-    unknown: int = 0
-    no_embedding: int = 0
-    written: int = 0
-
-    @property
-    def total(self) -> int:
-        return self.kept + self.rejected + self.unknown + self.no_embedding
-
-    def as_dict(self) -> dict:
-        return {
-            "kept": self.kept,
-            "rejected": self.rejected,
-            "unknown": self.unknown,
-            "no_embedding": self.no_embedding,
-            "written": self.written,
-            "total": self.total,
-        }
-
-
 def vote_counts(embeddings: np.ndarray, gallery: Gallery, epsilon: float) -> np.ndarray:
     """Votes per row of an (N, 128) array and per distinct label, as (N, L) ints.
 
@@ -166,52 +136,55 @@ def vote_counts(embeddings: np.ndarray, gallery: Gallery, epsilon: float) -> np.
     return votes.astype(int) @ np.eye(len(names), dtype=int)[codes]
 
 
-def classify_batch(
-    embeddings: np.ndarray, gallery: Gallery, config: IdentityConfig
-) -> list[str | None]:
-    """The plurality label of each row of an (N, 128) array, or None when unknown.
+def classify_codes(embeddings: np.ndarray, gallery: Gallery, config: IdentityConfig) -> np.ndarray:
+    """The plurality label of each row of an (N, 128) array, as an index into
+    gallery.label_codes[0], or -1 when unknown.
 
     A row is unknown when its top vote total falls short of the quorum or
     two labels tie at the top.
     """
     counts = vote_counts(embeddings, gallery, config.epsilon)
-    names, _ = gallery.label_codes
     best = counts.max(axis=1)
     decided = (best >= config.min_votes) & ((counts == best[:, None]).sum(axis=1) == 1)
-    winners = np.where(decided, counts.argmax(axis=1), -1)
-    return [names[w] if w >= 0 else None for w in winners.tolist()]
+    return np.where(decided, counts.argmax(axis=1), -1)
+
+
+def classify_batch(
+    embeddings: np.ndarray, gallery: Gallery, config: IdentityConfig
+) -> list[str | None]:
+    """classify_codes as labels: each row's plurality label, or None when unknown."""
+    names, _ = gallery.label_codes
+    codes = classify_codes(embeddings, gallery, config).tolist()
+    return [names[c] if c >= 0 else None for c in codes]
 
 
 def route_frames(
-    labels: Iterable[str | None],
-    has_embedding: Iterable[bool],
-    target_label: str,
-    config: IdentityConfig,
-) -> tuple[list[bool], FilterDiagnostics]:
+    codes: np.ndarray, has_embedding: np.ndarray, target: int, config: IdentityConfig,
+) -> tuple[np.ndarray, dict[str, int]]:
     """Which frames the identity filter keeps, and the tally of the routing.
 
-    labels[i] is frame i's classified label (None when unknown); it is
-    ignored for a frame without an embedding, which is kept only under
-    config.no_embedding_policy "assume_target".
+    codes[i] is frame i's label code from classify_codes, and target is the
+    target label's index into gallery.label_codes[0].  A frame without an
+    embedding is kept only under config.no_embedding_policy "assume_target",
+    whatever its code.  The tally's kept, rejected, unknown and no_embedding
+    partition the frames; written counts the kept mask.
     """
-    diag = FilterDiagnostics()
-    assume_target = config.no_embedding_policy == "assume_target"
-    keep: list[bool] = []
-    for label, has in zip(labels, has_embedding, strict=True):
-        if not has:
-            diag.no_embedding += 1
-            keep.append(assume_target)
-        elif label is None:
-            diag.unknown += 1
-            keep.append(False)
-        elif label == target_label:
-            diag.kept += 1
-            keep.append(True)
-        else:
-            diag.rejected += 1
-            keep.append(False)
-    diag.written = sum(keep)
-    return keep, diag
+    codes, has = np.asarray(codes), np.asarray(has_embedding, dtype=bool)
+    if codes.shape != has.shape:
+        raise ValueError(f"label codes of shape {codes.shape} for frames of shape {has.shape}")
+    target_frames = has & (codes == target)
+    keep = target_frames | ~has if config.no_embedding_policy == "assume_target" else target_frames
+    kept = int(np.count_nonzero(target_frames))
+    unknown = int(np.count_nonzero(has & (codes < 0)))
+    embedded = int(np.count_nonzero(has))
+    return keep, {
+        "kept": kept,
+        "rejected": embedded - kept - unknown,
+        "unknown": unknown,
+        "no_embedding": len(has) - embedded,
+        "written": int(np.count_nonzero(keep)),
+        "total": len(has),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -236,6 +209,6 @@ def load_gallery(path: str | Path) -> Gallery:
     return Gallery(entries)
 
 
-def dump_gallery(gallery: Gallery, fh, meta: dict | None = None) -> None:
-    json.dump(to_json(_GalleryFile(meta, gallery.entries)), fh, separators=(",", ":"))
-    fh.write("\n")
+def dump_gallery(gallery: Gallery, meta: dict | None = None) -> str:
+    """The gallery file's text, which load_gallery reads back."""
+    return json.dumps(to_json(_GalleryFile(meta, gallery.entries)), separators=(",", ":")) + "\n"

@@ -6,8 +6,11 @@ that table into window statistics and regression results.  The stages are
 pure: each returns what it computed, with its diagnostics, and writes
 nothing.  write_outputs writes every stage file once all three have
 returned, so a run that fails leaves only run_config.json under --out.
-Conferences that fail a stage are excluded with a logged reason rather
-than aborting the run.
+attention and eventstudy exclude a conference that fails them, with a
+logged reason, rather than abort the run.  identify does abort it: a bad
+landmark line is a data error (exit 2) and a landmark file that cannot be
+read a configuration error (exit 1); ROADMAP item 2(a) would make both
+exclusions.
 """
 
 from __future__ import annotations
@@ -153,22 +156,20 @@ def stage_identify(
     series: Series = {}
     conferences: dict[str, dict] = {}
     warnings: list[tuple[str, str]] = []
+    target = gallery.label_codes[0].index(cfg.target_label)
     for record in records:
         try:
             batch = geometry.read_landmark_batch(record.landmarks, EYE_POINTS)
         except OSError as exc:
             raise ConfigError(f"cannot read landmark file {record.landmarks}: {exc}") from exc
-        labels = identity.classify_batch(batch.embeddings, gallery, cfg.identity)
-        keep, diag = identity.route_frames(
-            labels, batch.has_embedding.tolist(), cfg.target_label, cfg.identity
-        )
-        keep = np.array(keep, dtype=bool)
+        codes = identity.classify_codes(batch.embeddings, gallery, cfg.identity)
+        keep, tally = identity.route_frames(codes, batch.has_embedding, target, cfg.identity)
         values, usable = geometry.batch_ear(batch.points[keep], range(6), range(6, 12))
         timestamps, values = batch.timestamps[keep][usable], values[usable]
         series[record.conference_id] = timestamps, values
         count = len(timestamps)
-        info = {**diag.as_dict(), "n_samples": count, "dropped_degenerate": diag.written - count}
-        if diag.written == 0:
+        info = {**tally, "n_samples": count, "dropped_degenerate": tally["written"] - count}
+        if tally["written"] == 0:
             info["warning"] = "no frames classified as target"
             warnings.append((record.conference_id, "no frames kept by identity filter"))
         elif count == 0:

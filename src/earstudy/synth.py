@@ -10,7 +10,6 @@ EAR level maps to exact vertical lid offsets.
 from __future__ import annotations
 
 import hashlib
-import io
 import math
 import sys
 from dataclasses import asdict, dataclass, field
@@ -776,21 +775,18 @@ def build_fixture(
         check_gallery_labels(spec, gallery_spec)
     walks = [_walk_prices(spec) for spec in scenarios]
     gallery, _queries = gen_gallery(**asdict(gallery_spec))
-    buf = io.StringIO()
-    dump_gallery(gallery, buf, meta=meta_dict(digest))
-    write_text(out_dir / "gallery.json", buf.getvalue(), digest)
+    write_text(out_dir / "gallery.json", dump_gallery(gallery, meta_dict(digest)), digest)
 
     registry_entries = []
     truths: dict[str, dict] = {}
     for spec, (window_open, prices, price_truth) in zip(scenarios, walks):
         cid = spec.conference_id
         frame_indices, batch, landmark_truth = gen_landmark_stream(spec, gallery_spec)
-        landmarks = io.StringIO()
-        write_landmark_stream(cid, frame_indices, batch, landmarks, meta=meta_dict(digest))
         # Each file's path in the fixture, which the registry also records.
         files = {"landmarks": f"landmarks/{cid}.jsonl", "transcript": f"transcripts/{cid}.txt",
                  "segments": f"segments/{cid}.csv", "prices": f"prices/{cid}.csv"}
-        write_text(out_dir / files["landmarks"], landmarks.getvalue(), digest)
+        write_text(out_dir / files["landmarks"],
+                   write_landmark_stream(cid, frame_indices, batch, meta_dict(digest)), digest)
         write_text(out_dir / files["transcript"], gen_transcript(spec), digest)
         segments = [(float(start), float(end), tag)
                     for start, end, tag in speaker_segments_rows(spec)]

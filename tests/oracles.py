@@ -2,12 +2,12 @@
 
 These deliberately avoid the code paths under test: a stdlib-json landmark
 reader with per-field checks, the EAR over plain (x, y) tuples,
-plain-python distance sums, the vote as one norm per gallery entry, a
-design-matrix normal-equations OLS solve, scipy's t distribution, adaptive
-Simpson quadrature of the t density, a two-pass RMS, a row-by-row price
-reader with event windows over plain lists, the CSV rows as the stdlib
-csv module reads them, and the continuous-limit attention of a synthetic
-conference's planted episodes.
+plain-python distance sums, the vote as one norm per gallery entry, the
+identity filter's routing frame by frame, a design-matrix normal-equations
+OLS solve, scipy's t distribution, adaptive Simpson quadrature of the t
+density, a two-pass RMS, a row-by-row price reader with event windows over
+plain lists, the CSV rows as the stdlib csv module reads them, and the
+continuous-limit attention of a synthetic conference's planted episodes.
 """
 
 from __future__ import annotations
@@ -135,6 +135,34 @@ def vote_counts_loop(embeddings, gallery, epsilon) -> np.ndarray:
     for row, code in zip(gallery.matrix, codes.tolist()):
         counts[:, code] += np.linalg.norm(embeddings - row, axis=1) < epsilon
     return counts
+
+
+def route_frames_loop(codes, has_embedding, target, no_embedding_policy):
+    """The identity filter's routing one frame at a time: whether each frame
+    is kept, and the tally in the order diagnostics/identify.json lists it.
+
+    codes[i] is frame i's label code, negative when unknown.  It is ignored
+    for a frame without an embedding, which is kept only under the
+    "assume_target" policy.
+    """
+    tally = dict.fromkeys(("kept", "rejected", "unknown", "no_embedding"), 0)
+    keep = []
+    for code, has in zip(codes, has_embedding, strict=True):
+        if not has:
+            tally["no_embedding"] += 1
+            keep.append(no_embedding_policy == "assume_target")
+        elif code < 0:
+            tally["unknown"] += 1
+            keep.append(False)
+        elif code == target:
+            tally["kept"] += 1
+            keep.append(True)
+        else:
+            tally["rejected"] += 1
+            keep.append(False)
+    tally["written"] = sum(keep)
+    tally["total"] = len(keep)
+    return keep, tally
 
 
 def ols_normal_equations(x, y) -> dict:

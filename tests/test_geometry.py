@@ -1,5 +1,4 @@
 import gc
-import io
 import json
 import math
 import tempfile
@@ -208,11 +207,8 @@ def frame_record(frame_index, timestamp, conference_id="c", n_points=68, embeddi
 
 def write_and_read(path, conference_id, frame_indices, batch):
     """read_landmark_batch of the written batch, and the frame_index of each record."""
-    with open(path, "w", encoding="utf-8") as fh:
-        count = write_landmark_stream(
-            conference_id, frame_indices, batch, fh, meta={"config_hash": "abc"}
-        )
-    assert count == len(batch)
+    path.write_text(write_landmark_stream(conference_id, frame_indices, batch,
+                                          meta={"config_hash": "abc"}), encoding="utf-8")
     records = [json.loads(line) for line in path.read_text().splitlines()[1:]]
     assert [r["conference_id"] for r in records] == [conference_id] * len(batch)
     assert ["embedding" in r for r in records] == batch.has_embedding.tolist()
@@ -268,12 +264,6 @@ def list_encoded_stream(conference_id, frame_indices, batch):
     return b"".join(lines).decode()
 
 
-def write_stream_text(conference_id, frame_indices, batch):
-    buf = io.StringIO()
-    write_landmark_stream(conference_id, frame_indices, batch, buf)
-    return buf.getvalue()
-
-
 def test_stream_writer_encodes_rows_as_their_lists():
     """Random doubles, edge values and NaN are written as their Python
     floats are: the shortest round-trip text, and null for NaN."""
@@ -291,7 +281,7 @@ def test_stream_writer_encodes_rows_as_their_lists():
         has_embedding=np.arange(n) % 4 != 0,
     )
     frame_indices = np.arange(n) * 2
-    text = write_stream_text("c", frame_indices, batch)
+    text = write_landmark_stream("c", frame_indices, batch)
     assert text == list_encoded_stream("c", frame_indices, batch)
     first, second = (json.loads(line) for line in text.splitlines()[:2])
     assert first["points"][4] == [None, points[0, 4, 1]]  # NaN is null
@@ -311,8 +301,8 @@ def test_stream_writer_accepts_strided_columns():
     assert not strided.points[0].flags.c_contiguous
     assert not strided.embeddings[0].flags.c_contiguous
     assert np.array_equal(strided.points, batch.points)
-    text = write_stream_text(spec.conference_id, frame_indices, strided)
-    assert text == write_stream_text(spec.conference_id, frame_indices, batch)
+    text = write_landmark_stream(spec.conference_id, frame_indices, strided)
+    assert text == write_landmark_stream(spec.conference_id, frame_indices, batch)
     assert text == list_encoded_stream(spec.conference_id, frame_indices, batch)
 
 

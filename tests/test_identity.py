@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from earstudy import (
@@ -14,14 +14,15 @@ from earstudy import (
     IdentityConfig,
     MalformedRecordError,
     classify_batch,
+    classify_codes,
     route_frames,
     vote_counts,
 )
-from earstudy.identity import dump_gallery, load_gallery
+from earstudy.identity import NO_EMBEDDING_POLICIES, dump_gallery, load_gallery
 from earstudy.pipeline import load_run_config, run_stages
 
 from conftest import write_run_config
-from oracles import brute_force_classify, python_norm, vote_counts_loop
+from oracles import brute_force_classify, python_norm, route_frames_loop, vote_counts_loop
 
 
 def vec(*head):
@@ -254,10 +255,11 @@ def filter_frames(embeddings, gallery, target_label, config):
 
     A None embedding is a frame without one.
     """
-    has = [e is not None for e in embeddings]
+    has = np.array([e is not None for e in embeddings], dtype=bool)
     rows = np.array([vec() if e is None else e for e in embeddings]).reshape(-1, 128)
-    keep, diag = route_frames(classify_batch(rows, gallery, config), has, target_label, config)
-    return [i for i, k in enumerate(keep) if k], diag
+    target = gallery.label_codes[0].index(target_label)
+    keep, tally = route_frames(classify_codes(rows, gallery, config), has, target, config)
+    return np.flatnonzero(keep).tolist(), tally
 
 
 def test_filter_keeps_target_in_order():
@@ -278,18 +280,18 @@ def test_filter_keeps_target_in_order():
         embeddings.append(center + rng.normal(scale=0.01, size=128))
         if is_target:
             expected.append(i)
-    kept, diag = filter_frames(embeddings, gallery, "chair", IdentityConfig(epsilon=0.5))
+    kept, tally = filter_frames(embeddings, gallery, "chair", IdentityConfig(epsilon=0.5))
     assert kept == expected
-    assert diag.kept == len(expected)
-    assert diag.rejected == 10 - len(expected)
-    assert diag.total == 10
+    assert tally["kept"] == len(expected)
+    assert tally["rejected"] == 10 - len(expected)
+    assert tally["total"] == 10
 
 
 def test_filter_single_entry_distance_zero_keeps_all():
     gallery = Gallery((GalleryEntry("chair", vec()),))
-    kept, diag = filter_frames([vec()] * 5, gallery, "chair", IdentityConfig(epsilon=0.1))
+    kept, tally = filter_frames([vec()] * 5, gallery, "chair", IdentityConfig(epsilon=0.1))
     assert len(kept) == 5
-    assert diag.kept == 5
+    assert tally["kept"] == 5
 
 
 def test_filter_is_idempotent():
@@ -302,31 +304,31 @@ def test_filter_is_idempotent():
     ] + [vec(8.0)]
     config = IdentityConfig(epsilon=0.5)
     once, _ = filter_frames(embeddings, gallery, "chair", config)
-    twice, diag = filter_frames([embeddings[i] for i in once], gallery, "chair", config)
+    twice, tally = filter_frames([embeddings[i] for i in once], gallery, "chair", config)
     assert twice == list(range(len(once)))
-    assert diag.rejected == 0
+    assert tally["rejected"] == 0
 
 
 def test_filter_no_embedding_policies():
     gallery = Gallery((GalleryEntry("chair", vec()),))
     embeddings = [vec(), None]
-    dropped, diag = filter_frames(
+    dropped, tally = filter_frames(
         embeddings, gallery, "chair", IdentityConfig(epsilon=0.5, no_embedding_policy="drop")
     )
     assert dropped == [0]
-    assert diag.no_embedding == 1
-    kept, diag = filter_frames(
+    assert tally["no_embedding"] == 1
+    kept, tally = filter_frames(
         embeddings, gallery, "chair",
         IdentityConfig(epsilon=0.5, no_embedding_policy="assume_target"),
     )
     assert kept == [0, 1]
-    assert diag.no_embedding == 1
+    assert tally["no_embedding"] == 1
 
 
 def test_filter_missing_target_label_is_config_error(small_fixture, tmp_path):
     gallery_path = tmp_path / "gallery.json"
-    with open(gallery_path, "w", encoding="utf-8") as fh:
-        dump_gallery(Gallery((GalleryEntry("reporter", vec()),)), fh)
+    gallery_path.write_text(dump_gallery(Gallery((GalleryEntry("reporter", vec()),))),
+                            encoding="utf-8")
     cfg = load_run_config(
         write_run_config(tmp_path / "config.json", small_fixture, gallery=str(gallery_path))
     )
@@ -403,14 +405,43 @@ def test_classify_batch_rejects_bad_shape():
 
 @pytest.mark.parametrize("policy", ["drop", "assume_target"])
 def test_route_frames_tallies(policy):
-    labels = ["chair", None, "reporter", "chair", "ignored", None]
-    has = [True, True, True, True, False, False]
+    # Codes index ("chair", "reporter"); -1 is unknown, and a frame without
+    # an embedding has its code ignored.
+    codes = np.array([0, -1, 1, 0, 0, -1])
+    has = np.array([True, True, True, True, False, False])
     config = IdentityConfig(0.5, no_embedding_policy=policy)
-    keep, diag = route_frames(labels, has, "chair", config)
+    keep, tally = route_frames(codes, has, 0, config)
     assume = policy == "assume_target"
-    assert keep == [True, False, False, True, assume, assume]
-    assert diag.as_dict() == {"kept": 2, "rejected": 1, "unknown": 1, "no_embedding": 2,
-                              "written": 4 if assume else 2, "total": 6}
+    assert keep.tolist() == [True, False, False, True, assume, assume]
+    assert list(tally.items()) == [("kept", 2), ("rejected", 1), ("unknown", 1),
+                                   ("no_embedding", 2), ("written", 4 if assume else 2),
+                                   ("total", 6)]
+    with pytest.raises(ValueError):
+        route_frames(codes[:1], has, 0, config)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    frames=st.lists(st.tuples(st.integers(-1, 3), st.booleans()), max_size=30),
+    target=st.integers(0, 3),
+    policy=st.sampled_from(NO_EMBEDDING_POLICIES),
+)
+@example(frames=[], target=0, policy="drop")
+@example(frames=[], target=0, policy="assume_target")
+@example(frames=[(-1, True)] * 4, target=0, policy="drop")
+@example(frames=[(-1, True)] * 4, target=0, policy="assume_target")
+@example(frames=[(0, False), (-1, False), (2, False)], target=0, policy="drop")
+@example(frames=[(0, False), (-1, False), (2, False)], target=0, policy="assume_target")
+def test_route_frames_matches_the_loop(frames, target, policy):
+    """The array routing gives the per-frame loop's mask and tally, every
+    count a Python int, so that write_json writes it as a number."""
+    codes = np.array([code for code, _ in frames], dtype=np.int64)
+    has = np.array([has for _, has in frames], dtype=bool)
+    keep, tally = route_frames(codes, has, target, IdentityConfig(0.5, no_embedding_policy=policy))
+    expected_keep, expected_tally = route_frames_loop(codes.tolist(), has.tolist(), target, policy)
+    assert keep.dtype == bool and keep.tolist() == expected_keep
+    assert list(tally.items()) == list(expected_tally.items())
+    assert all(type(count) is int for count in tally.values())
 
 
 def test_gallery_file_round_trip(tmp_path):
@@ -419,8 +450,7 @@ def test_gallery_file_round_trip(tmp_path):
         tuple(GalleryEntry(f"l{i}", rng.normal(size=128)) for i in range(4))
     )
     path = tmp_path / "gallery.json"
-    with open(path, "w", encoding="utf-8") as fh:
-        dump_gallery(gallery, fh, meta={"config_hash": "x"})
+    path.write_text(dump_gallery(gallery, meta={"config_hash": "x"}), encoding="utf-8")
     loaded = load_gallery(path)
     assert loaded.labels == gallery.labels
     for a, b in zip(loaded.entries, gallery.entries):

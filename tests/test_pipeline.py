@@ -1,5 +1,6 @@
 import gc
 import json
+import math
 import re
 import shutil
 import subprocess
@@ -10,7 +11,7 @@ from typing import NamedTuple
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from earstudy import ConfigError, DataError, InsufficientDataError, pipeline, schema
@@ -34,6 +35,7 @@ from oracles import (
     attention_row,
     brute_force_classify,
     frame_aspect_ratio,
+    read_csv_rows,
     read_ear_rows,
     read_landmark_columns,
 )
@@ -313,6 +315,120 @@ def test_bad_price_file_leaves_other_window_rows_unchanged(
     assert len(after) == len(before) - 1
 
 
+def rescale_prices(fixture: Path, scale: float) -> float:
+    """Multiply every price in fixture's price files by scale; returns the
+    largest |log p| of the prices before and after."""
+    largest = 0.0
+    for path in sorted((fixture / "prices").glob("*.csv")):
+        comment, header, *rows = path.read_text().splitlines()
+        lines = [comment, header]
+        for row in rows:
+            stamp, price = row.split(",")
+            scaled = float(price) * scale
+            largest = max(largest, abs(math.log(float(price))), abs(math.log(scaled)))
+            lines.append(f"{stamp},{scaled!r}")
+        path.write_text("".join(f"{line}\n" for line in lines))
+    return largest
+
+
+@settings(max_examples=2, deadline=None)
+@given(scale=st.floats(1e-3, 1e3))
+@example(scale=7.3)
+def test_price_scale_leaves_windows_and_tables_unchanged(completed_run, tmp_path_factory, scale):
+    """Only log returns enter, so multiplying every price by a constant moves
+    windows.csv and the regressions by rounding alone, and no other file.
+
+    Each log price carries half an ulp of |log p|, plus that of the scaled
+    price: about 1e-15.  A return is the difference of two log prices, and
+    two runs are compared, so a return moves by at most 4 of these, and so
+    does a root mean square of returns.  A regression whose n dependent
+    values each move by at most d moves beta by at most d sqrt(n) / |x - mean
+    x| and the residual standard error by at most d sqrt(n / (n - 2)); t, r2
+    and p follow through their largest slopes in t.
+    """
+    fixture, _, out = completed_run
+    work = tmp_path_factory.mktemp("scaled")
+    copy = shutil.copytree(fixture, work / "fixture")
+    log_price_error = 2.0**-53 * (rescale_prices(copy, scale) + 1.0)
+    run_stages(load_run_config(write_run_config(work / "config.json", copy)), work / "out")
+
+    before, after = tree_bytes(out), tree_bytes(work / "out")
+    assert after.keys() == before.keys()
+    moved = {name for name in before if before[name] != after[name]}
+    assert moved <= {"windows.csv"} | {f"tables/{d}.{ext}" for d in pipeline.DEPENDENT_COLUMNS
+                                       for ext in ("txt", "csv", "json")}
+
+    return_error = 4 * log_price_error
+    window_error = {"return_during": return_error, "return_after": return_error,
+                    "vol_before": return_error, "vol_after": return_error,
+                    "vol_change": 2 * return_error}
+    (header, old_rows), (new_header, new_rows) = (
+        read_csv_rows(root / "windows.csv") for root in (out, work / "out"))
+    assert new_header == header
+    for old_row, new_row in zip(old_rows, new_rows, strict=True):
+        for column, old_cell, new_cell in zip(header, old_row, new_row, strict=True):
+            if column in window_error:
+                assert abs(float(new_cell) - float(old_cell)) <= window_error[column]
+            else:
+                assert new_cell == old_cell
+
+    dependent_error = {"return_during": return_error, "return_after": return_error,
+                       "vol_change_x100": 100 * window_error["vol_change"]}
+    for dependent, error in dependent_error.items():
+        old_models, new_models = (
+            json.loads((root / "tables" / f"{dependent}.json").read_text())["models"]
+            for root in (out, work / "out"))
+        for old, new in zip(old_models, new_models, strict=True):
+            df = old["n"] - 2
+            x_spread = old["resid_se"] / old["se_beta"]  # |x - mean x|
+            beta_error = error * math.sqrt(old["n"]) / x_spread
+            se_error = beta_error / math.sqrt(df)
+            t_error = ((beta_error + abs(old["t_beta"]) * se_error)
+                       / (old["se_beta"] - se_error))
+            assert abs(new["beta"] - old["beta"]) <= beta_error
+            assert abs(new["se_beta"] - old["se_beta"]) <= se_error
+            # r2 = t^2 / (t^2 + df) has slope at most 9 / (8 sqrt(3 df)); p has
+            # slope at most twice the t density at 0, below 1 / sqrt(2 pi),
+            # plus its own relative error of 1e-11.
+            assert abs(new["r2"] - old["r2"]) <= 9 / (8 * math.sqrt(3 * df)) * t_error
+            assert abs(new["p_beta"] - old["p_beta"]) <= (
+                2 / math.sqrt(2 * math.pi) * t_error + 1e-11 * old["p_beta"])
+            assert new["stars"] == old["stars"]
+
+
+def replace_all(data: bytes, pairs) -> bytes:
+    for old, new in pairs:
+        data = data.replace(old, new)
+    return data
+
+
+def test_renamed_ids_change_only_ids_and_file_names(completed_run, tmp_path):
+    """Conference ids renamed in the same order, in every fixture file and
+    file name, change the tree's ids and file names, its config_hash and
+    the registry's sha256, and nothing else."""
+    fixture, _, out = completed_run
+    old_ids = sorted(p.stem for p in (fixture / "landmarks").glob("*.jsonl"))
+    renames = [(old.encode(), f"fomc-{chr(ord('a') + i)}".encode())
+               for i, old in enumerate(old_ids)]
+    for name, data in tree_bytes(fixture).items():
+        path = tmp_path / "fixture" / replace_all(name.encode(), renames).decode()
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(replace_all(data, renames))
+    run_stages(load_run_config(write_run_config(tmp_path / "config.json", tmp_path / "fixture")),
+               tmp_path / "out")
+
+    renamed = masked_tree(tmp_path / "out")
+    assert renamed.keys() != masked_tree(out).keys()
+    back = [(new, old) for old, new in renames]
+    assert {replace_all(name.encode(), back).decode(): replace_all(data, back)
+            for name, data in renamed.items()} == masked_tree(out)
+    configs = [json.loads((root / "run_config.json").read_text())["config"]
+               for root in (out, tmp_path / "out")]
+    for config in configs:
+        del config["registry_sha256"]
+    assert configs[0] == configs[1]
+
+
 def test_registry_loader_orders_and_validates(small_fixture):
     records = load_registry(small_fixture / "registry.json")
     assert [r.conference_id for r in records] == [f"conf-{i:03d}" for i in range(1, 9)]
@@ -375,6 +491,7 @@ def test_cli_main_freezes_the_heap_only_while_it_runs(small_fixture, tmp_path, m
         ["synth", "--config", "{scenario}", "--out", "{out}", "--seed", "6"],
         ["run", "--out", "{out}"],
         ["run", "--config", "{config}", "--out", "{out}", "--jobs", "abc"],
+        ["synth", "--config", "{scenario}", "--out", "{out}", "--jobs", "1"],
         [],
         ["no-such-command"],
         ["identify", "--config", "{config}", "--out", "{out}"],
@@ -382,15 +499,15 @@ def test_cli_main_freezes_the_heap_only_while_it_runs(small_fixture, tmp_path, m
         ["eventstudy", "--config", "{config}", "--out", "{out}"],
     ],
     ids=["unknown-flag", "run-epsilon", "synth-seed", "no-config", "text-jobs",
-         "no-command", "unknown-command", "identify-command", "attention-command",
+         "synth-jobs", "no-command", "unknown-command", "identify-command", "attention-command",
          "eventstudy-command"],
 )
 def test_cli_usage_error_is_one_line_configuration_error(
     small_fixture, tmp_path, capsys, argv
 ):
     """Settings come from the config file only, and synth and run are the
-    only commands: a flag that is not --config, --out or --jobs N, or a
-    removed stage command, is refused like any other usage error, before
+    only commands: a flag that is not --config, --out or run's --jobs N, or
+    a removed stage command, is refused like any other usage error, before
     anything is written."""
     config_path = write_run_config(tmp_path / "config.json", small_fixture)
     scenario_path = tmp_path / "scenario.json"

@@ -1,5 +1,4 @@
 import hashlib
-import io
 import json
 import math
 from datetime import date, datetime, timedelta, timezone, tzinfo
@@ -107,9 +106,7 @@ def test_landmark_stream_gaps_emit_no_frames():
 
 def stream_text(spec):
     frame_indices, batch, _ = gen_landmark_stream(spec)
-    buf = io.StringIO()
-    write_landmark_stream(spec.conference_id, frame_indices, batch, buf)
-    return buf.getvalue()
+    return write_landmark_stream(spec.conference_id, frame_indices, batch)
 
 
 def test_landmark_stream_deterministic():
