@@ -48,13 +48,29 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    # Collections skip the objects alive at start-up (numpy, the modules);
-    # unfreezing on the way out gives an in-process caller its heap back.
+    """The in-process entry: argv (sys.argv[1:] when None) as a command line.
+
+    Collections skip the objects alive at start-up (numpy, the modules);
+    unfreezing on the way out gives the caller its heap back.
+    """
     gc.freeze()
     try:
         return _main(argv)
     finally:
         gc.unfreeze()
+
+
+def process_main() -> int:
+    """The entry of an earstudy process (``python -m earstudy``, the
+    ``earstudy`` script): main without its heap handed back.
+
+    The collector is off for the whole process, and the heap stays frozen,
+    so neither the run nor the interpreter's exit walks it.  A run makes
+    few reference cycles, and the process ends with the run.
+    """
+    gc.freeze()
+    gc.disable()
+    return _main(None)
 
 
 def _main(argv: list[str] | None) -> int:
@@ -85,4 +101,4 @@ def _main(argv: list[str] | None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(process_main())

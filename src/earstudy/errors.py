@@ -39,4 +39,5 @@ class InsufficientDataError(DataError):
 
 
 class DegenerateRegressorError(DataError):
-    """Regressor with zero variance; the slope is unidentified."""
+    """A regressor or dependent with zero variance: the slope is unidentified,
+    or it has no residual variation to be tested against."""

@@ -272,6 +272,54 @@ def _price_column(texts: list[str]) -> np.ndarray:
     return np.array(values, dtype=np.float64)
 
 
+_PRICE_HEADER = ",".join(PRICE_COLUMNS) + "\n"
+
+
+def _split_price_file(data: bytes) -> tuple[list[str], list[str]] | None:
+    """The stamp and price cells of a file in write_csv's exact layout, from
+    one split of its body; None for any other file.
+
+    The layout is an optional leading "#" line, the header
+    "timestamp,price", then rows that each end in LF, with no other "#" and
+    no CR.  The cells, joined back in pairs, must give the body, so every
+    row holds exactly two cells and no row is blank: these are the cells
+    that csv_rows gives.
+    """
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError:
+        return None
+    if text.startswith("#"):
+        text = text[text.find("\n") + 1:]
+    body = text[len(_PRICE_HEADER):-1]
+    if not (text.startswith(_PRICE_HEADER) and text.endswith("\n") and body
+            and "#" not in body and "\r" not in body):
+        return None
+    cells = body.replace("\n", ",").split(",")
+    stamps, prices = cells[0::2], cells[1::2]
+    if "\n".join(map(",".join, zip(stamps, prices))) != body:
+        return None
+    return stamps, prices
+
+
+def _price_series(stamps: list[str], prices: list[str]) -> PriceSeries:
+    """The series of a price file's stamp and price cells."""
+    # parse_instant's steps over the whole column: every "Z" reads as
+    # "+00:00" (fromisoformat alone would also take a "Z" between date and
+    # time), and the strip is needed only when the raw text fails, as
+    # fromisoformat takes no surrounding space.
+    if "Z" in "".join(stamps):
+        stamps = list(map(methodcaller("replace", "Z", "+00:00"), stamps))
+    try:
+        times = tuple(map(datetime.fromisoformat, stamps))
+    except ValueError:
+        times = tuple(map(datetime.fromisoformat, map(str.strip, stamps)))
+    column = _price_column(prices)
+    if _stamps_order_as_text(stamps):
+        return PriceSeries._ordered(times, column)
+    return PriceSeries(times, column)
+
+
 def read_price_csv(path: str | Path) -> PriceSeries:
     """The price file as a checked series, converted a column at a time.
 
@@ -279,26 +327,21 @@ def read_price_csv(path: str | Path) -> PriceSeries:
     that row gives, naming the first such row; a file whose rows all read
     raises PriceSeries's error for its first bad bar.  A file whose stamps
     are all "YYYY-MM-DDTHH:MM:SS±HH:MM" with one offset is proven in order
-    from its text; any other file is checked on its datetimes.  Both paths
-    give the same series and the same errors.
+    from its text; any other file is checked on its datetimes.  A file in
+    write_csv's exact layout is split in one pass; any other file, and any
+    file that this fails on, is read by csv_rows row by row.  Every path
+    gives the same series and the same errors.
     """
+    with open(path, "rb") as fh:
+        cells = _split_price_file(fh.read())
+    if cells is not None:
+        try:
+            return _price_series(*cells)
+        except (ValueError, MalformedRecordError):
+            pass
     rows = output.csv_rows(path, PRICE_COLUMNS, _check_price_row, "price")
     try:
-        # parse_instant's steps over the whole column: every "Z" reads as
-        # "+00:00" (fromisoformat alone would also take a "Z" between date
-        # and time), and the strip is needed only when the raw text fails,
-        # as fromisoformat takes no surrounding space.
-        stamps = list(map(itemgetter(0), rows))
-        if "Z" in "".join(stamps):
-            stamps = list(map(methodcaller("replace", "Z", "+00:00"), stamps))
-        try:
-            times = tuple(map(datetime.fromisoformat, stamps))
-        except ValueError:
-            times = tuple(map(datetime.fromisoformat, map(str.strip, stamps)))
-        prices = _price_column(list(map(itemgetter(1), rows)))
-        if _stamps_order_as_text(stamps):
-            return PriceSeries._ordered(times, prices)
-        return PriceSeries(times, prices)
+        return _price_series(list(map(itemgetter(0), rows)), list(map(itemgetter(1), rows)))
     except (IndexError, ValueError, MalformedRecordError):
         output.check_rows(path, rows, _check_price_row, "price")
         raise

@@ -1,8 +1,11 @@
 """The pipeline: identify -> attention -> eventstudy, run in that order.
 
-identify turns each landmark stream into the target speaker's EAR series;
-attention turns those series into the attention table; eventstudy turns
-that table into window statistics and regression results.  The stages are
+identify turns each landmark stream into the target speaker's EAR series,
+running its vote and EAR kernels once per block of streams
+(KERNEL_BLOCK_FRAMES); attention turns those series into the attention
+table; eventstudy turns that table into window statistics and regression
+results, and stops the run when a dependent is constant (a slope of 0/0
+has no test).  The stages are
 pure: each returns what it computed, with its diagnostics, and writes
 nothing.  write_outputs writes every stage file once all three have
 returned, so a run that fails leaves only run_config.json under --out.
@@ -29,7 +32,7 @@ import numpy as np
 
 from . import attention as att
 from . import geometry, identity, market, output, regression, schema
-from .errors import ConfigError, DataError, InsufficientDataError
+from .errors import ConfigError, DataError, DegenerateRegressorError, InsufficientDataError
 from .schema import FileId
 
 log = logging.getLogger(__name__)
@@ -148,34 +151,83 @@ Series = dict[str, tuple[np.ndarray, np.ndarray]]
 Results = dict[str, list[regression.RegressionResult]]
 
 
+# Frames that stage_identify queues before it runs the vote and EAR kernels
+# once over the whole queue.  A kernel call has a fixed cost of tens of
+# microseconds, so short conferences share one; the queue stays small,
+# because a run's peak RSS grows with it (on perfbench's planted_study,
+# 39.2 MB at 256 frames and 58.1 MB with the whole study queued).
+KERNEL_BLOCK_FRAMES = 256
+
+
+def _joined(arrays: list[np.ndarray]) -> np.ndarray:
+    """The arrays concatenated; a single one as it is, uncopied."""
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+
+
+def _split(array: np.ndarray, lengths: list[int]) -> list[np.ndarray]:
+    """Views of array's consecutive parts of the given lengths."""
+    return np.split(array, np.cumsum(lengths[:-1], dtype=int))
+
+
+def _identify_block(
+    batches: list[geometry.LandmarkBatch], gallery: identity.Gallery, target: int,
+    config: identity.IdentityConfig,
+) -> list[tuple[np.ndarray, np.ndarray, dict]]:
+    """Each batch's EAR timestamps, values and routing tally, from one vote
+    and one EAR call over all of them.
+
+    Both kernels compute each row on its own (every vote is the norm's, and
+    every distance math.hypot's), so each batch's part equals what the
+    kernels give on that batch alone.
+    """
+    codes = identity.classify_codes(_joined([b.embeddings for b in batches]), gallery, config)
+    routed = [identity.route_frames(part, b.has_embedding, target, config)
+              for part, b in zip(_split(codes, list(map(len, batches))), batches)]
+    eyes = _joined([b.points[keep] for b, (keep, _) in zip(batches, routed)])
+    values, usable = geometry.batch_ear(eyes, range(6), range(6, 12))
+    written = [tally["written"] for _, tally in routed]
+    return [(b.timestamps[keep][ok], v[ok], tally)
+            for b, (keep, tally), v, ok in zip(batches, routed, _split(values, written),
+                                               _split(usable, written))]
+
+
 def stage_identify(
     cfg: RunConfig, records: list[ConferenceRecord], gallery: identity.Gallery,
 ) -> tuple[Series, dict]:
     """Each landmark stream's target-speaker frames as an EAR series, and
-    the identify diagnostics."""
+    the identify diagnostics.
+
+    The streams are read in registry order, and the kernels run over blocks
+    of consecutive streams of at least KERNEL_BLOCK_FRAMES frames (the last
+    block may hold fewer).
+    """
     series: Series = {}
     conferences: dict[str, dict] = {}
     warnings: list[tuple[str, str]] = []
     target = gallery.label_codes[0].index(cfg.target_label)
-    for record in records:
+    queue: list[tuple[str, geometry.LandmarkBatch]] = []
+    for n, record in enumerate(records, 1):
         try:
             batch = geometry.read_landmark_batch(record.landmarks, EYE_POINTS)
         except OSError as exc:
             raise ConfigError(f"cannot read landmark file {record.landmarks}: {exc}") from exc
-        codes = identity.classify_codes(batch.embeddings, gallery, cfg.identity)
-        keep, tally = identity.route_frames(codes, batch.has_embedding, target, cfg.identity)
-        values, usable = geometry.batch_ear(batch.points[keep], range(6), range(6, 12))
-        timestamps, values = batch.timestamps[keep][usable], values[usable]
-        series[record.conference_id] = timestamps, values
-        count = len(timestamps)
-        info = {**tally, "n_samples": count, "dropped_degenerate": tally["written"] - count}
-        if tally["written"] == 0:
-            info["warning"] = "no frames classified as target"
-            warnings.append((record.conference_id, "no frames kept by identity filter"))
-        elif count == 0:
-            info["warning"] = "no usable EAR frame"
-            warnings.append((record.conference_id, "every kept frame has a degenerate eye"))
-        conferences[record.conference_id] = info
+        queue.append((record.conference_id, batch))
+        if n < len(records) and sum(len(b) for _, b in queue) < KERNEL_BLOCK_FRAMES:
+            continue
+        ids, batches = zip(*queue)
+        queue = []
+        for conference_id, (timestamps, values, tally) in zip(
+                ids, _identify_block(list(batches), gallery, target, cfg.identity)):
+            series[conference_id] = timestamps, values
+            count = len(timestamps)
+            info = {**tally, "n_samples": count, "dropped_degenerate": tally["written"] - count}
+            if tally["written"] == 0:
+                info["warning"] = "no frames classified as target"
+                warnings.append((conference_id, "no frames kept by identity filter"))
+            elif count == 0:
+                info["warning"] = "no usable EAR frame"
+                warnings.append((conference_id, "every kept frame has a degenerate eye"))
+            conferences[conference_id] = info
     # Logged only after every file has been read, so that a data error in a
     # later file stays the failing run's one line on stderr.
     for conference_id, warning in warnings:
@@ -314,8 +366,11 @@ def stage_eventstudy(
         for covariate in COVARIATE_COLUMNS:
             y, x, labels = zip(*[(r[dependent], r[covariate], r["conference_id"])
                                  for r in usable if r[covariate] is not None])
-            models.append(regression.ols_univariate(
-                regression.RegressionInput(y=np.array(y), x=np.array(x), labels=labels)))
+            try:
+                data = regression.RegressionInput(y=np.array(y), x=np.array(x), labels=labels)
+            except DegenerateRegressorError as exc:
+                raise DegenerateRegressorError(f"{dependent} on {covariate}: {exc}") from exc
+            models.append(regression.ols_univariate(data))
 
     diagnostics = {
         "exclusions": exclusions,

@@ -38,6 +38,8 @@ class RegressionInput:
             raise MalformedRecordError("regression inputs must be finite")
         if np.all(x == x[0]):
             raise DegenerateRegressorError("regressor is constant; slope unidentified")
+        if np.all(y == y[0]):
+            raise DegenerateRegressorError("dependent is constant; its slope and t are 0/0")
 
 
 @dataclass(frozen=True)

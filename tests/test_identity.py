@@ -222,6 +222,32 @@ def test_vote_counts_equals_loop_exactly(case):
             assert np.array_equal(got, expected), epsilon
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    offsets=st.lists(st.sampled_from([-0.5, -1e-10, -1e-13, 0.0, 1e-13, 1e-10, 0.5]),
+                     min_size=0, max_size=12),
+    cuts=st.lists(st.integers(min_value=0, max_value=12), max_size=4),
+)
+def test_classify_codes_over_a_concatenation_equals_the_parts(seed, offsets, cuts):
+    """One call over rows equals the calls over any cut of them, with rows at
+    epsilon (1 + offset) from an entry: the small offsets lie within
+    vote_counts' slack, so those pairs are recomputed with the norm."""
+    rng = np.random.default_rng(seed)
+    base = rng.normal(size=(4, 128))
+    gallery = Gallery(tuple(map(GalleryEntry, ("a", "b", "a", "c"), base)))
+    config = IdentityConfig(epsilon=0.5)
+    direction = rng.normal(size=(len(offsets), 128))
+    direction /= np.linalg.norm(direction, axis=1)[:, None]
+    rows = (base[rng.integers(4, size=len(offsets))]
+            + direction * (0.5 * (1.0 + np.array(offsets)))[:, None])
+    rows = rows.reshape(len(offsets), 128)
+    parts = np.split(rows, sorted(min(cut, len(rows)) for cut in cuts))
+    whole = classify_codes(rows, gallery, config)
+    assert np.array_equal(np.concatenate([classify_codes(part, gallery, config)
+                                          for part in parts]), whole)
+
+
 def test_vote_counts_overflow_is_silent():
     """Finite entries whose squares overflow vote without a numpy warning,
     which would be a stray stderr line in a run."""

@@ -27,6 +27,7 @@ from earstudy.market import (
     read_price_csv,
     window_returns,
 )
+from earstudy import market
 from earstudy.output import write_csv
 from earstudy.pipeline import load_registry, load_run_config, run_stages
 from earstudy.synth import build_fixture, planted_study_scenarios
@@ -372,6 +373,52 @@ def test_canonical_stamps_are_accepted_exactly_when_instants_increase(tmp_path_f
         with pytest.raises(MalformedRecordError) as info:
             read_price_csv(path)
         assert str(info.value) == _first_bad_bar(times, prices)
+
+
+# Price files near write_csv's layout: the text after the stamp line, and
+# whether read_price_csv may split it in one pass.  Bars at 12:30-12:33.
+_BARS = [f"2011-06-15T12:3{k}:00-04:00,10{k}.5" for k in range(4)]
+PRICE_LAYOUTS = {
+    "canonical": ("\n".join(_BARS) + "\n", True),
+    # A row of three cells, then a row of one: an unchecked split pairs them.
+    "split-row": (f"{_BARS[0]}\n{_BARS[1]},2011-06-15T12:32:00-04:00\n102.5\n{_BARS[3]}\n",
+                  False),
+    "comment-after-header": (f"{_BARS[0]}\n# note\n" + "\n".join(_BARS[1:]) + "\n", False),
+    "blank-line": (f"{_BARS[0]}\n\n" + "\n".join(_BARS[1:]) + "\n", False),
+    "trailing-blank-line": ("\n".join(_BARS) + "\n\n", False),
+    "third-column": ("".join(f"{bar},x\n" for bar in _BARS), False),
+    "surrounding-spaces": ("".join(f" {bar.replace(',', ' , ')} \n" for bar in _BARS), True),
+    "z-stamps": ("".join(f"2011-06-15T16:3{k}:00Z,10{k}.5\n" for k in range(4)), True),
+    "crlf": ("\r\n".join(_BARS) + "\r\n", False),
+    "no-final-newline": ("\n".join(_BARS), False),
+    "header-only": ("", False),
+}
+
+
+def price_outcome(path):
+    """read_price_csv's series as stamp text, offsets and price hex, or its
+    error's type and text."""
+    try:
+        series = read_price_csv(path)
+    except MalformedRecordError as exc:
+        return type(exc), str(exc)
+    return ([(t.isoformat(), t.utcoffset()) for t in series.times],
+            [p.hex() for p in series.prices.tolist()])
+
+
+@pytest.mark.parametrize("case", sorted(PRICE_LAYOUTS))
+def test_one_split_gives_the_row_path_series(tmp_path, monkeypatch, case):
+    body, split = PRICE_LAYOUTS[case]
+    path = tmp_path / "prices.csv"
+    path.write_bytes(f"# config_hash=0 tool_version=0\ntimestamp,price\n{body}".encode())
+    assert (market._split_price_file(path.read_bytes()) is not None) == split
+    got = price_outcome(path)
+    monkeypatch.setattr(market, "_split_price_file", lambda data: None)
+    assert got == price_outcome(path)
+    if case == "split-row":  # its cells pair up into four good bars
+        assert got == (MalformedRecordError, "invalid timestamp '102.5'")
+    elif case != "header-only":
+        assert len(got[1]) == 4
 
 
 def test_price_csv_rejects_bad_header(tmp_path):

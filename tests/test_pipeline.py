@@ -14,7 +14,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from earstudy import ConfigError, DataError, InsufficientDataError, pipeline, schema
+from earstudy import (
+    ConfigError,
+    DataError,
+    InsufficientDataError,
+    classify_codes,
+    pipeline,
+    schema,
+)
 from earstudy.attention import EarSeries, estimate_fps, summarize_conference
 from earstudy.cli import main
 from earstudy.geometry import LEFT_EYE_INDICES, RIGHT_EYE_INDICES, read_landmark_batch
@@ -617,6 +624,47 @@ def test_cli_synth_subprocess(tmp_path):
     assert (tmp_path / "fx" / "ground_truth.json").exists()
 
 
+def test_process_entry_writes_the_tree_of_cli_main(small_fixture, tmp_path, capsys):
+    """python -m earstudy run gives cli.main's tree and stdout, and leaves
+    the collector off and the heap frozen up to its exit."""
+    config_path = write_run_config(tmp_path / "config.json", small_fixture)
+    capsys.readouterr()
+    assert main(["run", "--config", str(config_path), "--out", str(tmp_path / "in")]) == 0
+    stdout = capsys.readouterr().out
+    result = subprocess.run(
+        [sys.executable, "-m", "earstudy", "run",
+         "--config", str(config_path), "--out", str(tmp_path / "child")],
+        capture_output=True, text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == stdout
+    assert tree_bytes(tmp_path / "child") == tree_bytes(tmp_path / "in")
+    probe = ("import atexit, gc, runpy, sys; atexit.register(lambda: print("
+             "gc.isenabled(), gc.get_freeze_count() > 0, file=sys.stderr)); "
+             "runpy.run_module('earstudy', run_name='__main__')")
+    result = subprocess.run([sys.executable, "-c", probe, "run", "--config", str(config_path),
+                             "--out", str(tmp_path / "probe")], capture_output=True, text=True)
+    assert (result.returncode, result.stderr.splitlines()[-1]) == (0, "False True")
+
+
+def test_flat_prices_are_a_one_line_data_error(small_fixture, tmp_path):
+    """Every return and volatility change is 0 when every bar has one price:
+    no table may then claim a slope, so the run stops with one line."""
+    fixture = shutil.copytree(small_fixture, tmp_path / "fixture")
+    for path in (fixture / "prices").glob("*.csv"):
+        meta, header, *rows = path.read_text().splitlines()
+        flat = [f"{row.split(',')[0]},3000.0" for row in rows]
+        path.write_text("".join(f"{line}\n" for line in [meta, header, *flat]))
+    result = run_cli(write_run_config(fixture / "config.json", fixture), tmp_path / "out")
+    assert result.returncode == 2, result.stderr
+    assert "Traceback" not in result.stderr
+    # The exclusion warnings come first; the error is the last line.
+    assert result.stderr.splitlines()[-1] == (
+        "data error: return_during on delta_log_attention: "
+        "dependent is constant; its slope and t are 0/0")
+    assert out_files(tmp_path / "out") == ["run_config.json"]
+
+
 def test_cli_data_error_is_one_stderr_line(small_fixture, tmp_path):
     fixture = shutil.copytree(small_fixture, tmp_path / "fixture")
     raw = json.loads((fixture / "registry.json").read_text())
@@ -792,6 +840,82 @@ def test_ear_series_matches_scalar_oracle(completed_run):
     for record in load_registry(cfg.registry):
         got = read_ear_rows(out / "ear" / f"{record.conference_id}.csv")
         assert got == scalar_identify(cfg, record)[0], record.conference_id
+
+
+@pytest.fixture(scope="module")
+def short_streams(small_fixture, tmp_path_factory):
+    """small_fixture cut to landmark streams of 45 to 360 frames.
+
+    conf-005 keeps no frame, as in small_fixture; every frame of conf-002
+    has its left eye's corners at one point, so each of its kept frames is
+    degenerate; every seventh frame of conf-001 and conf-006 has no
+    embedding.
+    """
+    fixture = shutil.copytree(small_fixture, tmp_path_factory.mktemp("short") / "fixture")
+    corner, opposite = LEFT_EYE_INDICES[0], LEFT_EYE_INDICES[3]
+    for number in range(1, 9):
+        path = fixture / "landmarks" / f"conf-{number:03d}.jsonl"
+        meta, *lines = path.read_text().splitlines()
+        lines = lines[:45 * number]
+        for k, line in enumerate(lines):
+            record = json.loads(line)
+            if number == 2:
+                record["points"][opposite] = record["points"][corner]
+            if number in (1, 6) and k % 7 == 3:
+                del record["embedding"]
+            lines[k] = json.dumps(record, separators=(",", ":"))
+        path.write_text("".join(f"{line}\n" for line in [meta, *lines]))
+    return fixture
+
+
+@pytest.mark.parametrize("policy", ["drop", "assume_target"])
+def test_identify_is_the_same_for_every_kernel_block(short_streams, tmp_path, monkeypatch,
+                                                     caplog, policy):
+    """One conference per block, the default blocks and one block for the
+    whole study give equal series bit for bit, equal diagnostics and equal
+    warnings."""
+    config_path = write_run_config(
+        tmp_path / "config.json", short_streams,
+        identity={"epsilon": 0.5, "min_votes": 1, "no_embedding_policy": policy},
+    )
+    cfg = load_run_config(config_path)
+    records = load_registry(cfg.registry)
+    gallery = load_gallery(cfg.gallery)
+    calls = []
+
+    def counted(embeddings, *args):
+        calls.append(len(embeddings))
+        return classify_codes(embeddings, *args)
+
+    monkeypatch.setattr("earstudy.identity.classify_codes", counted)
+    lengths = [45 * n for n in range(1, 9)]
+    default = pipeline.KERNEL_BLOCK_FRAMES
+    runs, block_frames = [], []
+    for frames in (1, default, sum(lengths) + 1):
+        monkeypatch.setattr(pipeline, "KERNEL_BLOCK_FRAMES", frames)
+        calls.clear()
+        caplog.clear()
+        series, diagnostics = stage_identify(cfg, records, gallery)
+        runs.append((
+            {cid: [(a.dtype, a.shape, a.tobytes()) for a in arrays]
+             for cid, arrays in series.items()},
+            json.dumps(diagnostics),
+            [(r.levelname, r.getMessage()) for r in caplog.records],
+        ))
+        block_frames.append(list(calls))
+    assert runs[0] == runs[1] == runs[2]
+    conferences = json.loads(runs[0][1])["conferences"]
+    assert conferences["conf-005"]["written"] == 0
+    assert conferences["conf-002"]["written"] > 0 == conferences["conf-002"]["n_samples"]
+    assert [message for _, message in runs[0][2]] == [
+        "conference conf-002: every kept frame has a degenerate eye",
+        "conference conf-005: no frames kept by identity filter",
+    ]
+    # The registry is in date order.  Each block but the last holds at
+    # least the block size, and ends where that is first met.
+    single, blocks, whole = block_frames
+    assert single == lengths and whole == [sum(lengths)]
+    assert blocks == [270, 405, 270, 315, 360] and default == 256
 
 
 @pytest.mark.parametrize("policy", ["drop", "assume_target"])

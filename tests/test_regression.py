@@ -116,6 +116,14 @@ def test_constant_regressor_rejected():
         fit([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
 
 
+@pytest.mark.parametrize("y", [np.zeros(5), np.full(5, -2.5)])
+def test_constant_dependent_rejected(y):
+    """A 0/0 slope is not a significant one: with nothing to explain there is
+    no t statistic, p-value or star."""
+    with pytest.raises(DegenerateRegressorError, match="^dependent is constant"):
+        fit([0.1, -0.4, 0.3, 0.9, -0.2], y)
+
+
 def test_too_few_observations_rejected():
     with pytest.raises(InsufficientDataError):
         fit([1.0, 2.0], [1.0, 2.0])
