@@ -33,7 +33,6 @@ from .identity import (
     Gallery,
     GalleryEntry,
     IdentityConfig,
-    classify_batch,
     classify_codes,
     route_frames,
     vote_counts,

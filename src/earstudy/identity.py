@@ -149,15 +149,6 @@ def classify_codes(embeddings: np.ndarray, gallery: Gallery, config: IdentityCon
     return np.where(decided, counts.argmax(axis=1), -1)
 
 
-def classify_batch(
-    embeddings: np.ndarray, gallery: Gallery, config: IdentityConfig
-) -> list[str | None]:
-    """classify_codes as labels: each row's plurality label, or None when unknown."""
-    names, _ = gallery.label_codes
-    codes = classify_codes(embeddings, gallery, config).tolist()
-    return [names[c] if c >= 0 else None for c in codes]
-
-
 def route_frames(
     codes: np.ndarray, has_embedding: np.ndarray, target: int, config: IdentityConfig,
 ) -> tuple[np.ndarray, dict[str, int]]:

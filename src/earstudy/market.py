@@ -283,7 +283,7 @@ def _split_price_file(data: bytes) -> tuple[list[str], list[str]] | None:
     "timestamp,price", then rows that each end in LF, with no other "#" and
     no CR.  The cells, joined back in pairs, must give the body, so every
     row holds exactly two cells and no row is blank: these are the cells
-    that csv_rows gives.
+    that rows_of_bytes gives.
     """
     try:
         text = data.decode("utf-8")
@@ -329,17 +329,19 @@ def read_price_csv(path: str | Path) -> PriceSeries:
     are all "YYYY-MM-DDTHH:MM:SS±HH:MM" with one offset is proven in order
     from its text; any other file is checked on its datetimes.  A file in
     write_csv's exact layout is split in one pass; any other file, and any
-    file that this fails on, is read by csv_rows row by row.  Every path
-    gives the same series and the same errors.
+    file that this fails on, is read by rows_of_bytes row by row, from the
+    bytes already read.  Every path gives the same series and the same
+    errors.
     """
     with open(path, "rb") as fh:
-        cells = _split_price_file(fh.read())
+        data = fh.read()
+    cells = _split_price_file(data)
     if cells is not None:
         try:
             return _price_series(*cells)
         except (ValueError, MalformedRecordError):
             pass
-    rows = output.csv_rows(path, PRICE_COLUMNS, _check_price_row, "price")
+    rows = output.rows_of_bytes(path, data, PRICE_COLUMNS, _check_price_row, "price")
     try:
         return _price_series(list(map(itemgetter(0), rows)), list(map(itemgetter(1), rows)))
     except (IndexError, ValueError, MalformedRecordError):

@@ -141,11 +141,12 @@ def read_csv(
 ) -> list[_T]:
     """Rows of a CSV file, each converted by ``parse_row``.
 
-    The rows are those of csv_rows.  A row that ``parse_row`` rejects with
-    IndexError or ValueError raises MalformedRecordError naming ``what``
-    and the first such row.
+    The file is read in one pass, and its rows are those of rows_of_bytes.
+    A row that ``parse_row`` rejects with IndexError or ValueError raises
+    MalformedRecordError naming ``what`` and the first such row.
     """
-    rows = csv_rows(path, columns, parse_row, what)
+    with open(path, "rb") as fh:
+        rows = rows_of_bytes(path, fh.read(), columns, parse_row, what)
     try:
         return list(map(parse_row, rows))
     except (IndexError, ValueError):
@@ -153,24 +154,18 @@ def read_csv(
         raise
 
 
-def csv_rows(
-    path: str | Path,
-    columns: Sequence[str],
-    check_row: Callable[[list[str]], object],
-    what: str,
-) -> list[list[str]]:
-    """The data rows of a CSV file in write_csv's format, each a list of cells.
+def rows_of_bytes(path: str | Path, data: bytes, columns: Sequence[str],
+                  check_row: Callable[[list[str]], object], what: str) -> list[list[str]]:
+    """The data rows of path's bytes, data, in write_csv's format, each a
+    list of cells.
 
-    The file is read in one pass.  LF, CRLF and a lone CR each end a line.
-    ``#`` lines and blank rows are skipped, and a row is its line split at
-    every comma: cells are never quoted.  The first other line is the
-    header, which must begin with ``columns``.  A file that is not UTF-8
-    raises MalformedRecordError, after the complete rows ahead of its first
-    bad byte are checked with check_rows, so that a bad row there is named
-    first.
+    LF, CRLF and a lone CR each end a line.  ``#`` lines and blank rows are
+    skipped, and a row is its line split at every comma: cells are never
+    quoted.  The first other line is the header, which must begin with
+    ``columns``.  Bytes that are not UTF-8 raise MalformedRecordError,
+    after the complete rows ahead of the first bad byte are checked with
+    check_rows, so that a bad row there is named first.
     """
-    with open(path, "rb") as fh:
-        data = fh.read()
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:

@@ -9,11 +9,11 @@ has no test).  The stages are
 pure: each returns what it computed, with its diagnostics, and writes
 nothing.  write_outputs writes every stage file once all three have
 returned, so a run that fails leaves only run_config.json under --out.
-attention and eventstudy exclude a conference that fails them, with a
-logged reason, rather than abort the run.  identify does abort it: a bad
-landmark line is a data error (exit 2) and a landmark file that cannot be
-read a configuration error (exit 1); ROADMAP item 2(a) would make both
-exclusions.
+attention and eventstudy exclude a conference that fails them on one
+path, _each_conference, which records and logs its reason and goes on.
+identify still aborts the run: a bad landmark line is a data error (exit
+2) and a landmark file that cannot be read a configuration error (exit
+1), until ROADMAP item 2(a) moves identify onto that path.
 """
 
 from __future__ import annotations
@@ -22,11 +22,12 @@ import hashlib
 import logging
 import os
 from dataclasses import dataclass, field
+from functools import lru_cache
 from datetime import date as dt_date
 from datetime import datetime, time
 from operator import itemgetter
 from pathlib import Path
-from typing import NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -262,38 +263,21 @@ def stage_attention(
     Returns its rows, one dict per surviving conference in date order, and
     the attention diagnostics.
     """
-    rows: list[dict] = []
-    exclusions: list[dict] = []
     floored: list[str] = []
 
-    for record in records:
+    def attention_row(record: ConferenceRecord) -> dict:
         timestamps, values = series[record.conference_id]
-        try:
-            summary = att.summarize_conference(
-                att.EarSeries(record.conference_id, timestamps, values,
-                              att.estimate_fps(timestamps)),
-                cfg.attention,
-            )
-            if (
-                cfg.attention.floor_policy == "epsilon_floor"
-                and summary.attention_integral < cfg.attention.floor_value
-            ):
-                floored.append(record.conference_id)
-            transcript = output.read_text(record.transcript)
-            segments = att.read_segments_csv(record.segments, record.conference_id)
-            benchmark = att.benchmark_variables(transcript, segments, record.qa_duration_s())
-        except (DataError, OSError) as exc:
-            reason = _path_free(exc, cfg.registry, record.transcript, record.segments)
-            exclusions.append({"conference_id": record.conference_id, "reason": reason})
-            log.warning("conference %s excluded from attention table: %s",
-                        record.conference_id, reason)
-            continue
-        rows.append({
-            **vars(summary),  # the fields, in order, uncopied
-            "date": record.date.isoformat(),
-            **vars(benchmark),
-        })
+        summary = att.summarize_conference(att.EarSeries(
+            record.conference_id, timestamps, values, att.estimate_fps(timestamps)), cfg.attention)
+        if (cfg.attention.floor_policy == "epsilon_floor"
+                and summary.attention_integral < cfg.attention.floor_value):
+            floored.append(record.conference_id)
+        transcript = output.read_text(record.transcript)
+        segments = att.read_segments_csv(record.segments, record.conference_id)
+        benchmark = att.benchmark_variables(transcript, segments, record.qa_duration_s())
+        return {**vars(summary), "date": record.date.isoformat(), **vars(benchmark)}
 
+    rows, exclusions = _each_conference("attention", cfg, records, attention_row)
     # First differences across surviving conferences in date order; the
     # first survivor has no delta.
     for delta_col, source in DELTA_SOURCES.items():
@@ -301,6 +285,37 @@ def stage_attention(
         for row, delta in zip(rows, [None, *deltas]):
             row[delta_col] = delta
     return rows, {"exclusions": exclusions, "floored": floored, "n_rows": len(rows)}
+
+
+# Per stage that excludes a conference rather than abort the run: the input
+# errors that exclude it, the record's input files that its reason names
+# relative to the registry, and what its warning says it is excluded from.
+_EXCLUDING = {
+    "attention": ((DataError, OSError), ("transcript", "segments"), "attention table"),
+    "eventstudy": ((DataError, ConfigError, OSError), ("prices",), "event study"),
+}
+
+
+def _each_conference(
+    stage: str, cfg: RunConfig, records: Iterable[ConferenceRecord],
+    body: Callable[[ConferenceRecord], dict],
+) -> tuple[list[dict], list[dict]]:
+    """body(record) for each record in turn, and the stage's exclusions.
+
+    A record whose body raises one of the stage's input errors is excluded:
+    its reason is recorded and logged as a warning, and the next one runs.
+    """
+    errors, inputs, excluded_from = _EXCLUDING[stage]
+    results, exclusions = [], []
+    for record in records:
+        try:
+            results.append(body(record))
+        except errors as exc:
+            reason = _path_free(exc, cfg.registry, *(getattr(record, name) for name in inputs))
+            exclusions.append({"conference_id": record.conference_id, "reason": reason})
+            log.warning("conference %s excluded from %s: %s",
+                        record.conference_id, excluded_from, reason)
+    return results, exclusions
 
 
 def _path_free(exc: Exception, registry: Path, *paths: Path) -> str:
@@ -323,37 +338,22 @@ def stage_eventstudy(
     eventstudy diagnostics; fewer than 3 usable conferences raise
     InsufficientDataError."""
     by_id = {r.conference_id: r for r in records}
-    window_rows: list[dict] = []
-    exclusions: list[dict] = []
+    row_of = {row["conference_id"]: row for row in rows}
     # Only the last price file read is held: conferences that share a file
     # in date order read it once.
-    prices_path: Path | None = None
-    prices: market.PriceSeries | None = None
-    for row in rows:
-        record = by_id[row["conference_id"]]
-        close = record.trading_close
-        if close is None:
-            close = datetime.combine(
-                record.date, cfg.market.trading_close, tzinfo=record.qa_start.tzinfo
-            )
-        try:
-            timeline = market.ConferenceTimeline(record.qa_start, record.conference_end, close)
-            if record.prices != prices_path:
-                prices = market.read_price_csv(record.prices)
-                prices_path = record.prices
-            stats = market.event_window_stats(prices, timeline, record.conference_id)
-        except (DataError, ConfigError, OSError) as exc:
-            reason = _path_free(exc, cfg.registry, record.prices)
-            exclusions.append({"conference_id": row["conference_id"], "reason": reason})
-            log.warning("conference %s excluded from event study: %s",
-                        row["conference_id"], reason)
-            continue
-        window_rows.append({
-            **row,
-            **vars(stats),
-            "vol_change_x100": stats.vol_change * 100.0,
-        })
+    read_prices = lru_cache(maxsize=1)(market.read_price_csv)
 
+    def window_row(record: ConferenceRecord) -> dict:
+        close = record.trading_close or datetime.combine(
+            record.date, cfg.market.trading_close, tzinfo=record.qa_start.tzinfo)
+        timeline = market.ConferenceTimeline(record.qa_start, record.conference_end, close)
+        stats = market.event_window_stats(read_prices(record.prices), timeline,
+                                          record.conference_id)
+        return {**row_of[record.conference_id], **vars(stats),
+                "vol_change_x100": stats.vol_change * 100.0}
+
+    window_rows, exclusions = _each_conference("eventstudy", cfg, map(by_id.get, row_of),
+                                               window_row)
     usable = [r for r in window_rows if r["delta_log_attention"] is not None]
     if len(usable) < 3:
         raise InsufficientDataError(

@@ -8,6 +8,9 @@ OLS solve, scipy's t distribution, adaptive Simpson quadrature of the t
 density, a two-pass RMS, a row-by-row price reader with event windows over
 plain lists, the CSV rows as the stdlib csv module reads them, and the
 continuous-limit attention of a synthetic conference's planted episodes.
+
+classify_batch is the one exception: it is not an oracle but the labelled
+view of the package's classify_codes, for tests that compare labels.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from bisect import bisect_right
 import numpy as np
 import scipy.stats
 
+from earstudy.identity import classify_codes
 from earstudy.market import parse_instant
 
 
@@ -125,6 +129,13 @@ def brute_force_classify(query, entries, epsilon, min_votes):
     if best < min_votes or len(winners) != 1:
         return None
     return winners[0]
+
+
+def classify_batch(embeddings, gallery, config) -> list:
+    """classify_codes as labels: each row's plurality label, or None when unknown."""
+    names, _ = gallery.label_codes
+    return [names[c] if c >= 0 else None
+            for c in classify_codes(embeddings, gallery, config).tolist()]
 
 
 def vote_counts_loop(embeddings, gallery, epsilon) -> np.ndarray:

@@ -23,7 +23,6 @@ from earstudy import (
     IdentityConfig,
     RegressionInput,
     batch_ear,
-    classify_batch,
     integrate_attention,
     ols_univariate,
     two_sided_p_value,
@@ -39,6 +38,7 @@ from ear_cases import HAND_CASES
 from oracles import (
     analytic_attention,
     brute_force_classify,
+    classify_batch,
     frame_aspect_ratio,
     ols_normal_equations,
     t_two_sided_p_quadrature,

@@ -13,7 +13,6 @@ from earstudy import (
     GalleryEntry,
     IdentityConfig,
     MalformedRecordError,
-    classify_batch,
     classify_codes,
     route_frames,
     vote_counts,
@@ -22,7 +21,13 @@ from earstudy.identity import NO_EMBEDDING_POLICIES, dump_gallery, load_gallery
 from earstudy.pipeline import load_run_config, run_stages
 
 from conftest import write_run_config
-from oracles import brute_force_classify, python_norm, route_frames_loop, vote_counts_loop
+from oracles import (
+    brute_force_classify,
+    classify_batch,
+    python_norm,
+    route_frames_loop,
+    vote_counts_loop,
+)
 
 
 def vec(*head):

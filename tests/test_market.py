@@ -1,3 +1,4 @@
+import builtins
 import json
 import math
 import shutil
@@ -412,7 +413,17 @@ def test_one_split_gives_the_row_path_series(tmp_path, monkeypatch, case):
     path = tmp_path / "prices.csv"
     path.write_bytes(f"# config_hash=0 tool_version=0\ntimestamp,price\n{body}".encode())
     assert (market._split_price_file(path.read_bytes()) is not None) == split
+    opened, real_open = [], builtins.open
+
+    def counted_open(file, *args, **kwargs):
+        opened.append(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counted_open)
     got = price_outcome(path)
+    monkeypatch.undo()
+    # A file the split rejects goes to the row path with the bytes already read.
+    assert opened == [path]
     monkeypatch.setattr(market, "_split_price_file", lambda data: None)
     assert got == price_outcome(path)
     if case == "split-row":  # its cells pair up into four good bars

@@ -300,26 +300,64 @@ def test_registry_order_leaves_the_tree_unchanged(completed_run, tmp_path_factor
     assert masked_tree(work / "out") == masked_tree(out)
 
 
-@pytest.mark.parametrize("conference_id", ["conf-001", "conf-006"])
+# The warnings of a run on small_fixture as it is: identify's for conf-005,
+# whose chair is never on camera, then attention's for conf-003, which
+# never reads, and conf-005.
+SMALL_FIXTURE_WARNINGS = [
+    "WARNING earstudy.pipeline: conference conf-005: no frames kept by identity filter",
+    "WARNING earstudy.pipeline: conference conf-003 excluded from attention table: conference "
+    "'conf-003': attention integral 0.0 has no log; configure an epsilon_floor policy or "
+    "exclude the conference",
+    "WARNING earstudy.pipeline: conference conf-005 excluded from attention table: need at "
+    "least 2 samples to estimate the frame rate, got 0",
+]
+
+
+@pytest.mark.parametrize("conference_id, segments_id",
+                         [("conf-001", None), ("conf-006", None), ("conf-001", "conf-008")],
+                         ids=["conf-001", "conf-006", "conf-001-and-segments-conf-008"])
 def test_bad_price_file_leaves_other_window_rows_unchanged(
-    completed_run, tmp_path, conference_id
+    completed_run, tmp_path, caplog, conference_id, segments_id
 ):
     """A conference excluded for a price of -1 loses its windows.csv row,
-    and every other line stays as it was."""
+    and one excluded for a bad segments row its attention.csv row too.
+    Each is excluded once, in its own stage's diagnostics and with one
+    warning line, and every other line stays as it was."""
     fixture, _, out = completed_run
     copy = shutil.copytree(fixture, tmp_path / "fixture")
     path = copy / "prices" / f"{conference_id}.csv"
     lines = path.read_text().splitlines(keepends=True)
-    lines[5] = lines[5].split(",")[0] + ",-1\n"
+    stamp = lines[5].split(",")[0]
+    lines[5] = stamp + ",-1\n"
     path.write_text("".join(lines))
+    added = {"attention": [], "eventstudy": [
+        (conference_id, f"non-positive price -1.0 at {stamp.replace('T', ' ')}")]}
+    if segments_id is not None:
+        with open(copy / "segments" / f"{segments_id}.csv", "a") as fh:
+            fh.write("1.5,abc,chair\n")
+        added["attention"].append(
+            (segments_id, f"segments/{segments_id}.csv: bad segment row ['1.5', 'abc', 'chair']"))
+    caplog.clear()
     run_stages(load_run_config(write_run_config(tmp_path / "config.json", copy)),
                tmp_path / "out")
-    diag = json.loads((tmp_path / "out" / "diagnostics" / "eventstudy.json").read_text())
-    assert [e["conference_id"] for e in diag["exclusions"]] == [conference_id]
-    before = (out / "windows.csv").read_text().splitlines()
-    after = (tmp_path / "out" / "windows.csv").read_text().splitlines()
-    assert after == [line for line in before if not line.startswith(f"{conference_id},")]
-    assert len(after) == len(before) - 1
+
+    for stage, excluded in added.items():
+        before = json.loads((out / "diagnostics" / f"{stage}.json").read_text())
+        after = json.loads((tmp_path / "out" / "diagnostics" / f"{stage}.json").read_text())
+        assert after["exclusions"] == before["exclusions"] + [
+            {"conference_id": cid, "reason": reason} for cid, reason in excluded]
+    where = {"attention": "attention table", "eventstudy": "event study"}
+    assert [f"{r.levelname} {r.name}: {r.getMessage()}" for r in caplog.records] == [
+        *SMALL_FIXTURE_WARNINGS,
+        *(f"WARNING earstudy.pipeline: conference {cid} excluded from {where[stage]}: {reason}"
+          for stage, excluded in added.items() for cid, reason in excluded)]
+    for name, dropped in (("attention.csv", [segments_id]),
+                          ("windows.csv", [conference_id, segments_id])):
+        before = (out / name).read_text().splitlines()
+        after = (tmp_path / "out" / name).read_text().splitlines()
+        gone = tuple(f"{cid}," for cid in dropped if cid is not None)
+        assert after == [line for line in before if not line.startswith(gone)]
+        assert len(after) == len(before) - len(gone)
 
 
 def rescale_prices(fixture: Path, scale: float) -> float:

@@ -14,7 +14,6 @@ from earstudy import (
     IdentityConfig,
     ScenarioError,
     batch_ear,
-    classify_batch,
     integrate_attention,
 )
 from earstudy.attention import estimate_fps
@@ -42,7 +41,7 @@ from earstudy.synth import (
 )
 from earstudy.schema import read, to_json
 
-from oracles import analytic_attention
+from oracles import analytic_attention, classify_batch
 
 TZ = timezone(timedelta(hours=-4))
 
