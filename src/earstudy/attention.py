@@ -6,7 +6,8 @@ interval, so camera-away gaps (stretches with no samples) contribute
 nothing.  Its natural log is first-differenced across consecutive
 conferences to obtain a stationary regressor.
 
-The module reads speaker segments (read_segments_csv) and writes no file:
+The module reads speaker segments (read_segments_csv, through
+output.read_columns) and writes no file:
 the pipeline writes the EAR series with output.write_csv and EAR_COLUMNS.
 """
 
@@ -142,7 +143,8 @@ class ConferenceAttention:
 
 @dataclass(frozen=True)
 class SpeakerSegments:
-    """Non-overlapping, time-ordered speaker turns within one conference."""
+    """Non-overlapping, time-ordered speaker turns with finite bounds
+    within one conference."""
 
     conference_id: str
     segments: tuple[tuple[float, float, str], ...]
@@ -150,6 +152,10 @@ class SpeakerSegments:
     def __post_init__(self) -> None:
         prev_end = -math.inf
         for start, end, tag in self.segments:
+            if not (math.isfinite(start) and math.isfinite(end)):
+                raise MalformedRecordError(
+                    f"conference {self.conference_id!r}: segment bounds must be finite"
+                )
             if tag not in SPEAKER_TAGS:
                 raise MalformedRecordError(
                     f"conference {self.conference_id!r}: unknown speaker tag {tag!r}"
@@ -278,20 +284,20 @@ def summarize_conference(series: EarSeries, config: AttentionConfig) -> Conferen
 
 
 # ---------------------------------------------------------------------------
-# CSV columns, in the format of output.write_csv/read_csv: EAR series
-# ("timestamp_s,ear"), written only, and speaker segments
-# ("start_s,end_s,speaker"), read and written.
+# CSV columns, in output.write_csv's format: EAR series ("timestamp_s,ear"),
+# written only, and speaker segments ("start_s,end_s,speaker"), read through
+# output.read_columns and written.
 # ---------------------------------------------------------------------------
 
 EAR_COLUMNS = ("timestamp_s", "ear")
 SEGMENT_COLUMNS = ("start_s", "end_s", "speaker")
 
 
+def _segment(row: list[str]) -> tuple[float, float, str]:
+    return float(row[0]), float(row[1]), row[2].strip()
+
+
 def read_segments_csv(path: str | Path, conference_id: str) -> SpeakerSegments:
-    rows = output.read_csv(
-        path,
-        SEGMENT_COLUMNS,
-        lambda row: (float(row[0]), float(row[1]), row[2].strip()),
-        "segment",
-    )
+    cells = output.read_columns(path, SEGMENT_COLUMNS, _segment, "segment")
+    rows = output.check_rows(path, map(list, zip(*cells)), _segment, "segment")
     return SpeakerSegments(conference_id, tuple(rows))

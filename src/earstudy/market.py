@@ -14,7 +14,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from datetime import datetime, timedelta
-from operator import attrgetter, itemgetter, lt, methodcaller
+from operator import attrgetter, lt, methodcaller
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
@@ -272,36 +272,6 @@ def _price_column(texts: list[str]) -> np.ndarray:
     return np.array(values, dtype=np.float64)
 
 
-_PRICE_HEADER = ",".join(PRICE_COLUMNS) + "\n"
-
-
-def _split_price_file(data: bytes) -> tuple[list[str], list[str]] | None:
-    """The stamp and price cells of a file in write_csv's exact layout, from
-    one split of its body; None for any other file.
-
-    The layout is an optional leading "#" line, the header
-    "timestamp,price", then rows that each end in LF, with no other "#" and
-    no CR.  The cells, joined back in pairs, must give the body, so every
-    row holds exactly two cells and no row is blank: these are the cells
-    that rows_of_bytes gives.
-    """
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError:
-        return None
-    if text.startswith("#"):
-        text = text[text.find("\n") + 1:]
-    body = text[len(_PRICE_HEADER):-1]
-    if not (text.startswith(_PRICE_HEADER) and text.endswith("\n") and body
-            and "#" not in body and "\r" not in body):
-        return None
-    cells = body.replace("\n", ",").split(",")
-    stamps, prices = cells[0::2], cells[1::2]
-    if "\n".join(map(",".join, zip(stamps, prices))) != body:
-        return None
-    return stamps, prices
-
-
 def _price_series(stamps: list[str], prices: list[str]) -> PriceSeries:
     """The series of a price file's stamp and price cells."""
     # parse_instant's steps over the whole column: every "Z" reads as
@@ -321,30 +291,18 @@ def _price_series(stamps: list[str], prices: list[str]) -> PriceSeries:
 
 
 def read_price_csv(path: str | Path) -> PriceSeries:
-    """The price file as a checked series, converted a column at a time.
+    """The price file as a checked series, its cells read by
+    output.read_columns and converted a column at a time.
 
     A file with a row that parse_instant or float rejects raises the error
     that row gives, naming the first such row; a file whose rows all read
     raises PriceSeries's error for its first bad bar.  A file whose stamps
     are all "YYYY-MM-DDTHH:MM:SS±HH:MM" with one offset is proven in order
-    from its text; any other file is checked on its datetimes.  A file in
-    write_csv's exact layout is split in one pass; any other file, and any
-    file that this fails on, is read by rows_of_bytes row by row, from the
-    bytes already read.  Every path gives the same series and the same
-    errors.
+    from its text; any other file is checked on its datetimes.
     """
-    with open(path, "rb") as fh:
-        data = fh.read()
-    cells = _split_price_file(data)
-    if cells is not None:
-        try:
-            return _price_series(*cells)
-        except (ValueError, MalformedRecordError):
-            pass
-    rows = output.rows_of_bytes(path, data, PRICE_COLUMNS, _check_price_row, "price")
+    cells = output.read_columns(path, PRICE_COLUMNS, _check_price_row, "price")
     try:
-        return _price_series(list(map(itemgetter(0), rows)), list(map(itemgetter(1), rows)))
-    except (IndexError, ValueError, MalformedRecordError):
-        output.check_rows(path, rows, _check_price_row, "price")
+        return _price_series(*cells)
+    except (ValueError, MalformedRecordError):
+        output.check_rows(path, map(list, zip(*cells)), _check_price_row, "price")
         raise
-

@@ -10,6 +10,7 @@ Every CSV the package reads or writes has optional ``#`` metadata comment
 lines, a header row, then one row per record, its cells separated by commas
 and never quoted.  write_csv is the package's one CSV writer: every CSV it
 writes, in the pipeline and in synth, starts with the stamp line.
+read_columns is its one CSV reader, for price and segments files.
 """
 
 from __future__ import annotations
@@ -133,39 +134,30 @@ def write_csv(path: Path, columns: Sequence[str], rows: Iterable[tuple], digest:
     return len(rows)
 
 
-def read_csv(
+def read_columns(
     path: str | Path,
     columns: Sequence[str],
-    parse_row: Callable[[list[str]], _T],
+    check_row: Callable[[list[str]], object],
     what: str,
-) -> list[_T]:
-    """Rows of a CSV file, each converted by ``parse_row``.
+) -> list[list[str]]:
+    """The first ``len(columns)`` cells of each data row of path, as one
+    list per column, from one read of the file.
 
-    The file is read in one pass, and its rows are those of rows_of_bytes.
-    A row that ``parse_row`` rejects with IndexError or ValueError raises
-    MalformedRecordError naming ``what`` and the first such row.
+    The header, the first line other than a ``#`` line, must begin with
+    ``columns``.  LF, CRLF and a lone CR each end a line, ``#`` lines and
+    blank rows are skipped, and a row is its line split at every comma:
+    cells are never quoted.  A file in write_csv's exact layout is split in
+    one pass, any other line by line; both give the same cells.
+
+    check_row must read each of a row's first ``len(columns)`` cells.  The
+    rows of a file with a row of another width, and the complete rows ahead
+    of bytes that are not UTF-8, are checked with check_rows first, so that
+    the first bad row is named with all its cells; those bytes then raise
+    MalformedRecordError.  A caller that fails to convert the cells names
+    the first bad row with check_rows over their rows.
     """
     with open(path, "rb") as fh:
-        rows = rows_of_bytes(path, fh.read(), columns, parse_row, what)
-    try:
-        return list(map(parse_row, rows))
-    except (IndexError, ValueError):
-        check_rows(path, rows, parse_row, what)
-        raise
-
-
-def rows_of_bytes(path: str | Path, data: bytes, columns: Sequence[str],
-                  check_row: Callable[[list[str]], object], what: str) -> list[list[str]]:
-    """The data rows of path's bytes, data, in write_csv's format, each a
-    list of cells.
-
-    LF, CRLF and a lone CR each end a line.  ``#`` lines and blank rows are
-    skipped, and a row is its line split at every comma: cells are never
-    quoted.  The first other line is the header, which must begin with
-    ``columns``.  Bytes that are not UTF-8 raise MalformedRecordError,
-    after the complete rows ahead of the first bad byte are checked with
-    check_rows, so that a bad row there is named first.
-    """
+        data = fh.read()
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -175,19 +167,36 @@ def rows_of_bytes(path: str | Path, data: bytes, columns: Sequence[str],
         if lines:
             check_rows(path, _data_rows(path, lines, columns), check_row, what)
         raise MalformedRecordError(f"{path}: not valid UTF-8") from exc
-    return _data_rows(path, _lines(text), columns)
+    width = len(columns)
+    header = ",".join(columns) + "\n"
+    body = text[text.find("\n") + 1:] if text.startswith("#") else text
+    if (body.startswith(header) and body.endswith("\n")
+            and "\r" not in body and "#" not in body):
+        body = body[len(header):-1]
+        cells = body.replace("\n", ",").split(",")
+        split = [cells[k::width] for k in range(width)]
+        # Joined back a row at a time, the cells must give the body, so
+        # every row holds exactly width cells and none is blank.
+        if body and "\n".join(map(",".join, zip(*split))) == body:
+            return split
+    rows = _data_rows(path, _lines(text), columns)
+    if any(len(row) != width for row in rows):
+        check_rows(path, rows, check_row, what)
+    return [[row[k] for row in rows] for k in range(width)]
 
 
 def check_rows(
-    path: str | Path, rows: Iterable[list[str]], check_row: Callable, what: str
-) -> None:
-    """Raise MalformedRecordError naming the first row that ``check_row``
-    rejects with IndexError or ValueError."""
+    path: str | Path, rows: Iterable[list[str]], check_row: Callable[[list[str]], _T], what: str
+) -> list[_T]:
+    """``check_row``'s value for each row; MalformedRecordError naming the
+    first row that it rejects with IndexError or ValueError."""
+    values = []
     for row in rows:
         try:
-            check_row(row)
+            values.append(check_row(row))
         except (IndexError, ValueError) as exc:
             raise MalformedRecordError(f"{path}: bad {what} row {row!r}") from exc
+    return values
 
 
 def _lines(text: str) -> list[str]:

@@ -28,13 +28,13 @@ from earstudy.market import (
     read_price_csv,
     window_returns,
 )
-from earstudy import market
+from earstudy.attention import SEGMENT_COLUMNS, SPEAKER_TAGS, read_segments_csv
 from earstudy.output import write_csv
 from earstudy.pipeline import load_registry, load_run_config, run_stages
 from earstudy.synth import build_fixture, planted_study_scenarios
 
 from conftest import write_run_config
-from oracles import event_windows, read_price_rows, rms_two_pass
+from oracles import event_windows, read_csv_rows, read_price_rows, rms_two_pass
 
 TZ = timezone(timedelta(hours=-4))
 
@@ -376,43 +376,41 @@ def test_canonical_stamps_are_accepted_exactly_when_instants_increase(tmp_path_f
         assert str(info.value) == _first_bad_bar(times, prices)
 
 
-# Price files near write_csv's layout: the text after the stamp line, and
-# whether read_price_csv may split it in one pass.  Bars at 12:30-12:33.
-_BARS = [f"2011-06-15T12:3{k}:00-04:00,10{k}.5" for k in range(4)]
-PRICE_LAYOUTS = {
-    "canonical": ("\n".join(_BARS) + "\n", True),
-    # A row of three cells, then a row of one: an unchecked split pairs them.
-    "split-row": (f"{_BARS[0]}\n{_BARS[1]},2011-06-15T12:32:00-04:00\n102.5\n{_BARS[3]}\n",
-                  False),
-    "comment-after-header": (f"{_BARS[0]}\n# note\n" + "\n".join(_BARS[1:]) + "\n", False),
-    "blank-line": (f"{_BARS[0]}\n\n" + "\n".join(_BARS[1:]) + "\n", False),
-    "trailing-blank-line": ("\n".join(_BARS) + "\n\n", False),
-    "third-column": ("".join(f"{bar},x\n" for bar in _BARS), False),
-    "surrounding-spaces": ("".join(f" {bar.replace(',', ' , ')} \n" for bar in _BARS), True),
-    "z-stamps": ("".join(f"2011-06-15T16:3{k}:00Z,10{k}.5\n" for k in range(4)), True),
-    "crlf": ("\r\n".join(_BARS) + "\r\n", False),
-    "no-final-newline": ("\n".join(_BARS), False),
-    "header-only": ("", False),
-}
+def csv_layouts(rows):
+    """Files near write_csv's layout, each the text after the header, from
+    four rows of cells."""
+    first, second, third, fourth = rows
+    cut = third.index(",")
+    return {
+        "canonical": "\n".join(rows) + "\n",
+        # The third row's first cell ends the second row: an unchecked
+        # split still deals the cells out into whole rows.
+        "split-row": f"{first}\n{second},{third[:cut]}\n{third[cut + 1:]}\n{fourth}\n",
+        "comment-after-header": f"{first}\n# note\n" + "\n".join(rows[1:]) + "\n",
+        "blank-line": f"{first}\n\n" + "\n".join(rows[1:]) + "\n",
+        "trailing-blank-line": "\n".join(rows) + "\n\n",
+        "third-column": "".join(f"{row},x\n" for row in rows),
+        "surrounding-spaces": "".join(f" {row.replace(',', ' , ')} \n" for row in rows),
+        "crlf": "\r\n".join(rows) + "\r\n",
+        "no-final-newline": "\n".join(rows),
+        "short-row": "\n".join(rows[:3]) + "\n" + fourth[:fourth.rindex(",")] + "\n",
+        "header-only": "",
+    }
 
 
-def price_outcome(path):
-    """read_price_csv's series as stamp text, offsets and price hex, or its
-    error's type and text."""
-    try:
-        series = read_price_csv(path)
-    except MalformedRecordError as exc:
-        return type(exc), str(exc)
-    return ([(t.isoformat(), t.utcoffset()) for t in series.times],
-            [p.hex() for p in series.prices.tolist()])
+# Price files near write_csv's layout, with bars at 12:30-12:33.
+PRICE_LAYOUTS = csv_layouts([f"2011-06-15T12:3{k}:00-04:00,10{k}.5" for k in range(4)])
+PRICE_LAYOUTS["z-stamps"] = "".join(f"2011-06-15T16:3{k}:00Z,10{k}.5\n" for k in range(4))
 
 
-@pytest.mark.parametrize("case", sorted(PRICE_LAYOUTS))
-def test_one_split_gives_the_row_path_series(tmp_path, monkeypatch, case):
-    body, split = PRICE_LAYOUTS[case]
-    path = tmp_path / "prices.csv"
-    path.write_bytes(f"# config_hash=0 tool_version=0\ntimestamp,price\n{body}".encode())
-    assert (market._split_price_file(path.read_bytes()) is not None) == split
+def write_layout(path, columns, body):
+    path.write_bytes(f"# config_hash=0 tool_version=0\n{','.join(columns)}\n{body}".encode())
+    return path
+
+
+def opened_once(monkeypatch, path, read):
+    """read(path)'s value or error's type and text, after asserting that
+    it opened path and no other file, once."""
     opened, real_open = [], builtins.open
 
     def counted_open(file, *args, **kwargs):
@@ -420,16 +418,75 @@ def test_one_split_gives_the_row_path_series(tmp_path, monkeypatch, case):
         return real_open(file, *args, **kwargs)
 
     monkeypatch.setattr(builtins, "open", counted_open)
-    got = price_outcome(path)
+    try:
+        got = read(path)
+    except MalformedRecordError as exc:
+        got = type(exc), str(exc)
     monkeypatch.undo()
-    # A file the split rejects goes to the row path with the bytes already read.
     assert opened == [path]
-    monkeypatch.setattr(market, "_split_price_file", lambda data: None)
-    assert got == price_outcome(path)
-    if case == "split-row":  # its cells pair up into four good bars
+    return got
+
+
+def price_rows_outcome(path):
+    """The row oracle's stamp text, offsets and price hex, or the error
+    text that names its first bad row."""
+    try:
+        times, prices = read_price_rows(path)
+    except MalformedRecordError as exc:
+        return type(exc), str(exc)
+    except IndexError:
+        row = next(row for row in read_csv_rows(path)[1] if len(row) < 2)
+        return MalformedRecordError, f"{path}: bad price row {row!r}"
+    return ([(t.isoformat(), t.utcoffset()) for t in times], [p.hex() for p in prices])
+
+
+@pytest.mark.parametrize("case", sorted(PRICE_LAYOUTS))
+def test_one_split_gives_the_row_path_series(tmp_path, monkeypatch, case):
+    """read_price_csv opens each file once and gives the row oracle's series,
+    or the error naming its first bad row, however the file is split."""
+    path = write_layout(tmp_path / "prices.csv", PRICE_COLUMNS, PRICE_LAYOUTS[case])
+
+    def outcome(path):
+        series = read_price_csv(path)
+        return ([(t.isoformat(), t.utcoffset()) for t in series.times],
+                [p.hex() for p in series.prices.tolist()])
+
+    got = opened_once(monkeypatch, path, outcome)
+    assert got == price_rows_outcome(path)
+    if case == "split-row":  # its cells deal out into four good bars
         assert got == (MalformedRecordError, "invalid timestamp '102.5'")
+    elif case == "short-row":
+        assert got[1] == f"{path}: bad price row ['2011-06-15T12:33:00-04:00']"
     elif case != "header-only":
         assert len(got[1]) == 4
+
+
+def segment_rows_outcome(path):
+    """The segments the csv module's rows give, or the error text that
+    names the first row that does not convert."""
+    rows = read_csv_rows(path)[1]
+    for row in rows:
+        try:
+            float(row[0]), float(row[1]), row[2]
+        except (IndexError, ValueError):
+            return MalformedRecordError, f"{path}: bad segment row {row!r}"
+    return tuple((float(row[0]), float(row[1]), row[2].strip()) for row in rows)
+
+
+SEGMENT_LAYOUTS = csv_layouts(
+    [f"{10.0 * k},{10.0 * k + 10.0},{SPEAKER_TAGS[k % 2]}" for k in range(4)])
+
+
+@pytest.mark.parametrize("case", sorted(SEGMENT_LAYOUTS))
+def test_segment_layouts_give_the_csv_module_rows(tmp_path, monkeypatch, case):
+    """The segments reader shares read_price_csv's reader and its layouts."""
+    path = write_layout(tmp_path / "segments.csv", SEGMENT_COLUMNS, SEGMENT_LAYOUTS[case])
+    got = opened_once(monkeypatch, path, lambda path: read_segments_csv(path, "c").segments)
+    assert got == segment_rows_outcome(path)
+    if case in ("split-row", "short-row"):
+        assert got[0] is MalformedRecordError
+    elif case != "header-only":
+        assert len(got) == 4
 
 
 def test_price_csv_rejects_bad_header(tmp_path):

@@ -1,4 +1,4 @@
-"""The CSV reader: the rows of write_csv's format, in one split pass."""
+"""The CSV reader: the columns of write_csv's format, in one split pass."""
 
 import pytest
 from hypothesis import given, settings
@@ -6,11 +6,20 @@ from hypothesis import strategies as st
 
 from earstudy import MalformedRecordError
 from earstudy.attention import EAR_COLUMNS, read_segments_csv
-from earstudy.output import read_csv
+from earstudy.output import check_rows, read_columns
 
 from oracles import read_csv_rows
 
 COLUMNS = ("a", "b")
+
+
+def pair(row):
+    return row[0], row[1]
+
+
+def float_pair(row):
+    return float(row[0]), float(row[1])
+
 LINE_ENDS = ("\n", "\r\n", "\r")
 
 # Cells as write_csv writes them: no comma, quote or line end, but any other
@@ -47,7 +56,14 @@ def test_rows_are_those_the_csv_module_reads(tmp_path_factory, text):
     path.write_bytes(text.encode("utf-8"))
     header, expected = read_csv_rows(path)
     assert [h.strip() for h in header[:2]] == list(COLUMNS)
-    assert read_csv(path, COLUMNS, list, "test") == expected
+    short = [row for row in expected if len(row) < 2]
+    if short:
+        with pytest.raises(MalformedRecordError) as info:
+            read_columns(path, COLUMNS, pair, "test")
+        assert str(info.value) == f"{path}: bad test row {short[0]!r}"
+    else:
+        assert read_columns(path, COLUMNS, pair, "test") == [
+            [row[0] for row in expected], [row[1] for row in expected]]
 
 
 def test_a_blank_line_before_the_header_is_a_bad_header(tmp_path):
@@ -55,7 +71,7 @@ def test_a_blank_line_before_the_header_is_a_bad_header(tmp_path):
     path.write_text("# meta\n\na,b\n1,2\n")
     assert read_csv_rows(path)[0] == []
     with pytest.raises(MalformedRecordError, match="expected 'a,b' header"):
-        read_csv(path, COLUMNS, list, "test")
+        read_columns(path, COLUMNS, pair, "test")
 
 
 def test_line_ends_are_equivalent(tmp_path):
@@ -63,11 +79,14 @@ def test_line_ends_are_equivalent(tmp_path):
     for end in LINE_ENDS:
         path = tmp_path / "t.csv"
         path.write_bytes(text.replace("\n", end).encode())
-        assert read_csv(path, COLUMNS, list, "test") == [["1", "2"], ["3", "4"]]
+        assert read_columns(path, COLUMNS, pair, "test") == [["1", "3"], ["2", "4"]]
 
 
 def read_ear(path):
-    return read_csv(path, EAR_COLUMNS, lambda row: (float(row[0]), float(row[1])), "EAR")
+    """EAR samples as an EAR-file reader would take them: read_columns's
+    cells, converted a row at a time by check_rows."""
+    rows = zip(*read_columns(path, EAR_COLUMNS, float_pair, "EAR"))
+    return check_rows(path, map(list, rows), float_pair, "EAR")
 
 
 def test_a_quoted_cell_is_a_bad_row(tmp_path):
@@ -89,8 +108,13 @@ def test_first_bad_row_is_named(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text("a,b\n1,2\nx,3\n4\n")
     with pytest.raises(MalformedRecordError) as info:
-        read_csv(path, COLUMNS, lambda row: (float(row[0]), float(row[1])), "test")
+        read_columns(path, COLUMNS, float_pair, "test")
     assert str(info.value) == f"{path}: bad test row ['x', '3']"
+    # A wider row is named with all its cells, though only two are read.
+    path.write_text("timestamp_s,ear\n0.0,0.3,a\nx,0.3,b\n")
+    with pytest.raises(MalformedRecordError) as info:
+        read_ear(path)
+    assert str(info.value) == f"{path}: bad EAR row ['x', '0.3', 'b']"
 
 
 def test_a_row_cut_by_bytes_that_are_not_utf8_is_not_checked(tmp_path):
@@ -98,10 +122,10 @@ def test_a_row_cut_by_bytes_that_are_not_utf8_is_not_checked(tmp_path):
     path = tmp_path / "t.csv"
     path.write_bytes(b"a,b\n1,2\n3,\xff4\n")
     with pytest.raises(MalformedRecordError, match="not valid UTF-8"):
-        read_csv(path, COLUMNS, lambda row: (float(row[0]), float(row[1])), "test")
+        read_columns(path, COLUMNS, float_pair, "test")
     path.write_bytes(b"# meta\n\xff")
     with pytest.raises(MalformedRecordError, match="not valid UTF-8"):
-        read_csv(path, COLUMNS, list, "test")
+        read_columns(path, COLUMNS, pair, "test")
     path.write_bytes(b"x,y\n\xff")
     with pytest.raises(MalformedRecordError, match="expected 'a,b' header"):
-        read_csv(path, COLUMNS, list, "test")
+        read_columns(path, COLUMNS, pair, "test")

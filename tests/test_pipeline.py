@@ -26,7 +26,7 @@ from earstudy.attention import EarSeries, estimate_fps, summarize_conference
 from earstudy.cli import main
 from earstudy.geometry import LEFT_EYE_INDICES, RIGHT_EYE_INDICES, read_landmark_batch
 from earstudy.identity import load_gallery
-from earstudy.output import config_digest, read_csv
+from earstudy.output import config_digest
 from earstudy.pipeline import (
     ATTENTION_COLUMNS,
     load_registry,
@@ -64,7 +64,9 @@ def attention_table_row(cells: list[str]) -> dict:
 
 
 def read_attention_table(path: Path) -> list[dict]:
-    return read_csv(path, ATTENTION_COLUMNS, attention_table_row, "attention")
+    header, rows = read_csv_rows(path)
+    assert header == list(ATTENTION_COLUMNS)
+    return list(map(attention_table_row, rows))
 
 
 def tree_bytes(root: Path) -> dict:
@@ -358,6 +360,29 @@ def test_bad_price_file_leaves_other_window_rows_unchanged(
         gone = tuple(f"{cid}," for cid in dropped if cid is not None)
         assert after == [line for line in before if not line.startswith(gone)]
         assert len(after) == len(before) - len(gone)
+
+
+@pytest.mark.parametrize("bound", ["nan", "inf", "1e400"])
+def test_non_finite_segment_bound_excludes_only_its_conference(completed_run, tmp_path, bound):
+    """A segment bound that is not finite is a bad record: the run goes on
+    without its conference's attention row, and names it."""
+    fixture, _, out = completed_run
+    copy = shutil.copytree(fixture, tmp_path / "fixture")
+    with open(copy / "segments" / "conf-008.csv", "a") as fh:
+        fh.write(f"9999.0,{bound},chair\n")
+    result = run_cli(write_run_config(tmp_path / "config.json", copy), tmp_path / "out")
+    assert result.returncode == 0, result.stderr
+    reason = "conference 'conf-008': segment bounds must be finite"
+    before = json.loads((out / "diagnostics" / "attention.json").read_text())
+    after = json.loads((tmp_path / "out" / "diagnostics" / "attention.json").read_text())
+    assert after["exclusions"] == before["exclusions"] + [
+        {"conference_id": "conf-008", "reason": reason}]
+    assert result.stderr.splitlines()[-1] == (
+        f"WARNING earstudy.pipeline: conference conf-008 excluded from attention table: {reason}")
+    old = (out / "attention.csv").read_text().splitlines()
+    new = (tmp_path / "out" / "attention.csv").read_text().splitlines()
+    assert new == [line for line in old if not line.startswith("conf-008,")]
+    assert len(new) == len(old) - 1
 
 
 def rescale_prices(fixture: Path, scale: float) -> float:
