@@ -76,8 +76,8 @@ class EarSeries:
     nominal_fps: float
 
     def __post_init__(self) -> None:
-        if self.nominal_fps <= 0:
-            raise ConfigError(f"nominal_fps must be positive, got {self.nominal_fps}")
+        if not 0 < self.nominal_fps < math.inf:  # also true for a NaN
+            raise ConfigError(f"nominal_fps must be positive and finite, got {self.nominal_fps}")
         timestamps = np.asarray(self.timestamps, dtype=np.float64)
         values = np.asarray(self.values, dtype=np.float64)
         if timestamps.ndim != 1 or timestamps.shape != values.shape:

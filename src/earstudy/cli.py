@@ -50,14 +50,19 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     """The in-process entry: argv (sys.argv[1:] when None) as a command line.
 
-    Collections skip the objects alive at start-up (numpy, the modules);
-    unfreezing on the way out gives the caller its heap back.
+    The collector is off while it runs, and the objects alive at start-up
+    (numpy, the modules) are frozen; a run makes few reference cycles.  On
+    every way out the caller gets its heap and its collector setting back.
     """
+    collecting = gc.isenabled()
     gc.freeze()
+    gc.disable()
     try:
         return _main(argv)
     finally:
         gc.unfreeze()
+        if collecting:
+            gc.enable()
 
 
 def process_main() -> int:

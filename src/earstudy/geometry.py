@@ -8,7 +8,6 @@ gaze drops to a document on the desk.
 
 from __future__ import annotations
 
-import gc
 import math
 from contextlib import closing
 from dataclasses import dataclass
@@ -176,20 +175,12 @@ def read_landmark_batch(
     indices = range(LANDMARK_COUNT) if point_indices is None else tuple(point_indices)
     parts: list[_Columns] = []
     last_ts: dict[str, float] = {}
-    # Decoded records form no reference cycles, so cyclic collection would
-    # only rescan the lists and dicts of the step still alive.
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        with closing(_numbered_records(path)) as numbered:
-            while True:
-                step = list(islice(numbered, _BATCH_LINES))
-                parts.append(_checked_step(path, step, last_ts, indices))
-                if len(step) < _BATCH_LINES:
-                    break
-    finally:
-        if gc_was_enabled:
-            gc.enable()
+    with closing(_numbered_records(path)) as numbered:
+        while True:
+            step = list(islice(numbered, _BATCH_LINES))
+            parts.append(_checked_step(path, step, last_ts, indices))
+            if len(step) < _BATCH_LINES:
+                break
     timestamps, points, embedded, has_embedding = (
         np.concatenate(column) for column in zip(*parts)
     )

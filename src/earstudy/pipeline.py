@@ -9,11 +9,9 @@ has no test).  The stages are
 pure: each returns what it computed, with its diagnostics, and writes
 nothing.  write_outputs writes every stage file once all three have
 returned, so a run that fails leaves only run_config.json under --out.
-attention and eventstudy exclude a conference that fails them on one
-path, _each_conference, which records and logs its reason and goes on.
-identify still aborts the run: a bad landmark line is a data error (exit
-2) and a landmark file that cannot be read a configuration error (exit
-1), until ROADMAP item 2(a) moves identify onto that path.
+Each stage excludes a conference whose input fails it on one path,
+_each_conference, which records and logs its reason and goes on; the next
+stage runs only over the conferences that the stage before it kept.
 """
 
 from __future__ import annotations
@@ -27,7 +25,7 @@ from datetime import date as dt_date
 from datetime import datetime, time
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple, TypeVar
 
 import numpy as np
 
@@ -146,9 +144,11 @@ def load_registry(path: str | Path) -> list[ConferenceRecord]:
 
 # Read as (N, 12, 2), left eye first: the only points identify converts.
 EYE_POINTS = geometry.LEFT_EYE_INDICES + geometry.RIGHT_EYE_INDICES
-# A stage's results: each conference's EAR series as (timestamps, values),
-# and each dependent's regressions, one per covariate.
-Series = dict[str, tuple[np.ndarray, np.ndarray]]
+# A stage's results: each kept conference's EAR series as (timestamps,
+# values), each kept conference's attention row, and each dependent's
+# regressions, one per covariate.
+Series = dict[ConferenceRecord, tuple[np.ndarray, np.ndarray]]
+Rows = dict[ConferenceRecord, dict]
 Results = dict[str, list[regression.RegressionResult]]
 
 
@@ -200,40 +200,44 @@ def stage_identify(
 
     The streams are read in registry order, and the kernels run over blocks
     of consecutive streams of at least KERNEL_BLOCK_FRAMES frames (the last
-    block may hold fewer).
+    block may hold fewer).  Only the read can exclude a conference.
     """
     series: Series = {}
     conferences: dict[str, dict] = {}
     warnings: list[tuple[str, str]] = []
+    exclusions: list[dict] = []
     target = gallery.label_codes[0].index(cfg.target_label)
-    queue: list[tuple[str, geometry.LandmarkBatch]] = []
-    for n, record in enumerate(records, 1):
-        try:
-            batch = geometry.read_landmark_batch(record.landmarks, EYE_POINTS)
-        except OSError as exc:
-            raise ConfigError(f"cannot read landmark file {record.landmarks}: {exc}") from exc
-        queue.append((record.conference_id, batch))
-        if n < len(records) and sum(len(b) for _, b in queue) < KERNEL_BLOCK_FRAMES:
-            continue
-        ids, batches = zip(*queue)
-        queue = []
-        for conference_id, (timestamps, values, tally) in zip(
-                ids, _identify_block(list(batches), gallery, target, cfg.identity)):
-            series[conference_id] = timestamps, values
+
+    def close_block(queue: list[tuple[ConferenceRecord, geometry.LandmarkBatch]]) -> None:
+        kept, batches = zip(*queue)
+        for record, (timestamps, values, tally) in zip(
+                kept, _identify_block(list(batches), gallery, target, cfg.identity)):
+            series[record] = timestamps, values
             count = len(timestamps)
             info = {**tally, "n_samples": count, "dropped_degenerate": tally["written"] - count}
             if tally["written"] == 0:
                 info["warning"] = "no frames classified as target"
-                warnings.append((conference_id, "no frames kept by identity filter"))
+                warnings.append((record.conference_id, "no frames kept by identity filter"))
             elif count == 0:
                 info["warning"] = "no usable EAR frame"
-                warnings.append((conference_id, "every kept frame has a degenerate eye"))
-            conferences[conference_id] = info
-    # Logged only after every file has been read, so that a data error in a
-    # later file stays the failing run's one line on stderr.
+                warnings.append((record.conference_id, "every kept frame has a degenerate eye"))
+            conferences[record.conference_id] = info
+
+    queue: list[tuple[ConferenceRecord, geometry.LandmarkBatch]] = []
+    for read in _each_conference(
+            cfg, records, lambda r: geometry.read_landmark_batch(r.landmarks, EYE_POINTS),
+            "EAR series", exclusions):
+        queue.append(read)
+        if sum(len(batch) for _, batch in queue) >= KERNEL_BLOCK_FRAMES:
+            close_block(queue)
+            queue = []
+    if queue:
+        close_block(queue)
+    # Logged after every stream, so that stderr does not depend on where a
+    # block closes.
     for conference_id, warning in warnings:
         log.warning("conference %s: %s", conference_id, warning)
-    return series, {"conferences": conferences}
+    return series, {"conferences": conferences, "exclusions": exclusions}
 
 
 ATTENTION_COLUMNS = (
@@ -255,18 +259,17 @@ WINDOW_COLUMNS = (
 )
 
 
-def stage_attention(
-    cfg: RunConfig, records: list[ConferenceRecord], series: Series,
-) -> tuple[list[dict], dict]:
+def stage_attention(cfg: RunConfig, series: Series) -> tuple[Rows, dict]:
     """The attention table from stage_identify's EAR series.
 
-    Returns its rows, one dict per surviving conference in date order, and
-    the attention diagnostics.
+    Returns its rows, one dict per surviving conference in date order keyed
+    by its record, and the attention diagnostics.
     """
     floored: list[str] = []
+    exclusions: list[dict] = []
 
     def attention_row(record: ConferenceRecord) -> dict:
-        timestamps, values = series[record.conference_id]
+        timestamps, values = series[record]
         summary = att.summarize_conference(att.EarSeries(
             record.conference_id, timestamps, values, att.estimate_fps(timestamps)), cfg.attention)
         if (cfg.attention.floor_policy == "epsilon_floor"
@@ -277,68 +280,52 @@ def stage_attention(
         benchmark = att.benchmark_variables(transcript, segments, record.qa_duration_s())
         return {**vars(summary), "date": record.date.isoformat(), **vars(benchmark)}
 
-    rows, exclusions = _each_conference("attention", cfg, records, attention_row)
+    rows = dict(_each_conference(cfg, series, attention_row, "attention table", exclusions))
     # First differences across surviving conferences in date order; the
     # first survivor has no delta.
+    table = list(rows.values())
     for delta_col, source in DELTA_SOURCES.items():
-        deltas = att.delta_series([r[source] for r in rows]).tolist() if len(rows) > 1 else []
-        for row, delta in zip(rows, [None, *deltas]):
+        deltas = att.delta_series([r[source] for r in table]).tolist() if len(table) > 1 else []
+        for row, delta in zip(table, [None, *deltas]):
             row[delta_col] = delta
     return rows, {"exclusions": exclusions, "floored": floored, "n_rows": len(rows)}
 
 
-# Per stage that excludes a conference rather than abort the run: the input
-# errors that exclude it, the record's input files that its reason names
-# relative to the registry, and what its warning says it is excluded from.
-_EXCLUDING = {
-    "attention": ((DataError, OSError), ("transcript", "segments"), "attention table"),
-    "eventstudy": ((DataError, ConfigError, OSError), ("prices",), "event study"),
-}
+_T = TypeVar("_T")
 
 
 def _each_conference(
-    stage: str, cfg: RunConfig, records: Iterable[ConferenceRecord],
-    body: Callable[[ConferenceRecord], dict],
-) -> tuple[list[dict], list[dict]]:
-    """body(record) for each record in turn, and the stage's exclusions.
+    cfg: RunConfig, records: Iterable[ConferenceRecord], body: Callable[[ConferenceRecord], _T],
+    excluded_from: str, exclusions: list[dict],
+) -> Iterator[tuple[ConferenceRecord, _T]]:
+    """(record, body(record)) for each record in turn, as each is computed.
 
-    A record whose body raises one of the stage's input errors is excluded:
-    its reason is recorded and logged as a warning, and the next one runs.
+    A record whose body raises an input error (DataError, ConfigError,
+    OSError) is excluded instead: its reason, with the record's files named
+    relative to the registry's directory, goes into exclusions and is
+    logged as a warning, and the next record runs.  Reasons then do not
+    depend on where --out and the inputs lie.
     """
-    errors, inputs, excluded_from = _EXCLUDING[stage]
-    results, exclusions = [], []
     for record in records:
         try:
-            results.append(body(record))
-        except errors as exc:
-            reason = _path_free(exc, cfg.registry, *(getattr(record, name) for name in inputs))
+            result = body(record)
+        except (DataError, ConfigError, OSError) as exc:
+            reason = str(exc)
+            base = cfg.registry.resolve().parent
+            for path in (record.landmarks, record.transcript, record.segments, record.prices):
+                reason = reason.replace(str(path), os.path.relpath(path, base))
             exclusions.append({"conference_id": record.conference_id, "reason": reason})
             log.warning("conference %s excluded from %s: %s",
                         record.conference_id, excluded_from, reason)
-    return results, exclusions
+        else:
+            yield record, result
 
 
-def _path_free(exc: Exception, registry: Path, *paths: Path) -> str:
-    """exc's message, with each of paths named relative to the registry's
-    directory.
-
-    Exclusion reasons then do not depend on where --out and the inputs lie.
-    """
-    reason = str(exc)
-    base = registry.resolve().parent
-    for path in paths:
-        reason = reason.replace(str(path), os.path.relpath(path, base))
-    return reason
-
-
-def stage_eventstudy(
-    cfg: RunConfig, records: list[ConferenceRecord], rows: list[dict],
-) -> tuple[list[dict], Results, dict]:
+def stage_eventstudy(cfg: RunConfig, rows: Rows) -> tuple[list[dict], Results, dict]:
     """The window rows and regressions for stage_attention's rows, and the
     eventstudy diagnostics; fewer than 3 usable conferences raise
     InsufficientDataError."""
-    by_id = {r.conference_id: r for r in records}
-    row_of = {row["conference_id"]: row for row in rows}
+    exclusions: list[dict] = []
     # Only the last price file read is held: conferences that share a file
     # in date order read it once.
     read_prices = lru_cache(maxsize=1)(market.read_price_csv)
@@ -349,11 +336,10 @@ def stage_eventstudy(
         timeline = market.ConferenceTimeline(record.qa_start, record.conference_end, close)
         stats = market.event_window_stats(read_prices(record.prices), timeline,
                                           record.conference_id)
-        return {**row_of[record.conference_id], **vars(stats),
-                "vol_change_x100": stats.vol_change * 100.0}
+        return {**rows[record], **vars(stats), "vol_change_x100": stats.vol_change * 100.0}
 
-    window_rows, exclusions = _each_conference("eventstudy", cfg, map(by_id.get, row_of),
-                                               window_row)
+    window_rows = [row for _, row in _each_conference(cfg, rows, window_row, "event study",
+                                                      exclusions)]
     usable = [r for r in window_rows if r["delta_log_attention"] is not None]
     if len(usable) < 3:
         raise InsufficientDataError(
@@ -383,20 +369,20 @@ def stage_eventstudy(
 
 def write_outputs(
     out_dir: Path, digest: str, identified: tuple[Series, dict],
-    attended: tuple[list[dict], dict], studied: tuple[list[dict], Results, dict],
+    attended: tuple[Rows, dict], studied: tuple[list[dict], Results, dict],
 ) -> list[str]:
     """Write every stage file, stamped with digest, from the three stages'
     return values; returns the rendered tables.  The one place that lays
     out --out."""
     series, identify_diagnostics = identified
-    for conference_id, (timestamps, values) in series.items():
-        output.write_csv(out_dir / "ear" / f"{conference_id}.csv", att.EAR_COLUMNS,
+    for record, (timestamps, values) in series.items():
+        output.write_csv(out_dir / "ear" / f"{record.conference_id}.csv", att.EAR_COLUMNS,
                          zip(timestamps.tolist(), values.tolist()), digest)
     output.write_json(out_dir / "diagnostics" / "identify.json", identify_diagnostics, digest)
 
     rows, attention_diagnostics = attended
     output.write_csv(out_dir / "attention.csv", ATTENTION_COLUMNS,
-                     map(itemgetter(*ATTENTION_COLUMNS), rows), digest)
+                     map(itemgetter(*ATTENTION_COLUMNS), rows.values()), digest)
     output.write_json(out_dir / "diagnostics" / "attention.json", attention_diagnostics, digest)
 
     window_rows, results, eventstudy_diagnostics = studied
@@ -446,6 +432,6 @@ def run_stages(cfg: RunConfig, out_dir: Path) -> list[str]:
         )
     output.write_json(out_dir / "run_config.json", {"config": payload}, digest)
     identified = STAGE_FUNCTIONS["identify"](cfg, records, gallery)
-    attended = STAGE_FUNCTIONS["attention"](cfg, records, identified[0])
-    studied = STAGE_FUNCTIONS["eventstudy"](cfg, records, attended[0])
+    attended = STAGE_FUNCTIONS["attention"](cfg, identified[0])
+    studied = STAGE_FUNCTIONS["eventstudy"](cfg, attended[0])
     return write_outputs(out_dir, digest, identified, attended, studied)

@@ -101,6 +101,14 @@ def test_series_rejects_nan_timestamp(timestamps):
         EarSeries("c", timestamps, [0.3, 0.2], 2.0)
 
 
+@pytest.mark.parametrize("fps", [0.0, -2.0, math.nan, math.inf])
+def test_series_rejects_a_frame_rate_that_is_not_positive_and_finite(fps):
+    """A NaN rate would make the integral NaN, and an infinite one would
+    count every spacing as a gap."""
+    with pytest.raises(ConfigError, match="nominal_fps must be positive and finite"):
+        EarSeries("c", [1.0, 2.0, 3.0], [0.1, 0.3, 0.1], fps)
+
+
 def test_series_rejects_negative_values():
     with pytest.raises(MalformedRecordError):
         EarSeries("c", [1.0], [-0.1], 2.0)

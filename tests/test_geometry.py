@@ -1,4 +1,3 @@
-import gc
 import json
 import math
 import tempfile
@@ -582,35 +581,6 @@ def test_first_bad_line_is_reported_first(tmp_path):
     assert_readers_reject(path)
     with pytest.raises(MalformedRecordError, match="line 1: expected 68"):
         read_landmark_batch(path)
-
-
-@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
-def test_batch_read_pauses_gc_and_restores_it(tmp_path, monkeypatch, enabled):
-    """Cyclic GC is off while records decode; the caller's setting comes
-    back whether the file reads or raises."""
-    good = tmp_path / "good.jsonl"
-    write_jsonl(good, [frame_record(0, 0.0), frame_record(1, 1.0)])
-    bad = tmp_path / "bad.jsonl"
-    bad.write_text(json.dumps(frame_record(0, 0.0)) + "\n{not json}\n")
-    seen = []
-    checked_step = geometry._checked_step
-
-    def spy(*args):
-        seen.append(gc.isenabled())
-        return checked_step(*args)
-
-    monkeypatch.setattr(geometry, "_checked_step", spy)
-    was_enabled = gc.isenabled()
-    (gc.enable if enabled else gc.disable)()
-    try:
-        read_landmark_batch(good)
-        assert gc.isenabled() is enabled
-        with pytest.raises(MalformedRecordError, match="line 2: "):
-            read_landmark_batch(bad)
-        assert gc.isenabled() is enabled
-    finally:
-        (gc.enable if was_enabled else gc.disable)()
-    assert seen and not any(seen)
 
 
 @pytest.mark.parametrize("bad", ["order", "points"])

@@ -19,6 +19,7 @@ from earstudy import (
     DataError,
     InsufficientDataError,
     classify_codes,
+    geometry,
     pipeline,
     schema,
 )
@@ -267,23 +268,25 @@ def test_eventstudy_aborts_below_three_usable(tmp_path):
     assert out_files(tmp_path / "out") == ["run_config.json"]
 
 
-@pytest.mark.parametrize("fault, code", [("malformed", 2), ("missing", 1)])
+@pytest.mark.parametrize("fault, code", [("malformed", 2), ("missing", 2)])
 def test_failed_run_leaves_only_run_config(small_fixture, tmp_path, capsys, fault, code):
-    """A landmark fault in the last conference fails the run after identify
-    has been through every other one, and no stage file is left."""
+    """Landmark faults in the last three conferences exclude them, which
+    leaves two usable conferences: the run fails after identify has been
+    through every conference, and no stage file is left."""
     fixture = shutil.copytree(small_fixture, tmp_path / "fixture")
-    path = fixture / "landmarks" / "conf-008.jsonl"
-    if fault == "malformed":
-        lines = path.read_text().splitlines()
-        lines[2] = "{bad"
-        path.write_text("".join(f"{line}\n" for line in lines))
-    else:
-        path.unlink()
+    for number in (6, 7, 8):
+        path = fixture / "landmarks" / f"conf-{number:03d}.jsonl"
+        if fault == "malformed":
+            lines = path.read_text().splitlines()
+            lines[2] = "{bad"
+            path.write_text("".join(f"{line}\n" for line in lines))
+        else:
+            path.unlink()
     config_path = write_run_config(fixture / "config.json", fixture)
     out = tmp_path / "out"
     assert main(["run", "--config", str(config_path), "--out", str(out)]) == code
-    error = "data error: " if code == 2 else "configuration error: "
-    assert capsys.readouterr().err.startswith(error)
+    assert capsys.readouterr().err == (
+        "data error: only 2 usable conferences with deltas and price coverage; need at least 3\n")
     assert out_files(out) == ["run_config.json"]
 
 
@@ -533,24 +536,35 @@ def test_cli_exit_codes(small_fixture, tmp_path):
 
 
 def test_cli_main_freezes_the_heap_only_while_it_runs(small_fixture, tmp_path, monkeypatch):
-    """An in-process caller gets its collector back on every way out of main."""
-    frozen = []
+    """Records decode with the heap frozen and the collector off; an
+    in-process caller gets both back, as they were, on every way out of
+    main."""
+    seen = []
+    checked_step = geometry._checked_step
 
     def spy(*args):
-        frozen.append(gc.get_freeze_count())
-        return run_stages(*args)
+        seen.append((gc.get_freeze_count() > 0, gc.isenabled()))
+        return checked_step(*args)
 
-    monkeypatch.setattr("earstudy.cli.run_stages", spy)
+    monkeypatch.setattr(geometry, "_checked_step", spy)
     config_path = write_run_config(tmp_path / "config.json", small_fixture)
-    assert main(["run", "--config", str(config_path), "--out", str(tmp_path / "out")]) == 0
-    assert frozen[0] > 0
-    assert gc.get_freeze_count() == 0
-    assert main(["run", "--config", str(tmp_path / "missing.json"),
-                 "--out", str(tmp_path / "out2")]) == 1
-    assert gc.get_freeze_count() == 0
-    with pytest.raises(SystemExit):
-        main(["no-such-command"])
-    assert gc.get_freeze_count() == 0
+    was_enabled = gc.isenabled()
+    try:
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            seen.clear()
+            out = tmp_path / f"out-{enabled}"
+            assert main(["run", "--config", str(config_path), "--out", str(out)]) == 0
+            assert seen and set(seen) == {(True, False)}
+            assert (gc.get_freeze_count(), gc.isenabled()) == (0, enabled)
+            assert main(["run", "--config", str(tmp_path / "missing.json"),
+                         "--out", str(tmp_path / "out2")]) == 1
+            assert (gc.get_freeze_count(), gc.isenabled()) == (0, enabled)
+            with pytest.raises(SystemExit):
+                main(["no-such-command"])
+            assert (gc.get_freeze_count(), gc.isenabled()) == (0, enabled)
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
 
 
 @pytest.mark.parametrize(
@@ -912,7 +926,8 @@ def short_streams(small_fixture, tmp_path_factory):
     conf-005 keeps no frame, as in small_fixture; every frame of conf-002
     has its left eye's corners at one point, so each of its kept frames is
     degenerate; every seventh frame of conf-001 and conf-006 has no
-    embedding.
+    embedding.  Line 102 of conf-003's stream is not JSON, and conf-007's
+    file is missing.
     """
     fixture = shutil.copytree(small_fixture, tmp_path_factory.mktemp("short") / "fixture")
     corner, opposite = LEFT_EYE_INDICES[0], LEFT_EYE_INDICES[3]
@@ -927,7 +942,10 @@ def short_streams(small_fixture, tmp_path_factory):
             if number in (1, 6) and k % 7 == 3:
                 del record["embedding"]
             lines[k] = json.dumps(record, separators=(",", ":"))
+        if number == 3:
+            lines[100] = "{bad"
         path.write_text("".join(f"{line}\n" for line in [meta, *lines]))
+    (fixture / "landmarks" / "conf-007.jsonl").unlink()
     return fixture
 
 
@@ -935,8 +953,8 @@ def short_streams(small_fixture, tmp_path_factory):
 def test_identify_is_the_same_for_every_kernel_block(short_streams, tmp_path, monkeypatch,
                                                      caplog, policy):
     """One conference per block, the default blocks and one block for the
-    whole study give equal series bit for bit, equal diagnostics and equal
-    warnings."""
+    whole study give equal series bit for bit, equal diagnostics, exclusions
+    included, and equal warnings."""
     config_path = write_run_config(
         tmp_path / "config.json", short_streams,
         identity={"epsilon": 0.5, "min_votes": 1, "no_embedding_policy": policy},
@@ -951,7 +969,7 @@ def test_identify_is_the_same_for_every_kernel_block(short_streams, tmp_path, mo
         return classify_codes(embeddings, *args)
 
     monkeypatch.setattr("earstudy.identity.classify_codes", counted)
-    lengths = [45 * n for n in range(1, 9)]
+    lengths = [45 * n for n in (1, 2, 4, 5, 6, 8)]
     default = pipeline.KERNEL_BLOCK_FRAMES
     runs, block_frames = [], []
     for frames in (1, default, sum(lengths) + 1):
@@ -960,25 +978,35 @@ def test_identify_is_the_same_for_every_kernel_block(short_streams, tmp_path, mo
         caplog.clear()
         series, diagnostics = stage_identify(cfg, records, gallery)
         runs.append((
-            {cid: [(a.dtype, a.shape, a.tobytes()) for a in arrays]
-             for cid, arrays in series.items()},
+            {record.conference_id: [(a.dtype, a.shape, a.tobytes()) for a in arrays]
+             for record, arrays in series.items()},
             json.dumps(diagnostics),
             [(r.levelname, r.getMessage()) for r in caplog.records],
         ))
         block_frames.append(list(calls))
     assert runs[0] == runs[1] == runs[2]
-    conferences = json.loads(runs[0][1])["conferences"]
+    diagnostics = json.loads(runs[0][1])
+    conferences = diagnostics["conferences"]
     assert conferences["conf-005"]["written"] == 0
     assert conferences["conf-002"]["written"] > 0 == conferences["conf-002"]["n_samples"]
+    malformed = "landmarks/conf-003.jsonl: line 102: invalid JSON"
+    missing = "[Errno 2] No such file or directory: 'landmarks/conf-007.jsonl'"
+    assert diagnostics["exclusions"] == [
+        {"conference_id": "conf-003", "reason": malformed},
+        {"conference_id": "conf-007", "reason": missing},
+    ]
     assert [message for _, message in runs[0][2]] == [
+        f"conference conf-003 excluded from EAR series: {malformed}",
+        f"conference conf-007 excluded from EAR series: {missing}",
         "conference conf-002: every kept frame has a degenerate eye",
         "conference conf-005: no frames kept by identity filter",
     ]
-    # The registry is in date order.  Each block but the last holds at
-    # least the block size, and ends where that is first met.
+    # The registry is in date order, and an excluded conference adds no
+    # frames.  Each block but the last holds at least the block size, and
+    # ends where that is first met.
     single, blocks, whole = block_frames
     assert single == lengths and whole == [sum(lengths)]
-    assert blocks == [270, 405, 270, 315, 360] and default == 256
+    assert blocks == [315, 495, 360] and default == 256
 
 
 @pytest.mark.parametrize("policy", ["drop", "assume_target"])
@@ -1004,7 +1032,7 @@ def test_identify_routing_matches_filter_speaker_frames(small_fixture, tmp_path,
         samples, expected = scalar_identify(cfg, record)
         got = diag["conferences"][record.conference_id]
         assert {key: got[key] for key in expected} == expected, record.conference_id
-        timestamps, values = series[record.conference_id]
+        timestamps, values = series[record]
         assert (timestamps.tolist(), values.tolist()) == samples, record.conference_id
     assert sum(c["no_embedding"] for c in diag["conferences"].values()) > 0
 
@@ -1037,7 +1065,10 @@ def run_cli(config_path: Path, out: Path) -> subprocess.CompletedProcess:
 
 
 def test_data_error_after_identify_warning_is_one_stderr_line(small_fixture, tmp_path):
-    """conf-005 keeps no frames; its warning must not precede conf-006's error."""
+    """A run that fails after its stages have warned ends with its one error
+    line.  identify excludes conf-006 for a null point and warns that
+    conf-005 keeps no frames; the event study then loses conf-007 and
+    conf-008 to missing price files, which leaves two usable conferences."""
     fixture = shutil.copytree(small_fixture, tmp_path / "fixture")
     path = fixture / "landmarks" / "conf-006.jsonl"
     lines = path.read_text().splitlines()
@@ -1045,14 +1076,23 @@ def test_data_error_after_identify_warning_is_one_stderr_line(small_fixture, tmp
     record["points"][0] = None
     lines[2] = json.dumps(record)
     path.write_text("".join(f"{line}\n" for line in lines))
+    for conference_id in ("conf-007", "conf-008"):
+        (fixture / "prices" / f"{conference_id}.csv").unlink()
     result = run_cli(write_run_config(fixture / "config.json", fixture), tmp_path / "out")
     assert result.returncode == 2
-    assert result.stderr.startswith(f"data error: {path}: line 3: ")
-    assert len(result.stderr.splitlines()) == 1, result.stderr
+    *warnings, error = result.stderr.splitlines()
+    assert error == ("data error: only 2 usable conferences with deltas and price coverage; "
+                     "need at least 3")
+    assert warnings[0].startswith("WARNING earstudy.pipeline: conference conf-006 excluded "
+                                  "from EAR series: landmarks/conf-006.jsonl: line 3: ")
+    assert warnings[1] == SMALL_FIXTURE_WARNINGS[0]
+    assert len(warnings) == 6 and all(line.startswith("WARNING ") for line in warnings)
 
 
 @pytest.mark.parametrize("kind", ["landmarks", "transcripts", "segments", "prices"])
 def test_invalid_utf8_is_a_data_error(small_fixture, tmp_path, kind):
+    """A line that is not UTF-8 is a data error that excludes its conference
+    from the stage that reads the file."""
     fixture = shutil.copytree(small_fixture, tmp_path / "fixture")
     path = next((fixture / kind).glob("conf-001.*"))
     lines = path.read_bytes().splitlines(keepends=True)
@@ -1060,24 +1100,21 @@ def test_invalid_utf8_is_a_data_error(small_fixture, tmp_path, kind):
     path.write_bytes(b"".join(lines))
     result = run_cli(write_run_config(fixture / "config.json", fixture), tmp_path / "out")
     assert "Traceback" not in result.stderr
+    assert result.returncode == 0, result.stderr
+    stage = {"landmarks": "identify", "prices": "eventstudy"}.get(kind, "attention")
+    diag = json.loads((tmp_path / "out" / "diagnostics" / f"{stage}.json").read_text())
+    name = path.relative_to(fixture).as_posix()
+    where = "line 3: " if kind == "landmarks" else ""
+    assert {"conference_id": "conf-001", "reason": f"{name}: {where}not valid UTF-8"} in (
+        diag["exclusions"]
+    )
     if kind == "landmarks":
-        message = f"{path}: line 3: not valid UTF-8"
-        assert result.returncode == 2
-        assert result.stderr == f"data error: {message}\n"
         with pytest.raises(DataError) as info:
             read_landmark_batch(path)
-        assert str(info.value) == message
+        assert str(info.value) == f"{path}: line 3: not valid UTF-8"
         with pytest.raises(RejectedLine) as oracle:
             read_landmark_columns(path)
         assert oracle.value.line_no == 3
-        return
-    assert result.returncode == 0, result.stderr
-    stage = "eventstudy" if kind == "prices" else "attention"
-    diag = json.loads((tmp_path / "out" / "diagnostics" / f"{stage}.json").read_text())
-    name = path.relative_to(fixture).as_posix()
-    assert {"conference_id": "conf-001", "reason": f"{name}: not valid UTF-8"} in (
-        diag["exclusions"]
-    )
 
 
 def test_exclusion_reasons_do_not_depend_on_out(small_fixture, tmp_path):
@@ -1193,22 +1230,51 @@ def test_malformed_input_is_one_line_error(
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("unreadable", [False, True], ids=["missing", "directory"])
-def test_unreadable_landmark_file_is_one_line_configuration_error(
-    small_fixture, tmp_path, unreadable
-):
-    """A landmark path that is missing or cannot be read is one message."""
-    fixture = shutil.copytree(small_fixture, tmp_path / "fixture")
-    path = fixture / "landmarks" / "conf-003.jsonl"
+@pytest.mark.parametrize("fault", ["malformed", "not-utf8", "missing", "directory"])
+def test_bad_landmark_file_excludes_only_its_conference(completed_run, tmp_path, caplog, fault):
+    """A landmark file with a bad line, or one that cannot be read, excludes
+    its conference in identify, with one warning that names the file
+    relative to the registry.  It loses its EAR series and its table rows;
+    every other conference's series and identify entry stay as they were."""
+    fixture, _, out = completed_run
+    copy = shutil.copytree(fixture, tmp_path / "fixture")
+    path = copy / "landmarks" / "conf-006.jsonl"
+    meta, head, line, *tail = path.read_bytes().splitlines(keepends=True)
     path.unlink()
-    if unreadable:
+    if fault == "directory":
         path.mkdir()
-    result = run_cli(write_run_config(fixture / "config.json", fixture), tmp_path / "out")
-    assert result.returncode == 1
-    assert "Traceback" not in result.stderr
-    assert len(result.stderr.splitlines()) == 1, result.stderr
-    reason = f"configuration error: cannot read landmark file {path}: "
-    assert result.stderr.startswith(reason), result.stderr
+    elif fault != "missing":
+        bad = b"{bad\n" if fault == "malformed" else b"\xff" + line
+        path.write_bytes(b"".join([meta, head, bad, *tail]))
+    caplog.clear()
+    config_path = write_run_config(tmp_path / "config.json", copy)
+    assert main(["run", "--config", str(config_path), "--out", str(tmp_path / "out")]) == 0
+
+    after = json.loads((tmp_path / "out" / "diagnostics" / "identify.json").read_text())
+    [exclusion] = after.pop("exclusions")
+    reason = exclusion.pop("reason")
+    assert exclusion == {"conference_id": "conf-006"}
+    name = "landmarks/conf-006.jsonl"
+    assert reason == {"malformed": f"{name}: line 3: invalid JSON",
+                      "not-utf8": f"{name}: line 3: not valid UTF-8",
+                      "missing": f"[Errno 2] No such file or directory: '{name}'",
+                      "directory": f"[Errno 21] Is a directory: '{name}'"}[fault]
+    assert [f"{r.levelname} {r.name}: {r.getMessage()}" for r in caplog.records] == [
+        f"WARNING earstudy.pipeline: conference conf-006 excluded from EAR series: {reason}",
+        *SMALL_FIXTURE_WARNINGS,
+    ]
+    before = json.loads((out / "diagnostics" / "identify.json").read_text())
+    assert before.pop("exclusions") == [] and before["conferences"].pop("conf-006")
+    assert after == before
+    ear = tree_bytes(out / "ear")
+    del ear["conf-006.csv"]
+    assert tree_bytes(tmp_path / "out" / "ear") == ear
+    for table in ("attention.csv", "windows.csv"):
+        rows = [line.split(",")[0] for line in (out / table).read_text().splitlines()]
+        assert "conf-006" in rows
+        rows.remove("conf-006")
+        assert [line.split(",")[0]
+                for line in (tmp_path / "out" / table).read_text().splitlines()] == rows
 
 
 @pytest.mark.parametrize("command", ["run", "synth"])
