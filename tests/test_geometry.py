@@ -1,5 +1,7 @@
+import gc
 import json
 import math
+import shutil
 import tempfile
 from dataclasses import replace
 from datetime import date
@@ -13,6 +15,7 @@ from hypothesis import strategies as st
 
 from earstudy import MalformedRecordError
 from earstudy import geometry
+from earstudy.cli import main
 from earstudy.geometry import (
     LEFT_EYE_INDICES,
     RIGHT_EYE_INDICES,
@@ -22,6 +25,7 @@ from earstudy.geometry import (
 )
 from earstudy.synth import ReadingEpisode, ScenarioSpec, ScriptInterval, gen_landmark_stream
 
+from conftest import write_run_config
 from ear_cases import HAND_CASES
 from oracles import RejectedLine, eye_aspect_ratio, frame_aspect_ratio, read_landmark_columns
 
@@ -581,6 +585,36 @@ def test_first_bad_line_is_reported_first(tmp_path):
     assert_readers_reject(path)
     with pytest.raises(MalformedRecordError, match="line 1: expected 68"):
         read_landmark_batch(path)
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+def test_batch_read_pauses_gc_and_restores_it(small_fixture, tmp_path, monkeypatch, enabled):
+    """Under cli.main, cyclic GC is off while records decode, from the files
+    that read and from the one that raises; the caller's setting comes back."""
+    fixture = shutil.copytree(small_fixture, tmp_path / "fixture")
+    path = fixture / "landmarks" / "conf-006.jsonl"
+    meta, head, _, *tail = path.read_bytes().splitlines(keepends=True)
+    path.write_bytes(b"".join([meta, head, b"{not json}\n", *tail]))
+    config_path = write_run_config(tmp_path / "config.json", fixture)
+    seen = []
+    checked_step = geometry._checked_step
+
+    def spy(*args):
+        seen.append(gc.isenabled())
+        return checked_step(*args)
+
+    monkeypatch.setattr(geometry, "_checked_step", spy)
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert main(["run", "--config", str(config_path), "--out", str(tmp_path / "out")]) == 0
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+    assert seen and not any(seen)
+    identify = json.loads((tmp_path / "out" / "diagnostics" / "identify.json").read_text())
+    assert identify["exclusions"] == [{"conference_id": "conf-006",
+                                       "reason": "landmarks/conf-006.jsonl: line 3: invalid JSON"}]
 
 
 @pytest.mark.parametrize("bad", ["order", "points"])
