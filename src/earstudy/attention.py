@@ -31,6 +31,10 @@ from .errors import (
 
 FLOOR_POLICIES = ("error", "epsilon_floor")
 SPEAKER_TAGS = ("chair", "reporter")
+# How far a segment may end past the Q&A: the registry's instants are whole
+# microseconds, so a 100/3 s Q&A reads back as 33.333333 s.  synth allows the
+# same between a timeline's span and conference_length_s.
+QA_LENGTH_SLACK_S = 1e-6
 
 
 @dataclass(frozen=True)
@@ -233,6 +237,10 @@ def benchmark_variables(
         raise ConfigError(
             f"conference {segments.conference_id!r}: qa_duration_s must be positive"
         )
+    turns = segments.segments  # time-ordered: the first starts first, the last ends last
+    if turns and (turns[0][0] < 0 or turns[-1][1] > qa_duration_s + QA_LENGTH_SLACK_S):
+        raise MalformedRecordError(f"conference {segments.conference_id!r}: segments run "
+                                   f"outside the Q&A (0 to {qa_duration_s} s)")
     n_questions = transcript.count("?")
     if n_questions == 0:
         raise DomainError(

@@ -58,9 +58,10 @@ def batch_ear(
 # JSONL landmark streams
 #
 # One object per frame: conference_id, frame_index, timestamp_s, points (68
-# [x, y] pairs), optional embedding (128 numbers).  Records are sorted by
-# timestamp within a conference.  A leading {"_meta": ...} record, which
-# synth writes, is skipped on read.
+# [x, y] pairs), optional embedding (128 numbers).  A file holds one
+# conference: every record names it, and timestamps never decrease through
+# the file.  A leading {"_meta": ...} record, which synth writes, is skipped
+# on read.
 # ---------------------------------------------------------------------------
 
 
@@ -158,29 +159,31 @@ _BATCH_LINES = 32
 
 
 def read_landmark_batch(
-    path: str | Path, point_indices: Sequence[int] | None = None
+    path: str | Path, conference_id: str, point_indices: Sequence[int] | None = None
 ) -> LandmarkBatch:
     """Read a JSONL landmark stream into arrays, one orjson.loads per line.
 
-    points holds the listed points of each frame, in the given order, which
-    is points[:, point_indices] of the full (N, 68, 2) read; the default
-    lists all 68.  Every coordinate is checked either way.  The records are
-    checked vectorised, one step of lines at a time: each column is
-    converted in one pass with np.fromiter after its lengths are checked,
-    and its values must be finite.  Lines screened as not plain (see
-    _numbered_records) also have each value's type checked.  When a step
-    fails, its records are checked one by one, and the first bad one raises
-    MalformedRecordError "{path}: line {n}: {reason}".
+    Every record must name conference_id.  points holds the listed points
+    of each frame, in the given order, which is points[:, point_indices] of
+    the full (N, 68, 2) read; the default lists all 68.  Every coordinate
+    is checked either way.  The records are checked vectorised, one step of
+    lines at a time: each column is converted in one pass with np.fromiter
+    after its lengths are checked, and its values must be finite.  Lines
+    screened as not plain (see _numbered_records) also have each value's
+    type checked.  When a step fails, its records are checked one by one,
+    and the first bad one raises MalformedRecordError
+    "{path}: line {n}: {reason}".
     """
     indices = range(LANDMARK_COUNT) if point_indices is None else tuple(point_indices)
     parts: list[_Columns] = []
-    last_ts: dict[str, float] = {}
+    last = 0.0  # the latest timestamp read; none is below 0
     with closing(_numbered_records(path)) as numbered:
         while True:
             step = list(islice(numbered, _BATCH_LINES))
-            parts.append(_checked_step(path, step, last_ts, indices))
+            parts.append(_checked_step(path, step, conference_id, last, indices))
             if len(step) < _BATCH_LINES:
                 break
+            last = parts[-1].timestamps[-1]
     timestamps, points, embedded, has_embedding = (
         np.concatenate(column) for column in zip(*parts)
     )
@@ -194,33 +197,37 @@ def read_landmark_batch(
 def _checked_step(
     path: str | Path,
     step: list[tuple[int, object, bool]],
-    last_ts: dict[str, float],
+    conference_id: str,
+    last: float,
     point_indices: Sequence[int],
 ) -> _Columns:
     """The columns of one step's (line number, record, plain) triples.
 
-    A step the vectorised checks reject is checked again one record at a
-    time, which names the first bad line.
+    last is the latest timestamp before the step.  A step the vectorised
+    checks reject is checked again one record at a time, which names the
+    first bad line.
     """
     plain = all(p for _, _, p in step)
-    columns = _checked_batch([record for _, record, _ in step], last_ts, plain, point_indices)
+    records = [record for _, record, _ in step]
+    columns = _checked_batch(records, conference_id, last, plain, point_indices)
     if isinstance(columns, _Columns):
         return columns
     for line_no, record, plain in step:
-        reason = _checked_batch([record], last_ts, plain, point_indices)
-        if isinstance(reason, str):
-            raise MalformedRecordError(f"{path}: line {line_no}: {reason}")
+        columns = _checked_batch([record], conference_id, last, plain, point_indices)
+        if isinstance(columns, str):
+            raise MalformedRecordError(f"{path}: line {line_no}: {columns}")
+        last = columns.timestamps[0]
     raise AssertionError("records that pass one at a time pass together")
 
 
 def _checked_batch(
-    records: list, last_ts: dict[str, float], plain: bool, point_indices: Sequence[int]
+    records: list, conference_id: str, last: float, plain: bool, point_indices: Sequence[int]
 ) -> _Columns | str:
     """The columns of the decoded records, or the reason they break the format.
 
-    Given one record, the reason is that record's own.  last_ts holds each
-    conference's latest timestamp before these records, and is updated with
-    theirs when they pass.  Unless plain, every timestamp, coordinate and
+    Given one record, the reason is that record's own.  Each record must
+    name conference_id, and no timestamp may be below the one before it,
+    nor the first below last.  Unless plain, every timestamp, coordinate and
     embedding entry must be an int or a float.  Of each record's points,
     only those at point_indices are converted.
     """
@@ -235,8 +242,8 @@ def _checked_batch(
     except KeyError as exc:
         return f"missing field {exc}"
     raw_embeddings = [r.get("embedding") for r in records]
-    if not all(type(c) is str for c in ids):
-        return "conference_id is not a string"
+    if ids.count(conference_id) != len(ids):
+        return f"conference_id is not {conference_id!r}"
     # orjson reads an integer below -2**63 or from 2**64 up as a float.
     if not all(type(i) is int for i in indices):
         return "frame_index is not an integer"
@@ -271,9 +278,8 @@ def _checked_batch(
         flat = None
     if flat is None:
         return f"expected {EMBEDDING_DIM} finite numbers in embedding"
-    conference_id = _time_ordered(ids, timestamps.tolist(), last_ts)
-    if conference_id is not None:
-        return f"timestamps decrease within conference {conference_id!r}"
+    if (np.diff(timestamps, prepend=last) < 0).any():
+        return "timestamp_s is below the one before it"
     return _Columns(timestamps, points, flat, has_embedding)
 
 
@@ -295,19 +301,6 @@ def _finite_values(values: Iterable, count: int) -> np.ndarray | None:
     except (TypeError, ValueError):
         return None
     return array if np.isfinite(array).all() else None
-
-
-def _time_ordered(
-    ids: list[str], timestamps: list[float], last_ts: dict[str, float]
-) -> str | None:
-    """The first conference whose timestamps decrease, else None after updating last_ts."""
-    latest = dict(last_ts)
-    for conference_id, timestamp in zip(ids, timestamps):
-        if timestamp < latest.get(conference_id, timestamp):
-            return conference_id
-        latest[conference_id] = timestamp
-    last_ts.update(latest)
-    return None
 
 
 def write_landmark_stream(

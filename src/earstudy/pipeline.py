@@ -225,7 +225,8 @@ def stage_identify(
 
     queue: list[tuple[ConferenceRecord, geometry.LandmarkBatch]] = []
     for read in _each_conference(
-            cfg, records, lambda r: geometry.read_landmark_batch(r.landmarks, EYE_POINTS),
+            cfg, records,
+            lambda r: geometry.read_landmark_batch(r.landmarks, r.conference_id, EYE_POINTS),
             "EAR series", exclusions):
         queue.append(read)
         if sum(len(batch) for _, batch in queue) >= KERNEL_BLOCK_FRAMES:

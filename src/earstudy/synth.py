@@ -22,7 +22,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .attention import SEGMENT_COLUMNS
+from .attention import QA_LENGTH_SLACK_S, SEGMENT_COLUMNS
 from .errors import ConfigError, ScenarioError
 from .geometry import (
     EMBEDDING_DIM,
@@ -173,6 +173,23 @@ def _overlaps(a: tuple[float, float], b: tuple[float, float]) -> bool:
     return a[0] < b[1] and b[0] < a[1]
 
 
+def _checked_intervals(
+    spec: ScenarioSpec, intervals: Sequence[tuple[float, float]], name: str, plural: str
+) -> list[tuple[float, float]]:
+    """The intervals sorted, once each lies inside [0, conference_length_s]
+    and no two overlap."""
+    ordered = sorted(intervals)
+    for start, end in ordered:
+        if not (0 <= start < end <= spec.conference_length_s):
+            raise ScenarioError(
+                f"{spec.conference_id}: {name} ({start}, {end}) outside conference"
+            )
+    for (_, first_end), (second_start, _) in zip(ordered, ordered[1:]):
+        if second_start < first_end:
+            raise ScenarioError(f"{spec.conference_id}: {plural} overlap")
+    return ordered
+
+
 def validate_scenario(spec: ScenarioSpec) -> None:
     if not is_file_id(spec.conference_id):
         raise ScenarioError(f"conference_id {spec.conference_id!r} must be {FILE_ID_RULE}")
@@ -200,54 +217,29 @@ def validate_scenario(spec: ScenarioSpec) -> None:
     if ps.minute_vol < 0 or ps.vol_after_factor < 0:
         raise ScenarioError(f"{spec.conference_id}: volatilities must be nonnegative")
 
-    length = spec.conference_length_s
-    episodes = sorted(spec.reading_episodes, key=lambda e: e.start_s)
-    for ep in episodes:
-        if not (0 <= ep.start_s < ep.end_s <= length):
-            raise ScenarioError(
-                f"{spec.conference_id}: episode ({ep.start_s}, {ep.end_s}) outside conference"
-            )
+    spans = [(ep.start_s, ep.end_s) for ep in spec.reading_episodes]
+    episodes = _checked_intervals(spec, spans, "episode", "reading episodes")
+    for ep in spec.reading_episodes:
         if not (0 <= ep.ear_level < spec.baseline_ear):
             raise ScenarioError(
                 f"{spec.conference_id}: episode level {ep.ear_level} must be in "
                 f"[0, baseline {spec.baseline_ear})"
             )
-    for first, second in zip(episodes, episodes[1:]):
-        if second.start_s < first.end_s:
-            raise ScenarioError(f"{spec.conference_id}: reading episodes overlap")
-
-    gaps = sorted(spec.gap_intervals)
-    for start, end in gaps:
-        if not (0 <= start < end <= length):
-            raise ScenarioError(
-                f"{spec.conference_id}: gap ({start}, {end}) outside conference"
-            )
-    for first, second in zip(gaps, gaps[1:]):
-        if second[0] < first[1]:
-            raise ScenarioError(f"{spec.conference_id}: gap intervals overlap")
-
+    gaps = _checked_intervals(spec, spec.gap_intervals, "gap", "gap intervals")
+    script = [(iv.start_s, iv.end_s) for iv in spec.identity_script]
+    _checked_intervals(spec, script, "identity interval", "identity intervals")
     non_target = [
         (iv.start_s, iv.end_s) for iv in spec.identity_script if iv.label != spec.target_label
     ]
-    for iv in spec.identity_script:
-        if not (0 <= iv.start_s < iv.end_s <= length):
-            raise ScenarioError(
-                f"{spec.conference_id}: identity interval ({iv.start_s}, {iv.end_s}) "
-                "outside conference"
-            )
-    script = sorted(spec.identity_script, key=lambda iv: iv.start_s)
-    for first, second in zip(script, script[1:]):
-        if second.start_s < first.end_s:
-            raise ScenarioError(f"{spec.conference_id}: identity intervals overlap")
 
     # Episodes must stay observable: on target-labeled time and outside gaps,
     # otherwise the analytic ground truth would not match the stream.
-    blocked = non_target + list(gaps)
-    for ep in episodes:
+    blocked = non_target + gaps
+    for start, end in episodes:
         for block in blocked:
-            if _overlaps((ep.start_s, ep.end_s), block):
+            if _overlaps((start, end), block):
                 raise ScenarioError(
-                    f"{spec.conference_id}: episode ({ep.start_s}, {ep.end_s}) overlaps "
+                    f"{spec.conference_id}: episode ({start}, {end}) overlaps "
                     "a gap or an off-target interval"
                 )
 
@@ -261,10 +253,10 @@ def validate_scenario(spec: ScenarioSpec) -> None:
     if tl.qa_start.date() != spec.date:  # as the registry needs
         raise ScenarioError(f"{spec.conference_id}: timeline qa_start is not on {spec.date}")
     span = (tl.conference_end - tl.qa_start).total_seconds()
-    if abs(span - length) > 1e-6:
+    if abs(span - spec.conference_length_s) > QA_LENGTH_SLACK_S:
         raise ScenarioError(
             f"{spec.conference_id}: timeline span {span}s disagrees with "
-            f"conference_length_s {length}"
+            f"conference_length_s {spec.conference_length_s}"
         )
 
 

@@ -44,15 +44,16 @@ def _is_number(value) -> bool:
         return False
 
 
-def _frame_record_ok(record) -> bool:
-    """The README's landmark record format, field by field."""
+def _frame_record_ok(record, conference_id: str) -> bool:
+    """The README's landmark record format, field by field, for a record of
+    conference_id's file."""
     if not isinstance(record, dict):
         return False
     index = record.get("frame_index")
     points = record.get("points")
     embedding = record.get("embedding")
     return (
-        type(record.get("conference_id")) is str
+        record.get("conference_id") == conference_id
         # the integers orjson decodes as integers
         and type(index) is int and -2**63 <= index < 2**64
         and _is_number(record.get("timestamp_s")) and record["timestamp_s"] >= 0
@@ -63,15 +64,15 @@ def _frame_record_ok(record) -> bool:
     )
 
 
-def read_landmark_columns(path) -> dict:
+def read_landmark_columns(path, conference_id: str) -> dict:
     """timestamp_s, points and embedding (None when absent) of each frame record.
 
     Reads with the stdlib json module and raises RejectedLine for the first
-    line that is not UTF-8 JSON, breaks the record format or goes back in
-    time within its conference.
+    line that is not UTF-8 JSON, breaks the record format, names another
+    conference than conference_id or goes back in time.
     """
     columns: dict = {"timestamp_s": [], "points": [], "embedding": []}
-    latest: dict = {}
+    latest = 0.0
     with open(path, "rb") as fh:
         for line_no, raw in enumerate(fh, start=1):
             if not raw.strip():
@@ -82,12 +83,12 @@ def read_landmark_columns(path) -> dict:
                 raise RejectedLine(path, line_no) from None
             if isinstance(record, dict) and "_meta" in record:
                 continue
-            if not _frame_record_ok(record):
+            if not _frame_record_ok(record, conference_id):
                 raise RejectedLine(path, line_no)
-            conference, time = record["conference_id"], record["timestamp_s"]
-            if time < latest.get(conference, time):
+            time = record["timestamp_s"]
+            if time < latest:
                 raise RejectedLine(path, line_no)
-            latest[conference] = time
+            latest = time
             columns["timestamp_s"].append(float(time))
             columns["points"].append([(float(x), float(y)) for x, y in record["points"]])
             embedding = record.get("embedding")

@@ -21,6 +21,7 @@ from earstudy import (
 )
 from earstudy.attention import (
     EAR_COLUMNS,
+    QA_LENGTH_SLACK_S,
     SEGMENT_COLUMNS,
     estimate_fps,
     read_segments_csv,
@@ -192,6 +193,25 @@ def test_benchmark_zero_chair_time_errors():
 def test_benchmark_bad_window_errors():
     with pytest.raises(ConfigError):
         benchmark_variables("?", segments((0.0, 10.0, "chair")), 0.0)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [((-0.5, 10.0, "chair"),),
+     ((0.0, 10.0, "chair"), (10.0, 60.0 + 2 * QA_LENGTH_SLACK_S, "reporter")),
+     ((0.0, 10.0, "chair"), (70.0, 80.0, "chair"))],
+    ids=["before-start", "past-end-by-two-slacks", "after-end"],
+)
+def test_segment_outside_the_q_and_a_errors(rows):
+    """A segment outside [0, Q&A length] belongs to another conference."""
+    with pytest.raises(MalformedRecordError) as info:
+        benchmark_variables("?", segments(*rows), 60.0)
+    assert str(info.value) == "conference 'c': segments run outside the Q&A (0 to 60.0 s)"
+
+
+def test_segments_may_end_one_slack_past_the_q_and_a():
+    got = benchmark_variables("?", segments((0.0, 60.0 + QA_LENGTH_SLACK_S, "chair")), 60.0)
+    assert got.log_chair_speech == math.log(60.0 + QA_LENGTH_SLACK_S)
 
 
 def test_segments_validation():

@@ -215,7 +215,7 @@ def write_and_read(path, conference_id, frame_indices, batch):
     records = [json.loads(line) for line in path.read_text().splitlines()[1:]]
     assert [r["conference_id"] for r in records] == [conference_id] * len(batch)
     assert ["embedding" in r for r in records] == batch.has_embedding.tolist()
-    return read_landmark_batch(path), [r["frame_index"] for r in records]
+    return read_landmark_batch(path, conference_id), [r["frame_index"] for r in records]
 
 
 def assert_same_columns(batch, expected):
@@ -309,18 +309,19 @@ def test_stream_writer_accepts_strided_columns():
     assert text == list_encoded_stream(spec.conference_id, frame_indices, batch)
 
 
-def assert_readers_reject(path):
-    """The reader refuses the stream at the oracle's first bad line.
+def assert_readers_reject(path, conference_id="c"):
+    """The reader refuses conference_id's stream at the oracle's first bad line.
 
-    Its message is one line that names the file and that line.
+    Its message is one line that names the file and that line; it is returned.
     """
     with pytest.raises(RejectedLine) as oracle:
-        read_landmark_columns(path)
+        read_landmark_columns(path, conference_id)
     with pytest.raises(MalformedRecordError) as info:
-        read_landmark_batch(path)
+        read_landmark_batch(path, conference_id)
     message = str(info.value)
     assert message.startswith(f"{path}: line {oracle.value.line_no}: "), message
     assert "\n" not in message
+    return message
 
 
 def test_stream_rejects_wrong_point_count(tmp_path):
@@ -391,8 +392,10 @@ GOOD = json.dumps(frame_record(0, 1.0, embedding=[0.5] * 128))
         json.dumps({**frame_record(1, 2.0), "points": [[True, 1.0]] + [[0.5, 1.0]] * 67}),
         json.dumps(frame_record(1, 2.0, embedding=[False] + [0.5] * 127)),
         json.dumps(frame_record(1, True)),
-        # The words true and false in the conference_id do not hide a boolean.
-        json.dumps(frame_record(1, 2.0, "true-false", embedding=[True] + [0.5] * 127)),
+        # The words true and false in the conference_id do not hide a boolean:
+        # a stream of conference "true-false".
+        (json.dumps(frame_record(1, 2.0, "true-false", embedding=[True] + [0.5] * 127)),
+         "true-false"),
         # Iterated, a two-character string or a two-key object gives two
         # strings, which np.fromiter would read as numbers.
         json.dumps({**frame_record(1, 2.0), "points": ["12"] + [[0.5, 1.0]] * 67}),
@@ -408,9 +411,13 @@ GOOD = json.dumps(frame_record(0, 1.0, embedding=[0.5] * 128))
          "string-pair", "object-pair", "numeric-text-in-embedding"],
 )
 def test_readers_reject_bad_record(tmp_path, bad_line):
+    """A good record, then the bad one; a (line, id) pair is read as a
+    stream of that conference, any other line as one of "c"."""
+    bad_line, conference_id = (bad_line, "c") if isinstance(bad_line, str) else bad_line
+    good = json.dumps(frame_record(0, 1.0, conference_id, embedding=[0.5] * 128))
     path = tmp_path / "bad.jsonl"
-    path.write_text(f"{GOOD}\n{bad_line}\n")
-    assert_readers_reject(path)
+    path.write_text(f"{good}\n{bad_line}\n")
+    assert_readers_reject(path, conference_id)
 
 
 POINTS_REASON = "expected 68 [x, y] pairs of finite numbers in points"
@@ -438,7 +445,7 @@ def test_text_or_null_for_a_number_keeps_its_reason(tmp_path, record, reason):
     path = tmp_path / "bad.jsonl"
     path.write_text(f"{GOOD}\n{json.dumps(record)}\n")
     with pytest.raises(MalformedRecordError) as info:
-        read_landmark_batch(path)
+        read_landmark_batch(path, "c")
     assert str(info.value) == f"{path}: line 2: {reason}"
 
 
@@ -505,13 +512,13 @@ def test_planted_coordinate_keeps_its_reason(tmp_path, value, reason, index, poi
     path.write_text(f"{GOOD}\n{planted_line(index, value)}\n")
     if reason is not None:
         with pytest.raises(MalformedRecordError) as info:
-            read_landmark_batch(path, point_indices)
+            read_landmark_batch(path, "c", point_indices)
         assert str(info.value) == f"{path}: line 2: {reason}"
         return
-    points = read_landmark_batch(path).points
+    points = read_landmark_batch(path, "c").points
     assert points[1, index].tolist() == [float(value), index + 1.0]
     expected = points if point_indices is None else points[:, EYES]
-    assert np.array_equal(read_landmark_batch(path, point_indices).points, expected)
+    assert np.array_equal(read_landmark_batch(path, "c", point_indices).points, expected)
 
 
 @pytest.mark.parametrize("point_indices", [None, EYES], ids=["all-points", "eye-points"])
@@ -521,10 +528,10 @@ def test_null_in_an_embedding(tmp_path, point_indices):
     null_entry = frame_record(1, 2.0, embedding=[0.5] * 127 + [None])
     path.write_text(f"{GOOD}\n{json.dumps(null_entry)}\n")
     with pytest.raises(MalformedRecordError) as info:
-        read_landmark_batch(path, point_indices)
+        read_landmark_batch(path, "c", point_indices)
     assert str(info.value) == f"{path}: line 2: {EMBEDDING_REASON}"
     path.write_text(f"{GOOD}\n{json.dumps({**frame_record(1, 2.0), 'embedding': None})}\n")
-    batch = read_landmark_batch(path, point_indices)
+    batch = read_landmark_batch(path, "c", point_indices)
     assert batch.has_embedding.tolist() == [True, False]
     assert batch.embeddings.tolist() == [[0.5] * 128, [0.0] * 128]
 
@@ -535,9 +542,9 @@ def test_id_with_a_bracket_is_type_checked(tmp_path, monkeypatch, conference_id)
     counts = type_checked_values(monkeypatch)
     path = tmp_path / "stream.jsonl"
     write_jsonl(path, [frame_record(0, 0.0, conference_id, embedding=[0.5] * 128)])
-    full = assert_batch_equals_oracle(path)
+    full = assert_batch_equals_oracle(path, conference_id)
     assert counts == [1, 136, 128]
-    eyes = read_landmark_batch(path, EYES)
+    eyes = read_landmark_batch(path, conference_id, EYES)
     assert np.array_equal(eyes.points, full.points[:, EYES])
 
 
@@ -547,8 +554,8 @@ def test_id_with_a_bracket_is_type_checked(tmp_path, monkeypatch, conference_id)
 def test_point_indices_select_points_in_order(small_fixture, groups):
     indices = [*groups[0], *groups[1]]
     for path in sorted((small_fixture / "landmarks").glob("*.jsonl")):
-        full = read_landmark_batch(path)
-        eyes = read_landmark_batch(path, indices)
+        full = read_landmark_batch(path, path.stem)
+        eyes = read_landmark_batch(path, path.stem, indices)
         assert np.array_equal(eyes.points, full.points[:, indices])
         for name in ("timestamps", "embeddings", "has_embedding"):
             assert np.array_equal(getattr(eyes, name), getattr(full, name)), name
@@ -558,9 +565,9 @@ def test_point_indices_select_points_in_order(small_fixture, groups):
 def test_point_indices_of_any_length(tmp_path, indices):
     path = tmp_path / "stream.jsonl"
     write_jsonl(path, [frame_record(0, 0.0), frame_record(1, 1.0)])
-    points = read_landmark_batch(path, indices).points
+    points = read_landmark_batch(path, "c", indices).points
     assert points.shape == (2, len(indices), 2)
-    assert np.array_equal(points, read_landmark_batch(path).points[:, indices])
+    assert np.array_equal(points, read_landmark_batch(path, "c").points[:, indices])
 
 
 def test_id_with_an_escaped_quote_is_read(tmp_path, monkeypatch):
@@ -571,7 +578,7 @@ def test_id_with_an_escaped_quote_is_read(tmp_path, monkeypatch):
     write_jsonl(path, [frame_record(0, 0.0, 'a"b', embedding=[0.5] * 128),
                        frame_record(1, 0.5, 'a"b')])
     assert 'a\\"b' in path.read_text()
-    assert len(assert_batch_equals_oracle(path)) == 2
+    assert len(assert_batch_equals_oracle(path, 'a"b')) == 2
     # Two timestamps, 2 * 136 coordinates and one embedding.
     assert counts == [2, 2 * 136, 128]
 
@@ -584,7 +591,7 @@ def test_first_bad_line_is_reported_first(tmp_path):
     )
     assert_readers_reject(path)
     with pytest.raises(MalformedRecordError, match="line 1: expected 68"):
-        read_landmark_batch(path)
+        read_landmark_batch(path, "c")
 
 
 @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
@@ -617,7 +624,7 @@ def test_batch_read_pauses_gc_and_restores_it(small_fixture, tmp_path, monkeypat
                                        "reason": "landmarks/conf-006.jsonl: line 3: invalid JSON"}]
 
 
-@pytest.mark.parametrize("bad", ["order", "points"])
+@pytest.mark.parametrize("bad", ["order", "points", "conference"])
 def test_batch_checks_span_read_steps(tmp_path, bad):
     """A stream of several read steps is checked across step boundaries."""
     boundary = 2 * geometry._BATCH_LINES  # first record of the third step
@@ -625,21 +632,42 @@ def test_batch_checks_span_read_steps(tmp_path, bad):
     records = [frame_record(k, float(k)) for k in range(n)]
     if bad == "order":
         records[boundary]["timestamp_s"] = boundary - 1.5
-    else:
+    elif bad == "points":
         records[boundary + 7]["points"] = records[boundary + 7]["points"][:-1]
+    else:
+        records[boundary]["conference_id"] = "d"
     path = tmp_path / "long.jsonl"
     write_jsonl(path, records)
     assert_readers_reject(path)
     records = [frame_record(k, float(k)) for k in range(n)]
     write_jsonl(path, records)
-    batch = read_landmark_batch(path)
+    batch = read_landmark_batch(path, "c")
     assert batch.timestamps.tolist() == [float(k) for k in range(n)]
 
 
-def assert_batch_equals_oracle(path):
+@pytest.mark.parametrize("steps", [1, 2], ids=["one-step", "two-steps"])
+def test_stream_of_whole_read_steps(tmp_path, steps):
+    """A stream of whole read steps ends in an empty one, which passes, and
+    a timestamp equal to the last of the step before is no decrease."""
+    times = [float((k + 1) // 2) for k in range(steps * geometry._BATCH_LINES)]
+    path = tmp_path / "stream.jsonl"
+    write_jsonl(path, [frame_record(k, t) for k, t in enumerate(times)])
+    assert assert_batch_equals_oracle(path).timestamps.tolist() == times
+
+
+@pytest.mark.parametrize("conference_id", ["d", "C", ["c"], None],
+                         ids=["other", "case", "list", "null"])
+def test_record_of_another_conference_is_rejected(tmp_path, conference_id):
+    """Every record names the file's conference, as the same text."""
+    path = tmp_path / "stream.jsonl"
+    write_jsonl(path, [frame_record(0, 0.0), frame_record(1, 0.5, conference_id)])
+    assert assert_readers_reject(path) == f"{path}: line 2: conference_id is not 'c'"
+
+
+def assert_batch_equals_oracle(path, conference_id="c"):
     """read_landmark_batch gives the columns the stdlib-json oracle reads."""
-    columns = read_landmark_columns(path)
-    batch = read_landmark_batch(path)
+    columns = read_landmark_columns(path, conference_id)
+    batch = read_landmark_batch(path, conference_id)
     assert batch.timestamps.tolist() == columns["timestamp_s"]
     assert batch.points.tolist() == [[list(p) for p in pts] for pts in columns["points"]]
     assert batch.has_embedding.tolist() == [e is not None for e in columns["embedding"]]
@@ -651,10 +679,12 @@ def assert_batch_equals_oracle(path):
 
 
 def test_batch_matches_stream(tmp_path):
+    """An integer timestamp equal to the one before it reads; a record of
+    another conference in its place does not."""
     records = [
         {"_meta": {"config_hash": "abc"}},
         frame_record(0, 0.0, embedding=[0.25] * 128),
-        frame_record(1, 0, conference_id="d"),
+        frame_record(1, 0),
         frame_record(2, 0.5),
         {**frame_record(3, 1.5), "points": [[i, -1] for i in range(68)]},
     ]
@@ -663,7 +693,7 @@ def test_batch_matches_stream(tmp_path):
     with open(path, "a", encoding="utf-8") as fh:
         fh.write("\n   \n")
     batch = assert_batch_equals_oracle(path)
-    assert len(batch) == 4
+    assert batch.timestamps.tolist() == [0.0, 0.0, 0.5, 1.5]
     assert batch.has_embedding.tolist() == [True, False, False, False]
     assert batch.embeddings[0].tolist() == [0.25] * 128
     assert batch.points[3].tolist() == [[float(i), -1.0] for i in range(68)]
@@ -671,17 +701,22 @@ def test_batch_matches_stream(tmp_path):
     big = {**frame_record(1, 0.5), "points": [[2**64 + 12345, 1]] * 68}
     write_jsonl(path, [frame_record(0, 0.0), big])
     assert len(assert_batch_equals_oracle(path)) == 2
+    records[2] = frame_record(1, 0, conference_id="d")
+    write_jsonl(path, records)
+    assert assert_readers_reject(path) == f"{path}: line 3: conference_id is not 'c'"
 
 
 def test_ids_holding_true_and_false_are_read(tmp_path):
-    """A conference_id may hold the words, escaped or not, next to numbers."""
+    """A conference_id may hold the words, escaped or not, next to numbers:
+    each id's own stream reads."""
     path = tmp_path / "stream.jsonl"
-    write_jsonl(path, [
-        frame_record(0, 0.0, "true", embedding=[0.5] * 128),
-        frame_record(1, 0.5, "false-call"),
-        frame_record(2, 1.0, "\u00fcber-true"),
-    ])
-    assert len(assert_batch_equals_oracle(path)) == 3
+    for conference_id in ("true", "false-call", "\u00fcber-true"):
+        write_jsonl(path, [
+            frame_record(0, 0.0, conference_id, embedding=[0.5] * 128),
+            frame_record(1, 0.5, conference_id),
+            frame_record(2, 1.0, conference_id, embedding=[0.25] * 128),
+        ])
+        assert len(assert_batch_equals_oracle(path, conference_id)) == 3
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -722,7 +757,7 @@ def test_batch_decoding_matches_stream_on_finite_doubles(text):
 def test_batch_of_empty_stream(tmp_path):
     path = tmp_path / "empty.jsonl"
     path.write_text('{"_meta":{"config_hash":"abc"}}\n')
-    batch = read_landmark_batch(path)
+    batch = read_landmark_batch(path, "c")
     assert len(batch) == 0
     assert batch.points.shape == (0, 68, 2)
     assert batch.embeddings.shape == (0, 128)
@@ -737,8 +772,8 @@ def test_batch_ear_equals_frame_ear_on_fixture(small_fixture):
     paths = sorted((small_fixture / "landmarks").glob("*.jsonl"))
     assert paths
     for path in paths:
-        columns = read_landmark_columns(path)
-        values, usable = batch_ear(read_landmark_batch(path).points)
+        columns = read_landmark_columns(path, path.stem)
+        values, usable = batch_ear(read_landmark_batch(path, path.stem).points)
         assert usable.all()
         assert values.tolist() == [
             frame_aspect_ratio(points, LEFT_EYE_INDICES, RIGHT_EYE_INDICES)

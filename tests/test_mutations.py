@@ -1,8 +1,9 @@
 """One damaged input file of one conference never escapes ``cli.main``.
 
 Each example damages one of small_fixture's per-conference files: it
-truncates it, flips a byte, deletes a JSON field or CSV cell, or swaps a
-value for one of another kind that schema.py reads.  The run then ends
+truncates it, flips a byte, deletes a JSON field or CSV cell, swaps a
+value for one of another kind that schema.py reads, or replaces the file
+with another conference's file of the same kind.  The run then ends
 with exit 0, 1 or 2, and a failed run's last stderr line is its one error
 line.
 """
@@ -12,6 +13,7 @@ import logging
 import os
 import shutil
 import sys
+from pathlib import Path
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -31,10 +33,15 @@ CELL_KINDS = [b"text", b"7", b"0.5", b"true", b"", b"2011-04-27", b"2011-04-27T1
 ERROR_PREFIXES = {1: "configuration error: ", 2: "data error: "}
 
 
-def damaged(data: bytes, suffix: str, draw) -> bytes:
-    """data with one damage drawn for a file of that suffix."""
-    kinds = ["truncate", "flip"] if suffix == "txt" else ["truncate", "flip", "delete", "swap"]
+def damaged(path: Path, draw) -> bytes:
+    """The bytes of path with one damage drawn for a file of its suffix."""
+    data, suffix = path.read_bytes(), path.suffix[1:]
+    kinds = ["truncate", "flip", "misfile"]
+    if suffix != "txt":
+        kinds += ["delete", "swap"]
     damage = draw(st.sampled_from(kinds))
+    if damage == "misfile":
+        return draw(st.sampled_from(sorted(set(path.parent.iterdir()) - {path}))).read_bytes()
     if damage == "truncate":
         return data[:draw(st.integers(0, len(data) - 1))]
     if damage == "flip":
@@ -72,7 +79,7 @@ def test_damaged_conference_file_ends_in_an_exit_code(small_fixture, tmp_path_fa
     fixture = shutil.copytree(small_fixture, work / "fixture", copy_function=os.link)
     kind = data.draw(st.sampled_from(sorted(FILES)))
     path = fixture / kind / f"conf-{data.draw(st.integers(1, 8)):03d}.{FILES[kind]}"
-    content = damaged(path.read_bytes(), FILES[kind], data.draw)
+    content = damaged(path, data.draw)
     path.unlink()
     path.write_bytes(content)
     config_path = write_run_config(work / "config.json", fixture)

@@ -98,7 +98,7 @@ def scalar_identify(cfg, record) -> tuple[tuple[list, list], dict]:
     The stdlib-json reader, the brute-force vote and the math.hypot EAR
     stand in for the library's reader, classifier and EAR.
     """
-    columns = read_landmark_columns(record.landmarks)
+    columns = read_landmark_columns(record.landmarks, record.conference_id)
     gallery = json.loads(cfg.gallery.read_text())["entries"]
     entries = [(e["label"], e["embedding"]) for e in gallery]
     ident = cfg.identity
@@ -1110,10 +1110,10 @@ def test_invalid_utf8_is_a_data_error(small_fixture, tmp_path, kind):
     )
     if kind == "landmarks":
         with pytest.raises(DataError) as info:
-            read_landmark_batch(path)
+            read_landmark_batch(path, "conf-001")
         assert str(info.value) == f"{path}: line 3: not valid UTF-8"
         with pytest.raises(RejectedLine) as oracle:
-            read_landmark_columns(path)
+            read_landmark_columns(path, "conf-001")
         assert oracle.value.line_no == 3
 
 
@@ -1275,6 +1275,97 @@ def test_bad_landmark_file_excludes_only_its_conference(completed_run, tmp_path,
         rows.remove("conf-006")
         assert [line.split(",")[0]
                 for line in (tmp_path / "out" / table).read_text().splitlines()] == rows
+
+
+def misfiled(conference_id: str, file_of: str | None = None) -> str:
+    """The exclusion reason of a landmark file, named for file_of (by
+    default conference_id), that holds another conference's records."""
+    return (f"landmarks/{file_of or conference_id}.jsonl: line 2: "
+            f"conference_id is not {conference_id!r}")
+
+
+@pytest.mark.parametrize("damage, reasons", [
+    ("copied", {"conf-002": misfiled("conf-002")}),
+    ("swapped", {"conf-002": misfiled("conf-002"), "conf-004": misfiled("conf-004")}),
+    ("registry", {"conf-006": misfiled("conf-006", "conf-007")}),
+], ids=["copied", "swapped", "registry"])
+def test_landmark_file_of_another_conference_excludes_its_row(
+    completed_run, tmp_path, caplog, damage, reasons
+):
+    """conf-001's landmark file copied over conf-002's, conf-002's and
+    conf-004's swapped, or conf-006's registry row naming conf-007's file:
+    each row whose file holds another conference is excluded in identify,
+    with one warning line, and loses its EAR series and table rows.  Every
+    other conference's series, identify entry and windows row stay as they
+    were."""
+    fixture, _, out = completed_run
+    copy = shutil.copytree(fixture, tmp_path / "fixture")
+    landmarks = copy / "landmarks"
+    if damage == "copied":
+        shutil.copyfile(landmarks / "conf-001.jsonl", landmarks / "conf-002.jsonl")
+    elif damage == "swapped":
+        (landmarks / "conf-002.jsonl").rename(landmarks / "swap.jsonl")
+        (landmarks / "conf-004.jsonl").rename(landmarks / "conf-002.jsonl")
+        (landmarks / "swap.jsonl").rename(landmarks / "conf-004.jsonl")
+    else:
+        registry = copy / "registry.json"
+        text = registry.read_text()
+        assert text.count('"landmarks/conf-006.jsonl"') == 1
+        registry.write_text(text.replace('"landmarks/conf-006.jsonl"',
+                                         '"landmarks/conf-007.jsonl"'))
+    caplog.clear()
+    config_path = write_run_config(tmp_path / "config.json", copy)
+    assert main(["run", "--config", str(config_path), "--out", str(tmp_path / "out")]) == 0
+
+    before, after = masked_tree(out), masked_tree(tmp_path / "out")
+    identify = [json.loads(tree.pop("diagnostics/identify.json")) for tree in (before, after)]
+    assert identify[1].pop("exclusions") == [
+        {"conference_id": cid, "reason": reason} for cid, reason in reasons.items()]
+    assert identify[0].pop("exclusions") == []
+    for cid in reasons:
+        del identify[0]["conferences"][cid]
+        del before[f"ear/{cid}.csv"]
+    assert identify[1] == identify[0]
+    assert [f"{r.levelname} {r.name}: {r.getMessage()}" for r in caplog.records] == [
+        *(f"WARNING earstudy.pipeline: conference {cid} excluded from EAR series: {reason}"
+          for cid, reason in reasons.items()),
+        *SMALL_FIXTURE_WARNINGS,
+    ]
+    assert {k: v for k, v in after.items() if k.startswith("ear/")} == {
+        k: v for k, v in before.items() if k.startswith("ear/")}
+    gone = tuple(f"{cid},".encode() for cid in reasons)
+    windows = [line for line in before["windows.csv"].splitlines() if not line.startswith(gone)]
+    assert after["windows.csv"].splitlines() == windows
+    rows = [line.split(b",")[0] for line in before["attention.csv"].splitlines()]
+    assert [line.split(b",")[0] for line in after["attention.csv"].splitlines()] == [
+        cid for cid in rows if cid + b"," not in gone]
+
+
+def test_segments_of_another_conference_exclude_their_row(completed_run, tmp_path):
+    """conf-003's segments file (600 s) copied over conf-001's (a 540 s Q&A)
+    runs past the Q&A: conf-001 is excluded from the attention table, with
+    its reason and one warning line, and every other windows row stays as
+    it was."""
+    fixture, _, out = completed_run
+    copy = shutil.copytree(fixture, tmp_path / "fixture")
+    shutil.copyfile(copy / "segments" / "conf-003.csv", copy / "segments" / "conf-001.csv")
+    result = run_cli(write_run_config(tmp_path / "config.json", copy), tmp_path / "out")
+    assert result.returncode == 0, result.stderr
+    reason = "conference 'conf-001': segments run outside the Q&A (0 to 540.0 s)"
+    before = json.loads((out / "diagnostics" / "attention.json").read_text())
+    after = json.loads((tmp_path / "out" / "diagnostics" / "attention.json").read_text())
+    assert after["exclusions"] == [{"conference_id": "conf-001", "reason": reason},
+                                   *before["exclusions"]]
+    assert (f"WARNING earstudy.pipeline: conference conf-001 excluded from attention table: "
+            f"{reason}") in result.stderr.splitlines()
+    for name in ("attention.csv", "windows.csv"):
+        ids = [line.split(",")[0] for line in (out / name).read_text().splitlines()]
+        assert [line.split(",")[0] for line in
+                (tmp_path / "out" / name).read_text().splitlines()] == [
+            cid for cid in ids if cid != "conf-001"]
+    windows = [line for line in (out / "windows.csv").read_text().splitlines()
+               if not line.startswith("conf-001,")]
+    assert (tmp_path / "out" / "windows.csv").read_text().splitlines() == windows
 
 
 @pytest.mark.parametrize("command", ["run", "synth"])

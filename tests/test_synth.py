@@ -16,7 +16,7 @@ from earstudy import (
     batch_ear,
     integrate_attention,
 )
-from earstudy.attention import estimate_fps
+from earstudy.attention import benchmark_variables, estimate_fps, read_segments_csv
 from earstudy.geometry import write_landmark_stream
 from earstudy.market import (
     PRICE_COLUMNS,
@@ -25,16 +25,19 @@ from earstudy.market import (
     event_window_stats,
 )
 from earstudy.output import write_csv
+from earstudy.pipeline import load_registry
 from earstudy.synth import (
     GallerySpec,
     PriceSpec,
     ReadingEpisode,
     ScenarioSpec,
     ScriptInterval,
+    build_fixture,
     cluster_center,
     gen_gallery,
     gen_landmark_stream,
     gen_price_series,
+    gen_transcript,
     minute_stamps,
     planted_study_scenarios,
     run_synth,
@@ -225,6 +228,53 @@ def test_scenario_validation_errors():
         scenario(identity_script=(ScriptInterval(95.0, 140.0, "reporter"),))
     with pytest.raises(ScenarioError):
         scenario(fps=0.0)
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"reading_episodes": (ReadingEpisode(10.0, 5.0, 0.1),)},
+         "episode (10.0, 5.0) outside conference"),
+        ({"reading_episodes": (ReadingEpisode(290.0, 310.0, 0.1),)},
+         "episode (290.0, 310.0) outside conference"),
+        ({"reading_episodes": (ReadingEpisode(10.0, 30.0, 0.1), ReadingEpisode(0.0, 20.0, 0.1))},
+         "reading episodes overlap"),
+        ({"reading_episodes": (ReadingEpisode(0.0, 20.0, 0.4),)},
+         "episode level 0.4 must be in [0, baseline 0.3)"),
+        ({"gap_intervals": ((-1.0, 10.0),)}, "gap (-1.0, 10.0) outside conference"),
+        ({"gap_intervals": ((5.0, 20.0), (0.0, 10.0))}, "gap intervals overlap"),
+        ({"identity_script": (ScriptInterval(250.0, 301.0, "reporter"),)},
+         "identity interval (250.0, 301.0) outside conference"),
+        ({"identity_script": (ScriptInterval(0.0, 20.0, "chair"),
+                              ScriptInterval(10.0, 30.0, "reporter"))},
+         "identity intervals overlap"),
+        ({"gap_intervals": ((90.0, 110.0),)},
+         "episode (100.0, 130.0) overlaps a gap or an off-target interval"),
+    ],
+    ids=["episode-reversed", "episode-past-end", "episodes-overlap", "episode-level",
+         "gap-before-start", "gaps-overlap", "identity-past-end", "identity-overlap",
+         "episode-in-gap"],
+)
+def test_scenario_interval_messages(overrides, message):
+    """Each list of intervals is checked inside the conference, then apart."""
+    with pytest.raises(ScenarioError) as info:
+        scenario(**overrides)
+    assert str(info.value) == f"conf-t: {message}"
+
+
+def test_fractional_length_segments_lie_inside_the_registry_q_and_a(tmp_path):
+    """The registry's instants are whole microseconds: a Q&A of 100/3 s
+    reads back as 33.333333 s, while the last segment ends at
+    33.333333333333336 s.  The segments still lie inside the Q&A."""
+    spec = ScenarioSpec(conference_id="conf-f", seed=1, date=date(2020, 1, 15), fps=3.0,
+                        conference_length_s=100 / 3)
+    build_fixture([spec], GallerySpec(), tmp_path)
+    [record] = load_registry(tmp_path / "registry.json")
+    segments = read_segments_csv(record.segments, record.conference_id)
+    assert record.qa_duration_s() == 33.333333
+    assert segments.segments[-1][1] == 100 / 3
+    variables = benchmark_variables(gen_transcript(spec), segments, record.qa_duration_s())
+    assert variables.log_chair_speech == math.log(100 / 3)
 
 
 def test_scenario_timeline_span_checked():
