@@ -2,9 +2,10 @@
 
 The attention integral accumulates sub-threshold EAR values over the
 conference as a left Riemann sum with a fixed step of one nominal frame
-interval, so camera-away gaps (stretches with no samples) contribute
-nothing.  Its natural log is first-differenced across consecutive
-conferences to obtain a stationary regressor.
+interval, the video's (estimate_fps, over the whole landmark stream), so
+camera-away gaps (stretches with no samples) contribute nothing.  Its
+natural log is first-differenced across consecutive conferences to obtain
+a stationary regressor.
 
 The module reads speaker segments (read_segments_csv, through
 output.read_columns) and writes no file:
@@ -261,20 +262,19 @@ def benchmark_variables(
 
 
 def estimate_fps(timestamps: Sequence[float] | np.ndarray) -> float:
-    """Nominal frame rate as the reciprocal of the median sample spacing."""
-    if len(timestamps) < 2:
-        raise InsufficientDataError(
-            f"need at least 2 samples to estimate the frame rate, got {len(timestamps)}"
-        )
-    # np.median's value (NaN if a NaN sorts last) without importing numpy.ma.
-    spacings = np.sort(np.diff(timestamps)).tolist()
+    """A video's frame rate from the finite, non-decreasing timestamps of
+    its whole landmark stream: the reciprocal of the median positive
+    spacing.  The records of one frame share a timestamp, so a spacing of 0
+    is not a frame interval."""
+    spacings = np.diff(timestamps)
+    # np.median's value without importing numpy.ma.
+    spacings = np.sort(spacings[spacings > 0]).tolist()
+    if not spacings:
+        raise InsufficientDataError("need at least 2 distinct timestamps to estimate the "
+                                    f"frame rate, got {min(len(timestamps), 1)}")
     mid = len(spacings) // 2
-    med = spacings[mid] if len(spacings) % 2 else (spacings[mid - 1] + spacings[mid]) / 2.0
-    if math.isnan(spacings[-1]):
-        med = math.nan
-    if med <= 0:
-        raise MalformedRecordError("non-increasing timestamps in EAR samples")
-    return 1.0 / med
+    return 1.0 / (spacings[mid] if len(spacings) % 2
+                  else (spacings[mid - 1] + spacings[mid]) / 2.0)
 
 
 def summarize_conference(series: EarSeries, config: AttentionConfig) -> ConferenceAttention:

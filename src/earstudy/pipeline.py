@@ -1,9 +1,9 @@
 """The pipeline: identify -> attention -> eventstudy, run in that order.
 
 identify turns each landmark stream into the target speaker's EAR series,
-running its vote and EAR kernels once per block of streams
-(KERNEL_BLOCK_FRAMES); attention turns those series into the attention
-table; eventstudy turns that table into window statistics and regression
+with the video's frame rate read from the whole stream, running its vote
+and EAR kernels once per block of streams (KERNEL_BLOCK_FRAMES); attention
+turns those series into the attention table; eventstudy turns that table into window statistics and regression
 results, and stops the run when a dependent is constant (a slope of 0/0
 has no test).  The stages are
 pure: each returns what it computed, with its diagnostics, and writes
@@ -145,9 +145,9 @@ def load_registry(path: str | Path) -> list[ConferenceRecord]:
 # Read as (N, 12, 2), left eye first: the only points identify converts.
 EYE_POINTS = geometry.LEFT_EYE_INDICES + geometry.RIGHT_EYE_INDICES
 # A stage's results: each kept conference's EAR series as (timestamps,
-# values), each kept conference's attention row, and each dependent's
-# regressions, one per covariate.
-Series = dict[ConferenceRecord, tuple[np.ndarray, np.ndarray]]
+# values, the video's frame rate), each kept conference's attention row, and
+# each dependent's regressions, one per covariate.
+Series = dict[ConferenceRecord, tuple[np.ndarray, np.ndarray, float]]
 Rows = dict[ConferenceRecord, dict]
 Results = dict[str, list[regression.RegressionResult]]
 
@@ -195,49 +195,46 @@ def _identify_block(
 def stage_identify(
     cfg: RunConfig, records: list[ConferenceRecord], gallery: identity.Gallery,
 ) -> tuple[Series, dict]:
-    """Each landmark stream's target-speaker frames as an EAR series, and
-    the identify diagnostics.
+    """Each landmark stream's target-speaker frames as an EAR series, with
+    the video's frame rate, and the identify diagnostics.
 
-    The streams are read in registry order, and the kernels run over blocks
-    of consecutive streams of at least KERNEL_BLOCK_FRAMES frames (the last
-    block may hold fewer).  Only the read can exclude a conference.
+    The rate comes from the timestamps of every record in the stream
+    (attention.estimate_fps), not from the frames the filter keeps.  The
+    streams are read in registry order, and the kernels run over blocks of
+    consecutive streams of at least KERNEL_BLOCK_FRAMES frames (the last
+    block may hold fewer); a stream that fills a block alone is a block of
+    its own.  Only the read can exclude a conference: a bad landmark file,
+    or fewer than 2 distinct timestamps.  A series may be empty (see the
+    tally), and attention then excludes it.
     """
     series: Series = {}
     conferences: dict[str, dict] = {}
-    warnings: list[tuple[str, str]] = []
     exclusions: list[dict] = []
     target = gallery.label_codes[0].index(cfg.target_label)
 
-    def close_block(queue: list[tuple[ConferenceRecord, geometry.LandmarkBatch]]) -> None:
-        kept, batches = zip(*queue)
-        for record, (timestamps, values, tally) in zip(
-                kept, _identify_block(list(batches), gallery, target, cfg.identity)):
-            series[record] = timestamps, values
-            count = len(timestamps)
-            info = {**tally, "n_samples": count, "dropped_degenerate": tally["written"] - count}
-            if tally["written"] == 0:
-                info["warning"] = "no frames classified as target"
-                warnings.append((record.conference_id, "no frames kept by identity filter"))
-            elif count == 0:
-                info["warning"] = "no usable EAR frame"
-                warnings.append((record.conference_id, "every kept frame has a degenerate eye"))
-            conferences[record.conference_id] = info
+    def read(record: ConferenceRecord) -> tuple[geometry.LandmarkBatch, float]:
+        batch = geometry.read_landmark_batch(record.landmarks, record.conference_id, EYE_POINTS)
+        return batch, att.estimate_fps(batch.timestamps)
 
-    queue: list[tuple[ConferenceRecord, geometry.LandmarkBatch]] = []
-    for read in _each_conference(
-            cfg, records,
-            lambda r: geometry.read_landmark_batch(r.landmarks, r.conference_id, EYE_POINTS),
-            "EAR series", exclusions):
-        queue.append(read)
-        if sum(len(batch) for _, batch in queue) >= KERNEL_BLOCK_FRAMES:
+    def close_block(queue: list[tuple[ConferenceRecord, geometry.LandmarkBatch, float]]) -> None:
+        results = _identify_block([batch for _, batch, _ in queue], gallery, target, cfg.identity)
+        for (record, _, fps), (timestamps, values, tally) in zip(queue, results):
+            series[record] = timestamps, values, fps
+            count = len(timestamps)
+            conferences[record.conference_id] = {
+                **tally, "n_samples": count, "dropped_degenerate": tally["written"] - count}
+
+    queue: list[tuple[ConferenceRecord, geometry.LandmarkBatch, float]] = []
+    for record, (batch, fps) in _each_conference(cfg, records, read, "EAR series", exclusions):
+        if queue and len(batch) >= KERNEL_BLOCK_FRAMES:  # a block of its own
+            close_block(queue)
+            queue = []
+        queue.append((record, batch, fps))
+        if sum(len(queued) for _, queued, _ in queue) >= KERNEL_BLOCK_FRAMES:
             close_block(queue)
             queue = []
     if queue:
         close_block(queue)
-    # Logged after every stream, so that stderr does not depend on where a
-    # block closes.
-    for conference_id, warning in warnings:
-        log.warning("conference %s: %s", conference_id, warning)
     return series, {"conferences": conferences, "exclusions": exclusions}
 
 
@@ -270,9 +267,8 @@ def stage_attention(cfg: RunConfig, series: Series) -> tuple[Rows, dict]:
     exclusions: list[dict] = []
 
     def attention_row(record: ConferenceRecord) -> dict:
-        timestamps, values = series[record]
-        summary = att.summarize_conference(att.EarSeries(
-            record.conference_id, timestamps, values, att.estimate_fps(timestamps)), cfg.attention)
+        summary = att.summarize_conference(
+            att.EarSeries(record.conference_id, *series[record]), cfg.attention)
         if (cfg.attention.floor_policy == "epsilon_floor"
                 and summary.attention_integral < cfg.attention.floor_value):
             floored.append(record.conference_id)
@@ -376,7 +372,7 @@ def write_outputs(
     return values; returns the rendered tables.  The one place that lays
     out --out."""
     series, identify_diagnostics = identified
-    for record, (timestamps, values) in series.items():
+    for record, (timestamps, values, _) in series.items():
         output.write_csv(out_dir / "ear" / f"{record.conference_id}.csv", att.EAR_COLUMNS,
                          zip(timestamps.tolist(), values.tolist()), digest)
     output.write_json(out_dir / "diagnostics" / "identify.json", identify_diagnostics, digest)

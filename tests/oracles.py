@@ -348,19 +348,20 @@ def read_ear_rows(path) -> tuple[list, list]:
     return timestamps, values
 
 
-def attention_row(timestamps, values, threshold, gap_factor) -> dict | None:
+def attention_row(timestamps, values, threshold, gap_factor, stream_timestamps) -> dict | None:
     """The attention.csv fields of one conference, by a loop over its samples.
 
     The nominal frame interval is the reciprocal of the frame rate, which is
-    the reciprocal of the median sample spacing.  Each sample below the
-    threshold adds value * step to the integral (summed with math.fsum) and
-    step to the reading time; a spacing wider than gap_factor steps is a gap.
-    None when there are fewer than 2 samples, and log_attention is None when
-    the integral is 0.
+    the reciprocal of the median positive spacing of stream_timestamps, the
+    timestamps of every record in the conference's landmark stream.  Each
+    sample below the threshold adds value * step to the integral (summed
+    with math.fsum) and step to the reading time; a spacing wider than
+    gap_factor steps is a gap.  None when there is no sample, and
+    log_attention is None when the integral is 0.
     """
-    if len(timestamps) < 2:
+    if not timestamps:
         return None
-    spacings = sorted(b - a for a, b in zip(timestamps, timestamps[1:]))
+    spacings = sorted(b - a for a, b in zip(stream_timestamps, stream_timestamps[1:]) if b > a)
     mid = len(spacings) // 2
     median = spacings[mid] if len(spacings) % 2 else (spacings[mid - 1] + spacings[mid]) / 2
     step = 1.0 / (1.0 / median)

@@ -281,14 +281,25 @@ def test_estimate_fps_median_spacing():
 
 
 def test_estimate_fps_median_is_np_median_bitwise():
-    """The median spacing is np.median's to the bit, for odd and even
-    counts, tied spacings, and a NaN (which makes it NaN)."""
+    """The median spacing is np.median's of the positive spacings to the
+    bit, for odd and even counts, tied spacings, and frames that hold
+    several records at one timestamp."""
     rng = np.random.default_rng(3)
     for n in range(2, 401):
-        for timestamps in (np.cumsum(rng.exponential(0.04, n)), np.round(np.arange(n) / 30.0, 2)):
-            expected = np.float64(1.0 / float(np.median(np.diff(timestamps))))
+        frames = np.cumsum(rng.exponential(0.04, n))
+        for timestamps in (frames, np.round(np.arange(n) / 30.0, 2),
+                           np.repeat(frames, rng.integers(1, 4, n))):
+            spacings = np.diff(timestamps)
+            expected = np.float64(1.0 / float(np.median(spacings[spacings > 0])))
             assert np.float64(estimate_fps(timestamps)).tobytes() == expected.tobytes(), n
-    assert math.isnan(estimate_fps(np.array([0.0, 1.0, math.nan, 3.0, 2.0, 1.0])))
+
+
+@pytest.mark.parametrize("timestamps", [[], [3.0], [3.0, 3.0, 3.0]],
+                         ids=["no-records", "one-record", "one-timestamp"])
+def test_estimate_fps_needs_two_distinct_timestamps(timestamps):
+    with pytest.raises(InsufficientDataError, match="2 distinct timestamps to estimate the "
+                                                    "frame rate"):
+        estimate_fps(np.array(timestamps))
 
 
 def test_summarize_conference_fields():

@@ -6,6 +6,7 @@ import shutil
 import subprocess
 import sys
 from dataclasses import replace
+from datetime import date
 from pathlib import Path
 from typing import NamedTuple
 
@@ -33,9 +34,17 @@ from earstudy.pipeline import (
     load_registry,
     load_run_config,
     run_stages,
+    stage_attention,
     stage_identify,
 )
-from earstudy.synth import build_fixture, planted_study_scenarios
+from earstudy.synth import (
+    GallerySpec,
+    ReadingEpisode,
+    ScenarioSpec,
+    ScriptInterval,
+    build_fixture,
+    planted_study_scenarios,
+)
 
 from conftest import write_run_config
 from oracles import (
@@ -175,11 +184,19 @@ def test_exclusions_recorded_but_run_continues(completed_run):
 
 
 def test_identify_diagnostics_counts(completed_run):
+    """conf-005's chair is never on camera: its tally says so, and attention
+    excludes its empty series, the one place it is excluded."""
     fixture, _, out = completed_run
     diag = json.loads((out / "diagnostics" / "identify.json").read_text())
     per_conf = diag["conferences"]
-    assert per_conf["conf-005"]["kept"] == 0
-    assert per_conf["conf-005"]["warning"] == "no frames classified as target"
+    assert per_conf["conf-005"]["total"] > 0
+    assert (per_conf["conf-005"]["kept"], per_conf["conf-005"]["written"],
+            per_conf["conf-005"]["n_samples"]) == (0, 0, 0)
+    assert diag["exclusions"] == []
+    assert all("warning" not in info for info in per_conf.values())
+    attention = json.loads((out / "diagnostics" / "attention.json").read_text())
+    assert {"conference_id": "conf-005", "reason": "conference 'conf-005': empty EAR series"} \
+        in attention["exclusions"]
     assert per_conf["conf-001"]["kept"] > 0
     assert per_conf["conf-001"]["rejected"] > 0  # reporter interludes
     total = per_conf["conf-001"]["total"]
@@ -206,17 +223,20 @@ def test_run_hashes_each_input_once(completed_run, tmp_path, monkeypatch):
 
 def test_attention_table_matches_row_oracle(completed_run):
     """Each attention.csv row agrees with the oracle's loop over the written
-    ear/<id>.csv, and is exactly the package's summary of that file."""
+    ear/<id>.csv, at the frame rate of the landmark file's timestamps, and
+    is exactly the package's summary of that file."""
     _, cfg, out = completed_run
     table = {row["conference_id"]: row for row in read_attention_table(out / "attention.csv")}
+    landmarks = {r.conference_id: r.landmarks for r in load_registry(cfg.registry)}
     threshold, gap_factor = cfg.attention.threshold, cfg.attention.gap_factor
     fields = ("attention_integral", "log_attention", "reading_time_s", "end_s", "observed_s")
     checked = []
     for path in sorted((out / "ear").glob("*.csv")):
         timestamps, values = read_ear_rows(path)
-        expected = attention_row(timestamps, values, threshold, gap_factor)
+        stream = read_landmark_columns(landmarks[path.stem], path.stem)["timestamp_s"]
+        expected = attention_row(timestamps, values, threshold, gap_factor, stream)
         row = table.get(path.stem)
-        if row is None:  # excluded: too few samples, or no log of a zero integral
+        if row is None:  # excluded: no sample, or no log of a zero integral
             assert expected is None or expected["log_attention"] is None, path.stem
             continue
         assert (row["n_samples"], row["n_gaps"]) == (expected["n_samples"], expected["n_gaps"])
@@ -224,7 +244,7 @@ def test_attention_table_matches_row_oracle(completed_run):
             assert row[field] == pytest.approx(expected[field], rel=1e-12, abs=0), field
         summary = summarize_conference(
             EarSeries(path.stem, np.array(timestamps), np.array(values),
-                      estimate_fps(timestamps)),
+                      estimate_fps(np.array(stream))),
             cfg.attention,
         )
         assert (summary.n_samples, summary.n_gaps) == (row["n_samples"], row["n_gaps"])
@@ -305,16 +325,14 @@ def test_registry_order_leaves_the_tree_unchanged(completed_run, tmp_path_factor
     assert masked_tree(work / "out") == masked_tree(out)
 
 
-# The warnings of a run on small_fixture as it is: identify's for conf-005,
-# whose chair is never on camera, then attention's for conf-003, which
-# never reads, and conf-005.
+# The warnings of a run on small_fixture as it is: attention's exclusions of
+# conf-003, which never reads, and conf-005, whose chair is never on camera.
 SMALL_FIXTURE_WARNINGS = [
-    "WARNING earstudy.pipeline: conference conf-005: no frames kept by identity filter",
     "WARNING earstudy.pipeline: conference conf-003 excluded from attention table: conference "
     "'conf-003': attention integral 0.0 has no log; configure an epsilon_floor policy or "
     "exclude the conference",
-    "WARNING earstudy.pipeline: conference conf-005 excluded from attention table: need at "
-    "least 2 samples to estimate the frame rate, got 0",
+    "WARNING earstudy.pipeline: conference conf-005 excluded from attention table: conference "
+    "'conf-005': empty EAR series",
 ]
 
 
@@ -953,8 +971,9 @@ def short_streams(small_fixture, tmp_path_factory):
 def test_identify_is_the_same_for_every_kernel_block(short_streams, tmp_path, monkeypatch,
                                                      caplog, policy):
     """One conference per block, the default blocks and one block for the
-    whole study give equal series bit for bit, equal diagnostics, exclusions
-    included, and equal warnings."""
+    whole study give equal series and frame rates bit for bit, equal
+    diagnostics, exclusions included, and equal warnings.  A stream that
+    fills a block alone is a block of its own."""
     config_path = write_run_config(
         tmp_path / "config.json", short_streams,
         identity={"epsilon": 0.5, "min_votes": 1, "no_embedding_policy": policy},
@@ -978,8 +997,9 @@ def test_identify_is_the_same_for_every_kernel_block(short_streams, tmp_path, mo
         caplog.clear()
         series, diagnostics = stage_identify(cfg, records, gallery)
         runs.append((
-            {record.conference_id: [(a.dtype, a.shape, a.tobytes()) for a in arrays]
-             for record, arrays in series.items()},
+            {record.conference_id: ([(a.dtype, a.shape, a.tobytes()) for a in arrays],
+                                    float.hex(fps))
+             for record, (*arrays, fps) in series.items()},
             json.dumps(diagnostics),
             [(r.levelname, r.getMessage()) for r in caplog.records],
         ))
@@ -995,18 +1015,73 @@ def test_identify_is_the_same_for_every_kernel_block(short_streams, tmp_path, mo
         {"conference_id": "conf-003", "reason": malformed},
         {"conference_id": "conf-007", "reason": missing},
     ]
+    # An empty series is attention's to exclude: identify warns only of
+    # what it excludes.
     assert [message for _, message in runs[0][2]] == [
         f"conference conf-003 excluded from EAR series: {malformed}",
         f"conference conf-007 excluded from EAR series: {missing}",
-        "conference conf-002: every kept frame has a degenerate eye",
-        "conference conf-005: no frames kept by identity filter",
     ]
     # The registry is in date order, and an excluded conference adds no
     # frames.  Each block but the last holds at least the block size, and
-    # ends where that is first met.
+    # ends where that is first met, or before a stream that fills a block
+    # alone (conf-006's 270 frames).
     single, blocks, whole = block_frames
     assert single == lengths and whole == [sum(lengths)]
-    assert blocks == [315, 495, 360] and default == 256
+    assert blocks == [315, 225, 270, 360] and default == 256
+
+
+def attention_of(fixture: Path, config_path: Path) -> dict:
+    """The attention row of a one-conference fixture, through stage_identify
+    and stage_attention."""
+    cfg = load_run_config(write_run_config(config_path, fixture))
+    [record] = load_registry(cfg.registry)
+    series, _ = stage_identify(cfg, [record], load_gallery(cfg.gallery))
+    return stage_attention(cfg, series)[0][record]
+
+
+@pytest.mark.parametrize("stream", ["every-other-second", "two-faces-per-frame"])
+def test_the_frame_interval_is_the_video_s(tmp_path, stream):
+    """A 600 s Q&A at 1 fps whose chair reads for 49 s at EAR 0.15.
+
+    With the chair off camera every other second outside the reading, the
+    filter keeps a sample every 2 s there, but the frame interval stays the
+    video's 1 s: the integral and the reading time are the gap-free run's
+    bit for bit, and the observed time lies within the Q&A.  With a
+    reporter's record in every frame, at the frame's timestamp and
+    frame_index, the row is the gap-free run's.
+    """
+    clean = ScenarioSpec("conf-001", seed=5, date=date(2020, 1, 15), fps=1.0,
+                         conference_length_s=600.0,
+                         reading_episodes=(ReadingEpisode(100.0, 149.0, 0.15),))
+    build_fixture([clean], GallerySpec(), tmp_path / "clean")
+    expected = attention_of(tmp_path / "clean", tmp_path / "clean.json")
+    assert (expected["attention_integral"], expected["reading_time_s"],
+            expected["observed_s"]) == (pytest.approx(7.35), 49.0, 600.0)
+
+    fixture = tmp_path / stream
+    if stream == "every-other-second":
+        away = tuple(ScriptInterval(start, start + 1.0, "reporter")
+                     for start in range(1, 600, 2) if not 99 <= start < 149)
+        build_fixture([replace(clean, identity_script=away)], GallerySpec(), fixture)
+    else:
+        shutil.copytree(tmp_path / "clean", fixture)
+        path = fixture / "landmarks" / "conf-001.jsonl"
+        reporter = next(e["embedding"] for e in json.loads(
+            (fixture / "gallery.json").read_text())["entries"] if e["label"] == "reporter")
+        meta, *lines = path.read_text().splitlines()
+        faces = [meta]
+        for line in lines:
+            record = json.loads(line)
+            faces += [line, json.dumps({**record, "embedding": reporter})]
+        path.write_text("".join(f"{line}\n" for line in faces))
+    row = attention_of(fixture, tmp_path / "config.json")
+    if stream == "every-other-second":
+        assert row["n_samples"] < expected["n_samples"] == 600
+        for field in ("attention_integral", "reading_time_s"):
+            assert float.hex(row[field]) == float.hex(expected[field]), field
+        assert row["observed_s"] <= 600.0
+    else:
+        assert row == expected
 
 
 @pytest.mark.parametrize("policy", ["drop", "assume_target"])
@@ -1032,8 +1107,11 @@ def test_identify_routing_matches_filter_speaker_frames(small_fixture, tmp_path,
         samples, expected = scalar_identify(cfg, record)
         got = diag["conferences"][record.conference_id]
         assert {key: got[key] for key in expected} == expected, record.conference_id
-        timestamps, values = series[record]
+        timestamps, values, fps = series[record]
         assert (timestamps.tolist(), values.tolist()) == samples, record.conference_id
+        # The rate is the whole stream's, which conf-005's empty series has too.
+        stream = read_landmark_columns(record.landmarks, record.conference_id)["timestamp_s"]
+        assert fps == estimate_fps(np.array(stream)) == 1.0, record.conference_id
     assert sum(c["no_embedding"] for c in diag["conferences"].values()) > 0
 
 
@@ -1066,9 +1144,9 @@ def run_cli(config_path: Path, out: Path) -> subprocess.CompletedProcess:
 
 def test_data_error_after_identify_warning_is_one_stderr_line(small_fixture, tmp_path):
     """A run that fails after its stages have warned ends with its one error
-    line.  identify excludes conf-006 for a null point and warns that
-    conf-005 keeps no frames; the event study then loses conf-007 and
-    conf-008 to missing price files, which leaves two usable conferences."""
+    line.  identify excludes conf-006 for a null point, attention conf-003
+    and conf-005; the event study then loses conf-007 and conf-008 to
+    missing price files, which leaves two usable conferences."""
     fixture = shutil.copytree(small_fixture, tmp_path / "fixture")
     path = fixture / "landmarks" / "conf-006.jsonl"
     lines = path.read_text().splitlines()
@@ -1085,8 +1163,8 @@ def test_data_error_after_identify_warning_is_one_stderr_line(small_fixture, tmp
                      "need at least 3")
     assert warnings[0].startswith("WARNING earstudy.pipeline: conference conf-006 excluded "
                                   "from EAR series: landmarks/conf-006.jsonl: line 3: ")
-    assert warnings[1] == SMALL_FIXTURE_WARNINGS[0]
-    assert len(warnings) == 6 and all(line.startswith("WARNING ") for line in warnings)
+    assert warnings[1:3] == SMALL_FIXTURE_WARNINGS
+    assert len(warnings) == 5 and all(" excluded from " in line for line in warnings)
 
 
 @pytest.mark.parametrize("kind", ["landmarks", "transcripts", "segments", "prices"])
@@ -1230,12 +1308,15 @@ def test_malformed_input_is_one_line_error(
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("fault", ["malformed", "not-utf8", "missing", "directory"])
+@pytest.mark.parametrize("fault", ["malformed", "not-utf8", "missing", "directory",
+                                   "one-frame", "no-frames"])
 def test_bad_landmark_file_excludes_only_its_conference(completed_run, tmp_path, caplog, fault):
-    """A landmark file with a bad line, or one that cannot be read, excludes
-    its conference in identify, with one warning that names the file
-    relative to the registry.  It loses its EAR series and its table rows;
-    every other conference's series and identify entry stay as they were."""
+    """A landmark file with a bad line, one that cannot be read, or one
+    with fewer than 2 distinct timestamps (no frame rate) excludes its
+    conference in identify, with one warning whose reason names the file
+    relative to the registry, or the frame rate.  It loses its EAR series
+    and its table rows; every other conference's series and identify entry
+    stay as they were."""
     fixture, _, out = completed_run
     copy = shutil.copytree(fixture, tmp_path / "fixture")
     path = copy / "landmarks" / "conf-006.jsonl"
@@ -1243,6 +1324,8 @@ def test_bad_landmark_file_excludes_only_its_conference(completed_run, tmp_path,
     path.unlink()
     if fault == "directory":
         path.mkdir()
+    elif fault in ("one-frame", "no-frames"):
+        path.write_bytes(meta + head if fault == "one-frame" else meta)
     elif fault != "missing":
         bad = b"{bad\n" if fault == "malformed" else b"\xff" + line
         path.write_bytes(b"".join([meta, head, bad, *tail]))
@@ -1258,7 +1341,11 @@ def test_bad_landmark_file_excludes_only_its_conference(completed_run, tmp_path,
     assert reason == {"malformed": f"{name}: line 3: invalid JSON",
                       "not-utf8": f"{name}: line 3: not valid UTF-8",
                       "missing": f"[Errno 2] No such file or directory: '{name}'",
-                      "directory": f"[Errno 21] Is a directory: '{name}'"}[fault]
+                      "directory": f"[Errno 21] Is a directory: '{name}'",
+                      "one-frame": "need at least 2 distinct timestamps to estimate the frame "
+                                   "rate, got 1",
+                      "no-frames": "need at least 2 distinct timestamps to estimate the frame "
+                                   "rate, got 0"}[fault]
     assert [f"{r.levelname} {r.name}: {r.getMessage()}" for r in caplog.records] == [
         f"WARNING earstudy.pipeline: conference conf-006 excluded from EAR series: {reason}",
         *SMALL_FIXTURE_WARNINGS,
@@ -1266,6 +1353,7 @@ def test_bad_landmark_file_excludes_only_its_conference(completed_run, tmp_path,
     before = json.loads((out / "diagnostics" / "identify.json").read_text())
     assert before.pop("exclusions") == [] and before["conferences"].pop("conf-006")
     assert after == before
+    assert not (tmp_path / "out" / "ear" / "conf-006.csv").exists()
     ear = tree_bytes(out / "ear")
     del ear["conf-006.csv"]
     assert tree_bytes(tmp_path / "out" / "ear") == ear
