@@ -39,7 +39,6 @@ from .identity import (
 )
 from .market import (
     ConferenceTimeline,
-    EventWindowStats,
     PriceSeries,
     event_window_stats,
     price_at,

@@ -69,6 +69,13 @@ class AttentionConfig:
         if self.floor_policy == "epsilon_floor" and self.floor_value <= 0:
             raise ConfigError(f"floor_value must be positive, got {self.floor_value}")
 
+    def floors(self, integral: float) -> bool:
+        """Whether the floor policy logs floor_value in place of integral:
+        under "epsilon_floor", for an integral below floor_value or not
+        finite."""
+        return self.floor_policy == "epsilon_floor" and not (
+            self.floor_value <= integral < math.inf)
+
 
 @dataclass(frozen=True, eq=False)
 class EarSeries:
@@ -105,45 +112,10 @@ class EarSeries:
     def step(self) -> float:
         return 1.0 / self.nominal_fps
 
-    def gap_spans(self, gap_factor: float) -> list[tuple[float, float]]:
-        """Inter-sample spans wider than gap_factor nominal frame intervals."""
-        ts = self.timestamps
-        cut = gap_factor * self.step
-        return [(float(ts[i]), float(ts[i + 1])) for i in np.nonzero(np.diff(ts) > cut)[0]]
-
-    @property
-    def end_s(self) -> float:
-        if not len(self):
-            raise DataError(f"conference {self.conference_id!r}: empty EAR series")
-        return float(self.timestamps[-1])
-
-    @property
-    def observed_s(self) -> float:
-        """Total sampled time: one nominal frame interval per sample."""
-        return len(self) * self.step
-
-
-@dataclass(frozen=True)
-class BenchmarkVariables:
-    """Log complexity proxies: question count, Q&A length, chair speech time."""
-
-    log_n_questions: float
-    log_qa_duration: float
-    log_chair_speech: float
-
-
-@dataclass(frozen=True)
-class ConferenceAttention:
-    """Attention summary for one conference, ready for the event study."""
-
-    conference_id: str
-    attention_integral: float
-    log_attention: float
-    reading_time_s: float
-    end_s: float
-    observed_s: float
-    n_samples: int
-    n_gaps: int
+    def n_gaps(self, gap_factor: float) -> int:
+        """How many inter-sample spans are wider than gap_factor nominal
+        frame intervals."""
+        return int(np.count_nonzero(np.diff(self.timestamps) > gap_factor * self.step))
 
 
 @dataclass(frozen=True)
@@ -202,12 +174,10 @@ def log_attention_level(
     integral: float, config: AttentionConfig, conference_id: str = ""
 ) -> float:
     """Natural log of the attention integral, honoring the floor policy."""
-    if integral > 0 and math.isfinite(integral):
-        if config.floor_policy == "epsilon_floor":
-            return math.log(max(integral, config.floor_value))
-        return math.log(integral)
-    if config.floor_policy == "epsilon_floor":
+    if config.floors(integral):
         return math.log(config.floor_value)
+    if integral > 0 and math.isfinite(integral):
+        return math.log(integral)
     raise DomainError(
         f"conference {conference_id!r}: attention integral {integral} has no log; "
         "configure an epsilon_floor policy or exclude the conference"
@@ -232,8 +202,9 @@ def benchmark_variables(
     transcript: str,
     segments: SpeakerSegments,
     qa_duration_s: float,
-) -> BenchmarkVariables:
-    """Log question count, log Q&A duration, log chair speaking time."""
+) -> dict[str, float]:
+    """attention.csv's log question count, log Q&A duration and log chair
+    speaking time."""
     if qa_duration_s <= 0:
         raise ConfigError(
             f"conference {segments.conference_id!r}: qa_duration_s must be positive"
@@ -254,11 +225,11 @@ def benchmark_variables(
             f"conference {segments.conference_id!r}: no chair speaking time; "
             "log duration undefined"
         )
-    return BenchmarkVariables(
-        log_n_questions=math.log(n_questions),
-        log_qa_duration=math.log(qa_duration_s),
-        log_chair_speech=math.log(chair_seconds),
-    )
+    return {
+        "log_n_questions": math.log(n_questions),
+        "log_qa_duration": math.log(qa_duration_s),
+        "log_chair_speech": math.log(chair_seconds),
+    }
 
 
 def estimate_fps(timestamps: Sequence[float] | np.ndarray) -> float:
@@ -277,28 +248,40 @@ def estimate_fps(timestamps: Sequence[float] | np.ndarray) -> float:
                   else (spacings[mid - 1] + spacings[mid]) / 2.0)
 
 
-def summarize_conference(series: EarSeries, config: AttentionConfig) -> ConferenceAttention:
+def summarize_conference(series: EarSeries, config: AttentionConfig) -> dict:
+    """attention.csv's fields of one EAR series: observed_s is one nominal
+    frame interval per sample, and end_s the last sample's time."""
     integral, reading_time = integrate_attention(series, config)
-    return ConferenceAttention(
-        conference_id=series.conference_id,
-        attention_integral=integral,
-        log_attention=log_attention_level(integral, config, series.conference_id),
-        reading_time_s=reading_time,
-        end_s=series.end_s,
-        observed_s=series.observed_s,
-        n_samples=len(series),
-        n_gaps=len(series.gap_spans(config.gap_factor)),
-    )
+    return {
+        "conference_id": series.conference_id,
+        "attention_integral": integral,
+        "log_attention": log_attention_level(integral, config, series.conference_id),
+        "reading_time_s": reading_time,
+        "end_s": float(series.timestamps[-1]),
+        "observed_s": len(series) * series.step,
+        "n_samples": len(series),
+        "n_gaps": series.n_gaps(config.gap_factor),
+    }
 
 
 # ---------------------------------------------------------------------------
 # CSV columns, in output.write_csv's format: EAR series ("timestamp_s,ear"),
-# written only, and speaker segments ("start_s,end_s,speaker"), read through
-# output.read_columns and written.
+# written only; speaker segments ("start_s,end_s,speaker"), read through
+# output.read_columns and written; and the attention table, one row per
+# conference: summarize_conference's and benchmark_variables's fields, the
+# registry date, and the first difference of each log column ("delta_" and
+# its name; None for the first conference).
 # ---------------------------------------------------------------------------
 
 EAR_COLUMNS = ("timestamp_s", "ear")
 SEGMENT_COLUMNS = ("start_s", "end_s", "speaker")
+ATTENTION_COLUMNS = (
+    "conference_id", "date", "attention_integral", "log_attention",
+    "delta_log_attention", "reading_time_s", "end_s", "observed_s",
+    "n_samples", "n_gaps", "log_n_questions", "log_qa_duration",
+    "log_chair_speech", "delta_log_n_questions", "delta_log_qa_duration",
+    "delta_log_chair_speech",
+)
 
 
 def _segment(row: list[str]) -> tuple[float, float, str]:

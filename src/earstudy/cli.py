@@ -51,16 +51,20 @@ def main(argv: list[str] | None = None) -> int:
     """The in-process entry: argv (sys.argv[1:] when None) as a command line.
 
     The collector is off while it runs, and the objects alive at start-up
-    (numpy, the modules) are frozen; a run makes few reference cycles.  On
-    every way out the caller gets its heap and its collector setting back.
+    (numpy, the modules) are frozen, unless the caller froze a heap of its
+    own; a run makes few reference cycles.  On every way out the caller
+    gets its heap and its collector setting back.
     """
     collecting = gc.isenabled()
-    gc.freeze()
+    freezing = not gc.get_freeze_count()
+    if freezing:
+        gc.freeze()
     gc.disable()
     try:
         return _main(argv)
     finally:
-        gc.unfreeze()
+        if freezing:
+            gc.unfreeze()
         if collecting:
             gc.enable()
 

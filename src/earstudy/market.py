@@ -120,20 +120,6 @@ class ConferenceTimeline:
         return self.qa_start - PRE_WINDOW
 
 
-@dataclass(frozen=True)
-class EventWindowStats:
-    """Returns and realized volatilities around one conference."""
-
-    conference_id: str
-    return_during: float
-    return_after: float
-    vol_before: float
-    vol_after: float
-    vol_change: float
-    n_returns_before: int
-    n_returns_after: int
-
-
 def price_at(series: PriceSeries, t: datetime) -> float:
     """Price of the latest bar at or before t."""
     idx = bisect_right(series.times, t) - 1
@@ -179,8 +165,10 @@ def realized_vol(series: PriceSeries, t_from: datetime, t_to: datetime) -> float
 
 def event_window_stats(
     series: PriceSeries, timeline: ConferenceTimeline, conference_id: str
-) -> EventWindowStats:
-    """Assemble during/after returns and before/after volatilities."""
+) -> dict:
+    """windows.csv's during/after returns and before/after volatilities of
+    one conference; its row takes conference_id and date from the
+    attention table."""
     try:
         returns_before = window_returns(series, timeline.window_open, timeline.qa_start)
         returns_after = window_returns(series, timeline.conference_end, timeline.trading_close)
@@ -190,16 +178,21 @@ def event_window_stats(
         raise CoverageError(f"conference {conference_id!r}: {exc}") from exc
     vol_before = _rms(returns_before)
     vol_after = _rms(returns_after)
-    return EventWindowStats(
-        conference_id=conference_id,
-        return_during=return_during,
-        return_after=return_after,
-        vol_before=vol_before,
-        vol_after=vol_after,
-        vol_change=vol_after - vol_before,
-        n_returns_before=len(returns_before),
-        n_returns_after=len(returns_after),
-    )
+    return {
+        "return_during": return_during,
+        "return_after": return_after,
+        "vol_before": vol_before,
+        "vol_after": vol_after,
+        "vol_change": vol_after - vol_before,
+        "n_returns_before": len(returns_before),
+        "n_returns_after": len(returns_after),
+    }
+
+
+WINDOW_COLUMNS = (
+    "conference_id", "date", "return_during", "return_after", "vol_before",
+    "vol_after", "vol_change", "n_returns_before", "n_returns_after",
+)
 
 
 # ---------------------------------------------------------------------------

@@ -238,25 +238,6 @@ def stage_identify(
     return series, {"conferences": conferences, "exclusions": exclusions}
 
 
-ATTENTION_COLUMNS = (
-    "conference_id", "date", "attention_integral", "log_attention",
-    "delta_log_attention", "reading_time_s", "end_s", "observed_s",
-    "n_samples", "n_gaps", "log_n_questions", "log_qa_duration",
-    "log_chair_speech", "delta_log_n_questions", "delta_log_qa_duration",
-    "delta_log_chair_speech",
-)
-DELTA_SOURCES = {
-    "delta_log_attention": "log_attention",
-    "delta_log_n_questions": "log_n_questions",
-    "delta_log_qa_duration": "log_qa_duration",
-    "delta_log_chair_speech": "log_chair_speech",
-}
-WINDOW_COLUMNS = (
-    "conference_id", "date", "return_during", "return_after", "vol_before",
-    "vol_after", "vol_change", "n_returns_before", "n_returns_after",
-)
-
-
 def stage_attention(cfg: RunConfig, series: Series) -> tuple[Rows, dict]:
     """The attention table from stage_identify's EAR series.
 
@@ -269,22 +250,22 @@ def stage_attention(cfg: RunConfig, series: Series) -> tuple[Rows, dict]:
     def attention_row(record: ConferenceRecord) -> dict:
         summary = att.summarize_conference(
             att.EarSeries(record.conference_id, *series[record]), cfg.attention)
-        if (cfg.attention.floor_policy == "epsilon_floor"
-                and summary.attention_integral < cfg.attention.floor_value):
+        if cfg.attention.floors(summary["attention_integral"]):
             floored.append(record.conference_id)
         transcript = output.read_text(record.transcript)
         segments = att.read_segments_csv(record.segments, record.conference_id)
         benchmark = att.benchmark_variables(transcript, segments, record.qa_duration_s())
-        return {**vars(summary), "date": record.date.isoformat(), **vars(benchmark)}
+        return {**summary, "date": record.date.isoformat(), **benchmark}
 
     rows = dict(_each_conference(cfg, series, attention_row, "attention table", exclusions))
     # First differences across surviving conferences in date order; the
     # first survivor has no delta.
     table = list(rows.values())
-    for delta_col, source in DELTA_SOURCES.items():
+    for delta_column in COVARIATE_COLUMNS:
+        source = delta_column.removeprefix("delta_")
         deltas = att.delta_series([r[source] for r in table]).tolist() if len(table) > 1 else []
         for row, delta in zip(table, [None, *deltas]):
-            row[delta_col] = delta
+            row[delta_column] = delta
     return rows, {"exclusions": exclusions, "floored": floored, "n_rows": len(rows)}
 
 
@@ -333,10 +314,11 @@ def stage_eventstudy(cfg: RunConfig, rows: Rows) -> tuple[list[dict], Results, d
         timeline = market.ConferenceTimeline(record.qa_start, record.conference_end, close)
         stats = market.event_window_stats(read_prices(record.prices), timeline,
                                           record.conference_id)
-        return {**rows[record], **vars(stats), "vol_change_x100": stats.vol_change * 100.0}
+        return {**rows[record], **stats, "vol_change_x100": stats["vol_change"] * 100.0}
 
     window_rows = [row for _, row in _each_conference(cfg, rows, window_row, "event study",
                                                       exclusions)]
+    # The first attention row alone has no deltas, and then none at all.
     usable = [r for r in window_rows if r["delta_log_attention"] is not None]
     if len(usable) < 3:
         raise InsufficientDataError(
@@ -347,10 +329,9 @@ def stage_eventstudy(cfg: RunConfig, rows: Rows) -> tuple[list[dict], Results, d
     results: Results = {dependent: [] for dependent in DEPENDENT_COLUMNS}
     for dependent, models in results.items():
         for covariate in COVARIATE_COLUMNS:
-            y, x, labels = zip(*[(r[dependent], r[covariate], r["conference_id"])
-                                 for r in usable if r[covariate] is not None])
             try:
-                data = regression.RegressionInput(y=np.array(y), x=np.array(x), labels=labels)
+                data = regression.RegressionInput(y=np.array([r[dependent] for r in usable]),
+                                                  x=np.array([r[covariate] for r in usable]))
             except DegenerateRegressorError as exc:
                 raise DegenerateRegressorError(f"{dependent} on {covariate}: {exc}") from exc
             models.append(regression.ols_univariate(data))
@@ -378,13 +359,13 @@ def write_outputs(
     output.write_json(out_dir / "diagnostics" / "identify.json", identify_diagnostics, digest)
 
     rows, attention_diagnostics = attended
-    output.write_csv(out_dir / "attention.csv", ATTENTION_COLUMNS,
-                     map(itemgetter(*ATTENTION_COLUMNS), rows.values()), digest)
+    output.write_csv(out_dir / "attention.csv", att.ATTENTION_COLUMNS,
+                     map(itemgetter(*att.ATTENTION_COLUMNS), rows.values()), digest)
     output.write_json(out_dir / "diagnostics" / "attention.json", attention_diagnostics, digest)
 
     window_rows, results, eventstudy_diagnostics = studied
-    output.write_csv(out_dir / "windows.csv", WINDOW_COLUMNS,
-                     map(itemgetter(*WINDOW_COLUMNS), window_rows), digest)
+    output.write_csv(out_dir / "windows.csv", market.WINDOW_COLUMNS,
+                     map(itemgetter(*market.WINDOW_COLUMNS), window_rows), digest)
     tables = out_dir / "tables"
     texts: list[str] = []
     for dependent, models in results.items():

@@ -19,19 +19,18 @@ from .errors import DegenerateRegressorError, InsufficientDataError, MalformedRe
 
 @dataclass(frozen=True)
 class RegressionInput:
-    """Aligned dependent/regressor vectors with per-row conference labels."""
+    """Aligned dependent and regressor vectors."""
 
     y: np.ndarray
     x: np.ndarray
-    labels: tuple[str, ...]
 
     def __post_init__(self) -> None:
         y = np.asarray(self.y, dtype=float)
         x = np.asarray(self.x, dtype=float)
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "x", x)
-        if y.ndim != 1 or x.ndim != 1 or len(y) != len(x) or len(y) != len(self.labels):
-            raise MalformedRecordError("y, x, and labels must be 1-d and equally long")
+        if y.ndim != 1 or x.ndim != 1 or len(y) != len(x):
+            raise MalformedRecordError("y and x must be 1-d and equally long")
         if len(y) < 3:
             raise InsufficientDataError(f"need at least 3 observations, got {len(y)}")
         if not (np.all(np.isfinite(y)) and np.all(np.isfinite(x))):
@@ -57,9 +56,6 @@ class RegressionResult:
     resid_se: float
     f_stat: float
     n: int
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 def two_sided_p_value(t_stat: float, df: int) -> float:
@@ -254,7 +250,7 @@ def table_rows(
     rows = []
     for i, (label, result) in enumerate(zip(covariate_labels, results)):
         row = {"dependent": dependent_label, "model": i + 1, "covariate": label}
-        row.update(result.as_dict())
+        row.update(asdict(result))
         row["stars"] = significance_stars(result.p_beta)
         rows.append(row)
     return rows

@@ -302,7 +302,7 @@ def read_price_rows(path) -> tuple[list, list]:
 
 
 def event_windows(times, prices, timeline) -> dict:
-    """The EventWindowStats fields over plain lists of bars.
+    """market.event_window_stats's windows.csv fields over plain lists of bars.
 
     A price is that of the latest bar at or before an instant; a window's
     returns are those between bars in (open, close], in the order numpy

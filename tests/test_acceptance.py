@@ -208,8 +208,7 @@ def test_c05_ols_oracle_equivalence():
             + rng.uniform(-2, 2) * x
             + rng.normal(0.0, rng.uniform(0.1, 1.5), size=n)
         )
-        labels = tuple(str(i) for i in range(n))
-        result = ols_univariate(RegressionInput(y=y, x=x, labels=labels))
+        result = ols_univariate(RegressionInput(y=y, x=x))
         expected = ols_normal_equations(x, y)
         for field_name in fields:
             assert matches(getattr(result, field_name), expected[field_name], 1e-10), (
@@ -222,9 +221,7 @@ def test_c05_ols_oracle_equivalence():
             )
 
     exact = ols_univariate(
-        RegressionInput(
-            y=np.array([1.0, 2.0, 4.0]), x=np.array([1.0, 2.0, 3.0]), labels=("a", "b", "c")
-        )
+        RegressionInput(y=np.array([1.0, 2.0, 4.0]), x=np.array([1.0, 2.0, 3.0]))
     )
     assert abs(exact.beta - 1.5) <= 1e-12
     assert abs(exact.alpha + 2.0 / 3.0) <= 1e-12
@@ -257,11 +254,10 @@ def test_c07_confidence_interval_coverage():
     true_a, true_b = 0.3, 1.7
     covered = 0
     trials = 10_000
-    labels = tuple(str(i) for i in range(n))
     for _ in range(trials):
         x = rng.normal(size=n)
         y = true_a + true_b * x + rng.normal(0.0, 0.8, size=n)
-        result = ols_univariate(RegressionInput(y=y, x=x, labels=labels))
+        result = ols_univariate(RegressionInput(y=y, x=x))
         if abs(result.beta - true_b) <= 1.96 * result.se_beta:
             covered += 1
     rate = covered / trials

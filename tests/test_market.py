@@ -2,7 +2,6 @@ import builtins
 import json
 import math
 import shutil
-from dataclasses import asdict
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
@@ -170,26 +169,26 @@ def full_day_series(vol_before=0.0, vol_after=0.0, drift_qa=0.0, seed=0):
 def test_event_window_stats_constant_path():
     series, tl = full_day_series()
     stats = event_window_stats(series, tl, "c")
-    assert stats.return_during == 0.0
-    assert stats.return_after == 0.0
-    assert stats.vol_before == 0.0
-    assert stats.vol_after == 0.0
-    assert stats.vol_change == 0.0
+    assert stats["return_during"] == 0.0
+    assert stats["return_after"] == 0.0
+    assert stats["vol_before"] == 0.0
+    assert stats["vol_after"] == 0.0
+    assert stats["vol_change"] == 0.0
 
 
 def test_event_window_stats_planted_drift():
     series, tl = full_day_series(drift_qa=0.001)
     stats = event_window_stats(series, tl, "c")
-    assert stats.return_during == pytest.approx(0.001 * 45, rel=1e-9)
-    assert stats.return_after == pytest.approx(0.0, abs=1e-15)
+    assert stats["return_during"] == pytest.approx(0.001 * 45, rel=1e-9)
+    assert stats["return_after"] == pytest.approx(0.0, abs=1e-15)
 
 
 def test_event_window_stats_vol_drop():
     series, tl = full_day_series(vol_before=0.002, vol_after=0.0005, seed=4)
     stats = event_window_stats(series, tl, "c")
-    assert stats.vol_change < 0
-    assert stats.n_returns_before == 119
-    assert stats.n_returns_after == 44
+    assert stats["vol_change"] < 0
+    assert stats["n_returns_before"] == 119
+    assert stats["n_returns_after"] == 44
 
 
 def test_event_window_stats_deterministic():
@@ -506,8 +505,10 @@ def test_price_path_matches_row_oracle(small_fixture):
         )
         assert [p.hex() for p in series.prices.tolist()] == [p.hex() for p in prices]
         timeline = ConferenceTimeline(record.qa_start, record.conference_end, record.trading_close)
-        stats = asdict(event_window_stats(series, timeline, record.conference_id))
-        for name, expected in event_windows(times, prices, timeline).items():
+        stats = event_window_stats(series, timeline, record.conference_id)
+        oracle = event_windows(times, prices, timeline)
+        assert list(stats) == list(oracle)
+        for name, expected in oracle.items():
             assert type(stats[name]) is type(expected), name
             assert float(stats[name]).hex() == float(expected).hex(), name
 

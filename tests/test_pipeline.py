@@ -1,3 +1,4 @@
+import builtins
 import gc
 import json
 import math
@@ -24,13 +25,12 @@ from earstudy import (
     pipeline,
     schema,
 )
-from earstudy.attention import EarSeries, estimate_fps, summarize_conference
+from earstudy.attention import ATTENTION_COLUMNS, EarSeries, estimate_fps, summarize_conference
 from earstudy.cli import main
 from earstudy.geometry import LEFT_EYE_INDICES, RIGHT_EYE_INDICES, read_landmark_batch
 from earstudy.identity import load_gallery
 from earstudy.output import config_digest
 from earstudy.pipeline import (
-    ATTENTION_COLUMNS,
     load_registry,
     load_run_config,
     run_stages,
@@ -247,9 +247,9 @@ def test_attention_table_matches_row_oracle(completed_run):
                       estimate_fps(np.array(stream))),
             cfg.attention,
         )
-        assert (summary.n_samples, summary.n_gaps) == (row["n_samples"], row["n_gaps"])
+        assert (summary["n_samples"], summary["n_gaps"]) == (row["n_samples"], row["n_gaps"])
         for field in fields:
-            assert float.hex(getattr(summary, field)) == float.hex(row[field]), field
+            assert float.hex(summary[field]) == float.hex(row[field]), field
         checked.append(path.stem)
     assert sorted(checked) == sorted(table)
     assert len(checked) == 6
@@ -381,6 +381,62 @@ def test_bad_price_file_leaves_other_window_rows_unchanged(
         gone = tuple(f"{cid}," for cid in dropped if cid is not None)
         assert after == [line for line in before if not line.startswith(gone)]
         assert len(after) == len(before) - len(gone)
+
+
+def test_epsilon_floor_keeps_the_never_reading_conference(completed_run, tmp_path, caplog):
+    """Under epsilon_floor, conf-003, which never reads, keeps its attention
+    row at the log of floor_value and is the one conference floored; the
+    other rows keep their levels, and only conf-005 is excluded."""
+    fixture, _, out = completed_run
+    attention = {"threshold": 0.2, "gap_factor": 3.0, "floor_policy": "epsilon_floor",
+                 "floor_value": 1e-6}
+    caplog.clear()
+    run_stages(load_run_config(write_run_config(tmp_path / "config.json", fixture,
+                                                attention=attention)), tmp_path / "out")
+
+    table = {row["conference_id"]: row
+             for row in read_attention_table(tmp_path / "out" / "attention.csv")}
+    assert (table["conf-003"]["attention_integral"], table["conf-003"]["log_attention"]) == (
+        0.0, math.log(1e-6))
+    before = {row["conference_id"]: row["log_attention"]
+              for row in read_attention_table(out / "attention.csv")}
+    assert {cid: row["log_attention"] for cid, row in table.items() if cid != "conf-003"} == before
+    diagnostics = json.loads((tmp_path / "out" / "diagnostics" / "attention.json").read_text())
+    assert diagnostics["floored"] == ["conf-003"]
+    assert [f"{r.levelname} {r.name}: {r.getMessage()}" for r in caplog.records] == [
+        SMALL_FIXTURE_WARNINGS[1]]
+
+
+def test_conferences_sharing_a_price_file_read_it_once(completed_run, tmp_path, monkeypatch):
+    """Conferences whose registry rows name one price file, holding every
+    conference's bars in date order under one header, open it once and
+    give the per-file run's windows and tables."""
+    fixture, _, out = completed_run
+    copy = shutil.copytree(fixture, tmp_path / "fixture")
+    raw = json.loads((copy / "registry.json").read_text())
+    texts = [(copy / row["prices"]).read_text() for row in raw["conferences"]]
+    joined = copy / "prices" / "all.csv"
+    joined.write_text(texts[0] + "".join(
+        text.split("timestamp,price\n", 1)[1] for text in texts[1:]))
+    for row in raw["conferences"]:
+        (copy / row["prices"]).unlink()
+        row["prices"] = "prices/all.csv"
+    (copy / "registry.json").write_text(json.dumps(raw))
+    assert [row["date"] for row in raw["conferences"]] == sorted(
+        row["date"] for row in raw["conferences"])
+
+    opened, real_open = [], builtins.open
+
+    def counted_open(file, *args, **kwargs):
+        opened.append(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counted_open)
+    run_stages(load_run_config(write_run_config(tmp_path / "config.json", copy)),
+               tmp_path / "out")
+    monkeypatch.undo()
+    assert opened.count(joined) == 1
+    assert masked_tree(tmp_path / "out") == masked_tree(out)
 
 
 @pytest.mark.parametrize("bound", ["nan", "inf", "1e400"])
@@ -568,20 +624,26 @@ def test_cli_main_freezes_the_heap_only_while_it_runs(small_fixture, tmp_path, m
     config_path = write_run_config(tmp_path / "config.json", small_fixture)
     was_enabled = gc.isenabled()
     try:
-        for enabled in (True, False):
+        # The last case's caller froze a heap of its own: main leaves it
+        # frozen, though objects of it that die leave the count.
+        for enabled, caller_froze in ((True, False), (False, False), (True, True)):
             (gc.enable if enabled else gc.disable)()
+            if caller_froze:
+                gc.freeze()
             seen.clear()
-            out = tmp_path / f"out-{enabled}"
+            out = tmp_path / f"out-{enabled}-{caller_froze}"
             assert main(["run", "--config", str(config_path), "--out", str(out)]) == 0
             assert seen and set(seen) == {(True, False)}
-            assert (gc.get_freeze_count(), gc.isenabled()) == (0, enabled)
+            assert (gc.get_freeze_count() > 0, gc.isenabled()) == (caller_froze, enabled)
             assert main(["run", "--config", str(tmp_path / "missing.json"),
                          "--out", str(tmp_path / "out2")]) == 1
-            assert (gc.get_freeze_count(), gc.isenabled()) == (0, enabled)
+            assert (gc.get_freeze_count() > 0, gc.isenabled()) == (caller_froze, enabled)
             with pytest.raises(SystemExit):
                 main(["no-such-command"])
-            assert (gc.get_freeze_count(), gc.isenabled()) == (0, enabled)
+            assert (gc.get_freeze_count() > 0, gc.isenabled()) == (caller_froze, enabled)
+            gc.unfreeze()
     finally:
+        gc.unfreeze()
         (gc.enable if was_enabled else gc.disable)()
 
 

@@ -27,9 +27,7 @@ FIELDS = (
 
 
 def fit(x, y):
-    labels = tuple(f"c{i}" for i in range(len(x)))
-    return ols_univariate(RegressionInput(y=np.asarray(y, float), x=np.asarray(x, float),
-                                          labels=labels))
+    return ols_univariate(RegressionInput(y=np.asarray(y, float), x=np.asarray(x, float)))
 
 
 def test_exact_linear_fit():

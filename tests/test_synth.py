@@ -274,7 +274,7 @@ def test_fractional_length_segments_lie_inside_the_registry_q_and_a(tmp_path):
     assert record.qa_duration_s() == 33.333333
     assert segments.segments[-1][1] == 100 / 3
     variables = benchmark_variables(gen_transcript(spec), segments, record.qa_duration_s())
-    assert variables.log_chair_speech == math.log(100 / 3)
+    assert variables["log_chair_speech"] == math.log(100 / 3)
 
 
 def test_scenario_timeline_span_checked():
@@ -362,10 +362,10 @@ def test_price_series_zero_vol_exact_drift():
     assert truth.expected_return_during == pytest.approx(0.045)
     series = PriceSeries(*zip(*bars))
     stats = event_window_stats(series, spec.timeline, spec.conference_id)
-    assert stats.return_during == pytest.approx(0.045, rel=1e-9)
-    assert stats.return_after == pytest.approx(0.0, abs=1e-12)
-    assert stats.vol_before == 0.0
-    assert stats.vol_after == 0.0
+    assert stats["return_during"] == pytest.approx(0.045, rel=1e-9)
+    assert stats["return_after"] == pytest.approx(0.0, abs=1e-12)
+    assert stats["vol_before"] == 0.0
+    assert stats["vol_after"] == 0.0
 
 
 def test_price_series_zero_everything_is_flat():
@@ -394,7 +394,7 @@ def test_price_series_vol_factor_shows_up_in_realized_ratio():
         )
         bars, _ = gen_price_series(spec)
         stats = event_window_stats(PriceSeries(*zip(*bars)), spec.timeline, spec.conference_id)
-        ratios.append(stats.vol_after / stats.vol_before)
+        ratios.append(stats["vol_after"] / stats["vol_before"])
     assert abs(np.mean(ratios) - 0.5) < 0.1
 
 
